@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain pytest/python underneath.
 
-.PHONY: test test-fast test-faults test-guard bench examples docs telemetry-smoke prefetch-smoke serve-smoke guard-smoke elastic-smoke obs-smoke kernels-smoke store-smoke scenarios-smoke clean
+.PHONY: test test-fast test-faults test-guard bench examples docs clean
 
 test:
 	pytest tests/
@@ -21,94 +21,15 @@ test-guard:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# End-to-end observability check: run a short traced training, validate
-# the exported trace/metrics against their schemas, and render the
-# per-phase table (mirrors the dedicated CI step).
-telemetry-smoke:
-	python -m repro.cli train --dataset tiny --mode shadow --epochs 2 \
-	  --train-graphs 2 --val-graphs 1 --world-size 2 \
-	  --trace-out /tmp/repro_trace.json --metrics-out /tmp/repro_metrics.json
-	python scripts/validate_telemetry.py /tmp/repro_trace.json /tmp/repro_metrics.json
-	python -m repro.cli telemetry summarize /tmp/repro_trace.json
+# End-to-end smoke suites, one per subsystem (what each drives and
+# asserts is its docstring in scripts/validate.py; CI runs the same list
+# as a matrix).
+SMOKE_SUITES = telemetry prefetch serve guard elastic obs kernels store scenarios
+SMOKE_TARGETS = $(SMOKE_SUITES:%=%-smoke)
 
-# End-to-end async-pipeline check: run a short prefetched training,
-# validate the exported queue-depth / stall instruments and spans, and
-# assert workers=0 vs workers=4 weight bit-identity (mirrors the
-# dedicated CI step).
-prefetch-smoke:
-	python -m repro.cli train --dataset tiny --mode bulk --epochs 2 \
-	  --train-graphs 2 --val-graphs 1 --prefetch-workers 4 \
-	  --trace-out /tmp/repro_prefetch_trace.json \
-	  --metrics-out /tmp/repro_prefetch_metrics.json
-	python scripts/validate_prefetch.py --determinism \
-	  /tmp/repro_prefetch_metrics.json /tmp/repro_prefetch_trace.json
-
-# End-to-end serving check: batched-vs-sequential parity, stage-cache
-# hits on replay, deterministic overload shedding/degradation, and the
-# serve.* metrics schema (mirrors the dedicated CI step).
-serve-smoke:
-	python scripts/validate_serving.py /tmp/repro_serving_metrics.json
-
-# End-to-end guardrail chaos check: watchdog rollback on NaN loss,
-# checkpoint fallback past a bit-flipped file, breaker open/degraded/
-# recover with zero hung requests (mirrors the dedicated CI step).
-guard-smoke:
-	python scripts/validate_guardrails.py /tmp/repro_guard_metrics.json
-
-# End-to-end elastic-recovery chaos check: SIGKILL a real worker process
-# mid-epoch on the proc backend, assert eviction + survivor resync, and
-# bit-compare final weights against a sim-backend eviction replay
-# (mirrors the dedicated CI step).
-elastic-smoke:
-	python scripts/validate_elastic.py
-
-# End-to-end observability check: merged per-rank Chrome trace with
-# supervisor chaos events, live /metrics + /health exposition during
-# load generation, and the perf-regression gate tripping on an injected
-# slowdown; then self-diff the checked-in benchmark baselines (mirrors
-# the dedicated CI step).
-obs-smoke:
-	python scripts/validate_obs.py
-	python -m repro.cli telemetry diff \
-	  benchmarks/results/telemetry/baselines/bench_fig3_epoch_time.json \
-	  benchmarks/results/telemetry/baselines/bench_fig3_epoch_time.json
-	python -m repro.cli telemetry diff \
-	  benchmarks/results/telemetry/baselines/bench_serving.json \
-	  benchmarks/results/telemetry/baselines/bench_serving.json
-
-# Fused-kernel check: numeric parity of every fused op against its
-# unfused/legacy reference (forward + gradients), arena pooling
-# bit-safety, and a measured speedup gate on the bench-shaped message
-# pass; then the fused/precision parity test suites, a fresh fig3
-# profile, and the perf-regression gate against the checked-in baseline
-# so the fused-kernel epoch-time win is locked in (mirrors the
-# dedicated CI step).
-kernels-smoke:
-	python scripts/validate_kernels.py
-	pytest tests/tensor/test_fused_kernels.py tests/memory/test_arena.py \
-	  tests/models/test_fused_ignn.py -q
-	pytest benchmarks/bench_fig3_epoch_time.py -k ex3 -q --benchmark-only
-	python -m repro.cli telemetry diff \
-	  benchmarks/results/telemetry/test_fig3_epoch_time_ex3-ex3.trace.json \
-	  benchmarks/results/telemetry/baselines/bench_fig3_epoch_time.json
-
-# End-to-end event-store check: guarded ingestion quarantines an
-# injected invalid event to JSONL, streamed epochs over a dataset >= 4x
-# the resident-byte budget keep mapped bytes and RSS growth bounded,
-# and streamed sampling/training is bit-identical to the in-RAM path
-# with a warm shard cache (mirrors the dedicated CI step).
-store-smoke:
-	python scripts/validate_store.py
-	python -m repro.cli store ingest --dataset tiny --out /tmp/repro_store \
-	  --shard-mb 0.125 --overwrite
-	python -m repro.cli store verify /tmp/repro_store
-
-# Hostile-workload conformance: the smoke chaos matrix (mutated feeds +
-# injected faults) must clear every physics-metric floor, engage each
-# resilience mechanism, and reproduce bit-identically run to run
-# (mirrors the dedicated CI step).
-scenarios-smoke:
-	python scripts/validate_scenarios.py --matrix smoke
+.PHONY: $(SMOKE_TARGETS)
+$(SMOKE_TARGETS): %-smoke:
+	python scripts/validate.py $*
 
 examples:
 	python examples/quickstart.py

@@ -31,6 +31,7 @@ MODULES = [
     "repro.store",
     "repro.baselines",
     "repro.cli",
+    "repro.cli.flags",
 ]
 
 

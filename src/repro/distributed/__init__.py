@@ -20,7 +20,7 @@ from .supervisor import (
     WorkerHandle,
 )
 from .coalesce import FlatSpec, flatten_arrays, gradient_arrays, unflatten_array
-from .ddp import DistributedDataParallel, replicate_model
+from .ddp import ALLREDUCE_STRATEGIES, DistributedDataParallel, replicate_model
 from .algorithms import (
     ALLREDUCE_ALGORITHMS,
     halving_doubling_allreduce,
@@ -45,6 +45,7 @@ from .compression import (
 __all__ = [
     "CommBackend",
     "COMM_BACKENDS",
+    "ALLREDUCE_STRATEGIES",
     "create_communicator",
     "CommCostModel",
     "NVLINK_A100",

@@ -31,9 +31,11 @@ from .backend import CommBackend
 from .coalesce import flatten_arrays, gradient_arrays, unflatten_array
 from .supervisor import record_supervisor_event
 
-__all__ = ["DistributedDataParallel", "replicate_model"]
+__all__ = ["ALLREDUCE_STRATEGIES", "DistributedDataParallel", "replicate_model"]
 
-_STRATEGIES = ("per_parameter", "coalesced")
+#: Gradient-sync strategies accepted by :class:`DistributedDataParallel`,
+#: ``GNNTrainConfig.allreduce`` and the CLI's ``--allreduce`` flag.
+ALLREDUCE_STRATEGIES = ("coalesced", "per_parameter")
 
 
 def replicate_model(factory: Callable[[], Module], world_size: int) -> List[Module]:
@@ -93,8 +95,10 @@ class DistributedDataParallel:
             raise ValueError(
                 f"{len(models)} replicas for a world of {comm.world_size}"
             )
-        if strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; choose from {_STRATEGIES}")
+        if strategy not in ALLREDUCE_STRATEGIES:
+            raise ValueError(
+                f"unknown strategy {strategy!r}; choose from {ALLREDUCE_STRATEGIES}"
+            )
         names = [tuple(name for name, _ in m.named_parameters()) for m in models]
         if any(n != names[0] for n in names[1:]):
             raise ValueError("replicas disagree on parameter names/order")

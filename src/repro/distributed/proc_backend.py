@@ -8,7 +8,7 @@ crashes, and real stragglers.  The backend is deliberately **bit-exact**
 with the in-process simulator: chunk boundaries, accumulation order, and
 the float64 working precision are identical, so a seeded ``proc`` run
 reproduces a ``sim`` run to the last bit (the elastic-recovery
-validation in ``scripts/validate_elastic.py`` depends on this).
+smoke suite, ``scripts/validate.py elastic``, depends on this).
 
 Crash tolerance
 ---------------

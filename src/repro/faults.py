@@ -32,7 +32,8 @@ Components
   are exercised against real on-disk damage.
 * :class:`SimClock`, :class:`RetryPolicy`, :func:`call_with_retries` —
   retry-with-exponential-backoff for *transient* faults; exhaustion
-  re-raises the original error.
+  re-raises the original error.  :class:`WallClock` is the real-time
+  implementation of the same ``now`` protocol.
 * :func:`truncate_file`, :func:`flip_bit` — checkpoint corrupters for
   durability tests.
 """
@@ -40,6 +41,7 @@ Components
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TypeVar
 
@@ -56,6 +58,7 @@ __all__ = [
     "DiskFault",
     "FaultPlan",
     "SimClock",
+    "WallClock",
     "RetryPolicy",
     "call_with_retries",
     "truncate_file",
@@ -440,6 +443,19 @@ class SimClock:
         if seconds < 0:
             raise ValueError("cannot sleep a negative duration")
         self.now += seconds
+
+
+class WallClock:
+    """The real clock in the :class:`SimClock` shape (``now`` in seconds).
+
+    The default wherever a clock is injectable (serving engine, circuit
+    breaker); a component handed a ``WallClock`` reads time, one handed
+    a ``SimClock`` models it.
+    """
+
+    @property
+    def now(self) -> float:
+        return time.perf_counter()
 
 
 @dataclass(frozen=True)

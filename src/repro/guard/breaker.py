@@ -34,10 +34,10 @@ breaker).
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
+from ..faults import WallClock
 from ..obs import get_telemetry, get_tracer
 
 __all__ = ["BreakerConfig", "BreakerOpenError", "CircuitBreaker"]
@@ -82,12 +82,6 @@ class BreakerConfig:
             raise ValueError("probe_successes must be >= 1")
 
 
-class _WallClock:
-    @property
-    def now(self) -> float:
-        return time.perf_counter()
-
-
 class CircuitBreaker:
     """closed → open → half-open state machine over an injectable clock.
 
@@ -114,7 +108,7 @@ class CircuitBreaker:
         on_transition: Optional[Callable[[str, str], None]] = None,
     ) -> None:
         self.config = config if config is not None else BreakerConfig()
-        self.clock = clock if clock is not None else _WallClock()
+        self.clock = clock if clock is not None else WallClock()
         self.name = name
         self.on_transition = on_transition
         self._lock = threading.Lock()

@@ -16,13 +16,9 @@ from .arena import (
     default_arena,
     set_arena_enabled,
 )
-from .device import A100_40GB, DeviceSpec, scaled_device
 
 __all__ = [
     "ActivationMemoryModel",
-    "DeviceSpec",
-    "A100_40GB",
-    "scaled_device",
     "ArenaStats",
     "BufferArena",
     "arena_enabled",

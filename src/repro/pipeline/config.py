@@ -5,7 +5,42 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-__all__ = ["GNNTrainConfig", "PipelineConfig"]
+from ..distributed.backend import COMM_BACKENDS
+from ..distributed.ddp import ALLREDUCE_STRATEGIES
+
+__all__ = [
+    "GNNTrainConfig",
+    "PipelineConfig",
+    "knob",
+    "PAPER_MODES",
+    "TRAIN_MODES",
+    "PRECISIONS",
+    "TRACK_BUILDERS",
+]
+
+#: The paper's comparison (full vs shadow vs bulk) — what ``repro train
+#: --mode`` offers; the sampler-family ablation modes are library-only.
+PAPER_MODES = ("full", "shadow", "bulk")
+TRAIN_MODES = PAPER_MODES + ("nodewise", "saint")
+PRECISIONS = ("float32", "float64")
+SCHEDULERS = (None, "cosine", "step")
+CONSTRUCTIONS = ("metric_learning", "module_map")
+TRACK_BUILDERS = ("cc", "walkthrough")
+
+
+def knob(default, help: str, choices: Optional[tuple] = None):
+    """A config field that carries its own operator documentation.
+
+    ``help`` (and ``choices``) sit in the field's metadata, where
+    :mod:`repro.cli.flags` reads them to derive the command-line flag —
+    each knob is defined once, here.  Metadata is not part of
+    ``dataclasses.asdict``, so config hashes and checkpoint
+    config-matching are unaffected.
+    """
+    metadata = {"help": help}
+    if choices is not None:
+        metadata["choices"] = choices
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -96,57 +131,114 @@ class GNNTrainConfig:
         mode.
     """
 
-    mode: str = "bulk"
-    epochs: int = 30
-    batch_size: int = 256
-    hidden: int = 64
-    num_layers: int = 8
+    mode: str = knob(
+        "bulk",
+        "training regime: full-graph, minibatch + sequential ShaDow, or "
+        "minibatch + matrix-based bulk ShaDow",
+        TRAIN_MODES,
+    )
+    epochs: int = knob(30, "training epochs")
+    batch_size: int = knob(256, "global minibatch size (seed vertices per step)")
+    hidden: int = knob(64, "hidden width of the GNN's MLPs")
+    num_layers: int = knob(8, "message-passing layers")
     mlp_layers: int = 2
     lr: float = 1e-3
-    depth: int = 3
-    fanout: int = 6
-    bulk_k: int = 4
-    world_size: int = 1
-    allreduce: str = "coalesced"
-    backend: str = "sim"  # comm backend: "sim" (in-process) or "proc"
+    depth: int = knob(3, "ShaDow subgraph depth d")
+    fanout: int = knob(6, "ShaDow fanout s (neighbours sampled per vertex)")
+    bulk_k: int = knob(4, "minibatches sampled per bulk step (k in Figure 3)")
+    world_size: int = knob(1, "DDP rank count; local batch is batch_size / N")
+    allreduce: str = knob(
+        "coalesced",
+        "gradient sync: one coalesced buffer (Section III-D) or one call "
+        "per parameter",
+        ALLREDUCE_STRATEGIES,
+    )
+    backend: str = knob(
+        "sim",
+        "comm backend: in-process simulator (sim) or one real worker "
+        "process per rank with crash-tolerant supervision (proc)",
+        COMM_BACKENDS,
+    )
     capacity_bytes: Optional[int] = None
     checkpoint_activations: bool = False
-    pos_weight: Optional[float] = None  # None = derive from label balance
+    pos_weight: Optional[float] = knob(
+        None, "positive-class loss weight (None = derive from label balance)"
+    )
     threshold: float = 0.5
-    seed: int = 0
+    seed: int = knob(0, "RNG seed (weights, sampling, shuffling)")
     eval_every: int = 1
     # Optional training conveniences (acorn trains with a scheduler and
     # keeps the best-validation checkpoint):
-    scheduler: Optional[str] = None  # None | "cosine" | "step"
-    early_stopping_patience: Optional[int] = None  # evals without F1 gain
-    restore_best: bool = False  # reload the best-val-F1 weights at the end
+    scheduler: Optional[str] = knob(None, "learning-rate schedule", SCHEDULERS)
+    early_stopping_patience: Optional[int] = knob(
+        None, "stop after N evaluations without validation-F1 gain"
+    )
+    restore_best: bool = knob(
+        False, "reload the best-validation-F1 weights at the end"
+    )
     # Fault tolerance (see docs/fault_tolerance.md):
-    checkpoint_every: Optional[int] = None  # epochs between checkpoints
-    checkpoint_path: Optional[str] = None  # where checkpoints are written
-    resume_from: Optional[str] = None  # checkpoint to continue from
+    checkpoint_every: Optional[int] = knob(
+        None, "write a resumable trainer checkpoint every N epochs"
+    )
+    checkpoint_path: Optional[str] = knob(
+        None, "where trainer checkpoints are written (atomic + checksummed)"
+    )
+    resume_from: Optional[str] = knob(
+        None, "resume training from a checkpoint written by --checkpoint-every"
+    )
     # Async data pipeline (see docs/data_pipeline.md):
-    prefetch_workers: int = 0  # background sampling threads (0 = sync)
-    prefetch_depth: int = 2  # in-flight prefetched bulk steps
-    checkpoint_every_steps: Optional[int] = None  # mid-epoch checkpoint cadence
-    max_steps: Optional[int] = None  # stop after N optimisation steps
+    prefetch_workers: int = knob(
+        0,
+        "background sampling threads (0 = synchronous); batch contents "
+        "are bit-identical at any worker count",
+    )
+    prefetch_depth: int = knob(2, "bound on in-flight prefetched bulk steps")
+    checkpoint_every_steps: Optional[int] = knob(
+        None, "additionally checkpoint every N bulk steps within an epoch"
+    )
+    max_steps: Optional[int] = knob(None, "stop after N optimisation steps")
     # Guardrails (see docs/resilience.md):
-    validate_inputs: bool = False  # quarantine malformed graphs at ingestion
-    keep_last: Optional[int] = None  # retained checkpoint history depth
-    watchdog: bool = False  # loss/grad-norm divergence watchdog
-    watchdog_window: int = 8  # rolling loss window for spike detection
-    watchdog_spike_factor: float = 10.0  # spike = loss > factor * median
-    watchdog_max_rollbacks: int = 2  # rollback budget before giving up
-    watchdog_lr_backoff: float = 0.5  # lr multiplier applied per rollback
+    validate_inputs: bool = knob(
+        False, "quarantine malformed training graphs instead of crashing"
+    )
+    keep_last: Optional[int] = knob(
+        None,
+        "retain the last N checkpoints (history copies enable fallback "
+        "resume when the newest one is corrupt)",
+    )
+    watchdog: bool = knob(
+        False,
+        "enable the training stability watchdog: on NaN/Inf or a loss "
+        "spike, roll back to the last checkpoint with LR backoff",
+    )
+    watchdog_window: int = knob(8, "rolling loss window for spike detection")
+    watchdog_spike_factor: float = knob(
+        10.0, "divergence when loss exceeds X times the rolling median"
+    )
+    watchdog_max_rollbacks: int = knob(
+        2, "rollback budget before training gives up"
+    )
+    watchdog_lr_backoff: float = knob(
+        0.5, "multiply the learning rate by X on each rollback"
+    )
     # Kernel / precision knobs (see docs/kernels.md):
-    fused_kernels: bool = True  # fused gather/scatter message path
-    precision: str = "float32"  # "float32" (paper) | "float64" reference
+    fused_kernels: bool = knob(
+        True,
+        "the fused gather/scatter message path (falls back to the unfused "
+        "gather/concat/matmul reference path)",
+    )
+    precision: str = knob(
+        "float32",
+        "training dtype: float32 (paper) or the float64 reference mode",
+        PRECISIONS,
+    )
 
     def __post_init__(self) -> None:
-        if self.mode not in ("full", "shadow", "bulk", "nodewise", "saint"):
+        if self.mode not in TRAIN_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.allreduce not in ("coalesced", "per_parameter"):
+        if self.allreduce not in ALLREDUCE_STRATEGIES:
             raise ValueError(f"unknown allreduce {self.allreduce!r}")
-        if self.backend not in ("sim", "proc"):
+        if self.backend not in COMM_BACKENDS:
             raise ValueError(
                 f"unknown comm backend {self.backend!r}; choose 'sim' or 'proc'"
             )
@@ -156,7 +248,7 @@ class GNNTrainConfig:
             raise ValueError("epochs/batch_size/world_size must be positive")
         if self.bulk_k < 1:
             raise ValueError("bulk_k must be >= 1")
-        if self.scheduler not in (None, "cosine", "step"):
+        if self.scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.early_stopping_patience is not None and self.early_stopping_patience < 1:
             raise ValueError("early_stopping_patience must be >= 1")
@@ -176,7 +268,7 @@ class GNNTrainConfig:
                 raise ValueError("checkpoint_every_steps requires checkpoint_path")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.precision not in ("float32", "float64"):
+        if self.precision not in PRECISIONS:
             raise ValueError(
                 f"unknown precision {self.precision!r}; choose 'float32' or 'float64'"
             )
@@ -218,7 +310,7 @@ class PipelineConfig:
     construction: str = "metric_learning"
     embedding_dim: int = 8
     embedding_hidden: int = 64
-    embedding_epochs: int = 30
+    embedding_epochs: int = knob(30, "embedding-stage (metric learning) epochs")
     embedding_lr: float = 1e-2
     embedding_margin: float = 1.0
     negatives_per_positive: int = 4
@@ -231,7 +323,7 @@ class PipelineConfig:
     frnn_radius: float = 0.25
     frnn_max_neighbors: Optional[int] = 40
     filter_hidden: int = 64
-    filter_epochs: int = 30
+    filter_epochs: int = knob(30, "filter-stage epochs")
     filter_lr: float = 1e-2
     filter_threshold: float = 0.1
     feature_scheme: str = "compact"
@@ -248,10 +340,10 @@ class PipelineConfig:
     # Guardrails: validate raw events at fit() ingestion, quarantining
     # malformed ones (see repro.guard.validation / docs/resilience.md).
     validate_inputs: bool = False
-    quarantine_log: Optional[str] = None  # JSONL quarantine record path
+    quarantine_log: Optional[str] = knob(None, "JSONL quarantine record path")
 
     def __post_init__(self) -> None:
-        if self.construction not in ("metric_learning", "module_map"):
+        if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction strategy {self.construction!r}")
-        if self.track_builder not in ("cc", "walkthrough"):
+        if self.track_builder not in TRACK_BUILDERS:
             raise ValueError(f"unknown track builder {self.track_builder!r}")

@@ -75,7 +75,7 @@ from typing import Deque, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..detector import Event
-from ..faults import FaultPlan
+from ..faults import FaultPlan, WallClock
 from ..graph import EventGraph
 from ..guard import (
     BreakerConfig,
@@ -86,6 +86,7 @@ from ..guard import (
 )
 from ..obs import get_telemetry, get_tracer
 from ..pipeline import ExaTrkXPipeline, GraphConstructionStage
+from ..pipeline.config import PRECISIONS, knob
 from ..pipeline.track_building import build_tracks, build_tracks_walkthrough
 from ..tensor import row_stable_matmul
 from .cache import CachedStages, StageCache, event_fingerprint
@@ -117,14 +118,6 @@ class RequestTimeoutError(RuntimeError):
 
 class RequestFailedError(RuntimeError):
     """A stage failure terminated the request with no usable fallback."""
-
-
-class _WallClock:
-    """Minimal wall clock with the :class:`repro.faults.SimClock` shape."""
-
-    @property
-    def now(self) -> float:
-        return time.perf_counter()
 
 
 @dataclass(frozen=True)
@@ -197,24 +190,55 @@ class ServeConfig:
         batched-vs-sequential bit-parity contract holds in either mode.
     """
 
-    max_batch_events: int = 8
-    max_wait_ms: float = 5.0
-    max_queue_events: int = 64
-    workers: int = 0
-    latency_budget_ms: Optional[float] = None
+    max_batch_events: int = knob(8, "micro-batch flush threshold (events)")
+    max_wait_ms: float = knob(
+        5.0, "micro-batch deadline: dispatch once the oldest request waited X ms"
+    )
+    max_queue_events: int = knob(
+        64, "admission bound: requests beyond N queued are shed"
+    )
+    workers: int = knob(0, "worker threads (0 = synchronous engine)")
+    latency_budget_ms: Optional[float] = knob(
+        None,
+        "serve a batch degraded (skip the GNN) when its oldest request "
+        "already waited longer than X ms at dispatch",
+    )
     degraded_threshold: float = 0.5
-    cache_capacity: int = 128
-    sim_service_time_s: Optional[float] = None
-    validate_inputs: bool = False
-    quarantine_log: Optional[str] = None
-    request_timeout_ms: Optional[float] = None
-    breaker_threshold: Optional[int] = None
-    breaker_cooldown_ms: float = 1000.0
-    breaker_probes: int = 1
-    precision: str = "float32"
+    cache_capacity: int = knob(128, "stage-cache entries (0 disables caching)")
+    sim_service_time_s: Optional[float] = knob(
+        None,
+        "fixed modelled batch service time on the simulated clock "
+        "(default: measured wall time — realistic but not bit-reproducible)",
+    )
+    validate_inputs: bool = knob(
+        False, "quarantine malformed events at submit instead of crashing"
+    )
+    quarantine_log: Optional[str] = knob(
+        None, "append quarantined-request records to this path as JSONL"
+    )
+    request_timeout_ms: Optional[float] = knob(
+        None, "fail requests still queued after X ms with a typed timeout"
+    )
+    breaker_threshold: Optional[int] = knob(
+        None,
+        "open the GNN circuit breaker after N consecutive stage failures "
+        "(default: breaker disabled)",
+    )
+    breaker_cooldown_ms: float = knob(
+        1000.0, "open-state cooldown before the half-open probe"
+    )
+    breaker_probes: int = knob(
+        1, "successful half-open probes required to close the breaker"
+    )
+    precision: str = knob(
+        "float32",
+        "cast the pipeline's stage networks to this dtype "
+        "(float64 = high-precision reference mode)",
+        PRECISIONS,
+    )
 
     def __post_init__(self) -> None:
-        if self.precision not in ("float32", "float64"):
+        if self.precision not in PRECISIONS:
             raise ValueError(
                 f"unknown precision {self.precision!r}; choose 'float32' or 'float64'"
             )
@@ -442,7 +466,7 @@ class InferenceEngine:
         self.config = config if config is not None else ServeConfig()
         if self.config.precision != "float32":
             pipeline.astype(np.dtype(self.config.precision))
-        self.clock = clock if clock is not None else _WallClock()
+        self.clock = clock if clock is not None else WallClock()
         self.fault_plan = fault_plan
         self.queue = RequestQueue(self.config.max_queue_events)
         self.cache: Optional[StageCache] = (
@@ -816,7 +840,7 @@ class InferenceEngine:
                             breaker_open or gnn_error is not None
                         )
         service_wall_s = time.perf_counter() - t0_wall
-        if not isinstance(self.clock, _WallClock):
+        if not isinstance(self.clock, WallClock):
             # simulated clock: model the service time explicitly so
             # queueing dynamics (and thus shedding/degradation) are
             # reproducible — fixed when configured, measured otherwise

@@ -24,9 +24,12 @@ from typing import List, Sequence
 import numpy as np
 
 from ..detector import Event
+from ..pipeline.config import knob
 from .engine import InferenceEngine, ServeRequest
 
 __all__ = ["LoadGenConfig", "LoadGenReport", "arrival_times", "run_loadgen"]
+
+ARRIVALS = ("uniform", "poisson")
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,11 @@ class LoadGenConfig:
     schedule would survive.
     """
 
-    rate: float = 50.0
-    num_requests: int = 64
-    arrival: str = "uniform"
+    rate: float = knob(50.0, "offered request rate (req/s)")
+    num_requests: int = knob(64, "requests offered over the run")
+    arrival: str = knob(
+        "uniform", "arrival process for the open-loop schedule", ARRIVALS
+    )
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -49,7 +54,7 @@ class LoadGenConfig:
             raise ValueError("rate must be positive")
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
-        if self.arrival not in ("uniform", "poisson"):
+        if self.arrival not in ARRIVALS:
             raise ValueError("arrival must be 'uniform' or 'poisson'")
 
 

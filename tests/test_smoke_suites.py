@@ -1,0 +1,70 @@
+"""The smoke suites are named once per surface — script registry, Makefile
+rule, CI matrix — and the three lists must agree."""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SUITES = [
+    "telemetry", "prefetch", "serve", "guard", "elastic",
+    "obs", "kernels", "store", "scenarios",
+]
+
+
+def read(*parts):
+    with open(os.path.join(ROOT, *parts)) as fh:
+        return fh.read()
+
+
+def test_script_registry_lists_the_nine_suites():
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "validate.py"), "--list"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == SUITES
+
+
+def test_unknown_suite_is_a_usage_error():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "validate.py"), "nope"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and "suites:" in proc.stdout
+
+
+def test_makefile_pattern_rule_names_the_same_suites():
+    makefile = read("Makefile")
+    assert re.search(r"^SMOKE_SUITES = (.*)$", makefile, re.M).group(1).split() == SUITES
+    assert "$(SMOKE_TARGETS): %-smoke:\n\tpython scripts/validate.py $*\n" in makefile
+    assert makefile.count("-smoke:") == 1  # the one rule
+
+
+def test_ci_matrix_names_the_same_suites():
+    ci = read(".github", "workflows", "ci.yml")
+    matrix = re.search(r"^\s+suite: \[(.*)\]$", ci, re.M).group(1)
+    assert [s.strip() for s in matrix.split(",")] == SUITES
+    assert "python scripts/validate.py ${{ matrix.suite }}" in ci
+    assert "-smoke" not in ci.replace("<suite>-smoke", "")  # no per-suite steps left
+
+
+def test_no_per_suite_script_remains():
+    assert not [f for f in os.listdir(os.path.join(ROOT, "scripts")) if f.startswith("validate_")]
+    assert not os.path.exists(os.path.join(ROOT, "src", "repro", "cli.py"))
+
+
+@pytest.mark.skipif(shutil.which("make") is None, reason="make not installed")
+def test_make_clean_preserves_telemetry_baselines(tmp_path):
+    shutil.copy(os.path.join(ROOT, "Makefile"), tmp_path / "Makefile")
+    baselines = tmp_path / "benchmarks" / "results" / "telemetry" / "baselines"
+    baselines.mkdir(parents=True)
+    (baselines / "bench.json").write_text("{}")
+    regenerated = tmp_path / "benchmarks" / "results" / "telemetry" / "run.trace.json"
+    regenerated.write_text("{}")
+    subprocess.run(["make", "clean"], cwd=tmp_path, check=True, capture_output=True)
+    assert (baselines / "bench.json").exists()
+    assert not regenerated.exists()
