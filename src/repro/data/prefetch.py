@@ -66,6 +66,9 @@ class PlannedStep:
     graph: EventGraph  # or a lazy handle (e.g. repro.store.StoredGraph)
     batches: Tuple[np.ndarray, ...]
     seed: np.random.SeedSequence
+    #: train the step under activation checkpointing (full-graph rescue
+    #: of an event over the memory budget)
+    recompute: bool = False
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ class NumericFault:
     """Corrupt the ``at_step``-th training step with NaN.
 
     ``at_step`` counts *forward/backward executions* (0-based, one per
-    :func:`repro.pipeline.trainers._step` call — with ``world_size`` P
+    :meth:`repro.pipeline.trainers._Rank.step` call — with ``world_size`` P
     every optimisation step consumes P indices, one per rank).  The
     counter keeps advancing across watchdog rollbacks, so a step
     re-executed after a rollback consumes a *new* index and the fault

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..nn import MLP, Module
-from ..tensor import Tensor, no_grad, ops
+from ..tensor import Tensor, ops
 
 __all__ = ["EmbeddingConfig", "EmbeddingNet", "sample_training_pairs"]
 
@@ -64,10 +64,8 @@ class EmbeddingNet(Module):
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Inference path: embeddings as a plain array (no autograd)."""
-        self.eval()
-        with no_grad():
+        with self.inference():
             z = self.forward(Tensor(np.asarray(x, dtype=np.float32)))
-        self.train()
         return z.numpy()
 
 

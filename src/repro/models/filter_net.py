@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import MLP, Module
-from ..tensor import Tensor, no_grad, ops
+from ..tensor import Tensor, ops
 
 __all__ = ["FilterConfig", "FilterNet"]
 
@@ -60,8 +60,6 @@ class FilterNet(Module):
 
     def predict_proba(self, graph) -> np.ndarray:
         """Edge pass-probabilities for an EventGraph (no autograd)."""
-        self.eval()
-        with no_grad():
+        with self.inference():
             logits = self.forward(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
-        self.train()
         return 1.0 / (1.0 + np.exp(-np.clip(logits.numpy(), -60, 60)))

@@ -222,16 +222,12 @@ class InteractionGNN(Module):
     def predict_proba(self, graph) -> np.ndarray:
         """Edge probabilities for an :class:`repro.graph.EventGraph`
         (inference path, no autograd)."""
-        from ..tensor import no_grad
-
         dt = next(self.parameters()).data.dtype
-        self.eval()
-        with no_grad():
+        with self.inference():
             logits = self.forward(
                 Tensor(graph.x.astype(dt, copy=False)),
                 Tensor(graph.y.astype(dt, copy=False)),
                 graph.rows,
                 graph.cols,
             )
-        self.train()
         return 1.0 / (1.0 + np.exp(-np.clip(logits.numpy(), -60, 60)))

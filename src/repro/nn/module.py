@@ -9,11 +9,12 @@ gradient synchronisation), train/eval mode, and state-dict round-trips
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from ..tensor import Tensor
+from ..tensor import Tensor, no_grad
 
 __all__ = ["Module", "Parameter"]
 
@@ -94,6 +95,18 @@ class Module:
     def eval(self) -> "Module":
         """Set evaluation mode recursively."""
         return self.train(False)
+
+    @contextmanager
+    def inference(self) -> Iterator[None]:
+        """Evaluation mode without autograd for the ``with`` body; the
+        prior train/eval mode is restored on exit, even if the body raises."""
+        was_training = self.training
+        self.eval()
+        try:
+            with no_grad():
+                yield
+        finally:
+            self.train(was_training)
 
     def zero_grad(self) -> None:
         """Clear gradients of every parameter."""

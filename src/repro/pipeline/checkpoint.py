@@ -106,8 +106,8 @@ class TrainerState:
     trained_steps: int = 0
     skipped_graphs: int = 0
     checkpointed_steps: int = 0
-    # Mid-epoch cursor (minibatch regimes): how many bulk steps of the
-    # current epoch were already consumed, and the losses they produced.
+    # Mid-epoch cursor: how many plan steps of the current epoch were
+    # already consumed, and the losses they produced.
     # ``rng_state`` is then the *epoch-start* state, from which the
     # resuming run rebuilds the identical EpochPlan and skips ahead.
     step_in_epoch: int = 0

@@ -99,20 +99,20 @@ class GNNTrainConfig:
         the *same configuration*; training continues from the epoch after
         the checkpoint instead of starting over.
     prefetch_workers:
-        Background sampling threads for the minibatch regimes (see
-        :mod:`repro.data`).  ``0`` (default) samples synchronously on
-        the trainer thread; any value keeps batch contents bit-identical
-        (the determinism contract of the prefetch pipeline), so it is a
-        pure throughput knob and may differ between a checkpointing run
-        and the run resuming it.
+        Background sampling threads (see :mod:`repro.data`).  ``0``
+        (default) samples synchronously on the trainer thread; any value
+        keeps batch contents bit-identical (the determinism contract of
+        the prefetch pipeline), so it is a pure throughput knob and may
+        differ between a checkpointing run and the run resuming it.
     prefetch_depth:
         Bound on in-flight prefetched bulk steps (double-buffer depth).
     checkpoint_every_steps:
-        Additionally checkpoint every this many *bulk steps* within an
-        epoch (minibatch regimes; ``None`` = epoch boundaries only).
-        Requires ``checkpoint_path``.  Mid-epoch checkpoints record the
-        loader cursor so a resumed run replays the identical epoch plan
-        and continues bit-exactly from the next step.
+        Additionally checkpoint every this many plan steps (bulk steps;
+        whole graphs in full mode) within an epoch (``None`` = epoch
+        boundaries only).  Requires ``checkpoint_path``.  Mid-epoch
+        checkpoints record the loader cursor so a resumed run replays
+        the identical epoch plan and continues bit-exactly from the next
+        step.
     max_steps:
         Hard stop after this many optimisation steps, mid-epoch if
         necessary (``None`` = run the full epoch budget).  Useful for

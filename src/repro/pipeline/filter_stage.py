@@ -109,14 +109,10 @@ class FilterStage:
             big_cols = np.concatenate(
                 [g.cols + off for g, off in zip(nonempty, offsets)]
             )
-            self.net.eval()
-            from ..tensor import no_grad
-
-            with no_grad():
+            with self.net.inference():
                 logits = self.net(
                     Tensor(big_x), Tensor(big_y), big_rows, big_cols
                 )
-            self.net.train()
             all_scores = 1.0 / (
                 1.0 + np.exp(-np.clip(logits.numpy(), -60, 60))
             )

@@ -1,7 +1,9 @@
-"""GNN-stage trainers: full-graph, sequential ShaDow, and bulk ShaDow.
+"""GNN-stage training: one epoch loop over three kinds of step source.
 
-This module implements the three training regimes Figure 3 / Figure 4
-compare:
+Figure 3 / Figure 4 compare three regimes, and Section III-B treats the
+first as the large-batch limit of the others.  Here they are one loop
+(:func:`_train`) fed by different *step sources* — a sampler plus a rule
+for drawing an epoch's plan of steps:
 
 * **full** — the original Exa.TrkX behaviour: each training step consumes
   one entire event graph; events whose activation memory exceeds the
@@ -12,21 +14,22 @@ compare:
   ``k`` minibatches per step, DDP gradient sync with the coalesced
   all-reduce.
 
-All regimes share the evaluation path (pooled validation-edge precision /
-recall at threshold 0.5 — the Figure-4 definition), the optimiser (Adam),
-and the loss (BCE-with-logits with a class-balance ``pos_weight``).
+A step is P rank-local forward/backward passes (:class:`_Rank`) plus one
+gradient all-reduce (Section III-D).  All regimes share the evaluation
+path (pooled validation-edge precision / recall at threshold 0.5 — the
+Figure-4 definition), the optimiser (Adam), and the loss
+(BCE-with-logits with a class-balance ``pos_weight``).
 """
 
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data import EpochPlan, PrefetchLoader
+from ..data import EpochPlan, PlannedStep, PrefetchLoader
 from ..distributed import (
     CommStats,
     DistributedDataParallel,
@@ -47,12 +50,12 @@ from ..guard import (
 from ..io.serialization import clean_stale_tmp
 from ..memory import ActivationMemoryModel
 from ..metrics import EpochRecord, TrainingHistory, pooled_precision_recall
-from ..models import IGNNConfig, InteractionGNN
+from ..models import CheckpointedIGNN, IGNNConfig, InteractionGNN
 from ..nn import Adam, BCEWithLogitsLoss
 from ..obs import get_telemetry, get_tracer
 from ..perf import StageTimer
-from ..sampling import BulkShadowSampler, SampledBatch, ShadowSampler
-from ..tensor import Tensor, no_grad
+from ..sampling import BulkShadowSampler, SampledBatch, Sampler, ShadowSampler
+from ..tensor import Tensor
 from .checkpoint import TrainerState, load_with_fallback, save_trainer_checkpoint
 from .config import GNNTrainConfig
 
@@ -83,10 +86,10 @@ class GNNTrainResult:
 class _TrainingGovernor:
     """Scheduler stepping, early stopping, and best-checkpoint tracking.
 
-    Shared by the full-graph and minibatch trainers so all regimes get the
-    same conveniences: an optional LR schedule ("cosine" anneals over the
-    epoch budget, "step" decays 10× at 2/3 of it), patience-based early
-    stopping on validation F1, and best-weights restoration.
+    Every regime gets the same conveniences: an optional LR schedule
+    ("cosine" anneals over the epoch budget, "step" decays 10× at 2/3 of
+    it), patience-based early stopping on validation F1, and best-weights
+    restoration.
     """
 
     def __init__(self, config: GNNTrainConfig, optimizers: Sequence[Adam]) -> None:
@@ -178,8 +181,8 @@ class _FaultToleranceRuntime:
             # them at writer startup (never valid checkpoints)
             clean_stale_tmp(os.path.dirname(os.path.abspath(config.checkpoint_path)))
 
-    def resume(self, models, optimizers, rng, governor) -> Optional[TrainerState]:
-        """Restore checkpointed state into every replica; None if fresh.
+    def resume(self, ranks: Sequence["_Rank"], rng, governor) -> Optional[TrainerState]:
+        """Restore checkpointed state into every rank; None if fresh.
 
         A corrupt checkpoint at ``resume_from`` (checksum mismatch,
         truncation) falls back to the newest retained history checkpoint
@@ -207,109 +210,35 @@ class _FaultToleranceRuntime:
                     requested=self.config.resume_from,
                     used=used_path,
                 )
-            for m in models:
-                m.load_state_dict(state.model_state)
-            for opt in optimizers:
-                opt.load_state_dict(state.optimizer_state)
-            if self.rollback_resume:
-                # the archive restored the pre-backoff lr with the Adam
-                # moments; re-apply the backed-off one
-                for opt in optimizers:
-                    opt.lr = self.config.lr
+            for rank in ranks:
+                rank.model.load_state_dict(state.model_state)
+                rank.optimizer.load_state_dict(state.optimizer_state)
+                if self.rollback_resume:
+                    # the archive restored the pre-backoff lr with the Adam
+                    # moments; re-apply the backed-off one
+                    rank.optimizer.lr = self.config.lr
             governor.load_state_dict(state.governor_state, state.best_state)
             rng.bit_generator.state = state.rng_state
             self.resumed_epoch = state.epochs_done
             span.set(epochs_done=state.epochs_done, fallback=fell_back)
         return state
 
-    def maybe_checkpoint(
-        self,
-        epoch: int,
-        model,
-        optimizer: Adam,
-        rng: np.random.Generator,
-        history: TrainingHistory,
-        governor: _TrainingGovernor,
-        steps: int,
-        skipped: int = 0,
-        checkpointed_steps: int = 0,
-    ) -> None:
-        """Write a checkpoint if epoch ``epoch`` completes a period."""
-        cfg = self.config
-        if cfg.checkpoint_every is None or (epoch + 1) % cfg.checkpoint_every != 0:
-            return
-        state = TrainerState(
-            epochs_done=epoch + 1,
-            model_state=model.state_dict(),
-            optimizer_state=optimizer.state_dict(),
-            rng_state=rng.bit_generator.state,
-            history=history,
-            governor_state=governor.state_dict(),
-            best_state=governor.best_state,
-            trained_steps=steps,
-            skipped_graphs=skipped,
-            checkpointed_steps=checkpointed_steps,
-        )
-        with get_tracer().span(
-            "checkpoint.save",
-            category="checkpoint",
-            epoch=epoch,
-            path=cfg.checkpoint_path,
-        ):
-            call_with_retries(
-                lambda: save_trainer_checkpoint(
-                    cfg.checkpoint_path, cfg, state,
-                    fault_plan=self.fault_plan, keep_last=cfg.keep_last,
-                ),
-                self.retry_policy,
-                self.clock,
-                retry_on=(OSError,),
-            )
-        self.checkpoints_written += 1
+    def checkpoint(self, state: TrainerState) -> None:
+        """Write ``state`` as the run's checkpoint (atomic, checksummed).
 
-    def maybe_step_checkpoint(
-        self,
-        epoch: int,
-        step_in_epoch: int,
-        model,
-        optimizer: Adam,
-        epoch_rng_state: Dict[str, Any],
-        history: TrainingHistory,
-        governor: _TrainingGovernor,
-        steps: int,
-        epoch_losses: Sequence[float],
-    ) -> None:
-        """Write a mid-epoch checkpoint every ``checkpoint_every_steps``.
-
-        Unlike the epoch-boundary checkpoint, the archive records the
-        *epoch-start* RNG state plus the loader cursor (bulk steps
-        consumed) and the partial-epoch losses; the resuming run rebuilds
-        the identical :class:`~repro.data.EpochPlan` and skips ahead.
+        ``state.step_in_epoch`` is the loader cursor: with a non-zero
+        cursor ``state.rng_state`` is the *epoch-start* RNG state, from
+        which the resuming run rebuilds the identical
+        :class:`~repro.data.EpochPlan` and skips ahead; an epoch-boundary
+        checkpoint is the same thing at cursor 0 of the next epoch.
+        Transient I/O errors are retried on the simulated clock.
         """
         cfg = self.config
-        if (
-            cfg.checkpoint_every_steps is None
-            or step_in_epoch == 0
-            or step_in_epoch % cfg.checkpoint_every_steps != 0
-        ):
-            return
-        state = TrainerState(
-            epochs_done=epoch,
-            model_state=model.state_dict(),
-            optimizer_state=optimizer.state_dict(),
-            rng_state=epoch_rng_state,
-            history=history,
-            governor_state=governor.state_dict(),
-            best_state=governor.best_state,
-            trained_steps=steps,
-            step_in_epoch=step_in_epoch,
-            epoch_losses=list(epoch_losses),
-        )
         with get_tracer().span(
             "checkpoint.save",
             category="checkpoint",
-            epoch=epoch,
-            step=step_in_epoch,
+            epochs_done=state.epochs_done,
+            step=state.step_in_epoch,
             path=cfg.checkpoint_path,
         ):
             call_with_retries(
@@ -367,191 +296,189 @@ def _model_factory(config: GNNTrainConfig, sample_graph: EventGraph) -> Callable
     return factory
 
 
-def _step(
-    model: InteractionGNN,
-    graph: EventGraph,
-    loss_fn: BCEWithLogitsLoss,
-    fault_plan: Optional[FaultPlan] = None,
-    watchdog: Optional[StabilityWatchdog] = None,
-) -> Tensor:
-    """One forward/backward on a (sub)graph; returns the loss tensor.
+class _Rank:
+    """One DDP rank's replica and optimiser — the rank-local half of a step.
 
-    With a ``fault_plan``, a scheduled :class:`~repro.faults.NumericFault`
-    corrupts this execution: target ``"loss"`` overwrites the observed
-    loss with NaN before the finiteness check (the step fails before
-    ``backward``); target ``"grad"`` poisons the first parameter gradient
-    after ``backward``.  With a ``watchdog``, the loss and the global
-    gradient norm are fed to it, so divergence raises
-    :class:`~repro.guard.DivergenceError` for the rollback loop in
-    :func:`train_gnn`.
-
-    Raises
-    ------
-    FloatingPointError
-        If the loss is not finite and no watchdog is observing — a
-        diverged run must fail loudly rather than silently poison the
-        replicas (under DDP a NaN gradient spreads to every rank at the
-        next all-reduce).
-    DivergenceError
-        The watchdog-observed variant of the same condition, plus
-        loss-spike and non-finite-grad-norm triggers.
+    :meth:`step` touches nothing but this rank's own model/optimiser and
+    its arguments (no communicator, loader, history or timer), so a
+    backend may run it anywhere: the sim backend is "P rank steps in one
+    process", followed by the driver's single all-reduce.
     """
-    tracer = get_tracer()
-    fault_target = fault_plan.numeric_fault_target() if fault_plan is not None else None
-    dt = next(model.parameters()).data.dtype
-    with tracer.span("forward", category="train", edges=graph.num_edges):
-        logits = model(
-            Tensor(graph.x.astype(dt, copy=False)),
-            Tensor(graph.y.astype(dt, copy=False)),
-            graph.rows,
-            graph.cols,
-        )
-        loss = loss_fn(logits, graph.edge_labels.astype(np.float32))
-    loss_value = float("nan") if fault_target == "loss" else loss.item()
-    if watchdog is not None:
-        watchdog.observe_loss(loss_value)
-    if not np.isfinite(loss_value):
-        raise FloatingPointError(
-            f"non-finite training loss ({loss_value}) on event "
-            f"{graph.event_id} — check the learning rate / input features"
-        )
-    with tracer.span("backward", category="train"):
-        loss.backward()
-    if fault_target == "grad":
-        for p in model.parameters():
-            if p.grad is not None:
-                p.grad[...] = np.nan
-                break
-    if watchdog is not None:
-        watchdog.observe_grad_norm(global_grad_norm(model))
-    return loss
 
+    def __init__(self, grank: int, model: InteractionGNN, optimizer: Adam) -> None:
+        self.grank = grank  # *global* rank id: survives elastic evictions
+        self.model = model
+        self.optimizer = optimizer
 
-# ----------------------------------------------------------------------
-# full-graph regime
-# ----------------------------------------------------------------------
-def _train_full_graph(
-    train_graphs: Sequence[EventGraph],
-    val_graphs: Sequence[EventGraph],
-    config: GNNTrainConfig,
-    loss_fn: BCEWithLogitsLoss,
-    fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    watchdog: Optional[StabilityWatchdog] = None,
-) -> GNNTrainResult:
-    if config.world_size != 1:
-        raise ValueError("full-graph mode is single-rank (as in the original pipeline)")
-    from ..models import CheckpointedIGNN
+    def step(
+        self,
+        graph: EventGraph,
+        loss_fn: BCEWithLogitsLoss,
+        fault_plan: Optional[FaultPlan] = None,
+        watchdog: Optional[StabilityWatchdog] = None,
+        recompute: bool = False,
+    ) -> float:
+        """Zero the gradients, then one forward/backward on a (sub)graph;
+        returns the loss value.
 
-    model = _model_factory(config, train_graphs[0])()
-    checkpointed = CheckpointedIGNN(model)
-    optimizer = Adam(model.parameters(), lr=config.lr)
-    memory = ActivationMemoryModel(model.config)
-    timers = StageTimer()
-    history = TrainingHistory(label="full-graph")
-    rng = np.random.default_rng(config.seed)
-    governor = _TrainingGovernor(config, [optimizer])
-    runtime = _FaultToleranceRuntime(
-        config, fault_plan, retry_policy,
-        rollback_resume=watchdog is not None and watchdog.rollbacks > 0,
-    )
-    skipped = 0
-    checkpointed_steps = 0
-    steps = 0
-    start_epoch = 0
-    resumed = runtime.resume([model], [optimizer], rng, governor)
-    if resumed is not None:
-        start_epoch = resumed.epochs_done
-        history = resumed.history
-        skipped = resumed.skipped_graphs
-        checkpointed_steps = resumed.checkpointed_steps
-        steps = resumed.trained_steps
+        With ``recompute`` the pass runs under layer-boundary activation
+        checkpointing (:class:`~repro.models.CheckpointedIGNN` — same
+        gradients, smaller footprint).  With a ``fault_plan``, a scheduled
+        :class:`~repro.faults.NumericFault` corrupts this execution:
+        target ``"loss"`` overwrites the observed loss with NaN before the
+        finiteness check (the step fails before ``backward``); target
+        ``"grad"`` poisons the first parameter gradient after
+        ``backward``.  With a ``watchdog``, the loss and the global
+        gradient norm are fed to it, so divergence raises
+        :class:`~repro.guard.DivergenceError` for the rollback loop in
+        :func:`train_gnn`.
 
-    for epoch in range(start_epoch, config.epochs):
-        order = rng.permutation(len(train_graphs))
-        losses = []
-        epoch_t0 = timers.total("epoch")
-        train_t0 = timers.total("training")
-        with timers.scope("epoch"):
-            for gi in order:
-                graph = train_graphs[gi]
-                use_checkpoint = False
-                if config.capacity_bytes is not None and not memory.fits(
-                    graph.num_nodes, graph.num_edges, config.capacity_bytes
-                ):
-                    # graph exceeds the activation budget: retry with
-                    # gradient checkpointing if enabled, else skip (the
-                    # original Exa.TrkX behaviour)
-                    if config.checkpoint_activations and (
-                        memory.checkpointed_bytes(graph.num_nodes, graph.num_edges)
-                        <= config.capacity_bytes
-                    ):
-                        use_checkpoint = True
-                    else:
-                        skipped += 1
-                        continue
-                with timers.scope("training"):
-                    optimizer.zero_grad()
-                    if use_checkpoint:
-                        loss_value = checkpointed.training_step(
-                            graph.x,
-                            graph.y,
-                            graph.rows,
-                            graph.cols,
-                            graph.edge_labels.astype(np.float32),
-                            loss_fn,
-                        )
-                        checkpointed_steps += 1
-                        if watchdog is not None:
-                            watchdog.observe_loss(loss_value)
-                    else:
-                        loss_value = _step(
-                            model, graph, loss_fn, fault_plan, watchdog
-                        ).item()
-                    optimizer.step()
-                losses.append(loss_value)
-                steps += 1
-        precision, recall = (
-            evaluate_edge_classifier(model, val_graphs, config.threshold)
-            if (epoch + 1) % config.eval_every == 0
-            else (float("nan"), float("nan"))
-        )
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=float(np.mean(losses)) if losses else float("nan"),
-                val_precision=precision,
-                val_recall=recall,
-                epoch_seconds=timers.total("epoch") - epoch_t0,
-                training_seconds=timers.total("training") - train_t0,
+        Raises
+        ------
+        FloatingPointError
+            If the loss is not finite and no watchdog is observing — a
+            diverged run must fail loudly rather than silently poison the
+            replicas (under DDP a NaN gradient spreads to every rank at the
+            next all-reduce).
+        DivergenceError
+            The watchdog-observed variant of the same condition, plus
+            loss-spike and non-finite-grad-norm triggers.
+        """
+        model = self.model
+        self.optimizer.zero_grad()
+        if recompute:
+            loss_value = CheckpointedIGNN(model).training_step(
+                graph.x, graph.y, graph.rows, graph.cols,
+                graph.edge_labels.astype(np.float32), loss_fn,
             )
+            if watchdog is not None:
+                watchdog.observe_loss(loss_value)
+            return loss_value
+        tracer = get_tracer()
+        fault_target = fault_plan.numeric_fault_target() if fault_plan is not None else None
+        dt = next(model.parameters()).data.dtype
+        with tracer.span("forward", category="train", edges=graph.num_edges):
+            logits = model(
+                Tensor(graph.x.astype(dt, copy=False)),
+                Tensor(graph.y.astype(dt, copy=False)),
+                graph.rows,
+                graph.cols,
+            )
+            loss = loss_fn(logits, graph.edge_labels.astype(np.float32))
+        loss_value = float("nan") if fault_target == "loss" else loss.item()
+        if watchdog is not None:
+            watchdog.observe_loss(loss_value)
+        if not np.isfinite(loss_value):
+            raise FloatingPointError(
+                f"non-finite training loss ({loss_value}) on event "
+                f"{graph.event_id} — check the learning rate / input features"
+            )
+        with tracer.span("backward", category="train"):
+            loss.backward()
+        if fault_target == "grad":
+            for p in model.parameters():
+                if p.grad is not None:
+                    p.grad[...] = np.nan
+                    break
+        if watchdog is not None:
+            watchdog.observe_grad_norm(global_grad_norm(model))
+        return loss_value
+
+
+# ----------------------------------------------------------------------
+# step sources: the only per-regime code
+# ----------------------------------------------------------------------
+class _WholeGraphSampler(Sampler):
+    """The large-batch limit of a sampler: the "subgraph" is the event."""
+
+    def sample(self, graph, batch, rng) -> SampledBatch:
+        return SampledBatch(graph, batch, np.arange(graph.num_edges))
+
+
+def _whole_graph_plan(
+    graphs: Sequence[EventGraph],
+    config: GNNTrainConfig,
+    memory: ActivationMemoryModel,
+    rng: np.random.Generator,
+) -> Tuple[EpochPlan, int]:
+    """One whole-graph step per event that fits, in shuffled order.
+
+    Returns the plan and how many events it skipped.  The permutation is
+    the epoch's only RNG draw (the whole-graph sampler draws nothing, so
+    every step shares one constant seed).
+    """
+    seed = np.random.SeedSequence(0)
+    steps: List[PlannedStep] = []
+    skipped = 0
+    for gi in rng.permutation(len(graphs)):
+        graph = graphs[gi]
+        recompute = False
+        if config.capacity_bytes is not None and not memory.fits(
+            graph.num_nodes, graph.num_edges, config.capacity_bytes
+        ):
+            # graph exceeds the activation budget: train it with gradient
+            # checkpointing if enabled and that fits, else skip (the
+            # original Exa.TrkX behaviour)
+            recompute = config.checkpoint_activations and (
+                memory.checkpointed_bytes(graph.num_nodes, graph.num_edges)
+                <= config.capacity_bytes
+            )
+            if not recompute:
+                skipped += 1
+                continue
+        batches = (np.arange(graph.num_nodes),)
+        steps.append(PlannedStep(len(steps), graph, batches, seed, recompute))
+    return EpochPlan(tuple(steps)), skipped
+
+
+def _step_source(
+    config: GNNTrainConfig, graphs: Sequence[EventGraph], model_config: IGNNConfig
+) -> Tuple[Sampler, Callable[[np.random.Generator], Tuple[EpochPlan, int]], str]:
+    """Select ``(sampler, plan_epoch, history label)`` for ``config.mode``.
+
+    ``plan_epoch(rng)`` draws one epoch's plan from the trainer RNG and
+    returns it with the number of graphs it skipped.
+    """
+    world = config.world_size
+    if config.mode == "full":
+        if world != 1:
+            raise ValueError("full-graph mode is single-rank (as in the original pipeline)")
+        memory = ActivationMemoryModel(model_config)
+        return (
+            _WholeGraphSampler(),
+            lambda rng: _whole_graph_plan(graphs, config, memory, rng),
+            "full-graph",
         )
-        stop = governor.end_epoch(model, history.final)
-        runtime.maybe_checkpoint(
-            epoch, model, optimizer, rng, history, governor,
-            steps, skipped, checkpointed_steps,
-        )
-        if stop:
-            break
-    governor.finalize(model)
-    return GNNTrainResult(
-        model=model,
-        history=history,
-        timers=timers,
-        skipped_graphs=skipped,
-        trained_steps=steps,
-        checkpointed_steps=checkpointed_steps,
-        config=config,
-        resumed_epoch=runtime.resumed_epoch,
-        checkpoints_written=runtime.checkpoints_written,
-        resume_fallback_path=runtime.resume_fallback_path,
+    k = 1
+    if config.mode == "shadow":
+        sampler = ShadowSampler(depth=config.depth, fanout=config.fanout)
+        label = f"shadow-seq (P={world})"
+    elif config.mode == "bulk":
+        sampler = BulkShadowSampler(depth=config.depth, fanout=config.fanout)
+        k = config.bulk_k
+        label = f"shadow-bulk k={config.bulk_k} (P={world})"
+    elif config.mode == "nodewise":
+        from ..sampling import BulkNodeWiseSampler
+
+        sampler = BulkNodeWiseSampler([config.fanout] * config.depth)
+        k = config.bulk_k
+        label = f"nodewise-bulk k={config.bulk_k} (P={world})"
+    else:  # saint
+        from ..sampling import SaintRWSampler
+
+        sampler = SaintRWSampler(walk_length=config.depth)
+        label = f"saint-rw (P={world})"
+    return (
+        sampler,
+        lambda rng: (EpochPlan.build(graphs, config.batch_size, k, rng), 0),
+        label,
     )
 
 
 # ----------------------------------------------------------------------
-# minibatch regimes (sequential ShaDow and bulk ShaDow), with DDP
+# the epoch driver
 # ----------------------------------------------------------------------
-def _train_minibatch(
+def _train(
     train_graphs: Sequence[EventGraph],
     val_graphs: Sequence[EventGraph],
     config: GNNTrainConfig,
@@ -560,9 +487,9 @@ def _train_minibatch(
     retry_policy: Optional[RetryPolicy] = None,
     watchdog: Optional[StabilityWatchdog] = None,
 ) -> GNNTrainResult:
-    factory = _model_factory(config, train_graphs[0])
     world = config.world_size
-    models = replicate_model(factory, world)
+    models = replicate_model(_model_factory(config, train_graphs[0]), world)
+    sampler, plan_epoch, label = _step_source(config, train_graphs, models[0].config)
     # The communicator must exist before PrefetchLoader starts worker
     # threads: the proc backend forks, and forking a multi-threaded
     # process is unsafe (the child may inherit held locks).
@@ -575,39 +502,18 @@ def _train_minibatch(
         retry_policy=retry_policy,
         clock=clock,
     )
-    # Optimisers are keyed by *global* rank so elastic recovery (a rank
+    # Ranks carry their *global* id so elastic recovery (a rank
     # permanently failing mid-run) drops exactly the dead rank's state.
-    optimizers = {
-        grank: Adam(m.parameters(), lr=config.lr)
+    ranks = [
+        _Rank(grank, m, Adam(m.parameters(), lr=config.lr))
         for grank, m in zip(ddp.global_ranks, ddp.models)
-    }
-
+    ]
     try:
-        if config.mode == "shadow":
-            sampler = ShadowSampler(depth=config.depth, fanout=config.fanout)
-            k = 1
-            label = f"shadow-seq (P={world})"
-        elif config.mode == "bulk":
-            sampler = BulkShadowSampler(depth=config.depth, fanout=config.fanout)
-            k = config.bulk_k
-            label = f"shadow-bulk k={config.bulk_k} (P={world})"
-        elif config.mode == "nodewise":
-            from ..sampling import BulkNodeWiseSampler
-
-            sampler = BulkNodeWiseSampler([config.fanout] * config.depth)
-            k = config.bulk_k
-            label = f"nodewise-bulk k={config.bulk_k} (P={world})"
-        else:  # saint
-            from ..sampling import SaintRWSampler
-
-            sampler = SaintRWSampler(walk_length=config.depth)
-            k = 1
-            label = f"saint-rw (P={world})"
-
+        tracer = get_tracer()
         timers = StageTimer()
         history = TrainingHistory(label=label)
         rng = np.random.default_rng(config.seed)
-        governor = _TrainingGovernor(config, list(optimizers.values()))
+        governor = _TrainingGovernor(config, [r.optimizer for r in ranks])
         runtime = _FaultToleranceRuntime(
             config, fault_plan, retry_policy, clock,
             rollback_resume=watchdog is not None and watchdog.rollbacks > 0,
@@ -615,39 +521,53 @@ def _train_minibatch(
         loader = PrefetchLoader(
             sampler, workers=config.prefetch_workers, depth=config.prefetch_depth
         )
-        steps = 0
-        start_epoch = 0
-        resume_step = 0
-        resume_losses: List[float] = []
-        resumed = runtime.resume(
-            ddp.models, list(optimizers.values()), rng, governor
-        )
+        steps = skipped = checkpointed_steps = 0
+        start_epoch = start_step = 0
+        losses: List[float] = []
+        resumed = runtime.resume(ranks, rng, governor)
         if resumed is not None:
             start_epoch = resumed.epochs_done
             history = resumed.history
             steps = resumed.trained_steps
+            skipped = resumed.skipped_graphs
+            checkpointed_steps = resumed.checkpointed_steps
             # mid-epoch checkpoint: rng_state above is the epoch-start state;
             # rebuild the interrupted epoch's plan and skip the consumed steps
-            resume_step = resumed.step_in_epoch
-            resume_losses = list(resumed.epoch_losses)
+            start_step = resumed.step_in_epoch
+            losses = list(resumed.epoch_losses)
 
-        budget_exhausted = False
+        def checkpoint(epochs_done: int, step_in_epoch: int, rng_state: dict) -> None:
+            runtime.checkpoint(
+                TrainerState(
+                    epochs_done=epochs_done,
+                    model_state=ranks[0].model.state_dict(),
+                    optimizer_state=ranks[0].optimizer.state_dict(),
+                    rng_state=rng_state,
+                    history=history,
+                    governor_state=governor.state_dict(),
+                    best_state=governor.best_state,
+                    trained_steps=steps,
+                    skipped_graphs=skipped,
+                    checkpointed_steps=checkpointed_steps,
+                    step_in_epoch=step_in_epoch,
+                    epoch_losses=list(losses),
+                )
+            )
+
+        every, every_steps = config.checkpoint_every, config.checkpoint_every_steps
+        max_steps = config.max_steps if config.max_steps is not None else float("inf")
         for epoch in range(start_epoch, config.epochs):
             # Snapshot before the plan consumes the RNG: a mid-epoch
             # checkpoint stores this state so the resuming run can rebuild
-            # the identical plan (EpochPlan.build is the epoch's only RNG
+            # the identical plan (plan_epoch is the epoch's only RNG
             # consumer — see repro.data.prefetch).
-            epoch_rng_state = copy.deepcopy(rng.bit_generator.state)
-            first = epoch == start_epoch
-            losses = list(resume_losses) if first else []
-            start_step = resume_step if first else 0
-            step_in_epoch = start_step
+            epoch_rng_state = rng.bit_generator.state
             epoch_t0 = timers.total("epoch")
             sample_t0 = timers.total("sampling")
             train_t0 = timers.total("training")
             comm_t0 = comm.stats.modeled_seconds
             with timers.scope("epoch"):
-                plan = EpochPlan.build(train_graphs, config.batch_size, k, rng)
+                plan, plan_skipped = plan_epoch(rng)
                 # Each live rank samples & trains its shard of every batch
                 # in a step's group.  Ranks execute sequentially here (one
                 # CPU), so measured sampling/training time is the *sum over
@@ -660,46 +580,49 @@ def _train_minibatch(
                 stepper = loader.iter_epoch(
                     plan, lambda: tuple(ddp.global_ranks), start=start_step
                 )
-                while True:
-                    with get_tracer().span("batch", category="train") as batch_span:
+                cursor = start_step  # plan steps consumed so far
+                while cursor < len(plan):
+                    with tracer.span("batch", category="train") as batch_span:
                         with timers.scope("sampling"):
-                            item = next(stepper, None)
-                        if item is None:
-                            break
-                        step, rank_sampled = item
+                            step, rank_sampled = next(stepper)
                         batch_span.set(group_size=len(step.batches))
                         # one optimisation step per batch in the group
                         for bi in range(len(step.batches)):
                             with timers.scope("training"):
-                                for grank, model in zip(ddp.global_ranks, ddp.models):
-                                    optimizers[grank].zero_grad()
-                                    sb = rank_sampled[grank][bi]
-                                    loss = _step(
-                                        model, sb.graph, loss_fn, fault_plan, watchdog
+                                for rank in ranks:
+                                    loss = rank.step(
+                                        rank_sampled[rank.grank][bi].graph,
+                                        loss_fn, fault_plan, watchdog, step.recompute,
                                     )
-                                    if grank == ddp.global_ranks[0]:
-                                        losses.append(loss.item())
+                                    if rank is ranks[0]:
+                                        losses.append(loss)
                                 # may evict permanently failed ranks (elastic
                                 # recovery) or retry transient comm faults
-                                with get_tracer().span("allreduce", category="train"):
+                                with tracer.span("allreduce", category="train"):
                                     ddp.synchronize_gradients()
-                                for grank in ddp.global_ranks:
-                                    optimizers[grank].step()
+                                if len(ranks) != ddp.world_size:
+                                    live = ddp.global_ranks
+                                    ranks = [r for r in ranks if r.grank in live]
+                                for rank in ranks:
+                                    rank.optimizer.step()
                             steps += 1
-                    step_in_epoch += 1
-                    runtime.maybe_step_checkpoint(
-                        epoch, step_in_epoch, ddp.models[0],
-                        optimizers[ddp.global_ranks[0]], epoch_rng_state,
-                        history, governor, steps, losses,
-                    )
-                    if config.max_steps is not None and steps >= config.max_steps:
-                        budget_exhausted = True
+                            checkpointed_steps += int(step.recompute)
+                    cursor += 1
+                    if every_steps is not None and cursor % every_steps == 0:
+                        checkpoint(epoch, cursor, epoch_rng_state)
+                    if steps >= max_steps:
                         break
-            if budget_exhausted and step_in_epoch < len(plan):
+                if cursor == len(plan):
+                    # exhaust the stepper so the loader releases its
+                    # prefetch threads before evaluation
+                    with timers.scope("sampling"):
+                        next(stepper, None)
+            if cursor < len(plan):
                 # stopped mid-epoch: no epoch record — exactly the state a
                 # crash would leave, with the step checkpoint as resume point
                 break
-            lead = ddp.models[0]
+            skipped += plan_skipped
+            lead = ranks[0].model
             precision, recall = (
                 evaluate_edge_classifier(lead, val_graphs, config.threshold)
                 if (epoch + 1) % config.eval_every == 0
@@ -717,30 +640,32 @@ def _train_minibatch(
                     comm_modeled_seconds=comm.stats.modeled_seconds - comm_t0,
                 )
             )
+            start_step, losses = 0, []
             stop = governor.end_epoch(lead, history.final)
-            runtime.maybe_checkpoint(
-                epoch, lead, optimizers[ddp.global_ranks[0]], rng, history,
-                governor, steps,
-            )
+            if every is not None and (epoch + 1) % every == 0:
+                checkpoint(epoch + 1, 0, rng.bit_generator.state)
             # Multi-process backends buffer per-rank spans/metrics worker-side;
             # pull the deltas into the driver's trace at each epoch boundary
             # (close() collects whatever the final partial epoch leaves).
             collect = getattr(comm, "collect_worker_telemetry", None)
             if collect is not None:
                 collect()
-            if stop or budget_exhausted:
+            if stop or steps >= max_steps:
                 break
-        governor.finalize(ddp.models[0])
+        lead = ranks[0].model
+        governor.finalize(lead)
         if config.restore_best and governor.best_state is not None:
             # keep the replicas bit-identical after restoration
-            for m in ddp.models[1:]:
-                m.load_state_dict(governor.best_state)
+            for rank in ranks[1:]:
+                rank.model.load_state_dict(governor.best_state)
         return GNNTrainResult(
-            model=ddp.models[0],
+            model=lead,
             history=history,
             timers=timers,
             comm_stats=comm.stats,
+            skipped_graphs=skipped,
             trained_steps=steps,
+            checkpointed_steps=checkpointed_steps,
             config=config,
             resumed_epoch=runtime.resumed_epoch,
             checkpoints_written=runtime.checkpoints_written,
@@ -824,11 +749,10 @@ def train_gnn(
             )
         )
 
-    regime = _train_full_graph if config.mode == "full" else _train_minibatch
     attempt = config
     while True:
         try:
-            result = regime(
+            result = _train(
                 train_graphs, val_graphs, attempt, loss_fn,
                 fault_plan, retry_policy, watchdog,
             )

@@ -109,3 +109,21 @@ class TestFilterNet:
         net = FilterNet(FilterConfig(node_features=6, edge_features=2))
         p = net.predict_proba(g)
         assert np.all((p >= 0) & (p <= 1))
+        assert net.training  # a training-mode net stays in training mode
+
+    def test_inference_paths_keep_eval_mode(self):
+        """Inference restores the mode it found, not training mode."""
+        g = disjoint_chains(4, 5, rng=np.random.default_rng(0))
+        net = FilterNet(FilterConfig(node_features=6, edge_features=2)).eval()
+        net.predict_proba(g)
+        assert not net.training
+        emb = EmbeddingNet(EmbeddingConfig(node_features=6, embedding_dim=4)).eval()
+        emb.embed(g.x)
+        assert not emb.training
+
+    def test_predict_proba_failure_leaves_mode_unchanged(self):
+        g = disjoint_chains(4, 5, rng=np.random.default_rng(0))
+        net = FilterNet(FilterConfig(node_features=6 + 1, edge_features=2))
+        with pytest.raises(ValueError):
+            net.predict_proba(g)  # feature width mismatch inside forward
+        assert net.training

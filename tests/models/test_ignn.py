@@ -144,6 +144,14 @@ class TestTraining:
 
         gradcheck(f, params, atol=1e-5)
 
+    def test_predict_proba_keeps_eval_mode(self, graph):
+        model = InteractionGNN(small_config()).eval()
+        model.predict_proba(graph)
+        assert not model.training
+        model.train()
+        model.predict_proba(graph)
+        assert model.training
+
     def test_predict_proba_in_unit_interval(self, graph):
         model = InteractionGNN(small_config())
         proba = model.predict_proba(graph)

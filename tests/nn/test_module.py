@@ -54,6 +54,25 @@ class TestModes:
         m.train()
         assert m.training and m.fc2.training
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_inference_restores_prior_mode(self, training):
+        m = TwoLayer().train(training)
+        with m.inference():
+            assert not m.training and not m.fc1.training
+            out = m(Tensor(np.ones((3, 4), dtype=np.float32)))
+            assert not out.requires_grad  # no autograd inside
+        assert m.training is training and m.fc2.training is training
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_inference_restores_mode_when_forward_raises(self, training):
+        m = TwoLayer().train(training)
+        with pytest.raises(ValueError):
+            with m.inference():
+                m(Tensor(np.ones((3, 5), dtype=np.float32)))  # wrong width
+        assert m.training is training and m.fc1.training is training
+        # autograd is back on after the failed body
+        assert m(Tensor(np.ones((3, 4), dtype=np.float32))).requires_grad
+
     def test_zero_grad_clears_all(self):
         m = TwoLayer()
         x = Tensor(np.ones((3, 4), dtype=np.float32))

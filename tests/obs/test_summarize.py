@@ -22,17 +22,27 @@ def splits(tiny_dataset):
     return tiny_dataset.train, tiny_dataset.val
 
 
+def _traced(dataset, mode, world_size):
+    telemetry = RunTelemetry.for_run(seed=0, world_size=world_size)
+    with use_telemetry(telemetry):
+        result = train_gnn(
+            dataset.train,
+            dataset.val,
+            GNNTrainConfig(mode=mode, world_size=world_size, **SMALL),
+        )
+    return telemetry, result
+
+
 @pytest.fixture(scope="module")
 def traced_run(tiny_dataset):
     """One traced shadow-mode training shared by the integration tests."""
-    telemetry = RunTelemetry.for_run(seed=0, world_size=2)
-    with use_telemetry(telemetry):
-        result = train_gnn(
-            tiny_dataset.train,
-            tiny_dataset.val,
-            GNNTrainConfig(mode="shadow", world_size=2, **SMALL),
-        )
-    return telemetry, result
+    return _traced(tiny_dataset, "shadow", 2)
+
+
+@pytest.fixture(scope="module")
+def traced_full_run(tiny_dataset):
+    """The same for full-graph mode (single-rank by definition)."""
+    return _traced(tiny_dataset, "full", 1)
 
 
 class TestPhaseTotals:
@@ -178,25 +188,63 @@ class TestMultiLane:
         assert any(line.startswith("driver/epoch") for line in lines)
 
 
+def _assert_stage_spans(telemetry, result):
+    """The span vocabulary and nesting every regime's epoch loop emits."""
+    tracer = telemetry.tracer
+    epochs = SMALL["epochs"]
+    assert tracer.count("epoch") == epochs
+    assert tracer.count("sampling") >= epochs
+    assert tracer.count("training") >= epochs
+    # the acceptance nesting: epoch -> batch -> {forward, backward, allreduce}
+    for name in ("batch", "forward", "backward", "allreduce"):
+        assert tracer.count(name) > 0, name
+    # one batch span per plan step that exists — none for the exhausted
+    # stepper at the end of an epoch — each tagged with its group size
+    batches = tracer.find("batch")
+    assert all("group_size" in b.attributes for b in batches)
+    assert sum(b.attributes["group_size"] for b in batches) == result.trained_steps
+    assert tracer.count("allreduce") == result.trained_steps
+    child_names = {c.name for c in tracer.children_of(batches[0])}
+    assert {"sampling", "training"} <= child_names
+    training = next(c for c in tracer.children_of(batches[0]) if c.name == "training")
+    assert {c.name for c in tracer.children_of(training)} >= {
+        "forward", "backward", "allreduce",
+    }
+    epoch = tracer.find("epoch")[0]
+    assert {c.name for c in tracer.children_of(epoch)} >= {"batch"}
+    assert tracer.count("comm.allreduce") > 0
+    assert all(r.sampling_seconds > 0 for r in result.history.records)
+
+
 class TestTracedTraining:
     def test_shadow_mode_emits_stage_spans_per_epoch(self, traced_run):
-        telemetry, _ = traced_run
-        tracer = telemetry.tracer
-        epochs = SMALL["epochs"]
-        assert tracer.count("epoch") == epochs
-        assert tracer.count("sampling") >= epochs
-        assert tracer.count("training") >= epochs
-        # the acceptance nesting: epoch -> batch -> {forward, backward, allreduce}
-        for name in ("batch", "forward", "backward", "allreduce"):
-            assert tracer.count(name) > 0, name
-        batch = tracer.find("batch")[0]
-        child_names = {c.name for c in tracer.children_of(batch)}
-        assert {"sampling", "training"} <= child_names
-        epoch = tracer.find("epoch")[0]
-        assert {c.name for c in tracer.children_of(epoch)} >= {"batch"}
+        telemetry, result = traced_run
+        _assert_stage_spans(telemetry, result)
+        # shadow: one batch per step, so spans == optimisation steps
+        assert telemetry.tracer.count("batch") == result.trained_steps
         # sampler internals are traced beneath the sampling stage
-        assert tracer.count("sampler.sample") > 0
-        assert tracer.count("comm.allreduce") > 0
+        assert telemetry.tracer.count("sampler.sample") > 0
+
+    def test_full_mode_emits_the_same_stage_spans(self, traced_full_run):
+        """Span vocabulary parity: a full-graph run reads as epoch ->
+        batch -> {sampling, training -> forward/backward/allreduce} too."""
+        telemetry, result = traced_full_run
+        _assert_stage_spans(telemetry, result)
+        assert telemetry.tracer.count("batch") == result.trained_steps
+
+    def test_bulk_mode_opens_one_batch_span_per_bulk_step(self, tiny_dataset):
+        telemetry = RunTelemetry.for_run(seed=0)
+        with use_telemetry(telemetry):
+            result = train_gnn(
+                tiny_dataset.train,
+                tiny_dataset.val,
+                GNNTrainConfig(mode="bulk", bulk_k=2, **SMALL),
+            )
+        tracer = telemetry.tracer
+        bulk_steps = tracer.count("data.prefetch.next")
+        assert 0 < bulk_steps < result.trained_steps  # k=2 groups batches
+        assert tracer.count("batch") == bulk_steps
+        assert all(b.attributes.get("group_size") for b in tracer.find("batch"))
 
     def test_trace_totals_match_stagetimer_within_1pct(self, traced_run, tmp_path):
         """Acceptance: the summarized sampling/training split must agree

@@ -4,14 +4,19 @@ The acceptance contract of the async data pipeline
 (docs/data_pipeline.md): training with ``prefetch_workers=0`` and
 ``prefetch_workers=4``, each either uninterrupted or crashed mid-epoch
 and resumed from a step checkpoint, produces **bit-identical final
-weights and identical loss history** in all four combinations.
+weights and identical loss history** in all four combinations — in the
+minibatch regimes and in full-graph mode alike (one loop serves both, so
+``max_steps`` / ``checkpoint_every_steps`` / ``prefetch_workers`` are
+honoured everywhere).
 """
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.obs import RunTelemetry, use_telemetry
-from repro.pipeline import GNNTrainConfig, describe_checkpoint, train_gnn
+from repro.pipeline import GNNTrainConfig, describe_checkpoint, train_gnn, trainers
 
 SMALL = dict(
     mode="bulk",
@@ -28,6 +33,11 @@ SMALL = dict(
 )
 
 
+#: overrides that turn SMALL into a full-graph run (single-rank); the
+#: ``*FullGraph`` subclasses below re-run every test of their base with it
+FULL = {"mode": "full", "world_size": 1}
+
+
 def _config(**overrides):
     return GNNTrainConfig(**dict(SMALL, **overrides))
 
@@ -39,18 +49,19 @@ def _deterministic_history(history):
     ]
 
 
-def _steps_per_epoch(dataset):
-    probe = train_gnn(dataset.train, dataset.val, _config(epochs=1))
+def _steps_per_epoch(dataset, regime):
+    probe = train_gnn(dataset.train, dataset.val, _config(epochs=1, **regime))
     assert probe.trained_steps > 2, "dataset too small for a mid-epoch crash"
     return probe.trained_steps
 
 
-def _train_crashed_then_resumed(dataset, ckpt, workers, crash_at):
+def _train_crashed_then_resumed(dataset, ckpt, workers, crash_at, regime):
     """Stop mid-epoch via max_steps, then resume from the step checkpoint."""
     crashed = train_gnn(
         dataset.train,
         dataset.val,
         _config(
+            **regime,
             prefetch_workers=workers,
             checkpoint_path=ckpt,
             checkpoint_every_steps=1,
@@ -59,32 +70,37 @@ def _train_crashed_then_resumed(dataset, ckpt, workers, crash_at):
     )
     # the crash really was mid-epoch: no record for the torn epoch
     assert len(crashed.history) < SMALL["epochs"]
+    # the budget is honoured, to the granularity of one plan step
+    group = 1 if regime else SMALL["bulk_k"]
+    assert crash_at <= crashed.trained_steps < crash_at + group
     info = describe_checkpoint(ckpt)
     assert info["step_in_epoch"] > 0
     return train_gnn(
         dataset.train,
         dataset.val,
-        _config(prefetch_workers=workers, resume_from=ckpt),
+        _config(prefetch_workers=workers, resume_from=ckpt, **regime),
     )
 
 
 class TestPrefetchResumeMatrix:
+    regime: dict = {}
+
     def test_all_four_combinations_bit_identical(self, tiny_dataset, tmp_path):
-        per_epoch = _steps_per_epoch(tiny_dataset)
+        per_epoch = _steps_per_epoch(tiny_dataset, self.regime)
         crash_at = per_epoch + max(per_epoch // 2, 1)  # inside epoch 1
 
         results = {
             "sync": train_gnn(
-                tiny_dataset.train, tiny_dataset.val, _config(prefetch_workers=0)
+                tiny_dataset.train, tiny_dataset.val, _config(prefetch_workers=0, **self.regime)
             ),
             "prefetch": train_gnn(
-                tiny_dataset.train, tiny_dataset.val, _config(prefetch_workers=4)
+                tiny_dataset.train, tiny_dataset.val, _config(prefetch_workers=4, **self.regime)
             ),
             "sync+resume": _train_crashed_then_resumed(
-                tiny_dataset, str(tmp_path / "sync.npz"), 0, crash_at
+                tiny_dataset, str(tmp_path / "sync.npz"), 0, crash_at, self.regime
             ),
             "prefetch+resume": _train_crashed_then_resumed(
-                tiny_dataset, str(tmp_path / "prefetch.npz"), 4, crash_at
+                tiny_dataset, str(tmp_path / "prefetch.npz"), 4, crash_at, self.regime
             ),
         }
         reference = results["sync"]
@@ -103,9 +119,9 @@ class TestPrefetchResumeMatrix:
         """The cursor also works when the torn epoch is epoch 0."""
         ckpt = str(tmp_path / "early.npz")
         reference = train_gnn(
-            tiny_dataset.train, tiny_dataset.val, _config(prefetch_workers=2)
+            tiny_dataset.train, tiny_dataset.val, _config(prefetch_workers=2, **self.regime)
         )
-        resumed = _train_crashed_then_resumed(tiny_dataset, ckpt, 2, crash_at=1)
+        resumed = _train_crashed_then_resumed(tiny_dataset, ckpt, 2, 1, self.regime)
         ref_state = reference.model.state_dict()
         state = resumed.model.state_dict()
         for key in ref_state:
@@ -117,16 +133,17 @@ class TestPrefetchResumeMatrix:
     def test_resume_may_change_worker_count(self, tiny_dataset, tmp_path):
         """prefetch_workers is a pure throughput knob: a checkpoint written
         at workers=0 resumes under workers=4 with identical results."""
-        per_epoch = _steps_per_epoch(tiny_dataset)
+        per_epoch = _steps_per_epoch(tiny_dataset, self.regime)
         crash_at = per_epoch + max(per_epoch // 2, 1)
         ckpt = str(tmp_path / "cross.npz")
         reference = train_gnn(
-            tiny_dataset.train, tiny_dataset.val, _config(prefetch_workers=0)
+            tiny_dataset.train, tiny_dataset.val, _config(prefetch_workers=0, **self.regime)
         )
         train_gnn(
             tiny_dataset.train,
             tiny_dataset.val,
             _config(
+                **self.regime,
                 prefetch_workers=0,
                 checkpoint_path=ckpt,
                 checkpoint_every_steps=1,
@@ -136,7 +153,7 @@ class TestPrefetchResumeMatrix:
         resumed = train_gnn(
             tiny_dataset.train,
             tiny_dataset.val,
-            _config(prefetch_workers=4, resume_from=ckpt),
+            _config(prefetch_workers=4, resume_from=ckpt, **self.regime),
         )
         ref_state = reference.model.state_dict()
         state = resumed.model.state_dict()
@@ -145,13 +162,15 @@ class TestPrefetchResumeMatrix:
 
 
 class TestPrefetchTelemetry:
+    regime: dict = {}
+
     def test_queue_and_stall_metrics_exported(self, tiny_dataset):
         telemetry = RunTelemetry()
         with use_telemetry(telemetry):
             train_gnn(
                 tiny_dataset.train,
                 tiny_dataset.val,
-                _config(epochs=1, prefetch_workers=2),
+                _config(epochs=1, prefetch_workers=2, **self.regime),
             )
         m = telemetry.metrics
         assert m.counter("data.prefetch.steps").value > 0
@@ -164,13 +183,39 @@ class TestPrefetchTelemetry:
         assert "data.prefetch.sample" in names
 
 
+    def test_prefetch_threads_released_before_each_evaluation(
+        self, tiny_dataset, monkeypatch
+    ):
+        """The loop exhausts the stepper at the end of every epoch, so the
+        loader's executor is shut down rather than left to the GC."""
+        alive = []
+        evaluate = trainers.evaluate_edge_classifier
+
+        def spy(*args, **kwargs):
+            alive.append(
+                [t.name for t in threading.enumerate() if t.name.startswith("repro-prefetch")]
+            )
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(trainers, "evaluate_edge_classifier", spy)
+        train_gnn(
+            tiny_dataset.train,
+            tiny_dataset.val,
+            _config(prefetch_workers=2, **self.regime),
+        )
+        assert alive == [[]] * SMALL["epochs"]
+
+
 class TestMaxStepsValidation:
+    regime: dict = {}
+
     def test_mid_epoch_stop_leaves_partial_history(self, tiny_dataset, tmp_path):
         ckpt = str(tmp_path / "partial.npz")
         result = train_gnn(
             tiny_dataset.train,
             tiny_dataset.val,
             _config(
+                **self.regime,
                 checkpoint_path=ckpt,
                 checkpoint_every_steps=1,
                 max_steps=1,
@@ -182,4 +227,16 @@ class TestMaxStepsValidation:
 
     def test_checkpoint_every_steps_requires_path(self):
         with pytest.raises(ValueError, match="checkpoint_path"):
-            _config(checkpoint_every_steps=2)
+            _config(checkpoint_every_steps=2, **self.regime)
+
+
+class TestPrefetchResumeMatrixFullGraph(TestPrefetchResumeMatrix):
+    regime = FULL
+
+
+class TestPrefetchTelemetryFullGraph(TestPrefetchTelemetry):
+    regime = FULL
+
+
+class TestMaxStepsValidationFullGraph(TestMaxStepsValidation):
+    regime = FULL

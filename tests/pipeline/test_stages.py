@@ -106,6 +106,17 @@ class TestFilterStage:
         with pytest.raises(RuntimeError):
             FilterStage(config).prune(graphs[0])
 
+    def test_prune_many_keeps_eval_mode(self, config, graphs):
+        """A serving-side net put in eval mode stays there across the
+        fused pass: inference restores the mode it found."""
+        stage = FilterStage(config)
+        stage.fit(graphs[:2], np.random.default_rng(0))
+        stage.net.eval()
+        stage.prune_many(graphs[:2])
+        assert not stage.net.training
+        stage.prune(graphs[0])
+        assert not stage.net.training
+
 
 class TestTrackBuilding:
     def test_chains_become_tracks(self, chains_graph):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.memory import ActivationMemoryModel
-from repro.models import IGNNConfig
+from repro.models import IGNNConfig, InteractionGNN
+from repro.nn import Adam, BCEWithLogitsLoss
 from repro.pipeline import GNNTrainConfig, derive_pos_weight, train_gnn
+from repro.pipeline.trainers import _Rank
 
 
 SMALL = dict(epochs=2, batch_size=32, hidden=8, num_layers=2, mlp_layers=2, depth=2, fanout=3, seed=0)
@@ -88,6 +90,24 @@ class TestRegimes:
         assert res.timers.total("sampling") > 0
         assert res.timers.total("training") > 0
 
+    @pytest.mark.parametrize(
+        "mode,extra", [("full", {}), ("shadow", {}), ("bulk", {"bulk_k": 1})]
+    )
+    def test_max_steps_is_honoured_in_every_mode(self, splits, mode, extra):
+        """One loop: the step budget stops full-graph training too, not
+        only the minibatch regimes (3 epochs here would be 12+ steps)."""
+        train, val = splits
+        cfg = GNNTrainConfig(mode=mode, **{**SMALL, "epochs": 3}, max_steps=5, **extra)
+        res = train_gnn(train, val, cfg)
+        assert res.trained_steps == 5
+
+    def test_full_mode_records_the_same_phases_as_minibatch(self, splits):
+        train, val = splits
+        res = train_gnn(train, val, GNNTrainConfig(mode="full", **SMALL))
+        assert res.timers.total("sampling") > 0
+        assert all(r.sampling_seconds > 0 for r in res.history.records)
+        assert res.comm_stats.num_allreduce_calls == res.trained_steps
+
     def test_full_mode_rejects_multirank(self, splits):
         train, val = splits
         with pytest.raises(ValueError):
@@ -104,6 +124,63 @@ class TestRegimes:
         _, val = splits
         with pytest.raises(ValueError):
             train_gnn([], val, GNNTrainConfig(**SMALL))
+
+
+class TestRankLocalStep:
+    def test_bare_rank_reproduces_the_drivers_first_step(self, splits):
+        """The rank-local half of a step needs nothing but (model,
+        optimizer, graph, loss_fn): run on a bare replica — no
+        communicator, loader, history or timer — it yields the gradients
+        the driver's first step computed."""
+        train, val = splits
+        cfg = GNNTrainConfig(mode="full", max_steps=1, **SMALL)
+        driven = train_gnn(train, val, cfg).model  # grads survive optimizer.step()
+
+        first = train[np.random.default_rng(cfg.seed).permutation(len(train))[0]]
+        model = InteractionGNN(
+            IGNNConfig(
+                node_features=first.num_node_features,
+                edge_features=first.num_edge_features,
+                hidden=cfg.hidden,
+                num_layers=cfg.num_layers,
+                mlp_layers=cfg.mlp_layers,
+                seed=cfg.seed,
+            )
+        )
+        rank = _Rank(0, model, Adam(model.parameters(), lr=cfg.lr))
+        loss = rank.step(first, BCEWithLogitsLoss(pos_weight=derive_pos_weight(train)))
+        assert np.isfinite(loss)
+        for (name, bare), (_, ref) in zip(
+            model.named_parameters(), driven.named_parameters()
+        ):
+            # a parameter outside the graph has no grad on the bare rank
+            # and a zero one after the driver's all-reduce
+            expected = np.zeros_like(ref.grad) if bare.grad is None else bare.grad
+            assert np.array_equal(expected, ref.grad), name
+
+    def test_recompute_variant_matches_plain_backward(self, splits):
+        train, _ = splits
+        loss_fn = BCEWithLogitsLoss(pos_weight=2.0)
+
+        def grads(recompute):
+            model = InteractionGNN(
+                IGNNConfig(
+                    node_features=train[0].num_node_features,
+                    edge_features=train[0].num_edge_features,
+                    hidden=8,
+                    num_layers=2,
+                )
+            )
+            rank = _Rank(0, model, Adam(model.parameters(), lr=1e-3))
+            loss = rank.step(train[0], loss_fn, recompute=recompute)
+            return loss, [p.grad for p in model.parameters()]
+
+        loss_a, grads_a = grads(False)
+        loss_b, grads_b = grads(True)
+        assert loss_a == pytest.approx(loss_b, rel=1e-5)
+        for a, b in zip(grads_a, grads_b):
+            if a is not None:
+                assert np.allclose(a, b, atol=1e-5)
 
 
 class TestMemorySkipping:
