@@ -22,7 +22,7 @@ from .graph_construction import GraphConstructionStage
 from .filter_stage import FilterStage
 from .gnn_stage import GNNStage
 from .track_building import build_tracks, build_tracks_walkthrough
-from .pipeline import ExaTrkXPipeline, PipelineReport
+from .pipeline import ExaTrkXPipeline, PipelineReport, UpstreamStages
 from .diagnostics import EventDiagnostics, StageReport, diagnose_event
 from .persistence import load_pipeline, save_pipeline
 from .experiments import SeedSweepResult, run_with_seeds
@@ -42,6 +42,7 @@ __all__ = [
     "build_tracks_walkthrough",
     "ExaTrkXPipeline",
     "PipelineReport",
+    "UpstreamStages",
     "EventDiagnostics",
     "StageReport",
     "diagnose_event",

@@ -11,16 +11,13 @@ validation plots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from ..detector import Event
 from ..graph import EventGraph
 from ..metrics import TrackingScore, match_tracks, roc_auc
 from ..obs import get_tracer
 from .pipeline import ExaTrkXPipeline
-from .track_building import build_tracks
 
 __all__ = ["StageReport", "EventDiagnostics", "diagnose_event"]
 
@@ -93,40 +90,34 @@ def _stage_report(name: str, event: Event, graph: EventGraph) -> StageReport:
 def diagnose_event(pipeline: ExaTrkXPipeline, event: Event) -> EventDiagnostics:
     """Trace one event through a fitted pipeline, measuring every stage.
 
+    Reports on what the pipeline's own inference traversal returns
+    (:meth:`ExaTrkXPipeline.upstream_many`, ``gnn_prune``,
+    ``finish_from_filtered``), so ``tracking`` is exactly
+    ``pipeline.score_event(event)`` for every configured track builder.
+
     Raises
     ------
     RuntimeError
         If the pipeline has not been fitted.
     """
-    if pipeline.construction is None:
-        raise RuntimeError("pipeline not fitted")
-    tracer = get_tracer()
-    stages: List[StageReport] = []
-
-    with tracer.span(
+    with get_tracer().span(
         "pipeline.diagnose_event", category="pipeline", event=event.event_id
     ):
-        with tracer.span("pipeline.graph_construction", category="pipeline"):
-            constructed = pipeline.construction.build(event)
-        stages.append(_stage_report("graph construction", event, constructed))
-
-        with tracer.span("pipeline.filter", category="pipeline"):
-            filtered, _ = pipeline.filter.prune(constructed)
-        stages.append(_stage_report("filter MLP", event, filtered))
+        staged = pipeline.upstream_many([event])[0]
+        filtered = staged.filtered
+        pruned, _, scores = pipeline.gnn_prune(filtered)
+        candidates = pipeline.finish_from_filtered(filtered, scores=scores)
 
         auc: Optional[float] = None
         if filtered.num_edges and filtered.edge_labels is not None:
-            scores = pipeline.gnn.model.predict_proba(filtered)
             labels = filtered.edge_labels
             if 0 < labels.sum() < labels.size:
                 auc = roc_auc(scores, labels)
-
-        with tracer.span("pipeline.gnn", category="pipeline"):
-            pruned, _ = pipeline.gnn.prune(filtered)
-        stages.append(_stage_report("interaction GNN", event, pruned))
-
-        with tracer.span("pipeline.track_building", category="pipeline"):
-            candidates = build_tracks(pruned, min_hits=pipeline.config.min_track_hits)
+        stages = [
+            _stage_report("graph construction", event, staged.graph),
+            _stage_report("filter MLP", event, filtered),
+            _stage_report("interaction GNN", event, pruned),
+        ]
         tracking = match_tracks(
             candidates, event.particle_ids, min_hits=pipeline.config.min_track_hits
         )

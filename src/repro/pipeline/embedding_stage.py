@@ -121,21 +121,18 @@ class EmbeddingStage:
 
     # ------------------------------------------------------------------
     def embed(self, event: Event) -> np.ndarray:
-        """Embed one event's hits (inference)."""
-        if self.net is None:
-            raise RuntimeError("embedding stage not fitted")
-        x = vertex_features(event, self.geometry, self.config.feature_scheme)
-        return self.net.embed(x)
+        """Embed one event's hits: :meth:`embed_many` on one event."""
+        return self.embed_many([event])[0]
 
     def embed_many(self, events: Sequence[Event]) -> List[np.ndarray]:
         """Embed several events through ONE fused forward pass.
 
         Hit features of all events are concatenated row-wise, pushed
         through the network once, and split back per event.  Under
-        :func:`repro.tensor.row_stable_matmul` (the serving engine's
-        inference context) every row is bit-identical to what
-        :meth:`embed` produces for that event alone — the MLP is
-        row-wise, so batching only amortises the per-call overhead.
+        :func:`repro.tensor.row_stable_matmul` (entered by the pipeline's
+        inference methods) a row does not depend on which events share
+        the call — the MLP is row-wise, so batching only amortises the
+        per-call overhead.
         """
         if self.net is None:
             raise RuntimeError("embedding stage not fitted")

@@ -69,15 +69,9 @@ class FilterStage:
         """Remove edges scoring below the filter threshold.
 
         Returns the pruned graph and the boolean keep-mask over the input
-        edges.
+        edges: :meth:`prune_many` on one graph, minus the scores.
         """
-        if self.net is None:
-            raise RuntimeError("filter stage not fitted")
-        if graph.num_edges == 0:
-            return graph, np.zeros(0, dtype=bool)
-        scores = self.net.predict_proba(graph)
-        keep = scores >= self.config.filter_threshold
-        return graph.edge_mask_subgraph(keep), keep
+        return self.prune_many([graph])[0][:2]
 
     def prune_many(
         self, graphs: Sequence[EventGraph]
@@ -86,10 +80,11 @@ class FilterStage:
 
         Node/edge features are concatenated block-diagonally (edge
         endpoint indices offset per graph) and scored in a single MLP
-        call; scores are split back per graph and thresholded exactly as
-        :meth:`prune` does.  The filter MLP is row-wise over edges, so
-        under :func:`repro.tensor.row_stable_matmul` each edge's score is
-        bit-identical to the per-graph call.
+        call; scores are split back per graph and thresholded.  The
+        filter MLP is row-wise over edges, so under
+        :func:`repro.tensor.row_stable_matmul` (entered by the pipeline's
+        inference methods) each edge's score does not depend on which
+        graphs share the call.
 
         Returns one ``(pruned_graph, keep_mask, scores)`` triple per
         input graph — ``scores`` are the pre-threshold filter
@@ -101,23 +96,15 @@ class FilterStage:
         nonempty = [g for g in graphs if g.num_edges > 0]
         if nonempty:
             offsets = np.cumsum([0] + [g.num_nodes for g in nonempty])
-            big_x = np.concatenate([g.x for g in nonempty], axis=0)
-            big_y = np.concatenate([g.y for g in nonempty], axis=0)
-            big_rows = np.concatenate(
-                [g.rows + off for g, off in zip(nonempty, offsets)]
-            )
-            big_cols = np.concatenate(
-                [g.cols + off for g, off in zip(nonempty, offsets)]
-            )
-            with self.net.inference():
-                logits = self.net(
-                    Tensor(big_x), Tensor(big_y), big_rows, big_cols
-                )
-            all_scores = 1.0 / (
-                1.0 + np.exp(-np.clip(logits.numpy(), -60, 60))
+            batch = EventGraph(
+                edge_index=np.concatenate(
+                    [g.edge_index + off for g, off in zip(nonempty, offsets)], axis=1
+                ),
+                x=np.concatenate([g.x for g in nonempty], axis=0),
+                y=np.concatenate([g.y for g in nonempty], axis=0),
             )
             edge_splits = np.cumsum([g.num_edges for g in nonempty])[:-1]
-            per_graph = iter(np.split(all_scores, edge_splits))
+            per_graph = iter(np.split(self.net.predict_proba(batch), edge_splits))
         out: List[Tuple[EventGraph, np.ndarray, np.ndarray]] = []
         for g in graphs:
             if g.num_edges == 0:

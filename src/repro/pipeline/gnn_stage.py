@@ -43,13 +43,17 @@ class GNNStage:
         return self.result.model
 
     # ------------------------------------------------------------------
-    def prune(self, graph: EventGraph) -> Tuple[EventGraph, np.ndarray]:
+    def prune(
+        self, graph: EventGraph
+    ) -> Tuple[EventGraph, np.ndarray, np.ndarray]:
         """Remove edges the GNN classifies as non-track.
 
-        Returns the pruned graph and the keep-mask over the input edges.
+        Returns ``(pruned_graph, keep_mask, scores)`` — the mask and the
+        pre-threshold edge probabilities are over the input edges (the
+        same triple :meth:`FilterStage.prune_many` yields per graph).
         """
         if graph.num_edges == 0:
-            return graph, np.zeros(0, dtype=bool)
+            return graph, np.zeros(0, dtype=bool), np.zeros(0)
         scores = self.model.predict_proba(graph)
         keep = scores >= self.config.gnn.threshold
-        return graph.edge_mask_subgraph(keep), keep
+        return graph.edge_mask_subgraph(keep), keep, scores

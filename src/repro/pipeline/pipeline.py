@@ -1,15 +1,21 @@
 """End-to-end Exa.TrkX-style pipeline (Figure 1).
 
 ``fit`` trains the three learned stages in order — embedding, filter,
-GNN — each consuming the previous stage's output on the training events;
-``reconstruct`` runs all five stages on a new event and returns track
-candidates.
+GNN — each consuming the previous stage's output on the training events.
+
+Inference is ONE traversal, shared by every caller (``reconstruct``, the
+serving engine, the diagnostics, the construction-store ingest):
+``upstream_many`` (construction + filter, one fused forward each) then
+``finish_from_filtered`` per event (GNN + track building).  Each of these
+methods enters :func:`repro.tensor.row_stable_matmul` itself, so an
+event's result is bit-identical whether it is processed alone or inside
+any batch — by construction, not by the caller remembering the scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,21 +31,24 @@ from .embedding_stage import EmbeddingStage
 from .filter_stage import FilterStage
 from .gnn_stage import GNNStage
 from .graph_construction import GraphConstructionStage
-from .track_building import build_tracks
+from .track_building import build_tracks, build_tracks_walkthrough
 
-__all__ = ["PipelineReport", "ExaTrkXPipeline"]
+__all__ = ["PipelineReport", "UpstreamStages", "ExaTrkXPipeline"]
 
 
 class _ModuleMapConstruction:
     """Adapter giving :class:`repro.detector.ModuleMap` the construction-
-    stage interface (``build`` / ``edge_efficiency``) the pipeline and the
-    diagnostics expect."""
+    stage interface (``build`` / ``build_many`` / ``edge_efficiency``)
+    the pipeline expects."""
 
     def __init__(self, module_map) -> None:
         self.module_map = module_map
 
     def build(self, event: Event):
         return self.module_map.build(event)
+
+    def build_many(self, events: Sequence[Event]):
+        return [self.build(e) for e in events]  # no fused forward
 
     def edge_efficiency(self, event: Event, graph=None) -> float:
         return self.module_map.edge_efficiency(event)
@@ -56,6 +65,23 @@ class PipelineReport:
     gnn_final_recall: float = 0.0
     quarantined_events: int = 0  # inputs dropped by validate_inputs
     extras: Dict[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class UpstreamStages:
+    """One event's construction + filter outputs (:meth:`upstream_many`).
+
+    ``graph`` is the labelled candidate graph (construction output);
+    ``filtered`` / ``filter_keep`` / ``filter_scores`` are the filter
+    stage's pruned graph, keep mask, and pre-threshold scores over
+    ``graph``'s edges.  The serving tier memoises these per event
+    fingerprint (as ``repro.serve.CachedStages``).
+    """
+
+    graph: EventGraph
+    filtered: EventGraph
+    filter_keep: np.ndarray
+    filter_scores: np.ndarray
 
 
 class ExaTrkXPipeline:
@@ -190,49 +216,101 @@ class ExaTrkXPipeline:
                 net.astype(dtype)
         return self
 
-    def reconstruct(self, event: Event) -> List[np.ndarray]:
-        """Run inference: hits → track candidates (hit-index arrays).
-
-        Inference runs under :func:`repro.tensor.row_stable_matmul`, so
-        an event's result is bit-identical whether it is reconstructed
-        alone or inside a serving micro-batch (:mod:`repro.serve`).
-        """
+    # -- inference: the one traversal -----------------------------------
+    def construct_many(
+        self, events: Sequence[Event], span: str = "pipeline.graph_construction"
+    ) -> List[EventGraph]:
+        """Stages 1–2 for several events: ONE fused embedding forward,
+        then the per-event FRNN search / labelling."""
         if self.construction is None:
             raise RuntimeError("pipeline not fitted")
-        tracer = get_tracer()
-        with tracer.span(
-            "pipeline.reconstruct", category="pipeline", event=event.event_id
+        with get_tracer().span(
+            span, category=span.split(".")[0], events=len(events)
         ), row_stable_matmul():
-            with tracer.span("pipeline.graph_construction", category="pipeline"):
-                graph = self.construction.build(event)
-            with tracer.span("pipeline.filter", category="pipeline"):
-                graph, _ = self.filter.prune(graph)
-            return self.finish_from_filtered(graph)
+            return self.construction.build_many(events)
 
-    def finish_from_filtered(self, graph: EventGraph) -> List[np.ndarray]:
-        """Stages 4–5 on a filter-pruned graph: GNN scoring + building.
+    def upstream_many(
+        self,
+        events: Sequence[Event],
+        graphs: Optional[Sequence[Optional[EventGraph]]] = None,
+        spans: Tuple[str, str] = ("pipeline.graph_construction", "pipeline.filter"),
+    ) -> List[UpstreamStages]:
+        """Stages 1–3 for several events, one fused forward per stage.
 
-        The tail of :meth:`reconstruct`, exposed separately so the
-        serving engine (:mod:`repro.serve`) runs the exact same code on
-        graphs it obtained from its batched/cached upstream stages.
+        A non-``None`` ``graphs[i]`` is a construction graph the caller
+        already holds for ``events[i]`` (the serving engine hydrates them
+        from a store written by :func:`repro.store.ingest_construction`);
+        only the remaining events are constructed.  ``spans`` names the
+        two stage spans — the engine records them as ``serve.stage.*``.
         """
-        tracer = get_tracer()
-        if self.config.track_builder == "walkthrough":
-            from .track_building import build_tracks_walkthrough
+        graphs = list(graphs) if graphs is not None else [None] * len(events)
+        cold = [i for i, g in enumerate(graphs) if g is None]
+        if cold:
+            built = self.construct_many([events[i] for i in cold], span=spans[0])
+            for i, graph in zip(cold, built):
+                graphs[i] = graph
+        with get_tracer().span(
+            spans[1], category=spans[1].split(".")[0], graphs=len(graphs)
+        ), row_stable_matmul():
+            pruned = self.filter.prune_many(graphs)
+        return [UpstreamStages(g, *triple) for g, triple in zip(graphs, pruned)]
 
-            with tracer.span("pipeline.gnn", category="pipeline"):
-                scores = self.gnn.model.predict_proba(graph)
-            with tracer.span("pipeline.track_building", category="pipeline"):
+    def gnn_prune(
+        self, graph: EventGraph
+    ) -> Tuple[EventGraph, np.ndarray, np.ndarray]:
+        """Stage 4 on a filter-pruned graph: ``(pruned, keep, scores)``
+        from :meth:`GNNStage.prune`, cut at ``config.gnn.threshold``."""
+        with get_tracer().span(
+            "pipeline.gnn", category="pipeline"
+        ), row_stable_matmul():
+            return self.gnn.prune(graph)
+
+    def finish_from_filtered(
+        self,
+        graph: EventGraph,
+        scores: Optional[np.ndarray] = None,
+        min_score: Optional[float] = None,
+    ) -> List[np.ndarray]:
+        """Stages 4–5 on a filter-pruned graph: edge scores → tracks.
+
+        The only place a track builder is chosen.  By default the GNN
+        scores ``graph``'s edges and cuts at ``config.gnn.threshold``.
+        A caller that already holds per-edge ``scores`` passes them (with
+        the ``min_score`` to cut at) and no GNN forward runs: the serving
+        engine's degraded mode hands in the filter's kept scores, the
+        diagnostics the scores :meth:`gnn_prune` just returned.
+        """
+        pruned = None
+        if scores is None:
+            if min_score is not None:
+                raise ValueError("min_score applies to caller-supplied scores")
+            pruned, _, scores = self.gnn_prune(graph)
+        if min_score is None:
+            min_score = self.config.gnn.threshold
+        min_hits = self.config.min_track_hits
+        with get_tracer().span("pipeline.track_building", category="pipeline"):
+            if self.config.track_builder == "walkthrough":
                 return build_tracks_walkthrough(
-                    graph,
-                    scores,
-                    min_hits=self.config.min_track_hits,
-                    min_score=self.config.gnn.threshold,
+                    graph, scores, min_hits=min_hits, min_score=min_score
                 )
-        with tracer.span("pipeline.gnn", category="pipeline"):
-            graph, _ = self.gnn.prune(graph)
-        with tracer.span("pipeline.track_building", category="pipeline"):
-            return build_tracks(graph, min_hits=self.config.min_track_hits)
+            if pruned is None:
+                pruned = graph.edge_mask_subgraph(scores >= min_score)
+            return build_tracks(pruned, min_hits=min_hits)
+
+    def reconstruct_many(self, events: Sequence[Event]) -> List[List[np.ndarray]]:
+        """Run inference: per event, hits → track candidates (hit-index
+        arrays).  Results do not depend on which events share a call."""
+        with get_tracer().span(
+            "pipeline.reconstruct", category="pipeline", events=len(events)
+        ):
+            return [
+                self.finish_from_filtered(staged.filtered)
+                for staged in self.upstream_many(events)
+            ]
+
+    def reconstruct(self, event: Event) -> List[np.ndarray]:
+        """:meth:`reconstruct_many` on one event."""
+        return self.reconstruct_many([event])[0]
 
     def score_event(self, event: Event) -> TrackingScore:
         """Reconstruct and score one event against its truth."""

@@ -13,6 +13,10 @@ The fingerprint hashes the raw hit arrays (positions, layer ids), NOT
 they are called, and an event whose hits changed never matches a stale
 entry.
 
+An entry (``CachedStages``) is the record
+:meth:`repro.pipeline.ExaTrkXPipeline.upstream_many` returns per event —
+the same class, re-exported under its serving-side name.
+
 The cache is a bounded LRU, safe for concurrent access from the serving
 worker pool; graphs stored in it are treated as immutable by every
 consumer (pruning produces new graphs via ``edge_mask_subgraph``).
@@ -23,13 +27,12 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..detector import Event
-from ..graph import EventGraph
+from ..pipeline import UpstreamStages as CachedStages
 
 __all__ = ["CachedStages", "StageCache", "event_fingerprint"]
 
@@ -45,21 +48,6 @@ def event_fingerprint(event: Event) -> str:
     h.update(np.ascontiguousarray(event.positions, dtype=np.float64).tobytes())
     h.update(np.ascontiguousarray(event.layer_ids, dtype=np.int64).tobytes())
     return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class CachedStages:
-    """Upstream stage outputs memoised for one event fingerprint.
-
-    ``graph`` is the labelled candidate graph (construction output);
-    ``filtered`` / ``filter_keep`` / ``filter_scores`` are the filter
-    stage's pruned graph, keep mask, and pre-threshold scores.
-    """
-
-    graph: EventGraph
-    filtered: EventGraph
-    filter_keep: np.ndarray
-    filter_scores: np.ndarray
 
 
 class StageCache:

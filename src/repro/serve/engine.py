@@ -22,11 +22,15 @@ requests through a bounded :class:`RequestQueue`:
 Determinism contract
 --------------------
 Batched execution is bit-identical to looped
-:meth:`~repro.pipeline.ExaTrkXPipeline.reconstruct`: both run under
-:func:`repro.tensor.row_stable_matmul`, whose per-row results do not
-depend on what else is in the batch, and everything downstream of the
-fused forwards (FRNN, GNN, track building) is strictly per-event.  Batch
-*composition* therefore never influences results — only latency.
+:meth:`~repro.pipeline.ExaTrkXPipeline.reconstruct` because it IS the
+same traversal: the engine calls the pipeline's ``upstream_many`` and
+``finish_from_filtered`` — the two halves ``reconstruct_many`` composes —
+and those methods enter :func:`repro.tensor.row_stable_matmul`
+themselves, so per-row results do not depend on what else is in the
+batch.  The engine owns only serving policy (cache, store hydration,
+breaker, timeout, degrade); it never walks a stage or picks a track
+builder.  Batch *composition* therefore never influences results — only
+latency.
 
 Time is read from an injectable clock (:class:`repro.faults.SimClock`
 compatible), so overload, shedding, and degraded-mode decisions are
@@ -76,7 +80,6 @@ import numpy as np
 
 from ..detector import Event
 from ..faults import FaultPlan, WallClock
-from ..graph import EventGraph
 from ..guard import (
     BreakerConfig,
     CircuitBreaker,
@@ -85,10 +88,8 @@ from ..guard import (
     QuarantineLog,
 )
 from ..obs import get_telemetry, get_tracer
-from ..pipeline import ExaTrkXPipeline, GraphConstructionStage
+from ..pipeline import ExaTrkXPipeline
 from ..pipeline.config import PRECISIONS, knob
-from ..pipeline.track_building import build_tracks, build_tracks_walkthrough
-from ..tensor import row_stable_matmul
 from .cache import CachedStages, StageCache, event_fingerprint
 
 __all__ = [
@@ -400,6 +401,23 @@ class ServeStats:
         )
 
 
+#: ``ServeStats`` field → the ``serve.*`` counter mirroring it.
+_COUNTERS = {
+    "submitted": "serve.requests.submitted",
+    "completed": "serve.requests.completed",
+    "shed": "serve.requests.shed",
+    "quarantined": "serve.requests.quarantined",
+    "timed_out": "serve.requests.timed_out",
+    "failed": "serve.requests.failed",
+    "degraded": "serve.requests.degraded",
+    "breaker_degraded": "serve.requests.breaker_degraded",
+    "batches": "serve.batches",
+    "cache_hits": "serve.cache.hits",
+    "cache_misses": "serve.cache.misses",
+    "store_hydrated": "serve.store.hydrated",
+}
+
+
 class InferenceEngine:
     """Serve reconstruction requests over a fitted pipeline.
 
@@ -464,8 +482,9 @@ class InferenceEngine:
                 if h.fingerprint and h.source == "construction"
             }
         self.config = config if config is not None else ServeConfig()
-        if self.config.precision != "float32":
-            pipeline.astype(np.dtype(self.config.precision))
+        # unconditional: a previous engine may have left the (shared)
+        # pipeline in another dtype; a same-dtype cast copies nothing
+        pipeline.astype(np.dtype(self.config.precision))
         self.clock = clock if clock is not None else WallClock()
         self.fault_plan = fault_plan
         self.queue = RequestQueue(self.config.max_queue_events)
@@ -484,7 +503,7 @@ class InferenceEngine:
             if self.config.validate_inputs
             else EventValidator.critical()
         )
-        self.quarantine: Optional[Quarantine] = Quarantine(
+        self.quarantine = Quarantine(
             validator,
             context="serve.submit",
             log=(
@@ -590,34 +609,23 @@ class InferenceEngine:
         if self._closed:
             raise RuntimeError("engine is closed")
         request = ServeRequest(event=event, t_submit=self.clock.now)
-        with self._stats_lock:
-            self.stats.submitted += 1
-        telemetry = get_telemetry()
-        if telemetry is not None:
-            telemetry.metrics.counter("serve.requests.submitted").add(1)
-        if self.quarantine is not None and not self.quarantine.admit(
-            event, obj_id=event.event_id
-        ):
+        self._count("submitted")
+        if not self.quarantine.admit(event, obj_id=event.event_id):
             request.status = "quarantined"
             issues = self.quarantine.reasons[-1][1]
             request.error = RequestQuarantinedError(
                 "; ".join(f"{i.rule}: {i.detail}" for i in issues)
             )
-            with self._stats_lock:
-                self.stats.quarantined += 1
-            if telemetry is not None:
-                telemetry.metrics.counter("serve.requests.quarantined").add(1)
+            self._count("quarantined")
             return request
         if not self.queue.offer(request):
             request.status = "shed"
-            with self._stats_lock:
-                self.stats.shed += 1
-            if telemetry is not None:
-                telemetry.metrics.counter("serve.requests.shed").add(1)
+            self._count("shed")
             get_tracer().event(
                 "serve.shed", category="serve", event=event.event_id
             )
             return request
+        telemetry = get_telemetry()
         if telemetry is not None:
             telemetry.metrics.gauge("serve.queue_depth").set(len(self.queue))
         return request
@@ -721,11 +729,7 @@ class InferenceEngine:
             failed += 1
         if not failed:
             return
-        with self._stats_lock:
-            self.stats.failed += failed
-        telemetry = get_telemetry()
-        if telemetry is not None:
-            telemetry.metrics.counter("serve.requests.failed").add(failed)
+        self._count("failed", failed)
         get_tracer().event(
             "serve.failed", category="serve", requests=failed, error=str(error)
         )
@@ -747,11 +751,7 @@ class InferenceEngine:
             else:
                 live.append(request)
         if expired:
-            with self._stats_lock:
-                self.stats.timed_out += expired
-            telemetry = get_telemetry()
-            if telemetry is not None:
-                telemetry.metrics.counter("serve.requests.timed_out").add(expired)
+            self._count("timed_out", expired)
             get_tracer().event(
                 "serve.timed_out", category="serve", requests=expired
             )
@@ -803,7 +803,7 @@ class InferenceEngine:
             degraded=degraded,
             breaker_open=breaker_open,
             oldest_wait_ms=oldest_wait_ms,
-        ), row_stable_matmul():
+        ):
             stages = self._upstream_stages(batch)
             gnn_error: Optional[BaseException] = None
             if use_gnn:
@@ -834,7 +834,13 @@ class InferenceEngine:
                     for request, staged in zip(batch, stages):
                         if request.tracks is not None:
                             continue
-                        request.tracks = self._degraded_tracks(staged)
+                        # filter scores stand in for GNN scores, re-cut
+                        # at the stricter degraded threshold
+                        request.tracks = self.pipeline.finish_from_filtered(
+                            staged.filtered,
+                            scores=staged.filter_scores[staged.filter_keep],
+                            min_score=cfg.degraded_threshold,
+                        )
                         request.degraded = True
                         request.breaker_degraded = (
                             breaker_open or gnn_error is not None
@@ -859,139 +865,77 @@ class InferenceEngine:
     def _upstream_stages(self, batch: List[ServeRequest]) -> List[CachedStages]:
         """Construction + filter for a batch, through the stage cache.
 
-        Cache misses are built with the fused batched stage paths
-        (:meth:`GraphConstructionStage.build_many`,
-        :meth:`FilterStage.prune_many`); hits skip both stages.
+        Serving policy only: cache lookup, in-batch dedup, store
+        hydration.  Whatever is left goes through ONE
+        :meth:`~repro.pipeline.ExaTrkXPipeline.upstream_many` call (the
+        fused batched stages); cache hits skip both stages.
         """
-        tracer = get_tracer()
         keys = [event_fingerprint(r.event) for r in batch]
-        staged: List[Optional[CachedStages]] = [None] * len(batch)
+        staged: Dict[str, Optional[CachedStages]] = {}
         miss_idx: List[int] = []
-        seen_in_batch: dict = {}
         for i, key in enumerate(keys):
             entry = self.cache.get(key) if self.cache is not None else None
-            if entry is not None:
-                staged[i] = entry
-                batch[i].cache_hit = True
-            elif key in seen_in_batch:
-                # duplicate within the batch: computed once, shared —
-                # counts as a hit (the work is skipped either way)
-                batch[i].cache_hit = True
+            if entry is None and key not in staged:
+                miss_idx.append(i)  # first sighting: computed below, once
+                staged[key] = None
             else:
-                seen_in_batch[key] = i
-                miss_idx.append(i)
-        hydrated = 0
+                # cached — or a duplicate within the batch, which counts as
+                # a hit too (the work is skipped either way)
+                batch[i].cache_hit = True
+                staged[key] = entry or staged[key]
         if miss_idx:
             # stage-cache misses whose event lives in the shard store skip
             # construction entirely: the precomputed graph is mapped out of
             # the warm shard window instead of rebuilt from the payload
-            graphs: List[Optional[EventGraph]] = [None] * len(miss_idx)
-            cold: List[int] = []
-            for j, i in enumerate(miss_idx):
+            graphs = []
+            for i in miss_idx:
                 handle = self._store_graphs.get(keys[i])
-                if handle is not None:
-                    with tracer.span(
-                        "serve.stage.store_hydrate",
-                        category="serve",
-                        event=batch[i].event.event_id,
-                    ):
-                        graphs[j] = handle.materialize()
-                    batch[i].store_hit = True
-                    hydrated += 1
-                else:
-                    cold.append(j)
-            if cold:
-                miss_events = [batch[miss_idx[j]].event for j in cold]
-                construction = self.pipeline.construction
-                with tracer.span(
-                    "serve.stage.construction", category="serve", events=len(miss_events)
+                if handle is None:
+                    graphs.append(None)
+                    continue
+                with get_tracer().span(
+                    "serve.stage.store_hydrate",
+                    category="serve",
+                    event=batch[i].event.event_id,
                 ):
-                    if isinstance(construction, GraphConstructionStage):
-                        built = construction.build_many(miss_events)
-                    else:  # module-map construction has no fused forward
-                        built = [construction.build(e) for e in miss_events]
-                for j, graph in zip(cold, built):
-                    graphs[j] = graph
-            with tracer.span(
-                "serve.stage.filter", category="serve", graphs=len(graphs)
-            ):
-                pruned = self.pipeline.filter.prune_many(graphs)
-            for i, graph, (filtered, keep, scores) in zip(miss_idx, graphs, pruned):
-                entry = CachedStages(
-                    graph=graph,
-                    filtered=filtered,
-                    filter_keep=keep,
-                    filter_scores=scores,
-                )
-                staged[i] = entry
+                    graphs.append(handle.materialize())
+                batch[i].store_hit = True
+            fresh = self.pipeline.upstream_many(
+                [batch[i].event for i in miss_idx],
+                graphs,
+                spans=("serve.stage.construction", "serve.stage.filter"),
+            )
+            for i, entry in zip(miss_idx, fresh):
+                staged[keys[i]] = entry
                 if self.cache is not None:
                     self.cache.put(keys[i], entry)
-        for i, key in enumerate(keys):  # resolve in-batch duplicates
-            if staged[i] is None:
-                staged[i] = staged[seen_in_batch[key]]
-        hits = len(batch) - len(miss_idx)
-        with self._stats_lock:
-            self.stats.cache_hits += hits
-            self.stats.cache_misses += len(miss_idx)
-            self.stats.store_hydrated += hydrated
-        telemetry = get_telemetry()
-        if telemetry is not None:
-            if hits:
-                telemetry.metrics.counter("serve.cache.hits").add(hits)
-            if miss_idx:
-                telemetry.metrics.counter("serve.cache.misses").add(len(miss_idx))
-            if hydrated:
-                telemetry.metrics.counter("serve.store.hydrated").add(hydrated)
-        return [s for s in staged if s is not None]
-
-    def _degraded_tracks(self, staged: CachedStages) -> List[np.ndarray]:
-        """Budget-exceeded fallback: tracks from filter scores, no GNN.
-
-        The filter-pruned graph is re-cut at ``degraded_threshold`` and
-        handed to the configured track builder with filter scores
-        standing in for GNN scores — a strictly cheaper approximation
-        whose cost is independent of the GNN's depth.
-        """
-        config = self.pipeline.config
-        filtered = staged.filtered
-        kept_scores = staged.filter_scores[staged.filter_keep]
-        if config.track_builder == "walkthrough":
-            return build_tracks_walkthrough(
-                filtered,
-                kept_scores,
-                min_hits=config.min_track_hits,
-                min_score=self.config.degraded_threshold,
-            )
-        keep = kept_scores >= self.config.degraded_threshold
-        graph: EventGraph = filtered.edge_mask_subgraph(keep)
-        return build_tracks(graph, min_hits=config.min_track_hits)
+            self._count("store_hydrated", sum(g is not None for g in graphs))
+        self._count("cache_hits", len(batch) - len(miss_idx))
+        self._count("cache_misses", len(miss_idx))
+        return [staged[key] for key in keys]
 
     # -- accounting -----------------------------------------------------
-    def _record_batch(self, batch: List[ServeRequest]) -> None:
-        degraded = sum(1 for r in batch if r.degraded)
-        breaker_degraded = sum(1 for r in batch if r.breaker_degraded)
+    def _count(self, field: str, n: int = 1) -> None:
+        """Bump one :class:`ServeStats` field and its ``serve.*`` counter."""
+        if not n:
+            return
         with self._stats_lock:
-            self.stats.batches += 1
-            self.stats.completed += len(batch)
-            self.stats.degraded += degraded
-            self.stats.breaker_degraded += breaker_degraded
+            setattr(self.stats, field, getattr(self.stats, field) + n)
+        telemetry = get_telemetry()
+        if telemetry is not None:
+            telemetry.metrics.counter(_COUNTERS[field]).add(n)
+
+    def _record_batch(self, batch: List[ServeRequest]) -> None:
+        self._count("batches")
+        self._count("completed", len(batch))
+        self._count("degraded", sum(1 for r in batch if r.degraded))
+        self._count("breaker_degraded", sum(1 for r in batch if r.breaker_degraded))
         telemetry = get_telemetry()
         if telemetry is None:
             return
         metrics = telemetry.metrics
-        with self._stats_lock:
-            metrics.counter("serve.batches").add(1)
-            metrics.counter("serve.requests.completed").add(len(batch))
-            if degraded:
-                metrics.counter("serve.requests.degraded").add(degraded)
-            if breaker_degraded:
-                metrics.counter("serve.requests.breaker_degraded").add(
-                    breaker_degraded
-                )
-            metrics.histogram("serve.batch_size").observe(len(batch))
-            for request in batch:
-                metrics.histogram("serve.latency_ms").observe(request.latency_ms)
-                metrics.histogram("serve.queue_wait_ms").observe(
-                    request.queue_wait_ms
-                )
-            metrics.gauge("serve.queue_depth").set(len(self.queue))
+        metrics.histogram("serve.batch_size").observe(len(batch))
+        for request in batch:
+            metrics.histogram("serve.latency_ms").observe(request.latency_ms)
+            metrics.histogram("serve.queue_wait_ms").observe(request.queue_wait_ms)
+        metrics.gauge("serve.queue_depth").set(len(self.queue))

@@ -422,11 +422,12 @@ def ingest_construction(
 ) -> IngestReport:
     """Precompute a fitted pipeline's construction graphs into a store.
 
-    The stored graphs are the *fitted* construction stage's output for
-    each event, keyed by event fingerprint — exactly what
-    :class:`repro.serve.InferenceEngine` needs to hydrate replayed
-    requests from the warm shard cache instead of rebuilding the graph
-    from the request payload.  The manifest records
+    The stored graphs are what the pipeline's own inference traversal
+    constructs for each event (:meth:`ExaTrkXPipeline.construct_many`,
+    the row-stable entry point serving uses), keyed by event fingerprint
+    — exactly what :class:`repro.serve.InferenceEngine` needs to hydrate
+    replayed requests from the warm shard cache instead of rebuilding
+    the graph from the request payload.  The manifest records
     ``meta["graphs"] == "construction"``; the engine refuses stores that
     hold builder graphs, which belong to a different stage.
     """
@@ -458,7 +459,7 @@ def ingest_construction(
                 ):
                     report.quarantined += 1
                     continue
-                graph = pipeline.construction.build(event)
+                graph = pipeline.construct_many([event])[0]
                 writer.add_graph(
                     graph,
                     split=split,

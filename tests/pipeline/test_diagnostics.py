@@ -1,5 +1,7 @@
 """Per-stage diagnostics of a fitted pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.pipeline import (
     PipelineConfig,
     diagnose_event,
 )
+from repro.pipeline.config import TRACK_BUILDERS
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,31 @@ class TestDiagnostics:
         lines = diagnose_event(fitted, small_events[5]).render()
         assert any("graph construction" in l for l in lines)
         assert any("tracking:" in l for l in lines)
+
+    @pytest.mark.parametrize("builder", TRACK_BUILDERS)
+    def test_tracking_is_score_event_for_every_builder(
+        self, fitted, small_events, builder
+    ):
+        """The diagnostics report on the pipeline's own traversal, so
+        their tracking row is the configured builder's — not a
+        hard-coded connected-components pass."""
+        original = fitted.config
+        fitted.config = dataclasses.replace(original, track_builder=builder)
+        try:
+            for event in small_events:
+                assert diagnose_event(fitted, event).tracking == fitted.score_event(event)
+        finally:
+            fitted.config = original
+
+    def test_gnn_forward_runs_once(self, fitted, small_events, monkeypatch):
+        model = fitted.gnn.model
+        calls = []
+        forward = model.predict_proba
+        monkeypatch.setattr(
+            model, "predict_proba", lambda g: calls.append(1) or forward(g)
+        )
+        diagnose_event(fitted, small_events[5])
+        assert len(calls) == 1
 
     def test_unfitted_rejected(self, geometry, small_events):
         pipe = ExaTrkXPipeline(PipelineConfig(), geometry)

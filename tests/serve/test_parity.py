@@ -8,12 +8,24 @@ every request's tracks are exactly — not approximately — what a looped
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.faults import SimClock
+from repro.pipeline import ExaTrkXPipeline, GNNTrainConfig, PipelineConfig
+from repro.pipeline.config import TRACK_BUILDERS
 from repro.serve import InferenceEngine, ServeConfig
+from repro.store import EventStore, ingest_construction
+from repro.tensor import is_row_stable_matmul
 
 from .conftest import track_builder
+
+TINY_GNN = GNNTrainConfig(
+    mode="bulk", epochs=2, batch_size=64, hidden=8, num_layers=2,
+    mlp_layers=2, depth=2, fanout=4, bulk_k=4,
+)
 
 
 def _assert_tracks_equal(expected, actual, context=""):
@@ -78,3 +90,101 @@ class TestBatchedSequentialParity:
             requests = engine.process(serve_events)
         for seq, req in zip(sequential, requests):
             _assert_tracks_equal(seq, req.tracks)
+
+
+# ----------------------------------------------------------------------
+# One traversal: every way of running inference is the pipeline's
+# upstream_many + finish_from_filtered, so every cell below is the same
+# bits as a looped reconstruct.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def construction_store_dir(serve_pipeline, serve_events, tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp("parity_store"))
+    ingest_construction(serve_pipeline, serve_events, directory)
+    return directory
+
+
+@pytest.mark.parametrize("use_store", [False, True], ids=["nostore", "store"])
+@pytest.mark.parametrize("cache_capacity", [0, 64])
+@pytest.mark.parametrize("batch", [1, 3, None], ids=["b1", "b3", "ball"])
+@pytest.mark.parametrize("builder", TRACK_BUILDERS)
+def test_every_serving_mode_equals_reconstruct(
+    serve_pipeline, serve_events, construction_store_dir,
+    builder, batch, cache_capacity, use_store,
+):
+    config = ServeConfig(
+        max_batch_events=batch or len(serve_events), cache_capacity=cache_capacity
+    )
+    with track_builder(serve_pipeline, builder), contextlib.ExitStack() as stack:
+        sequential = [serve_pipeline.reconstruct(e) for e in serve_events]
+        many = serve_pipeline.reconstruct_many(serve_events)
+        store = None
+        if use_store:
+            store = stack.enter_context(
+                EventStore(construction_store_dir, budget_bytes=4 << 20)
+            )
+        with InferenceEngine(serve_pipeline, config, store=store) as engine:
+            first = engine.process(serve_events)
+            replay = engine.process(serve_events)
+    assert all(r.status == "done" and not r.degraded for r in first + replay)
+    assert all(r.store_hit == use_store for r in first)
+    assert all(r.cache_hit == bool(cache_capacity) for r in replay)
+    for seq, batched, a, b in zip(sequential, many, first, replay):
+        _assert_tracks_equal(seq, batched, "reconstruct_many")
+        _assert_tracks_equal(seq, a.tracks, "engine")
+        _assert_tracks_equal(seq, b.tracks, "engine replay")
+
+
+def test_module_map_pipeline_served_equals_its_reconstruct(
+    geometry, small_events, serve_events
+):
+    pipe = ExaTrkXPipeline(
+        PipelineConfig(construction="module_map", filter_epochs=4, gnn=TINY_GNN),
+        geometry,
+    )
+    pipe.fit(small_events[:4], small_events[4:5])
+    sequential = [pipe.reconstruct(e) for e in serve_events]
+    assert any(sequential)
+    with InferenceEngine(pipe, ServeConfig(max_batch_events=3)) as engine:
+        requests = engine.process(serve_events)
+    for seq, req in zip(sequential, requests):
+        assert req.status == "done"
+        _assert_tracks_equal(seq, req.tracks)
+
+
+@pytest.mark.parametrize("builder", TRACK_BUILDERS)
+def test_degraded_serving_is_finish_from_filtered_on_filter_scores(
+    serve_pipeline, serve_events, builder
+):
+    clock = SimClock()
+    config = ServeConfig(latency_budget_ms=1.0, degraded_threshold=0.6)
+    with track_builder(serve_pipeline, builder):
+        with InferenceEngine(serve_pipeline, config, clock=clock) as engine:
+            requests = [engine.submit(e) for e in serve_events]
+            clock.now += 1.0  # every request is past its budget at dispatch
+            engine.flush()
+        for staged, request in zip(
+            serve_pipeline.upstream_many(serve_events), requests
+        ):
+            assert request.degraded
+            expected = serve_pipeline.finish_from_filtered(
+                staged.filtered,
+                scores=staged.filter_scores[staged.filter_keep],
+                min_score=0.6,
+            )
+            _assert_tracks_equal(expected, request.tracks)
+
+
+def test_single_event_stage_methods_are_the_batched_ones(
+    serve_pipeline, serve_events
+):
+    """Outside the row-stable scope too — ``fit`` calls these directly."""
+    assert not is_row_stable_matmul()
+    for event in serve_events:
+        z = serve_pipeline.embedding.embed(event)
+        assert np.array_equal(z, serve_pipeline.embedding.embed_many([event])[0])
+        graph = serve_pipeline.construction.build(event)
+        pruned, keep = serve_pipeline.filter.prune(graph)
+        many_pruned, many_keep, _ = serve_pipeline.filter.prune_many([graph])[0]
+        assert np.array_equal(keep, many_keep)
+        assert np.array_equal(pruned.edge_index, many_pruned.edge_index)

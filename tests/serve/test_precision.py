@@ -38,3 +38,23 @@ class TestServePrecision:
         assert len(tracks32) == len(tracks64)
         for a, b in zip(tracks32, tracks64):
             np.testing.assert_array_equal(a, b)
+
+    def test_default_engine_casts_back_to_float32(self, serve_pipeline):
+        """An engine always serves at ITS precision, whatever dtype a
+        previous engine left the shared pipeline in."""
+        nets = (
+            serve_pipeline.embedding.net,
+            serve_pipeline.filter.net,
+            serve_pipeline.gnn.model,
+        )
+        try:
+            InferenceEngine(serve_pipeline, ServeConfig(precision="float64")).close()
+            assert all(
+                p.data.dtype == np.float64 for net in nets for p in net.parameters()
+            )
+            InferenceEngine(serve_pipeline, ServeConfig()).close()
+            assert all(
+                p.data.dtype == np.float32 for net in nets for p in net.parameters()
+            )
+        finally:
+            serve_pipeline.astype(np.float32)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.graph import random_graph
-from repro.serve import InferenceEngine, ServeConfig
+from repro.serve import InferenceEngine, ServeConfig, event_fingerprint
 from repro.store import EventStore, ingest_construction, ingest_graphs
+from repro.tensor import is_row_stable_matmul
 
 
 @pytest.fixture()
@@ -84,6 +85,35 @@ class TestHydration:
             engine.process(serve_events)  # replay: stage cache, not store
         assert engine.stats.store_hydrated == hydrated_once
         assert engine.stats.cache_hits >= len(serve_events)
+
+
+class TestIngestThroughThePipeline:
+    def test_stored_graphs_are_the_traversals_construction_graphs(
+        self, serve_pipeline, serve_events, construction_store
+    ):
+        """What the engine hydrates is bitwise what it would have built:
+        ingest constructs through the pipeline's row-stable entry point
+        (the store keeps edges stably sorted by source row)."""
+        handles = {h.fingerprint: h for h in construction_store.handles()}
+        for event in serve_events:
+            stored = handles[event_fingerprint(event)].materialize()
+            built = serve_pipeline.upstream_many([event])[0].graph
+            order = np.argsort(built.rows, kind="stable")
+            assert np.array_equal(stored.edge_index, built.edge_index[:, order])
+            assert np.array_equal(stored.x, built.x)
+            assert np.array_equal(stored.y, built.y[order])
+
+    def test_embedding_runs_row_stable_during_ingest(
+        self, serve_pipeline, serve_events, tmp_path, monkeypatch
+    ):
+        net = serve_pipeline.embedding.net
+        scoped = []
+        embed = net.embed
+        monkeypatch.setattr(
+            net, "embed", lambda x: scoped.append(is_row_stable_matmul()) or embed(x)
+        )
+        ingest_construction(serve_pipeline, serve_events, str(tmp_path / "s"))
+        assert scoped == [True] * len(serve_events)
 
 
 class TestStoreMetaGuard:

@@ -1,0 +1,65 @@
+"""Structural pin: inference has one traversal and one determinism scope.
+
+``row_stable_matmul()`` is entered only by the pipeline's inference
+methods (``pipeline/pipeline.py``), so no caller can forget it, and the
+serving engine walks no stage itself: it imports neither the track
+builders nor the tensor layer.
+"""
+
+import ast
+import os
+import re
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
+
+
+def _source_files():
+    for root, _dirs, files in os.walk(SRC):
+        for name in files:
+            if name.endswith(".py"):
+                yield os.path.relpath(os.path.join(root, name), SRC)
+
+
+def _calls(tree, names):
+    return sorted(
+        {
+            node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Attribute, ast.Name))
+        }
+        & set(names)
+    )
+
+
+def _parse(relpath):
+    with open(os.path.join(SRC, relpath)) as fh:
+        return ast.parse(fh.read())
+
+
+def test_row_stable_scope_is_entered_only_by_the_pipeline():
+    entered = [
+        path
+        for path in _source_files()
+        if not path.startswith("tensor" + os.sep)
+        and _calls(_parse(path), ["row_stable_matmul"])
+    ]
+    assert entered == [os.path.join("pipeline", "pipeline.py")]
+
+
+def test_serving_engine_imports_no_stage_internals():
+    imported = []
+    for node in ast.walk(_parse(os.path.join("serve", "engine.py"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert not [m for m in imported if re.search(r"track_building|tensor", m)], imported
+
+
+def test_engine_store_and_diagnostics_walk_no_stage_themselves():
+    stage_calls = ["predict_proba", "build_tracks", "build_tracks_walkthrough"]
+    for path in (("serve", "engine.py"), ("store", "writer.py")):
+        assert _calls(_parse(os.path.join(*path)), stage_calls) == [], path
+    diagnostics = _parse(os.path.join("pipeline", "diagnostics.py"))
+    assert _calls(diagnostics, stage_calls + ["build", "prune"]) == []
