@@ -46,6 +46,6 @@ docs:
 # Keep the checked-in telemetry baselines (tracked files) when clearing
 # regenerated benchmark outputs.
 clean:
-	rm -rf benchmarks/.bench_cache .pytest_cache
+	rm -rf benchmarks/.bench_cache .pytest_cache .hypothesis
 	find benchmarks/results -type f ! -path "*/telemetry/baselines/*" -delete 2>/dev/null || true
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -6,7 +6,9 @@ them with one all-reduce per matrix pays the latency term α once *per
 matrix*; stacking all gradients into a single flat buffer pays it once per
 *step*.  These helpers pack/unpack that buffer deterministically, using
 the module's parameter traversal order (identical across ranks by
-construction).
+construction).  The buffer has the gradients' own dtype — what crosses
+the wire is what the optimiser would have seen, in float32 training and
+in the float64 reference mode alike.
 """
 
 from __future__ import annotations
@@ -31,13 +33,19 @@ class FlatSpec:
 
 
 def flatten_arrays(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[FlatSpec]]:
-    """Concatenate arrays into one 1-D float32 buffer plus layout specs."""
+    """Concatenate arrays into one 1-D buffer plus layout specs.
+
+    The buffer takes the arrays' own (common) dtype, so float32
+    gradients travel as float32 and the float64 reference mode is not
+    rounded on the way through the coalesced all-reduce.
+    """
     specs: List[FlatSpec] = []
     offset = 0
     for a in arrays:
         specs.append(FlatSpec(offset=offset, size=a.size, shape=a.shape))
         offset += a.size
-    flat = np.empty(offset, dtype=np.float32)
+    dtype = np.result_type(*(a.dtype for a in arrays)) if arrays else np.float32
+    flat = np.empty(offset, dtype=dtype)
     for a, spec in zip(arrays, specs):
         flat[spec.offset : spec.offset + spec.size] = a.reshape(-1)
     return flat, specs

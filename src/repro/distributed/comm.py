@@ -4,78 +4,23 @@
 provides the collectives DDP needs.  Every call runs the genuine ring
 algorithm (:mod:`repro.distributed.ring`) and charges the α–β cost model,
 accumulating both *call counts* and *modeled communication time* — the
-quantities the coalesced-all-reduce experiment reports.
+quantities the coalesced-all-reduce experiment reports.  The collectives
+themselves (span, fault hook, accounting) are
+:class:`~repro.distributed.backend.CommBackend`'s; this module supplies
+the in-process data movement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..obs import get_tracer
-from .backend import CommBackend
+from .backend import CommBackend, CommStats
 from .costmodel import CommCostModel, NVLINK_A100
-from .ring import RingAllReduceStats, ring_allreduce
+from .ring import ring_allreduce
 
 __all__ = ["CommStats", "SimCommunicator"]
-
-
-@dataclass
-class CommStats:
-    """Accumulated communication accounting.
-
-    Beyond the α–β byte/call counters this also records the
-    fault-tolerance history: transient-fault retries (and the simulated
-    seconds spent backing off), permanently lost ranks, and a
-    human-readable event log — the audit trail a production run's
-    post-mortem would read.
-    """
-
-    num_allreduce_calls: int = 0
-    bytes_reduced: int = 0
-    num_broadcast_calls: int = 0
-    bytes_broadcast: int = 0
-    num_barrier_calls: int = 0
-    modeled_seconds: float = 0.0
-    measured_seconds: float = 0.0  # wall-clock; stays 0 on the sim backend
-    num_retries: int = 0
-    retry_backoff_seconds: float = 0.0
-    rank_failures: List[int] = field(default_factory=list)
-    events: List[str] = field(default_factory=list)
-
-    def record_event(self, message: str) -> None:
-        self.events.append(message)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable snapshot (the telemetry-export view)."""
-        return {
-            "num_allreduce_calls": self.num_allreduce_calls,
-            "bytes_reduced": self.bytes_reduced,
-            "num_broadcast_calls": self.num_broadcast_calls,
-            "bytes_broadcast": self.bytes_broadcast,
-            "num_barrier_calls": self.num_barrier_calls,
-            "modeled_seconds": self.modeled_seconds,
-            "measured_seconds": self.measured_seconds,
-            "num_retries": self.num_retries,
-            "retry_backoff_seconds": self.retry_backoff_seconds,
-            "rank_failures": list(self.rank_failures),
-            "num_events": len(self.events),
-        }
-
-    def reset(self) -> None:
-        self.num_allreduce_calls = 0
-        self.bytes_reduced = 0
-        self.num_broadcast_calls = 0
-        self.bytes_broadcast = 0
-        self.num_barrier_calls = 0
-        self.modeled_seconds = 0.0
-        self.measured_seconds = 0.0
-        self.num_retries = 0
-        self.retry_backoff_seconds = 0.0
-        self.rank_failures = []
-        self.events = []
 
 
 class SimCommunicator(CommBackend):
@@ -109,8 +54,6 @@ class SimCommunicator(CommBackend):
         algorithm: str = "ring",
         fault_plan=None,
     ) -> None:
-        if world_size < 1:
-            raise ValueError("world_size must be >= 1")
         if algorithm not in ("ring", "halving_doubling", "tree"):
             raise ValueError(f"unknown all-reduce algorithm {algorithm!r}")
         if fault_plan is not None and getattr(fault_plan, "process_faults", []):
@@ -119,38 +62,8 @@ class SimCommunicator(CommBackend):
                 "backend express the same failure as a CommFault (a SIGKILL "
                 "at attempt N replays as a permanent CommFault(at_call=N))"
             )
-        self.ranks: List[int] = list(range(world_size))
-        self.cost_model = cost_model
-        self.algorithm = algorithm
-        self.fault_plan = fault_plan
-        self.stats = CommStats()
+        super().__init__(world_size, cost_model, algorithm, fault_plan)
 
-    @property
-    def world_size(self) -> int:
-        """Number of *live* ranks."""
-        return len(self.ranks)
-
-    def remove_rank(self, rank: int) -> int:
-        """Evict a permanently failed global rank; returns its local index.
-
-        Subsequent collectives run over the surviving ranks only, so
-        gradient averaging automatically rescales to the new world size.
-        The eviction is recorded in :attr:`stats`.
-        """
-        if rank not in self.ranks:
-            raise ValueError(f"rank {rank} is not live (live ranks: {self.ranks})")
-        if len(self.ranks) == 1:
-            raise RuntimeError("cannot remove the last surviving rank")
-        index = self.ranks.index(rank)
-        self.ranks.remove(rank)
-        self.stats.rank_failures.append(rank)
-        self.stats.record_event(
-            f"rank {rank} permanently failed; continuing with world size "
-            f"{len(self.ranks)} (survivors: {self.ranks})"
-        )
-        return index
-
-    # ------------------------------------------------------------------
     def _run_allreduce(
         self, buffers: Sequence[np.ndarray], average: bool
     ) -> List[np.ndarray]:
@@ -162,86 +75,17 @@ class SimCommunicator(CommBackend):
             return halving_doubling_allreduce(buffers, average=average)
         return tree_allreduce(buffers, average=average)
 
-    def _modeled_time(self, nbytes: int) -> float:
+    def _allreduce_modeled(self, nbytes: int) -> float:
         if self.algorithm == "ring":
-            return self.cost_model.allreduce_time(nbytes, self.world_size)
+            return super()._allreduce_modeled(nbytes)
         from .algorithms import halving_doubling_time, tree_time
 
         fn = halving_doubling_time if self.algorithm == "halving_doubling" else tree_time
         return fn(nbytes, self.world_size, self.cost_model.alpha, self.cost_model.beta)
 
-    def allreduce(
-        self, buffers: Sequence[np.ndarray], average: bool = True
-    ) -> List[np.ndarray]:
-        """All-reduce one buffer per rank; returns the reduced copies.
+    def _run_broadcast(self, buffer: np.ndarray) -> List[np.ndarray]:
+        return [buffer.copy() for _ in range(self.world_size)]
 
-        Charges the cost model for a single collective over the buffer's
-        byte size, using the configured algorithm's α–β form.
-        """
-        if len(buffers) != self.world_size:
-            raise ValueError(
-                f"expected {self.world_size} rank buffers, got {len(buffers)}"
-            )
-        nbytes = buffers[0].nbytes
-        with get_tracer().span(
-            "comm.allreduce",
-            category="comm",
-            nbytes=nbytes,
-            algorithm=self.algorithm,
-            world_size=self.world_size,
-        ) as span:
-            if self.fault_plan is not None:
-                self.fault_plan.before_collective(self.ranks)
-            out = self._run_allreduce(buffers, average)
-            modeled = self._modeled_time(nbytes)
-            self.stats.num_allreduce_calls += 1
-            self.stats.bytes_reduced += nbytes
-            self.stats.modeled_seconds += modeled
-            span.set(modeled_s=modeled)
-        return out
-
-    def broadcast(self, buffer: np.ndarray) -> List[np.ndarray]:
-        """Broadcast rank 0's buffer to every rank (model-state sync).
-
-        Charged to the α–β model (binomial tree) and counted in
-        :attr:`stats`, so state syncs show up in comm accounting exactly
-        like all-reduces do.
-        """
-        nbytes = buffer.nbytes
-        with get_tracer().span(
-            "comm.broadcast",
-            category="comm",
-            nbytes=nbytes,
-            world_size=self.world_size,
-        ) as span:
-            if self.fault_plan is not None:
-                self.fault_plan.before_collective(self.ranks)
-            out = [buffer.copy() for _ in range(self.world_size)]
-            modeled = self.cost_model.broadcast_time(nbytes, self.world_size)
-            self.stats.num_broadcast_calls += 1
-            self.stats.bytes_broadcast += nbytes
-            self.stats.modeled_seconds += modeled
-            span.set(modeled_s=modeled)
-        return out
-
-    def barrier(self) -> None:
-        """Synchronisation point: charged to the α–β model and faultable.
-
-        Data-wise nothing moves in the in-process simulation, but a
-        barrier is still a collective: it consults the fault plan (so
-        barrier-heavy schedules can fail like any other collective) and
-        charges the latency-only dissemination cost
-        (:meth:`~repro.distributed.CommCostModel.barrier_time`), so
-        modeled time no longer under-reports barrier-synchronised runs.
-        """
-        with get_tracer().span(
-            "comm.barrier",
-            category="comm",
-            world_size=self.world_size,
-        ) as span:
-            if self.fault_plan is not None:
-                self.fault_plan.before_collective(self.ranks)
-            modeled = self.cost_model.barrier_time(self.world_size)
-            self.stats.num_barrier_calls += 1
-            self.stats.modeled_seconds += modeled
-            span.set(modeled_s=modeled)
+    def _run_barrier(self) -> None:
+        """Nothing moves in the in-process simulation; the barrier is
+        still faultable and charged by the envelope."""

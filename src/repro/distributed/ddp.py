@@ -107,12 +107,16 @@ class DistributedDataParallel:
         self.strategy = strategy
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.clock = clock if clock is not None else SimClock()
-        self.global_ranks: List[int] = list(comm.ranks)
 
     @property
     def world_size(self) -> int:
         """Number of *live* replicas."""
         return self.comm.world_size
+
+    @property
+    def global_ranks(self) -> List[int]:
+        """Original rank ids of the live replicas: ``comm.ranks`` itself."""
+        return self.comm.ranks
 
     # ------------------------------------------------------------------
     def synchronize_gradients(self) -> None:
@@ -184,7 +188,7 @@ class DistributedDataParallel:
                         survivors=len(self.global_ranks),
                     )
                     retries_left = self.retry_policy.max_retries
-                    need_resync = getattr(self.comm, "requires_resync", False)
+                    need_resync = self.comm.requires_resync
 
     def _sync_once(self) -> None:
         if self.strategy == "coalesced":
@@ -203,23 +207,15 @@ class DistributedDataParallel:
         a no-op — which is what keeps a proc-backend chaos run bit-exact
         with its sim-backend eviction replay.
         """
-        source = self.models[0]
-        arrays = [p.data for _, p in source.named_parameters()]
-        if not arrays:
+        flat, specs = flatten_arrays([p.data for p in self.models[0].parameters()])
+        if not specs:
             return
-        # float64 wire format: exact for float64 *and* float32 parameters
-        # (unlike the float32 gradient-coalescing layout)
-        flat = np.concatenate([a.reshape(-1).astype(np.float64) for a in arrays])
-        synced = self.comm.broadcast(flat)
+        # float64 on the wire whatever the parameter dtype: exact for
+        # float32 and float64 alike, and the same bytes charged either way
+        synced = self.comm.broadcast(flat.astype(np.float64))
         for m, vec in zip(self.models, synced):
-            offset = 0
-            for _, p in m.named_parameters():
-                size = p.data.size
-                chunk = vec[offset : offset + size]
-                p.data[...] = chunk.reshape(p.data.shape).astype(
-                    p.data.dtype, copy=False
-                )
-                offset += size
+            for p, chunk in zip(m.parameters(), unflatten_array(vec, specs)):
+                p.data[...] = chunk
         get_tracer().event(
             "comm.resync",
             category="fault",
@@ -240,9 +236,7 @@ class DistributedDataParallel:
         all-reduces divide by the new world size — the elastic
         degradation path of a production job losing a node mid-run.
         """
-        index = self.comm.remove_rank(global_rank)
-        self.global_ranks.pop(index)
-        return self.models.pop(index)
+        return self.models.pop(self.comm.remove_rank(global_rank))
 
     def _sync_per_parameter(self) -> None:
         params_per_rank = [list(m.parameters()) for m in self.models]

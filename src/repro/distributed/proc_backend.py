@@ -57,7 +57,6 @@ import numpy as np
 from ..faults import CommTimeoutError, ProcessFault, RankDeadError
 from ..obs import RunTelemetry, get_telemetry, get_tracer, set_telemetry
 from .backend import CommBackend
-from .comm import CommStats
 from .costmodel import CommCostModel, NVLINK_A100
 from .supervisor import (
     FLAG_ABORT,
@@ -179,91 +178,95 @@ def _op_allreduce(ctrl: ControlBlock, rank: int, cmd: dict, segments: dict) -> N
     timeout: float = cmd["timeout"]
 
     tracer = get_tracer()
-    with tracer.span(
-        "comm.worker.allreduce",
-        category="comm.worker",
-        seq=cmd["seq"],
-        nelems=n,
-        world_size=len(live),
-    ):
-        _consume_injected_delay(ctrl, rank)
-        _check_abort(ctrl, abort0)
-        _prune_segments(segments, list(names.values()))
-        p = len(live)
-        pos = live.index(rank)
-        left = live[(pos - 1) % p]
-        mine = np.ndarray(
-            (n,), np.float64, buffer=_segment_view(segments, names[rank]).buf
-        )
-        theirs = np.ndarray(
-            (n,), np.float64, buffer=_segment_view(segments, names[left]).buf
-        )
-        bounds = np.linspace(0, n, p + 1).astype(np.int64)
+    p = len(live)
+    pos = live.index(rank)
+    left = live[(pos - 1) % p]
+    mine = np.ndarray(
+        (n,), np.float64, buffer=_segment_view(segments, names[rank]).buf
+    )
+    theirs = np.ndarray(
+        (n,), np.float64, buffer=_segment_view(segments, names[left]).buf
+    )
+    bounds = np.linspace(0, n, p + 1).astype(np.int64)
 
-        b = 0
-        # reduce-scatter: at step s this rank receives chunk (pos - 1 - s)
-        for s in range(p - 1):
-            if s > 0:
-                _barrier_wait(ctrl, rank, seq0 + b, live, abort0, timeout)
-                b += 1
-            c = (pos - 1 - s) % p
-            sl = slice(bounds[c], bounds[c + 1])
-            with tracer.span("comm.worker.reduce", category="comm.worker",
-                             step=s, chunk=int(c)):
-                mine[sl] += theirs[sl]
-        # all-gather: at step s this rank receives finished chunk (pos - s);
-        # every step reads what the left neighbour wrote in the previous one,
-        # so each needs a leading barrier
-        for s in range(p - 1):
+    b = 0
+    # reduce-scatter: at step s this rank receives chunk (pos - 1 - s)
+    for s in range(p - 1):
+        if s > 0:
             _barrier_wait(ctrl, rank, seq0 + b, live, abort0, timeout)
             b += 1
-            c = (pos - s) % p
-            sl = slice(bounds[c], bounds[c + 1])
-            with tracer.span("comm.worker.copy", category="comm.worker",
-                             step=s, chunk=int(c)):
-                mine[sl] = theirs[sl]
+        c = (pos - 1 - s) % p
+        sl = slice(bounds[c], bounds[c + 1])
+        with tracer.span("comm.worker.reduce", category="comm.worker",
+                         step=s, chunk=int(c)):
+            mine[sl] += theirs[sl]
+    # all-gather: at step s this rank receives finished chunk (pos - s);
+    # every step reads what the left neighbour wrote in the previous one,
+    # so each needs a leading barrier
+    for s in range(p - 1):
+        _barrier_wait(ctrl, rank, seq0 + b, live, abort0, timeout)
+        b += 1
+        c = (pos - s) % p
+        sl = slice(bounds[c], bounds[c + 1])
+        with tracer.span("comm.worker.copy", category="comm.worker",
+                         step=s, chunk=int(c)):
+            mine[sl] = theirs[sl]
 
 
 def _op_broadcast(ctrl: ControlBlock, rank: int, cmd: dict, segments: dict) -> None:
     """Copy the root rank's raw bytes into this rank's segment."""
-    live: List[int] = cmd["live"]
     names: Dict[int, str] = cmd["names"]
     nbytes: int = cmd["nbytes"]
     root: int = cmd["root"]
-    abort0: int = cmd["abort0"]
-
-    tracer = get_tracer()
-    with tracer.span(
-        "comm.worker.broadcast",
-        category="comm.worker",
-        seq=cmd["seq"],
-        nbytes=nbytes,
-        world_size=len(live),
-    ):
-        _consume_injected_delay(ctrl, rank)
-        _check_abort(ctrl, abort0)
-        _prune_segments(segments, list(names.values()))
-        if rank != root:
-            dst = np.ndarray(
-                (nbytes,), np.uint8, buffer=_segment_view(segments, names[rank]).buf
-            )
-            src = np.ndarray(
-                (nbytes,), np.uint8, buffer=_segment_view(segments, names[root]).buf
-            )
-            with tracer.span("comm.worker.copy", category="comm.worker",
-                             nbytes=nbytes):
-                dst[:] = src
-        _barrier_wait(ctrl, rank, cmd["seq0"], live, abort0, cmd["timeout"])
-
-
-def _op_barrier(ctrl: ControlBlock, rank: int, cmd: dict) -> None:
-    with get_tracer().span(
-        "comm.worker.barrier", category="comm.worker", seq=cmd["seq"]
-    ):
-        _consume_injected_delay(ctrl, rank)
-        _barrier_wait(
-            ctrl, rank, cmd["seq0"], cmd["live"], cmd["abort0"], cmd["timeout"]
+    if rank != root:
+        dst = np.ndarray(
+            (nbytes,), np.uint8, buffer=_segment_view(segments, names[rank]).buf
         )
+        src = np.ndarray(
+            (nbytes,), np.uint8, buffer=_segment_view(segments, names[root]).buf
+        )
+        with get_tracer().span("comm.worker.copy", category="comm.worker",
+                               nbytes=nbytes):
+            dst[:] = src
+    _op_barrier(ctrl, rank, cmd, segments)  # nobody returns before all copied
+
+
+def _op_barrier(ctrl: ControlBlock, rank: int, cmd: dict, segments: dict) -> None:
+    _barrier_wait(
+        ctrl, rank, cmd["seq0"], cmd["live"], cmd["abort0"], cmd["timeout"]
+    )
+
+
+#: The collectives a worker executes: op -> (handler, the command's size
+#: field, echoed on the op span beside ``world_size``; ``None`` for an op
+#: that moves no data).  ``ProcCommunicator._roundtrip`` sends these ops
+#: and nothing else; ``shutdown`` / ``telemetry`` are control messages
+#: answered by the command loop itself.
+_WORKER_OPS = {
+    "allreduce": (_op_allreduce, "nelems"),
+    "broadcast": (_op_broadcast, "nbytes"),
+    "barrier": (_op_barrier, None),
+}
+
+
+def _run_op(ctrl: ControlBlock, rank: int, cmd: dict, segments: dict) -> None:
+    """One collective, worker side: the shared preamble (``comm.worker.<op>``
+    span; inside it the injected ``slow`` delay, the abort check and the
+    pruning of segments the driver has since replaced), then the handler."""
+    op = cmd["op"]
+    if op not in _WORKER_OPS:
+        raise ValueError(f"unknown worker op {op!r}")
+    handler, size_field = _WORKER_OPS[op]
+    attrs = {"seq": cmd["seq"]}
+    if size_field is not None:
+        attrs[size_field] = cmd[size_field]
+        attrs["world_size"] = len(cmd["live"])
+    with get_tracer().span(f"comm.worker.{op}", category="comm.worker", **attrs):
+        _consume_injected_delay(ctrl, rank)
+        _check_abort(ctrl, cmd["abort0"])
+        if "names" in cmd:
+            _prune_segments(segments, list(cmd["names"].values()))
+        handler(ctrl, rank, cmd, segments)
 
 
 def _telemetry_payload(rank: int) -> Optional[dict]:
@@ -361,14 +364,7 @@ def _worker_main(
                 continue
             telemetry = get_telemetry()
             try:
-                if op == "allreduce":
-                    _op_allreduce(ctrl, rank, cmd, segments)
-                elif op == "broadcast":
-                    _op_broadcast(ctrl, rank, cmd, segments)
-                elif op == "barrier":
-                    _op_barrier(ctrl, rank, cmd)
-                else:
-                    raise ValueError(f"unknown worker op {op!r}")
+                _run_op(ctrl, rank, cmd, segments)
                 if telemetry is not None:
                     telemetry.metrics.counter("comm.worker.collectives").add(1)
                 status = {"seq": cmd["seq"], "status": "ok", "rank": rank}
@@ -432,6 +428,7 @@ class ProcCommunicator(CommBackend):
     """
 
     requires_resync = True
+    measured_backend = "proc"
 
     def __init__(
         self,
@@ -445,8 +442,6 @@ class ProcCommunicator(CommBackend):
         start_method: Optional[str] = None,
         startup_timeout: float = 30.0,
     ) -> None:
-        if world_size < 1:
-            raise ValueError("world_size must be >= 1")
         if algorithm != "ring":
             raise ValueError(
                 "the proc backend implements the ring algorithm only "
@@ -454,14 +449,9 @@ class ProcCommunicator(CommBackend):
             )
         if collective_timeout <= 0 or heartbeat_deadline <= 0:
             raise ValueError("timeouts must be positive")
-        self.ranks: List[int] = list(range(world_size))
-        self.cost_model = cost_model
-        self.algorithm = algorithm
-        self.fault_plan = fault_plan
+        super().__init__(world_size, cost_model, algorithm, fault_plan)
         self.collective_timeout = collective_timeout
         self.heartbeat_deadline = heartbeat_deadline
-        self.stats = CommStats()
-        self._closed = False
         self._seq = 0  # collective id (response matching)
         self._barrier_seq = 1  # barrier sequence allocator (arrive starts at 0)
 
@@ -495,19 +485,9 @@ class ProcCommunicator(CommBackend):
         atexit.register(self.close)
 
     # ------------------------------------------------------------------
-    @property
-    def world_size(self) -> int:
-        """Number of *live* ranks."""
-        return len(self.ranks)
-
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
-
-    def _alloc_barriers(self, count: int) -> int:
-        seq0 = self._barrier_seq
-        self._barrier_seq += count
-        return seq0
 
     def _ensure_segment(self, rank: int, nbytes: int) -> shared_memory.SharedMemory:
         seg = self._segments.get(rank)
@@ -549,81 +529,50 @@ class ProcCommunicator(CommBackend):
             )
             self._control.slow[fault.rank] = fault.duration
 
-    def _before_attempt(self) -> None:
-        if self.fault_plan is not None:
-            self.fault_plan.before_collective(
-                self.ranks, process_fault_executor=self._execute_process_fault
-            )
-
     # -- collective plumbing ------------------------------------------
-    def _dispatch(self, cmd: dict, live: Sequence[int], seq: int) -> None:
+    def _roundtrip(self, op: str, barriers: int, live: List[int], **fields) -> None:
+        """Send one ``_WORKER_OPS`` command to every live worker and wait
+        for all of them to acknowledge it.
+
+        ``barriers`` is how many shared-barrier sequence numbers the op
+        consumes worker-side (allocated here, so they never repeat).  On
+        a failure the in-flight collective is aborted and the workers
+        that received it are drained before the error propagates, so a
+        retry never races a worker still touching its segment.
+        """
+        seq = self._next_seq()
+        cmd = {
+            "op": op,
+            "seq": seq,
+            "seq0": self._barrier_seq,
+            "live": live,
+            "abort0": self._control.abort_generation,
+            "timeout": self.collective_timeout,
+            **fields,
+        }
+        self._barrier_seq += barriers
         sent: List[int] = []
         try:
             for rank in live:
                 self._supervisor.send(rank, cmd)
                 sent.append(rank)
-        except RankDeadError as err:
-            self._supervisor.abort_and_drain(
-                seq, sent, exclude=[err.rank], timeout=self._drain_timeout
-            )
-            self.stats.record_event(str(err))
-            raise
-
-    def _gather(self, seq: int, live: Sequence[int]) -> None:
-        try:
             self._supervisor.gather(seq, live, self.collective_timeout)
-        except RankDeadError as err:
+        except (RankDeadError, CommTimeoutError) as err:
+            # a dead rank cannot answer the abort; a straggler still does
+            dead = [err.rank] if isinstance(err, RankDeadError) else []
             self._supervisor.abort_and_drain(
-                seq, live, exclude=[err.rank], timeout=self._drain_timeout
-            )
-            self.stats.record_event(str(err))
-            raise
-        except CommTimeoutError as err:
-            self._supervisor.abort_and_drain(
-                seq, live, exclude=[], timeout=self._drain_timeout
+                seq, sent, exclude=dead,
+                timeout=max(self.collective_timeout, self.heartbeat_deadline) + 1.0,
             )
             self.stats.record_event(str(err))
             raise
 
-    @property
-    def _drain_timeout(self) -> float:
-        return max(self.collective_timeout, self.heartbeat_deadline) + 1.0
-
-    # -- collectives ---------------------------------------------------
-    def allreduce(
-        self, buffers: Sequence[np.ndarray], average: bool = True
-    ) -> List[np.ndarray]:
-        """Ring all-reduce executed by the worker fleet; bit-exact with
-        :meth:`SimCommunicator.allreduce` on the same inputs."""
-        self._assert_open()
-        if len(buffers) != self.world_size:
-            raise ValueError(
-                f"expected {self.world_size} rank buffers, got {len(buffers)}"
-            )
-        nbytes = buffers[0].nbytes
-        with get_tracer().span(
-            "comm.allreduce",
-            category="comm",
-            nbytes=nbytes,
-            algorithm=self.algorithm,
-            world_size=self.world_size,
-            backend="proc",
-        ) as span:
-            t0 = time.perf_counter()
-            self._before_attempt()
-            out = self._run_allreduce(buffers, average)
-            modeled = self.cost_model.allreduce_time(nbytes, self.world_size)
-            measured = time.perf_counter() - t0
-            self.stats.num_allreduce_calls += 1
-            self.stats.bytes_reduced += nbytes
-            self.stats.modeled_seconds += modeled
-            self.stats.measured_seconds += measured
-            span.set(modeled_s=modeled, measured_s=measured)
-        return out
-
+    # -- transports ----------------------------------------------------
     def _run_allreduce(
         self, buffers: Sequence[np.ndarray], average: bool
     ) -> List[np.ndarray]:
+        """Ring all-reduce executed by the worker fleet; bit-exact with
+        :class:`SimCommunicator` on the same inputs."""
         shape = buffers[0].shape
         dtype = buffers[0].dtype
         for b in buffers:
@@ -644,20 +593,7 @@ class ProcCommunicator(CommBackend):
                 view = np.ndarray((n,), np.float64, buffer=seg.buf)
                 view[:] = np.ascontiguousarray(buf).reshape(-1)
                 names[rank] = seg.name
-        seq = self._next_seq()
-        seq0 = self._alloc_barriers(2 * p - 3)
-        cmd = {
-            "op": "allreduce",
-            "seq": seq,
-            "seq0": seq0,
-            "nelems": n,
-            "names": names,
-            "live": live,
-            "abort0": self._control.abort_generation,
-            "timeout": self.collective_timeout,
-        }
-        self._dispatch(cmd, live, seq)
-        self._gather(seq, live)
+        self._roundtrip("allreduce", 2 * p - 3, live, nelems=n, names=names)
         scale = 1.0 / p if average else 1.0
         out = []
         with get_tracer().span(
@@ -669,30 +605,9 @@ class ProcCommunicator(CommBackend):
                 out.append((w * scale).reshape(shape).astype(dtype))
         return out
 
-    def broadcast(self, buffer: np.ndarray) -> List[np.ndarray]:
-        """Broadcast the given buffer (the lowest live rank's state) to all."""
-        self._assert_open()
-        nbytes = buffer.nbytes
-        with get_tracer().span(
-            "comm.broadcast",
-            category="comm",
-            nbytes=nbytes,
-            world_size=self.world_size,
-            backend="proc",
-        ) as span:
-            t0 = time.perf_counter()
-            self._before_attempt()
-            out = self._run_broadcast(buffer)
-            modeled = self.cost_model.broadcast_time(nbytes, self.world_size)
-            measured = time.perf_counter() - t0
-            self.stats.num_broadcast_calls += 1
-            self.stats.bytes_broadcast += nbytes
-            self.stats.modeled_seconds += modeled
-            self.stats.measured_seconds += measured
-            span.set(modeled_s=modeled, measured_s=measured)
-        return out
-
     def _run_broadcast(self, buffer: np.ndarray) -> List[np.ndarray]:
+        """Copy ``buffer`` (the lowest live rank's state) into every
+        live rank's segment."""
         p = self.world_size
         if p == 1:
             return [buffer.copy()]
@@ -708,21 +623,7 @@ class ProcCommunicator(CommBackend):
             (nbytes,), np.uint8, buffer=self._segments[root].buf
         )
         root_view[:] = raw.view(np.uint8).reshape(-1)
-        seq = self._next_seq()
-        seq0 = self._alloc_barriers(1)
-        cmd = {
-            "op": "broadcast",
-            "seq": seq,
-            "seq0": seq0,
-            "nbytes": nbytes,
-            "names": names,
-            "live": live,
-            "root": root,
-            "abort0": self._control.abort_generation,
-            "timeout": self.collective_timeout,
-        }
-        self._dispatch(cmd, live, seq)
-        self._gather(seq, live)
+        self._roundtrip("broadcast", 1, live, nbytes=nbytes, names=names, root=root)
         out = []
         for rank in live:
             seg = self._segments[rank]
@@ -732,37 +633,10 @@ class ProcCommunicator(CommBackend):
             )
         return out
 
-    def barrier(self) -> None:
+    def _run_barrier(self) -> None:
         """Real inter-process barrier over the live ranks."""
-        self._assert_open()
-        with get_tracer().span(
-            "comm.barrier",
-            category="comm",
-            world_size=self.world_size,
-            backend="proc",
-        ) as span:
-            t0 = time.perf_counter()
-            self._before_attempt()
-            if self.world_size > 1:
-                live = list(self.ranks)
-                seq = self._next_seq()
-                seq0 = self._alloc_barriers(1)
-                cmd = {
-                    "op": "barrier",
-                    "seq": seq,
-                    "seq0": seq0,
-                    "live": live,
-                    "abort0": self._control.abort_generation,
-                    "timeout": self.collective_timeout,
-                }
-                self._dispatch(cmd, live, seq)
-                self._gather(seq, live)
-            modeled = self.cost_model.barrier_time(self.world_size)
-            measured = time.perf_counter() - t0
-            self.stats.num_barrier_calls += 1
-            self.stats.modeled_seconds += modeled
-            self.stats.measured_seconds += measured
-            span.set(modeled_s=modeled, measured_s=measured)
+        if self.world_size > 1:
+            self._roundtrip("barrier", 1, list(self.ranks))
 
     # -- telemetry collection ------------------------------------------
     def _recv_telemetry(self, rank: int, seq: int, timeout: float) -> Optional[dict]:
@@ -832,20 +706,13 @@ class ProcCommunicator(CommBackend):
         return collected
 
     # -- elasticity ----------------------------------------------------
-    def remove_rank(self, rank: int) -> int:
-        """Evict a permanently failed rank: epoch bump + worker teardown.
+    def _evict(self, rank: int) -> str:
+        """Epoch bump + worker teardown for an evicted rank.
 
-        Mirrors :meth:`SimCommunicator.remove_rank` (same errors, same
-        stats trail) and additionally bumps the shared membership epoch
-        and SIGKILLs the dead worker (it may be merely SIGSTOPped).
-        Subsequent collectives ring over the survivors only.
+        Bumps the shared membership epoch and SIGKILLs the dead worker
+        (it may be merely SIGSTOPped); subsequent collectives ring over
+        the survivors only.
         """
-        if rank not in self.ranks:
-            raise ValueError(f"rank {rank} is not live (live ranks: {self.ranks})")
-        if len(self.ranks) == 1:
-            raise RuntimeError("cannot remove the last surviving rank")
-        index = self.ranks.index(rank)
-        self.ranks.remove(rank)
         self._control.live[rank] = 0
         epoch = self._control.bump_epoch()
         record_supervisor_event(
@@ -857,18 +724,9 @@ class ProcCommunicator(CommBackend):
         if seg is not None:
             seg.close()
             seg.unlink()
-        self.stats.rank_failures.append(rank)
-        self.stats.record_event(
-            f"rank {rank} permanently failed; continuing with world size "
-            f"{len(self.ranks)} (survivors: {self.ranks}, epoch {epoch})"
-        )
-        return index
+        return f", epoch {epoch}"
 
     # -- lifecycle -----------------------------------------------------
-    def _assert_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("communicator is closed")
-
     def close(self) -> None:
         """Graceful drain: ask live workers to exit, then release shm.
 

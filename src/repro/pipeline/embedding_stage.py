@@ -42,14 +42,12 @@ class EmbeddingStage:
         self.losses: List[float] = []
 
     # ------------------------------------------------------------------
-    def fit(self, events: Sequence[Event], rng: np.random.Generator) -> "EmbeddingStage":
-        """Train on the truth segments of the given events."""
-        if not events:
-            raise ValueError("no training events")
-        feats = [vertex_features(e, self.geometry, self.config.feature_scheme) for e in events]
-        net = EmbeddingNet(
+    def build_net(self, node_features: int) -> EmbeddingNet:
+        """A fresh (seeded, untrained) network for this config — what
+        :meth:`fit` trains and ``load_pipeline`` fills with saved weights."""
+        return EmbeddingNet(
             EmbeddingConfig(
-                node_features=feats[0].shape[1],
+                node_features=node_features,
                 embedding_dim=self.config.embedding_dim,
                 hidden=self.config.embedding_hidden,
                 mlp_layers=self.config.mlp_layers,
@@ -57,6 +55,13 @@ class EmbeddingStage:
                 seed=self.config.seed,
             )
         )
+
+    def fit(self, events: Sequence[Event], rng: np.random.Generator) -> "EmbeddingStage":
+        """Train on the truth segments of the given events."""
+        if not events:
+            raise ValueError("no training events")
+        feats = [vertex_features(e, self.geometry, self.config.feature_scheme) for e in events]
+        net = self.build_net(feats[0].shape[1])
         optimizer = Adam(net.parameters(), lr=self.config.embedding_lr)
         loss_fn = HingeEmbeddingLoss(margin=self.config.embedding_margin)
         self.losses = []

@@ -30,22 +30,26 @@ class FilterStage:
         self.losses: List[float] = []
 
     # ------------------------------------------------------------------
+    def build_net(self, node_features: int, edge_features: int) -> FilterNet:
+        """A fresh (seeded, untrained) network for this config — what
+        :meth:`fit` trains and ``load_pipeline`` fills with saved weights."""
+        return FilterNet(
+            FilterConfig(
+                node_features=node_features,
+                edge_features=edge_features,
+                hidden=self.config.filter_hidden,
+                mlp_layers=self.config.mlp_layers,
+                seed=self.config.seed,
+            )
+        )
+
     def fit(
         self, graphs: Sequence[EventGraph], rng: np.random.Generator
     ) -> "FilterStage":
         """Train the filter MLP on labelled candidate graphs."""
         if not graphs:
             raise ValueError("no training graphs")
-        g0 = graphs[0]
-        net = FilterNet(
-            FilterConfig(
-                node_features=g0.num_node_features,
-                edge_features=g0.num_edge_features,
-                hidden=self.config.filter_hidden,
-                mlp_layers=self.config.mlp_layers,
-                seed=self.config.seed,
-            )
-        )
+        net = self.build_net(graphs[0].num_node_features, graphs[0].num_edge_features)
         optimizer = Adam(net.parameters(), lr=self.config.filter_lr)
         loss_fn = BCEWithLogitsLoss(pos_weight=derive_pos_weight(graphs))
         self.losses = []

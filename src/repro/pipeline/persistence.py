@@ -25,21 +25,13 @@ import numpy as np
 
 from ..detector.geometry import DetectorGeometry
 from ..io.serialization import CheckpointError, atomic_savez, open_archive
-from ..models import (
-    EmbeddingConfig,
-    EmbeddingNet,
-    FilterConfig,
-    FilterNet,
-    IGNNConfig,
-    InteractionGNN,
-)
 from .config import GNNTrainConfig, PipelineConfig
 from .embedding_stage import EmbeddingStage
 from .filter_stage import FilterStage
 from .gnn_stage import GNNStage
 from .graph_construction import GraphConstructionStage
 from .pipeline import ExaTrkXPipeline
-from .trainers import GNNTrainResult
+from .trainers import GNNTrainResult, _model_factory
 
 __all__ = ["save_pipeline", "load_pipeline", "CheckpointError"]
 
@@ -156,44 +148,19 @@ def load_pipeline(path: str, geometry: DetectorGeometry) -> ExaTrkXPipeline:
 
         pipeline = ExaTrkXPipeline(config, geometry)
 
-        emb_net = EmbeddingNet(
-            EmbeddingConfig(
-                node_features=emb_nf,
-                embedding_dim=config.embedding_dim,
-                hidden=config.embedding_hidden,
-                mlp_layers=config.mlp_layers,
-                margin=config.embedding_margin,
-                seed=config.seed,
-            )
-        )
+        emb_net = pipeline.embedding.build_net(emb_nf)
         _load_stage_state(emb_net, "embedding", archive, path)
         pipeline.embedding.net = emb_net
         pipeline.construction = GraphConstructionStage(
             config, geometry, pipeline.embedding
         )
 
-        fil_net = FilterNet(
-            FilterConfig(
-                node_features=fil_nf,
-                edge_features=fil_ef,
-                hidden=config.filter_hidden,
-                mlp_layers=config.mlp_layers,
-                seed=config.seed,
-            )
-        )
+        fil_net = pipeline.filter.build_net(fil_nf, fil_ef)
         _load_stage_state(fil_net, "filter", archive, path)
         pipeline.filter.net = fil_net
 
-        gnn_model = InteractionGNN(
-            IGNNConfig(
-                node_features=gnn_nf,
-                edge_features=gnn_ef,
-                hidden=config.gnn.hidden,
-                num_layers=config.gnn.num_layers,
-                mlp_layers=config.gnn.mlp_layers,
-                seed=config.gnn.seed,
-            )
-        )
+        # the trainer's factory, so fused_kernels / precision survive a reload
+        gnn_model = _model_factory(config.gnn, gnn_nf, gnn_ef)()
         _load_stage_state(gnn_model, "gnn", archive, path)
         from ..metrics import TrainingHistory
         from ..perf import StageTimer

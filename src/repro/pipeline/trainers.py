@@ -275,25 +275,22 @@ def evaluate_edge_classifier(
     return pooled_precision_recall(pairs, threshold=threshold)
 
 
-def _model_factory(config: GNNTrainConfig, sample_graph: EventGraph) -> Callable[[], InteractionGNN]:
+def _model_factory(
+    config: GNNTrainConfig, node_features: int, edge_features: int
+) -> Callable[[], InteractionGNN]:
+    """The one place a ``config`` becomes an IGNN (training and
+    :func:`~repro.pipeline.persistence.load_pipeline` alike)."""
     ignn_config = IGNNConfig(
-        node_features=sample_graph.num_node_features,
-        edge_features=sample_graph.num_edge_features,
+        node_features=node_features,
+        edge_features=edge_features,
         hidden=config.hidden,
         num_layers=config.num_layers,
         mlp_layers=config.mlp_layers,
         seed=config.seed,
         fused=config.fused_kernels,
     )
-    dtype = np.dtype(config.precision)
-
-    def factory() -> InteractionGNN:
-        model = InteractionGNN(ignn_config)
-        if dtype != np.float32:
-            model.astype(dtype)  # float64 reference mode
-        return model
-
-    return factory
+    dtype = np.dtype(config.precision)  # float64 = reference mode; float32 is a no-op cast
+    return lambda: InteractionGNN(ignn_config).astype(dtype)
 
 
 class _Rank:
@@ -488,7 +485,9 @@ def _train(
     watchdog: Optional[StabilityWatchdog] = None,
 ) -> GNNTrainResult:
     world = config.world_size
-    models = replicate_model(_model_factory(config, train_graphs[0]), world)
+    g0 = train_graphs[0]
+    factory = _model_factory(config, g0.num_node_features, g0.num_edge_features)
+    models = replicate_model(factory, world)
     sampler, plan_epoch, label = _step_source(config, train_graphs, models[0].config)
     # The communicator must exist before PrefetchLoader starts worker
     # threads: the proc backend forks, and forking a multi-threaded
@@ -647,9 +646,7 @@ def _train(
             # Multi-process backends buffer per-rank spans/metrics worker-side;
             # pull the deltas into the driver's trace at each epoch boundary
             # (close() collects whatever the final partial epoch leaves).
-            collect = getattr(comm, "collect_worker_telemetry", None)
-            if collect is not None:
-                collect()
+            comm.collect_worker_telemetry()
             if stop or steps >= max_steps:
                 break
         lead = ranks[0].model

@@ -333,14 +333,16 @@ class RequestQueue:
 
     ``offer`` rejects (returns ``False``) when the queue is at capacity
     — the caller sheds the request; ``pop_batch`` removes up to
-    ``max_n`` oldest requests atomically.
+    ``max_n`` oldest requests atomically.  The lock is re-entrant: a
+    caller holding :attr:`not_empty` can make several of these calls as
+    one atomic decision (the engine's "is a batch due? then pop it").
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self.not_empty = threading.Condition(self._lock)
         self._items: Deque[ServeRequest] = deque()
 
@@ -662,6 +664,15 @@ class InferenceEngine:
             return oldest
         return oldest + 1e-3 * self.config.max_wait_ms
 
+    def _pop_due(self) -> List[ServeRequest]:
+        """The dispatch policy's one pop: the next batch if one is due at
+        the current clock time (see :meth:`next_due_time`), else ``[]``."""
+        with self.queue.not_empty:
+            due = self.next_due_time()
+            if due is None or due > self.clock.now:
+                return []
+            return self.queue.pop_batch(self.config.max_batch_events)
+
     def pump(self) -> int:
         """Dispatch ONE batch if one is due; returns its size (0 if not).
 
@@ -669,10 +680,7 @@ class InferenceEngine:
         the oldest request's batching deadline has expired at the
         current clock time.
         """
-        due = self.next_due_time()
-        if due is None or due > self.clock.now:
-            return 0
-        batch = self.queue.pop_batch(self.config.max_batch_events)
+        batch = self._pop_due()
         if batch:
             self._process_batch(batch)
         return len(batch)
@@ -689,27 +697,23 @@ class InferenceEngine:
 
     # -- threaded micro-batcher (workers >= 1) -------------------------
     def _batcher_loop(self) -> None:
-        cfg = self.config
         while True:
             with self.queue.not_empty:
-                while len(self.queue._items) == 0 and not self._closed:
-                    self.queue.not_empty.wait(timeout=0.05)
-                if self._closed and not self.queue._items:
-                    return
-                # batch is dispatched when full, or when the oldest
-                # request's deadline expires — whichever happens first
-                while (
-                    len(self.queue._items) < cfg.max_batch_events
-                    and not self._closed
-                ):
-                    oldest = self.queue._items[0].t_submit if self.queue._items else None
-                    if oldest is None:
-                        break
-                    remaining = oldest + 1e-3 * cfg.max_wait_ms - self.clock.now
+                # sleep until the policy says a batch is due (an offer or
+                # close() wakes the wait early); a closing engine drains
+                # whatever is queued without waiting out the deadline
+                while not self._closed:
+                    due = self.next_due_time()
+                    remaining = 0.05 if due is None else due - self.clock.now
                     if remaining <= 0:
                         break
                     self.queue.not_empty.wait(timeout=min(remaining, 0.05))
-            batch = self.queue.pop_batch(cfg.max_batch_events)
+                if self._closed:
+                    batch = self.queue.pop_batch(self.config.max_batch_events)
+                    if not batch:
+                        return
+                else:
+                    batch = self._pop_due()
             if batch:
                 assert self._executor is not None
                 self._executor.submit(self._process_batch, batch)

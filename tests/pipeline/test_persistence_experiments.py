@@ -1,5 +1,6 @@
 """Pipeline save/load round-trip and multi-seed sweeps."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -66,6 +67,30 @@ class TestPersistence:
             loaded.embedding.net.named_parameters(),
         ):
             assert np.array_equal(a.data, b.data), n1
+
+    def test_reference_kernels_and_precision_survive(
+        self, fitted, geometry, small_events, tmp_path
+    ):
+        """The reloaded GNN is built by the trainer's factory, so the
+        unfused / float64 reference modes are not silently dropped."""
+        cfg = dataclasses.replace(
+            fitted.config,
+            gnn=fitted.config.gnn.replace(fused_kernels=False, precision="float64"),
+        )
+        pipe = ExaTrkXPipeline(cfg, geometry)
+        pipe.fit(small_events[:4], small_events[4:5])
+        path = str(tmp_path / "pipe.npz")
+        save_pipeline(pipe, path)
+        loaded = load_pipeline(path, geometry)
+        assert pipe.gnn.model.config.fused is False
+        assert loaded.gnn.model.config.fused is False
+        for a, b in zip(pipe.gnn.model.parameters(), loaded.gnn.model.parameters()):
+            assert a.data.dtype == b.data.dtype == np.float64
+            assert np.array_equal(a.data, b.data)
+        for event in small_events[4:]:
+            before, after = pipe.reconstruct(event), loaded.reconstruct(event)
+            assert len(before) == len(after)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_unfitted_rejected(self, geometry, tmp_path):
         pipe = ExaTrkXPipeline(PipelineConfig(), geometry)

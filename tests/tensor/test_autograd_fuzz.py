@@ -8,10 +8,12 @@ double-counted diamond paths).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.tensor import Tensor, gradcheck, ops
+
+_LEAKY_RELU = lambda t: ops.leaky_relu(t, 0.2)
 
 # unary ops safe on any real input
 _UNARY = [
@@ -19,7 +21,7 @@ _UNARY = [
     lambda t: ops.sigmoid(t),
     lambda t: ops.mul(t, t),
     lambda t: ops.neg(t),
-    lambda t: ops.leaky_relu(t, 0.2),
+    _LEAKY_RELU,
     lambda t: ops.softmax(t, axis=-1),
 ]
 
@@ -54,11 +56,17 @@ class TestAutogradFuzz:
         x = Tensor(rng.normal(scale=0.7, size=(3, 4)), requires_grad=True)
         y = Tensor(rng.normal(scale=0.7, size=(3, 4)), requires_grad=True)
 
+        # sign pattern of every leaky_relu input, one entry per build() call
+        kink_sides = []
+
         def build(x, y):
             pool = [x, y]
+            kink_sides.append([])
             for kind, which in steps:
                 if kind == 0:
                     op = _UNARY[which % len(_UNARY)]
+                    if op is _LEAKY_RELU:
+                        kink_sides[-1].append(np.sign(pool[-1].data))
                     pool.append(op(pool[-1]))
                 else:
                     op = _BINARY[which % len(_BINARY)]
@@ -67,7 +75,22 @@ class TestAutogradFuzz:
                     pool.append(op(a, b))
             return ops.mean(ops.mul(pool[-1], pool[-1]))
 
-        gradcheck(build, [x, y], atol=2e-5, rtol=1e-3)
+        try:
+            gradcheck(build, [x, y], atol=2e-5, rtol=1e-3)
+        except AssertionError:
+            # A leaky_relu input with an element within the (propagated)
+            # gradcheck step of 0 puts the two finite-difference
+            # evaluations on opposite sides of the kink: they measure a
+            # chord, not the derivative.  Such a program is not a
+            # counter-example; anything else is.
+            assume(
+                all(
+                    np.array_equal(side, side0)
+                    for sides in kink_sides
+                    for side, side0 in zip(sides, kink_sides[0])
+                )
+            )
+            raise
 
     @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(2, 6))
     @settings(max_examples=40, deadline=None)

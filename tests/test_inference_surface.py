@@ -63,3 +63,18 @@ def test_engine_store_and_diagnostics_walk_no_stage_themselves():
         assert _calls(_parse(os.path.join(*path)), stage_calls) == [], path
     diagnostics = _parse(os.path.join("pipeline", "diagnostics.py"))
     assert _calls(diagnostics, stage_calls + ["build", "prune"]) == []
+
+
+def test_dispatch_policy_reads_the_queue_through_its_methods():
+    """``next_due_time`` / ``_pop_due`` are the one statement of "full
+    batch, or oldest deadline expired"; nothing outside ``RequestQueue``
+    re-derives it from the raw deque."""
+    engine = _parse(os.path.join("serve", "engine.py"))
+    outside = [node for node in engine.body if getattr(node, "name", "") != "RequestQueue"]
+    touched = [
+        sub.lineno
+        for node in outside
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr == "_items"
+    ]
+    assert touched == []
