@@ -44,7 +44,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graph import EventGraph, shard_batch
-from ..obs import get_telemetry, get_tracer
+from ..obs import get_metrics, get_tracer
 from ..sampling import SampledBatch, Sampler, epoch_batches, group_batches
 
 __all__ = ["PlannedStep", "EpochPlan", "PrefetchLoader", "PrefetchStats", "sample_step"]
@@ -216,10 +216,7 @@ class PrefetchLoader:
         self.stats.stall_seconds += stall_s
         self.stats.sample_seconds += sample_s
         self.stats.max_queue_depth = max(self.stats.max_queue_depth, queue_depth)
-        telemetry = get_telemetry()
-        if telemetry is None:
-            return
-        metrics = telemetry.metrics
+        metrics = get_metrics()
         metrics.counter("data.prefetch.steps").add(1)
         metrics.counter("data.prefetch.stall_seconds").add(stall_s)
         metrics.counter("data.prefetch.sample_seconds").add(sample_s)
@@ -230,9 +227,7 @@ class PrefetchLoader:
 
     def _record_recompute(self) -> None:
         self.stats.recomputed_steps += 1
-        telemetry = get_telemetry()
-        if telemetry is not None:
-            telemetry.metrics.counter("data.prefetch.recomputed_steps").add(1)
+        get_metrics().counter("data.prefetch.recomputed_steps").add(1)
 
     # ------------------------------------------------------------------
     def iter_epoch(

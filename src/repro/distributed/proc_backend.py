@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..faults import CommTimeoutError, ProcessFault, RankDeadError
-from ..obs import RunTelemetry, get_telemetry, get_tracer, set_telemetry
+from ..obs import RunTelemetry, get_metrics, get_telemetry, get_tracer, set_telemetry
 from .backend import CommBackend
 from .costmodel import CommCostModel, NVLINK_A100
 from .supervisor import (
@@ -138,11 +138,9 @@ def _barrier_wait(
                     time.sleep(5e-5)
         finally:
             span.set(spins=spins)
-            telemetry = get_telemetry()
-            if telemetry is not None:
-                telemetry.metrics.histogram("comm.worker.barrier_wait_ms").observe(
-                    (time.monotonic() - t0) * 1e3
-                )
+            get_metrics().histogram("comm.worker.barrier_wait_ms").observe(
+                (time.monotonic() - t0) * 1e3
+            )
 
 
 def _consume_injected_delay(ctrl: ControlBlock, rank: int) -> None:
@@ -327,12 +325,11 @@ def _worker_main(
         while not stop.is_set():
             now = time.monotonic()
             ctrl.heartbeats[rank] = now
-            telemetry = get_telemetry()
-            if telemetry is not None:
-                telemetry.metrics.counter("comm.worker.heartbeats").add(1)
-                telemetry.metrics.histogram(
-                    "comm.worker.heartbeat_interval_ms"
-                ).observe((now - last) * 1e3)
+            metrics = get_metrics()
+            metrics.counter("comm.worker.heartbeats").add(1)
+            metrics.histogram("comm.worker.heartbeat_interval_ms").observe(
+                (now - last) * 1e3
+            )
             last = now
             stop.wait(heartbeat_interval)
 
@@ -362,19 +359,16 @@ def _worker_main(
                 except (BrokenPipeError, OSError):
                     break
                 continue
-            telemetry = get_telemetry()
             try:
                 _run_op(ctrl, rank, cmd, segments)
-                if telemetry is not None:
-                    telemetry.metrics.counter("comm.worker.collectives").add(1)
+                get_metrics().counter("comm.worker.collectives").add(1)
                 status = {"seq": cmd["seq"], "status": "ok", "rank": rank}
             except _Aborted:
-                if telemetry is not None:
-                    telemetry.tracer.event(
-                        "comm.worker.aborted", category="comm.worker",
-                        seq=cmd.get("seq"), op=op,
-                    )
-                    telemetry.metrics.counter("comm.worker.aborts").add(1)
+                get_tracer().event(
+                    "comm.worker.aborted", category="comm.worker",
+                    seq=cmd.get("seq"), op=op,
+                )
+                get_metrics().counter("comm.worker.aborts").add(1)
                 status = {"seq": cmd["seq"], "status": "aborted", "rank": rank}
             except Exception as exc:  # surfaced as a rank failure driver-side
                 status = {

@@ -34,7 +34,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..faults import CommTimeoutError, RankDeadError
-from ..obs import get_telemetry, get_tracer
+from ..obs import get_metrics, get_tracer
 
 __all__ = [
     "ControlBlock",
@@ -63,9 +63,7 @@ def record_supervisor_event(name: str, **attrs: Any) -> None:
     telemetry is not installed.
     """
     get_tracer().event(f"comm.supervisor.{name}", category="supervisor", **attrs)
-    telemetry = get_telemetry()
-    if telemetry is not None:
-        telemetry.metrics.counter(f"comm.supervisor.{name}").add(1)
+    get_metrics().counter(f"comm.supervisor.{name}").add(1)
 
 
 def attach_shared_memory(name: str) -> shared_memory.SharedMemory:

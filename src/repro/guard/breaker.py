@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..faults import WallClock
-from ..obs import get_telemetry, get_tracer
+from ..obs import get_metrics, get_tracer
 
 __all__ = ["BreakerConfig", "BreakerOpenError", "CircuitBreaker"]
 
@@ -157,11 +157,7 @@ class CircuitBreaker:
 
     def record_failure(self, kind: str = "exception") -> None:
         """Report one failed attempt (``kind``: "exception" | "latency")."""
-        telemetry = get_telemetry()
-        if telemetry is not None:
-            telemetry.metrics.counter(
-                f"guard.breaker.{self.name}.failures.{kind}"
-            ).add(1)
+        get_metrics().counter(f"guard.breaker.{self.name}.failures.{kind}").add(1)
         with self._lock:
             state = self._effective_state()
             if state == HALF_OPEN:
@@ -189,12 +185,9 @@ class CircuitBreaker:
             self._probe_successes = 0
         elif new_state == HALF_OPEN:
             self._probe_successes = 0
-        telemetry = get_telemetry()
-        if telemetry is not None:
-            telemetry.metrics.counter(f"guard.breaker.{self.name}.{new_state}").add(1)
-            telemetry.metrics.gauge(f"guard.breaker.{self.name}.state").set(
-                _STATE_GAUGE[new_state]
-            )
+        metrics = get_metrics()
+        metrics.counter(f"guard.breaker.{self.name}.{new_state}").add(1)
+        metrics.gauge(f"guard.breaker.{self.name}.state").set(_STATE_GAUGE[new_state])
         get_tracer().event(
             "guard.breaker.transition",
             category="guard",

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import get_telemetry, get_tracer
+from ..obs import get_metrics, get_tracer
 
 __all__ = [
     "ValidationIssue",
@@ -437,12 +437,11 @@ class Quarantine:
         if obj_id is None:
             obj_id = getattr(obj, "event_id", None)
         self.reasons.append((obj_id, issues))
-        telemetry = get_telemetry()
-        if telemetry is not None:
-            telemetry.metrics.counter("guard.quarantine.total").add(1)
-            telemetry.metrics.counter(f"guard.quarantine.{self.context}").add(1)
-            for issue in issues:
-                telemetry.metrics.counter(f"guard.quarantine.rule.{issue.rule}").add(1)
+        metrics = get_metrics()
+        metrics.counter("guard.quarantine.total").add(1)
+        metrics.counter(f"guard.quarantine.{self.context}").add(1)
+        for issue in issues:
+            metrics.counter(f"guard.quarantine.rule.{issue.rule}").add(1)
         get_tracer().event(
             "guard.quarantine",
             category="guard",

@@ -9,55 +9,36 @@ backward, cutting the stored footprint from ``O(L · m · f)`` layer
 interiors to ``O(L · (n+m) · f)`` boundary states plus a single layer's
 working set — at the cost of one extra forward per layer.
 
-:class:`CheckpointedIGNN` wraps a trained/untrained
-:class:`repro.models.InteractionGNN` and provides a ``training_step`` that
-produces parameter gradients numerically equal to ordinary
-backpropagation (verified to tolerance by the tests), while the
-:class:`repro.memory.ActivationMemoryModel` companion method
-``checkpointed_bytes`` prices the reduced footprint for the ablation
-bench.
+The mechanism is the generic autograd op
+:func:`repro.tensor.ops.checkpoint`, applied per block by
+``InteractionGNN.forward(..., recompute=True)``; the gradients are those
+of ordinary backpropagation (bit for bit on the fused path).
+:meth:`repro.memory.ActivationMemoryModel.checkpointed_bytes` prices the
+reduced footprint for the trainer's skip decision and the ablation bench.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 import numpy as np
 
-from ..tensor import Tensor, no_grad, ops
+from ..tensor import Tensor
 from .interaction_gnn import InteractionGNN
 
 __all__ = ["CheckpointedIGNN"]
 
 
-def _seeded_scalar(outputs, seeds) -> Tensor:
-    """Build ``Σ_i <output_i, seed_i>`` so one backward pass delivers the
-    vector-Jacobian product for several outputs at once."""
-    total: Optional[Tensor] = None
-    for out, seed in zip(outputs, seeds):
-        if seed is None:
-            continue
-        term = ops.sum(ops.mul(out, Tensor(seed)))
-        total = term if total is None else ops.add(total, term)
-    if total is None:
-        raise ValueError("at least one non-None seed required")
-    return total
-
-
 class CheckpointedIGNN:
-    """Memory-frugal training wrapper around an :class:`InteractionGNN`.
+    """Memory-frugal training step of an :class:`InteractionGNN`.
 
-    Parameters
-    ----------
-    model:
-        The wrapped network.  Its parameters receive the gradients; the
-        wrapper holds no state of its own.
+    The wrapper holds no state of its own; the wrapped network's
+    parameters receive the gradients.
     """
 
     def __init__(self, model: InteractionGNN) -> None:
         self.model = model
 
-    # ------------------------------------------------------------------
     def training_step(
         self,
         x: np.ndarray,
@@ -67,72 +48,8 @@ class CheckpointedIGNN:
         labels: np.ndarray,
         loss_fn: Callable[[Tensor, np.ndarray], Tensor],
     ) -> float:
-        """Forward + checkpointed backward; accumulates parameter grads.
-
-        Returns the loss value.  Equivalent to::
-
-            loss = loss_fn(model(x, y, rows, cols), labels)
-            loss.backward()
-
-        but with only layer-boundary activations retained between the
-        passes.
-        """
-        model = self.model
-        L = model.config.num_layers
-        num_nodes = x.shape[0]
-
-        # ---- forward, grad-free, checkpointing the boundary states ----
-        with no_grad():
-            x0 = model.node_encoder(Tensor(np.asarray(x, dtype=np.float32)))
-            y0 = model.edge_encoder(Tensor(np.asarray(y, dtype=np.float32)))
-            states: list[Tuple[np.ndarray, np.ndarray]] = [(x0.numpy(), y0.numpy())]
-            xl, yl = x0, y0
-            for l in range(L):
-                layer = getattr(model, f"layer{l}")
-                xl, yl = layer(xl, yl, x0, y0, rows, cols, num_nodes)
-                states.append((xl.numpy(), yl.numpy()))
-
-        x0_np, y0_np = states[0]
-
-        # ---- head: recompute with grad, seed the edge-state gradient ----
-        yL = Tensor(states[L][1], requires_grad=True)
-        logits = model.output_mlp(yL).reshape(-1)
-        loss = loss_fn(logits, np.asarray(labels, dtype=np.float32))
+        """Forward + backward with only block-boundary activations kept
+        between the passes; accumulates parameter grads, returns the loss."""
+        loss = loss_fn(self.model(x, y, rows, cols, recompute=True), labels)
         loss.backward()
-        dyl: Optional[np.ndarray] = yL.grad
-        dxl: Optional[np.ndarray] = None  # the final vertex update is dead
-
-        # running gradient w.r.t. the encoder outputs (x0, y0 feed every
-        # layer through the residual concatenation)
-        dx0 = np.zeros_like(x0_np)
-        dy0 = np.zeros_like(y0_np)
-
-        # ---- layers, deepest first: recompute then VJP ----
-        for l in reversed(range(L)):
-            layer = getattr(model, f"layer{l}")
-            x_in = Tensor(states[l][0], requires_grad=True)
-            y_in = Tensor(states[l][1], requires_grad=True)
-            x0_t = Tensor(x0_np, requires_grad=True)
-            y0_t = Tensor(y0_np, requires_grad=True)
-            x_out, y_out = layer(x_in, y_in, x0_t, y0_t, rows, cols, num_nodes)
-            _seeded_scalar((x_out, y_out), (dxl, dyl)).backward()
-            dxl = x_in.grad
-            dyl = y_in.grad
-            if x0_t.grad is not None:
-                dx0 += x0_t.grad
-            if y0_t.grad is not None:
-                dy0 += y0_t.grad
-
-        # layer 0's inputs *are* the encoder outputs
-        if dxl is not None:
-            dx0 += dxl
-        if dyl is not None:
-            dy0 += dyl
-
-        # ---- encoders: recompute with grad, seed with accumulated VJPs ----
-        x0_live = model.node_encoder(Tensor(np.asarray(x, dtype=np.float32)))
-        _seeded_scalar((x0_live,), (dx0,)).backward()
-        y0_live = model.edge_encoder(Tensor(np.asarray(y, dtype=np.float32)))
-        _seeded_scalar((y0_live,), (dy0,)).backward()
-
         return loss.item()

@@ -1,0 +1,35 @@
+"""What the pipeline's two per-edge scorers share.
+
+The stage-3 filter MLP and the stage-4 Interaction GNN both map
+``(x, y, rows, cols)`` to one logit per edge; turning those logits into
+probabilities for an event graph is the same few lines for both.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..nn import Module
+from ..tensor import Tensor
+
+__all__ = ["EdgeClassifier"]
+
+
+class EdgeClassifier(Module):
+    """A network whose ``forward(x, y, rows, cols)`` returns edge logits."""
+
+    def predict_proba(self, graph) -> np.ndarray:
+        """Edge probabilities for an :class:`repro.graph.EventGraph`.
+
+        Inference path: evaluation mode and no autograd for the call
+        (the prior mode is restored), inputs cast to the parameter dtype.
+        """
+        dt = next(self.parameters()).data.dtype
+        with self.inference():
+            logits = self.forward(
+                Tensor(graph.x.astype(dt, copy=False)),
+                Tensor(graph.y.astype(dt, copy=False)),
+                graph.rows,
+                graph.cols,
+            )
+        return 1.0 / (1.0 + np.exp(-np.clip(logits.numpy(), -60, 60)))

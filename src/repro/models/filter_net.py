@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import MLP, Module
+from ..nn import MLP
 from ..tensor import Tensor, ops
+from .edge_classifier import EdgeClassifier
 
 __all__ = ["FilterConfig", "FilterNet"]
 
@@ -30,7 +31,7 @@ class FilterConfig:
     seed: int = 0
 
 
-class FilterNet(Module):
+class FilterNet(EdgeClassifier):
     """Edge scorer: ``φ([x_src  x_dst  y_edge]) → logit``."""
 
     def __init__(self, config: FilterConfig) -> None:
@@ -57,9 +58,3 @@ class FilterNet(Module):
             [ops.gather_rows(x, rows), ops.gather_rows(x, cols), y], axis=1
         )
         return self.mlp(feats).reshape(-1)
-
-    def predict_proba(self, graph) -> np.ndarray:
-        """Edge pass-probabilities for an EventGraph (no autograd)."""
-        with self.inference():
-            logits = self.forward(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
-        return 1.0 / (1.0 + np.exp(-np.clip(logits.numpy(), -60, 60)))

@@ -9,84 +9,34 @@ residual concatenation.
 
 Weight-shared across iterations like
 :class:`repro.models.RecurrentInteractionGNN` (a recurrent cell implies a
-recurrent stack).
+recurrent stack): the same traversal over one repeated block whose
+vertex update is the cell.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..nn import MLP, GRUCell, Module
-from ..tensor import Tensor, no_grad, ops
-from .interaction_gnn import IGNNConfig
+from ..nn import GRUCell
+from ..tensor import ops
+from .interaction_gnn import InteractionGNN, _IGNNLayer
 
 __all__ = ["GRUInteractionGNN"]
 
 
-class GRUInteractionGNN(Module):
+class _GRULayer(_IGNNLayer):
+    """Algorithm 1's iteration with ``Xˡ⁺¹ ← GRU([M_src  M_dst], Xˡ)``."""
+
+    def _build_update(self, config, rng) -> None:
+        self.node_gru = GRUCell(2 * config.hidden, config.hidden, rng=rng)
+
+    def update(self, x, x_res, y_next, rows, cols):
+        m_src = ops.segment_sum(y_next, rows, x.shape[0])
+        m_dst = ops.segment_sum(y_next, cols, x.shape[0])
+        return self.node_gru(ops.concat([m_src, m_dst], axis=1), x)
+
+
+class GRUInteractionGNN(InteractionGNN):
     """IGNN with a shared message MLP and a GRU vertex update."""
 
-    def __init__(self, config: IGNNConfig) -> None:
-        super().__init__()
-        self.config = config
-        rng = np.random.default_rng(config.seed)
-        h = config.hidden
-        self.node_encoder = MLP(
-            config.node_features, h, num_layers=config.mlp_layers,
-            layer_norm=config.layer_norm, output_activation=True, rng=rng,
-        )
-        self.edge_encoder = MLP(
-            config.edge_features, h, num_layers=config.mlp_layers,
-            layer_norm=config.layer_norm, output_activation=True, rng=rng,
-        )
-        # message: [Y'  X'[rows]  X'[cols]] with the residual concatenation
-        self.edge_mlp = MLP(
-            6 * h, h, num_layers=config.mlp_layers,
-            layer_norm=config.layer_norm, output_activation=True, rng=rng,
-        )
-        self.node_gru = GRUCell(2 * h, h, rng=rng)
-        self.output_mlp = MLP(
-            h, h, out_features=1, num_layers=config.mlp_layers,
-            layer_norm=config.layer_norm, output_activation=False, rng=rng,
-        )
-
-    def forward(
-        self, x: Tensor, y: Tensor, rows: np.ndarray, cols: np.ndarray
-    ) -> Tensor:
-        """Edge logits after ``num_layers`` gated message-passing steps."""
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        y = y if isinstance(y, Tensor) else Tensor(y)
-        num_nodes = x.shape[0]
-        x0 = self.node_encoder(x)
-        y0 = self.edge_encoder(y)
-        xl, yl = x0, y0
-        for _ in range(self.config.num_layers):
-            x_res = ops.concat([xl, x0], axis=1)
-            y_res = ops.concat([yl, y0], axis=1)
-            if self.config.fused:
-                # Fused message path (see _IGNNLayer): first edge-MLP
-                # Linear absorbed into the endpoint gathers.
-                first = self.edge_mlp.first_linear
-                yl = self.edge_mlp.forward_tail(
-                    ops.gather_concat_matmul(
-                        y_res, x_res, rows, cols, first.weight, first.bias
-                    )
-                )
-            else:
-                msg_in = ops.concat(
-                    [y_res, ops.gather_rows(x_res, rows), ops.gather_rows(x_res, cols)],
-                    axis=1,
-                )
-                yl = self.edge_mlp(msg_in)
-            m_src = ops.segment_sum(yl, rows, num_nodes)
-            m_dst = ops.segment_sum(yl, cols, num_nodes)
-            xl = self.node_gru(ops.concat([m_src, m_dst], axis=1), xl)
-        return self.output_mlp(yl).reshape(-1)
-
-    def predict_proba(self, graph) -> np.ndarray:
-        """Edge probabilities for an EventGraph (no autograd)."""
-        self.eval()
-        with no_grad():
-            logits = self.forward(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
-        self.train()
-        return 1.0 / (1.0 + np.exp(-np.clip(logits.numpy(), -60, 60)))
+    def _build_blocks(self, config, rng):
+        self.shared_layer = _GRULayer(config, rng)
+        return [self.shared_layer] * config.num_layers

@@ -17,20 +17,25 @@ Faithful to Algorithm 1:
   (``M_src ← REDUCTION(Y, A.rows, +)``, ``M_dst ← REDUCTION(Y, A.cols, +)``);
 * the vertex update is ``Xˡ⁺¹ ← φ([M_src  M_dst  X'])``.
 
-Each layer holds *distinct* MLPs (the paper: "While each MLP is distinct,
-superscripts are omitted"); :class:`RecurrentInteractionGNN` in
-:mod:`repro.models.recurrent_ignn` provides the weight-shared variant.
+The network is encoders + a list of blocks + a scoring head, and
+:meth:`InteractionGNN.forward` is the only traversal of that list.  Here
+each block holds *distinct* MLPs (the paper: "While each MLP is distinct,
+superscripts are omitted"); the variants in
+:mod:`repro.models.recurrent_ignn` and :mod:`repro.models.gru_ignn` are
+subclasses that only choose other blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import List
 
 import numpy as np
 
 from ..nn import MLP, Module
 from ..tensor import Tensor, ops
+from .edge_classifier import EdgeClassifier
 
 __all__ = ["IGNNConfig", "InteractionGNN"]
 
@@ -62,43 +67,34 @@ class IGNNConfig:
             raise ValueError("hidden/num_layers/mlp_layers must be positive")
 
 
+def _mlp(config: IGNNConfig, in_features: int, rng, *, logits: bool = False) -> MLP:
+    """One φ of Algorithm 1; ``logits`` makes it the raw-score head."""
+    return MLP(
+        in_features,
+        config.hidden,
+        out_features=1 if logits else None,
+        num_layers=config.mlp_layers,
+        layer_norm=config.layer_norm,
+        output_activation=not logits,
+        rng=rng,
+    )
+
+
 class _IGNNLayer(Module):
     """One message-passing iteration (lines 5-10 of Algorithm 1)."""
 
-    def __init__(
-        self, hidden: int, mlp_layers: int, layer_norm: bool, rng, fused: bool = True
-    ) -> None:
+    def __init__(self, config: IGNNConfig, rng) -> None:
         super().__init__()
-        self.fused = fused
+        self.fused = config.fused
         # Inputs: Y' (2h) ++ X'[rows] (2h) ++ X'[cols] (2h)
-        self.edge_mlp = MLP(
-            6 * hidden,
-            hidden,
-            num_layers=mlp_layers,
-            layer_norm=layer_norm,
-            output_activation=True,
-            rng=rng,
-        )
-        # Inputs: M_src (h) ++ M_dst (h) ++ X' (2h)
-        self.node_mlp = MLP(
-            4 * hidden,
-            hidden,
-            num_layers=mlp_layers,
-            layer_norm=layer_norm,
-            output_activation=True,
-            rng=rng,
-        )
+        self.edge_mlp = _mlp(config, 6 * config.hidden, rng)
+        self._build_update(config, rng)
 
-    def forward(
-        self,
-        x: Tensor,
-        y: Tensor,
-        x0: Tensor,
-        y0: Tensor,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        num_nodes: int,
-    ):
+    def _build_update(self, config: IGNNConfig, rng) -> None:
+        # Inputs: M_src (h) ++ M_dst (h) ++ X' (2h)
+        self.node_mlp = _mlp(config, 4 * config.hidden, rng)
+
+    def forward(self, x: Tensor, y: Tensor, x0: Tensor, y0: Tensor, rows, cols):
         x_res = ops.concat([x, x0], axis=1)  # X' ← [Xˡ X⁰]
         y_res = ops.concat([y, y0], axis=1)  # Y' ← [Yˡ Y⁰]
         if self.fused:
@@ -111,29 +107,34 @@ class _IGNNLayer(Module):
                     y_res, x_res, rows, cols, first.weight, first.bias
                 )
             )
-            # AGG + vertex update: both segment sums and the concat with
-            # X' are fused into the first node-MLP Linear.
+        else:
+            # Reference (unfused) path: gather → concat → matmul.
+            msg_in = ops.concat(
+                [y_res, ops.gather_rows(x_res, rows), ops.gather_rows(x_res, cols)],
+                axis=1,
+            )
+            y_next = self.edge_mlp(msg_in)
+        return self.update(x, x_res, y_next, rows, cols), y_next
+
+    def update(self, x: Tensor, x_res: Tensor, y_next: Tensor, rows, cols) -> Tensor:
+        """AGG + vertex update: ``Xˡ⁺¹ ← φ([M_src  M_dst  X'])``."""
+        num_nodes = x.shape[0]
+        if self.fused:
+            # both segment sums and the concat with X' are fused into the
+            # first node-MLP Linear
             first = self.node_mlp.first_linear
-            x_next = self.node_mlp.forward_tail(
+            return self.node_mlp.forward_tail(
                 ops.scatter_mlp_input(
                     y_next, rows, cols, x_res, first.weight, first.bias, num_nodes
                 )
             )
-            return x_next, y_next
-        # Reference (unfused) path: gather → concat → matmul.
-        msg_in = ops.concat(
-            [y_res, ops.gather_rows(x_res, rows), ops.gather_rows(x_res, cols)], axis=1
-        )
-        y_next = self.edge_mlp(msg_in)
         # AGG: sum incoming messages over both endpoints
         m_src = ops.segment_sum(y_next, rows, num_nodes)
         m_dst = ops.segment_sum(y_next, cols, num_nodes)
-        # Vertex update: Xˡ⁺¹ ← φ([M_src  M_dst  X'])
-        x_next = self.node_mlp(ops.concat([m_src, m_dst, x_res], axis=1))
-        return x_next, y_next
+        return self.node_mlp(ops.concat([m_src, m_dst, x_res], axis=1))
 
 
-class InteractionGNN(Module):
+class InteractionGNN(EdgeClassifier):
     """The full Interaction GNN with a per-edge scoring head.
 
     Call signature matches Algorithm 1's inputs: the COO adjacency
@@ -147,40 +148,21 @@ class InteractionGNN(Module):
         super().__init__()
         self.config = config
         rng = np.random.default_rng(config.seed)
-        h = config.hidden
-        self.node_encoder = MLP(
-            config.node_features,
-            h,
-            num_layers=config.mlp_layers,
-            layer_norm=config.layer_norm,
-            output_activation=True,
-            rng=rng,
-        )
-        self.edge_encoder = MLP(
-            config.edge_features,
-            h,
-            num_layers=config.mlp_layers,
-            layer_norm=config.layer_norm,
-            output_activation=True,
-            rng=rng,
-        )
-        for l in range(config.num_layers):
-            self.register_module(
-                f"layer{l}",
-                _IGNNLayer(
-                    h, config.mlp_layers, config.layer_norm, rng, fused=config.fused
-                ),
-            )
-        # scoring head: no output activation — raw logits
-        self.output_mlp = MLP(
-            h,
-            h,
-            out_features=1,
-            num_layers=config.mlp_layers,
-            layer_norm=config.layer_norm,
-            output_activation=False,
-            rng=rng,
-        )
+        self.node_encoder = _mlp(config, config.node_features, rng)
+        self.edge_encoder = _mlp(config, config.edge_features, rng)
+        #: the message-passing iterations, in application order (an entry
+        #: may repeat: that is weight sharing)
+        self.blocks: List[_IGNNLayer] = self._build_blocks(config, rng)
+        self.output_mlp = _mlp(config, config.hidden, rng, logits=True)
+
+    def _build_blocks(self, config: IGNNConfig, rng) -> List[_IGNNLayer]:
+        """Register and return the blocks: here ``num_layers`` distinct
+        ones, named ``layer0`` … (names and RNG draw order are frozen —
+        they fix the weights and the coalesced flatten order)."""
+        blocks = [_IGNNLayer(config, rng) for _ in range(config.num_layers)]
+        for l, block in enumerate(blocks):
+            self.register_module(f"layer{l}", block)
+        return blocks
 
     def forward(
         self,
@@ -188,6 +170,7 @@ class InteractionGNN(Module):
         y: Tensor,
         rows: np.ndarray,
         cols: np.ndarray,
+        recompute: bool = False,
     ) -> Tensor:
         """Run edge classification.
 
@@ -199,6 +182,11 @@ class InteractionGNN(Module):
             ``(m, f_e)`` edge features.
         rows, cols:
             ``(m,)`` COO adjacency (``A.rows`` / ``A.cols``).
+        recompute:
+            Keep only each block's boundary states ``(Xˡ, Yˡ)`` and
+            recompute its interior during backward
+            (:func:`repro.tensor.ops.checkpoint`): same logits, same
+            gradients, ``O(L·(n+m)·f)`` stored instead of ``O(L·m·6f)``.
 
         Returns
         -------
@@ -209,25 +197,14 @@ class InteractionGNN(Module):
         y = y if isinstance(y, Tensor) else Tensor(y)
         if y.shape[0] != len(rows) or len(rows) != len(cols):
             raise ValueError("edge feature rows must match adjacency length")
-        num_nodes = x.shape[0]
         x0 = self.node_encoder(x)
         y0 = self.edge_encoder(y)
         xl, yl = x0, y0
-        for l in range(self.config.num_layers):
-            layer: _IGNNLayer = getattr(self, f"layer{l}")
-            xl, yl = layer(xl, yl, x0, y0, rows, cols, num_nodes)
-        logits = self.output_mlp(yl)
-        return logits.reshape(-1)
-
-    def predict_proba(self, graph) -> np.ndarray:
-        """Edge probabilities for an :class:`repro.graph.EventGraph`
-        (inference path, no autograd)."""
-        dt = next(self.parameters()).data.dtype
-        with self.inference():
-            logits = self.forward(
-                Tensor(graph.x.astype(dt, copy=False)),
-                Tensor(graph.y.astype(dt, copy=False)),
-                graph.rows,
-                graph.cols,
+        for block in self.blocks:
+            step = partial(block, rows=rows, cols=cols)
+            xl, yl = (
+                ops.checkpoint(step, xl, yl, x0, y0)
+                if recompute
+                else step(xl, yl, x0, y0)
             )
-        return 1.0 / (1.0 + np.exp(-np.clip(logits.numpy(), -60, 60)))
+        return self.output_mlp(yl).reshape(-1)

@@ -1,65 +1,23 @@
 """Weight-shared (recurrent) Interaction GNN.
 
-acorn's production IGNN shares one message MLP and one node-update MLP
-across all message-passing iterations — an 8-layer network with the
-parameter count of one layer.  Functionally identical dataflow to
-:class:`repro.models.InteractionGNN`; kept as a separate class so the
-ablation bench can compare parameter count, all-reduce volume, and
-convergence between the two.
+acorn's production IGNN — and the embedded-space pipeline before it —
+shares one message MLP and one node-update MLP across all
+message-passing iterations: an 8-layer network with the parameter count
+of one layer.  It is :class:`repro.models.InteractionGNN` over one
+repeated block, so the ablation bench compares parameter count,
+all-reduce volume and convergence of the same traversal.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..nn import MLP, Module
-from ..tensor import Tensor, ops
-from .interaction_gnn import IGNNConfig, _IGNNLayer
+from .interaction_gnn import InteractionGNN, _IGNNLayer
 
 __all__ = ["RecurrentInteractionGNN"]
 
 
-class RecurrentInteractionGNN(Module):
+class RecurrentInteractionGNN(InteractionGNN):
     """Interaction GNN applying one shared layer ``num_layers`` times."""
 
-    def __init__(self, config: IGNNConfig) -> None:
-        super().__init__()
-        self.config = config
-        rng = np.random.default_rng(config.seed)
-        h = config.hidden
-        self.node_encoder = MLP(
-            config.node_features, h, num_layers=config.mlp_layers,
-            layer_norm=config.layer_norm, output_activation=True, rng=rng,
-        )
-        self.edge_encoder = MLP(
-            config.edge_features, h, num_layers=config.mlp_layers,
-            layer_norm=config.layer_norm, output_activation=True, rng=rng,
-        )
-        self.shared_layer = _IGNNLayer(h, config.mlp_layers, config.layer_norm, rng)
-        self.output_mlp = MLP(
-            h, h, out_features=1, num_layers=config.mlp_layers,
-            layer_norm=config.layer_norm, output_activation=False, rng=rng,
-        )
-
-    def forward(self, x: Tensor, y: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-        """Edge logits, sharing the same layer weights per iteration."""
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        y = y if isinstance(y, Tensor) else Tensor(y)
-        num_nodes = x.shape[0]
-        x0 = self.node_encoder(x)
-        y0 = self.edge_encoder(y)
-        xl, yl = x0, y0
-        for _ in range(self.config.num_layers):
-            xl, yl = self.shared_layer(xl, yl, x0, y0, rows, cols, num_nodes)
-        return self.output_mlp(yl).reshape(-1)
-
-    def predict_proba(self, graph) -> np.ndarray:
-        """Edge probabilities for an :class:`repro.graph.EventGraph`
-        (inference path, no autograd)."""
-        from ..tensor import no_grad
-
-        self.eval()
-        with no_grad():
-            logits = self.forward(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
-        self.train()
-        return 1.0 / (1.0 + np.exp(-np.clip(logits.numpy(), -60, 60)))
+    def _build_blocks(self, config, rng):
+        self.shared_layer = _IGNNLayer(config, rng)
+        return [self.shared_layer] * config.num_layers

@@ -18,10 +18,11 @@ reproduce the paper's Figure-3 breakdown from a trace.
 """
 
 from .tracer import NULL_TRACER, NullTracer, Span, Tracer
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import NULL_METRICS, Counter, Gauge, Histogram, MetricsRegistry, NullMetrics
 from .telemetry import (
     RunTelemetry,
     config_hash,
+    get_metrics,
     get_telemetry,
     get_tracer,
     git_describe,
@@ -48,11 +49,14 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "NullMetrics",
+    "NULL_METRICS",
     "RunTelemetry",
     "get_telemetry",
     "set_telemetry",
     "use_telemetry",
     "get_tracer",
+    "get_metrics",
     "config_hash",
     "git_describe",
     "SpanRecord",

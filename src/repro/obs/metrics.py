@@ -33,7 +33,14 @@ import math
 import threading
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = [
+    "Counter",
+    "Gauge",
+    "Histogram",
+    "MetricsRegistry",
+    "NullMetrics",
+    "NULL_METRICS",
+]
 
 
 class Counter:
@@ -289,3 +296,42 @@ class MetricsRegistry:
             self.gauge(name + suffix).set(value)
         for name, hist_state in state.get("histograms", {}).items():
             self.histogram(name).merge_state(hist_state)
+
+
+class _NullInstrument:
+    """Accepts any instrument write and drops it."""
+
+    __slots__ = ()
+
+    def add(self, amount: float = 1.0) -> None:
+        return None
+
+    def set(self, value: float) -> None:
+        return None
+
+    def observe(self, value: float) -> None:
+        return None
+
+
+_NULL_INSTRUMENT = _NullInstrument()
+
+
+class NullMetrics:
+    """Metrics disabled: every instrument is the same no-op object.
+
+    Call sites write ``get_metrics().counter(name).add(n)``
+    unconditionally, as they write ``get_tracer().span(...)``.
+    """
+
+    def counter(self, name: str) -> _NullInstrument:
+        return _NULL_INSTRUMENT
+
+    gauge = counter
+
+    def histogram(self, name: str, max_samples: int = 4096) -> _NullInstrument:
+        return _NULL_INSTRUMENT
+
+
+#: Process-wide shared null registry (what :func:`repro.obs.get_metrics`
+#: returns when no telemetry is installed).
+NULL_METRICS = NullMetrics()

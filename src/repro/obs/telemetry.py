@@ -21,7 +21,7 @@ import subprocess
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
-from .metrics import MetricsRegistry
+from .metrics import NULL_METRICS, MetricsRegistry
 from .tracer import NULL_TRACER, Tracer
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "set_telemetry",
     "use_telemetry",
     "get_tracer",
+    "get_metrics",
     "config_hash",
     "git_describe",
 ]
@@ -187,3 +188,12 @@ def get_tracer():
     """
     current = _CURRENT
     return current.tracer if current is not None else NULL_TRACER
+
+
+def get_metrics():
+    """The active registry — :data:`NULL_METRICS` when telemetry is off.
+
+    Call sites bump counters unconditionally, as with :func:`get_tracer`.
+    """
+    current = _CURRENT
+    return current.metrics if current is not None else NULL_METRICS

@@ -221,7 +221,7 @@ class GNNTrainConfig:
     watchdog_lr_backoff: float = knob(
         0.5, "multiply the learning rate by X on each rollback"
     )
-    # Kernel / precision knobs (see docs/kernels.md):
+    # Kernel / precision knobs (see docs/architecture.md, "The fused message path"):
     fused_kernels: bool = knob(
         True,
         "the fused gather/scatter message path (falls back to the unfused "

@@ -50,9 +50,9 @@ from ..guard import (
 from ..io.serialization import clean_stale_tmp
 from ..memory import ActivationMemoryModel
 from ..metrics import EpochRecord, TrainingHistory, pooled_precision_recall
-from ..models import CheckpointedIGNN, IGNNConfig, InteractionGNN
+from ..models import IGNNConfig, InteractionGNN
 from ..nn import Adam, BCEWithLogitsLoss
-from ..obs import get_telemetry, get_tracer
+from ..obs import get_metrics, get_telemetry, get_tracer
 from ..perf import StageTimer
 from ..sampling import BulkShadowSampler, SampledBatch, Sampler, ShadowSampler
 from ..tensor import Tensor
@@ -201,9 +201,7 @@ class _FaultToleranceRuntime:
             )
             if fell_back:
                 self.resume_fallback_path = used_path
-                telemetry = get_telemetry()
-                if telemetry is not None:
-                    telemetry.metrics.counter("guard.resume.fallback").add(1)
+                get_metrics().counter("guard.resume.fallback").add(1)
                 get_tracer().event(
                     "guard.resume_fallback",
                     category="guard",
@@ -311,48 +309,25 @@ class _Rank:
         self,
         graph: EventGraph,
         loss_fn: BCEWithLogitsLoss,
-        fault_plan: Optional[FaultPlan] = None,
-        watchdog: Optional[StabilityWatchdog] = None,
         recompute: bool = False,
+        fault: Optional[str] = None,
     ) -> float:
         """Zero the gradients, then one forward/backward on a (sub)graph;
-        returns the loss value.
+        returns the loss value.  Plain data in, plain data out.
 
-        With ``recompute`` the pass runs under layer-boundary activation
-        checkpointing (:class:`~repro.models.CheckpointedIGNN` — same
-        gradients, smaller footprint).  With a ``fault_plan``, a scheduled
-        :class:`~repro.faults.NumericFault` corrupts this execution:
-        target ``"loss"`` overwrites the observed loss with NaN before the
-        finiteness check (the step fails before ``backward``); target
-        ``"grad"`` poisons the first parameter gradient after
-        ``backward``.  With a ``watchdog``, the loss and the global
-        gradient norm are fed to it, so divergence raises
-        :class:`~repro.guard.DivergenceError` for the rollback loop in
-        :func:`train_gnn`.
-
-        Raises
-        ------
-        FloatingPointError
-            If the loss is not finite and no watchdog is observing — a
-            diverged run must fail loudly rather than silently poison the
-            replicas (under DDP a NaN gradient spreads to every rank at the
-            next all-reduce).
-        DivergenceError
-            The watchdog-observed variant of the same condition, plus
-            loss-spike and non-finite-grad-norm triggers.
+        ``recompute`` runs the same pass under block-boundary activation
+        checkpointing (``InteractionGNN.forward(recompute=True)`` — same
+        gradients, smaller footprint).  ``fault`` is this execution's
+        scheduled :class:`~repro.faults.NumericFault` target, if any:
+        ``"loss"`` makes the observed loss NaN, ``"grad"`` poisons the
+        first parameter gradient after ``backward``.  A non-finite loss is
+        returned without running ``backward``; judging the returned loss
+        and the gradients it left (watchdog, ``FloatingPointError``) is
+        the driver's business.
         """
         model = self.model
         self.optimizer.zero_grad()
-        if recompute:
-            loss_value = CheckpointedIGNN(model).training_step(
-                graph.x, graph.y, graph.rows, graph.cols,
-                graph.edge_labels.astype(np.float32), loss_fn,
-            )
-            if watchdog is not None:
-                watchdog.observe_loss(loss_value)
-            return loss_value
         tracer = get_tracer()
-        fault_target = fault_plan.numeric_fault_target() if fault_plan is not None else None
         dt = next(model.parameters()).data.dtype
         with tracer.span("forward", category="train", edges=graph.num_edges):
             logits = model(
@@ -360,26 +335,43 @@ class _Rank:
                 Tensor(graph.y.astype(dt, copy=False)),
                 graph.rows,
                 graph.cols,
+                recompute=recompute,
             )
             loss = loss_fn(logits, graph.edge_labels.astype(np.float32))
-        loss_value = float("nan") if fault_target == "loss" else loss.item()
-        if watchdog is not None:
-            watchdog.observe_loss(loss_value)
-        if not np.isfinite(loss_value):
-            raise FloatingPointError(
-                f"non-finite training loss ({loss_value}) on event "
-                f"{graph.event_id} — check the learning rate / input features"
-            )
-        with tracer.span("backward", category="train"):
-            loss.backward()
-        if fault_target == "grad":
-            for p in model.parameters():
-                if p.grad is not None:
-                    p.grad[...] = np.nan
-                    break
-        if watchdog is not None:
-            watchdog.observe_grad_norm(global_grad_norm(model))
+        loss_value = float("nan") if fault == "loss" else loss.item()
+        if np.isfinite(loss_value):
+            with tracer.span("backward", category="train"):
+                loss.backward()
+            if fault == "grad":
+                for p in model.parameters():
+                    if p.grad is not None:
+                        p.grad[...] = np.nan
+                        break
         return loss_value
+
+
+def _check_step(
+    loss: float, model: InteractionGNN, graph: EventGraph,
+    watchdog: Optional[StabilityWatchdog],
+) -> None:
+    """The driver's verdict on one rank-local step.
+
+    With a watchdog, the loss and then the global gradient norm are fed to
+    it, so divergence (NaN/Inf loss or gradient, loss spike) raises
+    :class:`~repro.guard.DivergenceError` for the rollback loop in
+    :func:`train_gnn`.  Without one, a non-finite loss raises
+    ``FloatingPointError``: a diverged run must fail loudly rather than
+    silently poison the replicas (under DDP a NaN gradient spreads to
+    every rank at the next all-reduce).
+    """
+    if watchdog is not None:
+        watchdog.observe_loss(loss)
+        watchdog.observe_grad_norm(global_grad_norm(model))
+    elif not np.isfinite(loss):
+        raise FloatingPointError(
+            f"non-finite training loss ({loss}) on event "
+            f"{graph.event_id} — check the learning rate / input features"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -589,10 +581,14 @@ def _train(
                         for bi in range(len(step.batches)):
                             with timers.scope("training"):
                                 for rank in ranks:
-                                    loss = rank.step(
-                                        rank_sampled[rank.grank][bi].graph,
-                                        loss_fn, fault_plan, watchdog, step.recompute,
+                                    graph = rank_sampled[rank.grank][bi].graph
+                                    fault = (
+                                        fault_plan.numeric_fault_target()
+                                        if fault_plan is not None
+                                        else None
                                     )
+                                    loss = rank.step(graph, loss_fn, step.recompute, fault)
+                                    _check_step(loss, rank.model, graph, watchdog)
                                     if rank is ranks[0]:
                                         losses.append(loss)
                                 # may evict permanently failed ranks (elastic
@@ -772,10 +768,8 @@ def train_gnn(
                 ) from exc
             factor = watchdog.register_rollback()
             new_lr = attempt.lr * factor
-            telemetry = get_telemetry()
-            if telemetry is not None:
-                telemetry.metrics.counter("guard.watchdog.rollbacks").add(1)
-                telemetry.metrics.gauge("guard.watchdog.lr").set(new_lr)
+            get_metrics().counter("guard.watchdog.rollbacks").add(1)
+            get_metrics().gauge("guard.watchdog.lr").set(new_lr)
             get_tracer().event(
                 "guard.rollback",
                 category="guard",

@@ -61,7 +61,7 @@ from ..faults import (
 )
 from ..graph import random_graph
 from ..metrics import match_tracks
-from ..obs import get_telemetry, get_tracer
+from ..obs import get_metrics, get_tracer
 from ..pipeline import ExaTrkXPipeline, GNNTrainConfig, PipelineConfig, train_gnn
 from ..serve import InferenceEngine, ServeConfig
 from ..store import EventStore, StoreCorruptError, ingest_construction
@@ -441,9 +441,7 @@ def run_scenario(
     guardrail, e.g. an unexpected crash, does propagate)."""
     os.makedirs(workdir, exist_ok=True)
     tracer = get_tracer()
-    telemetry = get_telemetry()
-    if telemetry is not None:
-        telemetry.metrics.counter("scenario.runs").add(1)
+    get_metrics().counter("scenario.runs").add(1)
     with tracer.span("scenario.run", category="scenario", scenario=spec.name):
         geometry = DetectorGeometry.barrel_only()
         with tracer.span("scenario.phase.simulate", category="scenario"):
@@ -493,13 +491,10 @@ def run_scenario(
             chaos=chaos,
             checks=checks,
         )
-    if telemetry is not None:
-        telemetry.metrics.counter(
-            "scenario.passed" if result.passed else "scenario.failed"
-        ).add(1)
-        violations = sum(1 for c in checks if not c["ok"])
-        if violations:
-            telemetry.metrics.counter("scenario.floor_violations").add(violations)
+    get_metrics().counter("scenario.passed" if result.passed else "scenario.failed").add(1)
+    violations = sum(1 for c in checks if not c["ok"])
+    if violations:
+        get_metrics().counter("scenario.floor_violations").add(violations)
     tracer.event(
         "scenario.result",
         category="scenario",

@@ -87,7 +87,7 @@ from ..guard import (
     Quarantine,
     QuarantineLog,
 )
-from ..obs import get_telemetry, get_tracer
+from ..obs import get_metrics, get_tracer
 from ..pipeline import ExaTrkXPipeline
 from ..pipeline.config import PRECISIONS, knob
 from .cache import CachedStages, StageCache, event_fingerprint
@@ -627,9 +627,7 @@ class InferenceEngine:
                 "serve.shed", category="serve", event=event.event_id
             )
             return request
-        telemetry = get_telemetry()
-        if telemetry is not None:
-            telemetry.metrics.gauge("serve.queue_depth").set(len(self.queue))
+        get_metrics().gauge("serve.queue_depth").set(len(self.queue))
         return request
 
     def process(self, events: Sequence[Event]) -> List[ServeRequest]:
@@ -925,19 +923,14 @@ class InferenceEngine:
             return
         with self._stats_lock:
             setattr(self.stats, field, getattr(self.stats, field) + n)
-        telemetry = get_telemetry()
-        if telemetry is not None:
-            telemetry.metrics.counter(_COUNTERS[field]).add(n)
+        get_metrics().counter(_COUNTERS[field]).add(n)
 
     def _record_batch(self, batch: List[ServeRequest]) -> None:
         self._count("batches")
         self._count("completed", len(batch))
         self._count("degraded", sum(1 for r in batch if r.degraded))
         self._count("breaker_degraded", sum(1 for r in batch if r.breaker_degraded))
-        telemetry = get_telemetry()
-        if telemetry is None:
-            return
-        metrics = telemetry.metrics
+        metrics = get_metrics()
         metrics.histogram("serve.batch_size").observe(len(batch))
         for request in batch:
             metrics.histogram("serve.latency_ms").observe(request.latency_ms)

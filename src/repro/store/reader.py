@@ -41,7 +41,7 @@ import numpy as np
 
 from ..graph import EventGraph
 from ..io.serialization import clean_stale_tmp
-from ..obs import get_telemetry, get_tracer
+from ..obs import get_metrics, get_tracer
 from .format import (
     MANIFEST_NAME,
     STORE_FORMAT,
@@ -427,14 +427,12 @@ class EventStore:
             return reader
         entry = self.manifest["shards"][shard_idx]
         nbytes = int(entry["bytes"])
-        telemetry = get_telemetry()
         if self.budget_bytes is not None:
             while self._mapped and self._resident + nbytes > self.budget_bytes:
                 _, evicted = self._mapped.popitem(last=False)
                 self._resident -= evicted.nbytes
                 self.stats.unmaps += 1
-                if telemetry is not None:
-                    telemetry.metrics.counter("store.shard.unmap").add(1)
+                get_metrics().counter("store.shard.unmap").add(1)
         bin_path = os.path.join(self.directory, shard_bin_name(entry["name"]))
         if self.fault_plan is not None:
             self.fault_plan.before_shard_map(bin_path)
@@ -443,9 +441,9 @@ class EventStore:
         # mapped — resolve_array would catch an out-of-bounds spec later,
         # but failing here attributes the damage to the shard, not a batch
         size = os.path.getsize(bin_path)
-        if size != nbytes:
-            if telemetry is not None:
-                telemetry.metrics.counter("store.shard.corrupt").add(1)
+
+        def corrupt(message: str) -> StoreCorruptError:
+            get_metrics().counter("store.shard.corrupt").add(1)
             get_tracer().event(
                 "store.shard.corrupt",
                 category="store",
@@ -453,23 +451,16 @@ class EventStore:
                 expected_bytes=nbytes,
                 actual_bytes=size,
             )
-            raise StoreCorruptError(
-                f"shard binary {bin_path!r} is {size} bytes at map time; "
+            return StoreCorruptError(f"shard binary {bin_path!r} {message}")
+
+        if size != nbytes:
+            raise corrupt(
+                f"is {size} bytes at map time; "
                 f"manifest says {nbytes} (truncated or overwritten)"
             )
         if self.verify_on_map and file_sha256(bin_path) != entry["sha256"]:
-            if telemetry is not None:
-                telemetry.metrics.counter("store.shard.corrupt").add(1)
-            get_tracer().event(
-                "store.shard.corrupt",
-                category="store",
-                shard=entry["name"],
-                expected_bytes=nbytes,
-                actual_bytes=size,
-            )
-            raise StoreCorruptError(
-                f"shard binary {bin_path!r} fails its manifest checksum at "
-                f"map time (bit-flip after open)"
+            raise corrupt(
+                "fails its manifest checksum at map time (bit-flip after open)"
             )
         with get_tracer().span(
             "store.shard.map", category="store", shard=entry["name"], bytes=nbytes
@@ -483,24 +474,18 @@ class EventStore:
         self.stats.peak_resident_bytes = max(
             self.stats.peak_resident_bytes, self._resident
         )
-        if telemetry is not None:
-            telemetry.metrics.counter("store.shard.map").add(1)
+        get_metrics().counter("store.shard.map").add(1)
         self._set_gauges()
         return reader
 
     def _count_access(self, cached: bool) -> None:
-        telemetry = get_telemetry()
         if cached:
             self.stats.hits += 1
-            if telemetry is not None:
-                telemetry.metrics.counter("store.cache.hits").add(1)
+            get_metrics().counter("store.cache.hits").add(1)
         else:
             self.stats.misses += 1
-            if telemetry is not None:
-                telemetry.metrics.counter("store.cache.misses").add(1)
+            get_metrics().counter("store.cache.misses").add(1)
 
     def _set_gauges(self) -> None:
-        telemetry = get_telemetry()
-        if telemetry is not None:
-            telemetry.metrics.gauge("store.resident_bytes").set(self._resident)
-            telemetry.metrics.gauge("store.mapped_shards").set(len(self._mapped))
+        get_metrics().gauge("store.resident_bytes").set(self._resident)
+        get_metrics().gauge("store.mapped_shards").set(len(self._mapped))

@@ -27,14 +27,14 @@ import hashlib
 import io
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graph import EventGraph
 from ..guard import EventValidator, GraphValidator, Quarantine, QuarantineLog
 from ..io.serialization import atomic_write_bytes, clean_stale_tmp
-from ..obs import get_telemetry, get_tracer
+from ..obs import get_metrics, get_tracer
 from .format import (
     ARRAY_ALIGN,
     MANIFEST_NAME,
@@ -223,10 +223,8 @@ class StoreWriter:
                     "events": len(events),
                 }
             )
-        telemetry = get_telemetry()
-        if telemetry is not None:
-            telemetry.metrics.counter("store.ingest.shards").add(1)
-            telemetry.metrics.counter("store.ingest.bytes").add(len(data))
+        get_metrics().counter("store.ingest.shards").add(1)
+        get_metrics().counter("store.ingest.bytes").add(len(data))
         self._pending = []
         self._pending_bytes = 0
 
@@ -291,6 +289,49 @@ def _as_log(quarantine_log) -> Optional[QuarantineLog]:
     return QuarantineLog(str(quarantine_log))
 
 
+def _ingest(
+    items: Iterable[Tuple[str, object]],
+    directory: str,
+    validator,
+    kind: str,
+    meta: Dict,
+    to_graph: Callable[[object], Tuple[EventGraph, Dict]],
+    quarantine_log,
+    max_shard_bytes: int,
+    overwrite: bool,
+    **span_attrs,
+) -> IngestReport:
+    """The one ingestion loop behind every front door.
+
+    ``items`` yields ``(split, item)``; an item the ``validator`` rejects
+    (``None`` = no validation) is quarantined and counted, a survivor is
+    turned into ``(graph, add_graph keywords)`` by ``to_graph`` and
+    written.  The store is sealed only if the loop completes.
+    """
+    quarantine = (
+        Quarantine(validator, context="store.ingest", log=_as_log(quarantine_log), kind=kind)
+        if validator is not None
+        else None
+    )
+    report = IngestReport()
+    writer = StoreWriter(
+        directory, max_shard_bytes=max_shard_bytes, meta=meta, overwrite=overwrite
+    )
+    with get_tracer().span("store.ingest", category="store", **span_attrs):
+        with writer:
+            for split, item in items:
+                report.seen += 1
+                if quarantine is not None and not quarantine.admit(
+                    item, obj_id=item.event_id
+                ):
+                    report.quarantined += 1
+                    continue
+                graph, extra = to_graph(item)
+                writer.add_graph(graph, split=split, **extra)
+                report.ingested += 1
+    return report.finish(writer.close(), writer.swept)
+
+
 def ingest_graphs(
     graphs: Iterable[EventGraph],
     directory: str,
@@ -303,35 +344,16 @@ def ingest_graphs(
     meta: Optional[Dict] = None,
 ) -> IngestReport:
     """Compact pre-built graphs into a store, quarantining invalid ones."""
-    quarantine = (
-        Quarantine(
-            GraphValidator(require_labels=require_labels),
-            context="store.ingest",
-            log=_as_log(quarantine_log),
-            kind="graph",
-        )
-        if validate
-        else None
-    )
-    report = IngestReport()
-    writer = StoreWriter(
+    return _ingest(
+        ((split, graph) for graph in graphs),
         directory,
-        max_shard_bytes=max_shard_bytes,
-        meta={"graphs": "builder", **(meta or {})},
-        overwrite=overwrite,
+        GraphValidator(require_labels=require_labels) if validate else None,
+        "graph",
+        {"graphs": "builder", **(meta or {})},
+        lambda graph: (graph, {}),
+        quarantine_log, max_shard_bytes, overwrite,
+        mode="graphs",
     )
-    with get_tracer().span("store.ingest", category="store", mode="graphs"):
-        with writer:
-            for graph in graphs:
-                report.seen += 1
-                if quarantine is not None and not quarantine.admit(
-                    graph, obj_id=graph.event_id
-                ):
-                    report.quarantined += 1
-                    continue
-                writer.add_graph(graph, split=split)
-                report.ingested += 1
-    return report.finish(writer.close(), writer.swept)
 
 
 def ingest_simulated(
@@ -364,50 +386,32 @@ def ingest_simulated(
     )
     geometry = geometry if geometry is not None else _default_geometry(config)
     simulator = _make_simulator(config, geometry)
-    quarantine = (
-        Quarantine(
-            EventValidator.for_geometry(geometry),
-            context="store.ingest",
-            log=_as_log(quarantine_log),
-            kind="event",
-        )
-        if validate
-        else None
-    )
-    report = IngestReport()
-    writer = StoreWriter(
+
+    def events():
+        event_id = 0
+        for split, count in (
+            ("train", config.num_train),
+            ("val", config.num_val),
+            ("test", config.num_test),
+        ):
+            for _ in range(count):
+                rng = np.random.default_rng(config.seed + event_id)
+                yield split, simulator.generate(rng, event_id=event_id)
+                event_id += 1
+
+    return _ingest(
+        events(),
         directory,
-        max_shard_bytes=max_shard_bytes,
-        meta={"graphs": "builder", "dataset": config.name, "seed": config.seed},
-        overwrite=overwrite,
+        EventValidator.for_geometry(geometry) if validate else None,
+        "event",
+        {"graphs": "builder", "dataset": config.name, "seed": config.seed},
+        lambda event: (
+            build_candidate_graph(event, geometry, config.builder),
+            {"fingerprint": event_fingerprint(event)},
+        ),
+        quarantine_log, max_shard_bytes, overwrite,
+        mode="simulated", dataset=config.name,
     )
-    splits = (
-        ("train", config.num_train),
-        ("val", config.num_val),
-        ("test", config.num_test),
-    )
-    with get_tracer().span(
-        "store.ingest", category="store", mode="simulated", dataset=config.name
-    ):
-        with writer:
-            event_id = 0
-            for split, count in splits:
-                for _ in range(count):
-                    rng = np.random.default_rng(config.seed + event_id)
-                    event = simulator.generate(rng, event_id=event_id)
-                    event_id += 1
-                    report.seen += 1
-                    if quarantine is not None and not quarantine.admit(
-                        event, obj_id=event.event_id
-                    ):
-                        report.quarantined += 1
-                        continue
-                    graph = build_candidate_graph(event, geometry, config.builder)
-                    writer.add_graph(
-                        graph, split=split, fingerprint=event_fingerprint(event)
-                    )
-                    report.ingested += 1
-    return report.finish(writer.close(), writer.swept)
 
 
 def ingest_construction(
@@ -433,38 +437,16 @@ def ingest_construction(
     """
     from ..serve.cache import event_fingerprint
 
-    quarantine = (
-        Quarantine(
-            EventValidator(),
-            context="store.ingest",
-            log=_as_log(quarantine_log),
-            kind="event",
-        )
-        if validate
-        else None
-    )
-    report = IngestReport()
-    writer = StoreWriter(
+    return _ingest(
+        ((split, event) for event in events),
         directory,
-        max_shard_bytes=max_shard_bytes,
-        meta={"graphs": "construction"},
-        overwrite=overwrite,
+        EventValidator() if validate else None,
+        "event",
+        {"graphs": "construction"},
+        lambda event: (
+            pipeline.construct_many([event])[0],
+            {"fingerprint": event_fingerprint(event), "source": "construction"},
+        ),
+        quarantine_log, max_shard_bytes, overwrite,
+        mode="construction",
     )
-    with get_tracer().span("store.ingest", category="store", mode="construction"):
-        with writer:
-            for event in events:
-                report.seen += 1
-                if quarantine is not None and not quarantine.admit(
-                    event, obj_id=event.event_id
-                ):
-                    report.quarantined += 1
-                    continue
-                graph = pipeline.construct_many([event])[0]
-                writer.add_graph(
-                    graph,
-                    split=split,
-                    fingerprint=event_fingerprint(event),
-                    source="construction",
-                )
-                report.ingested += 1
-    return report.finish(writer.close(), writer.swept)

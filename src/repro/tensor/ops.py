@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import kernels
-from .tensor import Tensor, astensor, unbroadcast
+from .tensor import Tensor, astensor, is_grad_enabled, no_grad, unbroadcast
 
 __all__ = [
     "add",
@@ -61,6 +61,7 @@ __all__ = [
     "clip",
     "dropout",
     "layer_norm",
+    "checkpoint",
     "softmax",
     "squared_distance",
     "bce_with_logits",
@@ -801,6 +802,61 @@ def layer_norm(a: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
         return gxhat.astype(a.dtype, copy=False), gw.astype(weight.dtype, copy=False), gb
 
     return Tensor.from_op(out, (a, weight, bias), backward, op="layer_norm")
+
+
+# ----------------------------------------------------------------------
+# activation recompute
+# ----------------------------------------------------------------------
+def checkpoint(fn: Callable[..., object], *inputs: Tensor):
+    """``fn(*inputs)`` without keeping its interior activations
+    (``torch.utils.checkpoint`` for this engine).
+
+    The forward runs ``fn`` under :func:`no_grad` and keeps only the
+    inputs; the backward re-runs it on fresh leaves and differentiates
+    that second graph, which is freed before the next node's turn.
+    Parameters ``fn`` closes over are not parents of the result: they
+    receive their gradients during the recomputation, whether or not any
+    input requires one.  ``fn`` must be deterministic and return a tensor
+    or a tuple of tensors of one dtype; all outputs are packed into one
+    tape node, so one recomputation serves every output.
+    """
+    inputs = tuple(astensor(t) for t in inputs)
+    if not is_grad_enabled():
+        return fn(*inputs)
+
+    def pack(outs) -> Tensor:
+        outs = (outs,) if isinstance(outs, Tensor) else outs
+        return concat([reshape(o, (-1,)) for o in outs], axis=0)
+
+    with no_grad():
+        outs = fn(*(t.detach() for t in inputs))
+        flat = pack(outs).data
+
+    def backward(grad: np.ndarray):
+        leaves = [Tensor(t.data, requires_grad=t.requires_grad) for t in inputs]
+        root = pack(fn(*leaves))
+        if root.requires_grad:
+            root.backward(grad)
+        return tuple(leaf.grad for leaf in leaves)
+
+    node = Tensor.from_op(flat, inputs, backward, op="checkpoint", always=True)
+
+    def unpack(lo: int, shape: Tuple[int, ...]) -> Tensor:
+        # a view of the packed node (not getitem: its slice backward is an
+        # np.add.at, ~40x the cost of this assignment)
+        hi = lo + int(np.prod(shape))
+
+        def backward(grad: np.ndarray):
+            g = np.zeros_like(flat)
+            g[lo:hi] = grad.reshape(-1)
+            return (g,)
+
+        return Tensor.from_op(flat[lo:hi].reshape(shape), (node,), backward, op="unpack")
+
+    if isinstance(outs, Tensor):
+        return unpack(0, outs.shape)
+    offsets = np.cumsum([0] + [o.size for o in outs])
+    return tuple(unpack(int(lo), o.shape) for lo, o in zip(offsets, outs))
 
 
 # ----------------------------------------------------------------------

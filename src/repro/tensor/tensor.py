@@ -291,15 +291,18 @@ class Tensor:
         parents: Iterable["Tensor"],
         backward: BackwardFn,
         op: str = "",
+        always: bool = False,
     ) -> "Tensor":
         """Build a non-leaf tensor recording ``backward`` on the tape.
 
         If autograd is globally disabled or no parent requires a gradient,
         the result is a detached leaf — this is what makes ``no_grad``
-        inference cheap.
+        inference cheap.  ``always`` records even when no parent requires
+        a gradient, for ops whose ``backward`` reaches tensors that are
+        not parents (:func:`repro.tensor.ops.checkpoint`).
         """
         parents = tuple(parents)
-        req = is_grad_enabled() and any(p.requires_grad for p in parents)
+        req = is_grad_enabled() and (always or any(p.requires_grad for p in parents))
         out = Tensor(data, requires_grad=req)
         if req:
             out._parents = parents

@@ -55,6 +55,54 @@ class TestExactness:
             g2 = p2.grad if p2.grad is not None else np.zeros_like(p2.data)
             assert np.allclose(g1, g2, atol=1e-5), n1
 
+    def test_gradients_bit_identical_to_plain_backprop(self, graph):
+        """On the fused path no tensor has more than two gradient
+        contributions, so the recomputation adds the same numbers in the
+        same order: equal bits, not merely equal to tolerance."""
+        m1, m2 = make_pair(num_layers=3)
+        loss_fn = BCEWithLogitsLoss(pos_weight=2.0)
+        labels = graph.edge_labels.astype(np.float32)
+        plain = loss_fn(m1(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols), labels)
+        plain.backward()
+        ck_loss = CheckpointedIGNN(m2).training_step(
+            graph.x, graph.y, graph.rows, graph.cols, labels, loss_fn
+        )
+        assert ck_loss == plain.item()
+        dead = "layer2.node_mlp"  # plain: never reached; recomputed: zero seed
+        for (name, p1), (_, p2) in zip(m1.named_parameters(), m2.named_parameters()):
+            if name.startswith(dead):
+                assert p1.grad is None and not p2.grad.any(), name
+            else:
+                assert np.array_equal(p1.grad, p2.grad), name
+
+    def test_training_step_is_forward_recompute_backward(self, graph):
+        """``training_step`` is only a spelling of the model's own flag."""
+        m1, m2 = make_pair(num_layers=2)
+        loss_fn = BCEWithLogitsLoss(pos_weight=2.0)
+        labels = graph.edge_labels.astype(np.float32)
+        loss_fn(
+            m1(graph.x, graph.y, graph.rows, graph.cols, recompute=True), labels
+        ).backward()
+        CheckpointedIGNN(m2).training_step(
+            graph.x, graph.y, graph.rows, graph.cols, labels, loss_fn
+        )
+        for (name, p1), (_, p2) in zip(m1.named_parameters(), m2.named_parameters()):
+            assert np.array_equal(p1.grad, p2.grad), name
+
+    def test_float64_network_is_not_downcast(self, graph):
+        """The hand-written sweep cast its inputs to float32 whatever the
+        network's precision."""
+        _, model = make_pair(num_layers=2)
+        model.astype(np.float64)
+        CheckpointedIGNN(model).training_step(
+            graph.x.astype(np.float64), graph.y.astype(np.float64),
+            graph.rows, graph.cols, graph.edge_labels.astype(np.float32),
+            BCEWithLogitsLoss(),
+        )
+        assert all(
+            p.grad.dtype == np.float64 for p in model.parameters() if p.grad is not None
+        )
+
     def test_training_converges(self, graph):
         _, model = make_pair(num_layers=2, hidden=16)
         ck = CheckpointedIGNN(model)

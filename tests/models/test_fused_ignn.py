@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.graph import random_graph
-from repro.models import GRUInteractionGNN, IGNNConfig, InteractionGNN
+from repro.models import (
+    GRUInteractionGNN,
+    IGNNConfig,
+    InteractionGNN,
+    RecurrentInteractionGNN,
+)
 from repro.nn import Adam, BCEWithLogitsLoss
 from repro.tensor import Tensor
 
@@ -44,6 +49,17 @@ class TestForwardParity:
         fused = GRUInteractionGNN(IGNNConfig(**base, fused=True))
         plain = GRUInteractionGNN(IGNNConfig(**base, fused=False))
         plain.load_state_dict(fused.state_dict())
+        lf = fused(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
+        lp = plain(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
+        np.testing.assert_allclose(lf.data, lp.data, rtol=2e-4, atol=2e-5)
+
+    def test_recurrent_variant_agrees(self, graph):
+        base = dict(node_features=6, edge_features=2, hidden=8,
+                    num_layers=3, mlp_layers=2, seed=0)
+        fused = RecurrentInteractionGNN(IGNNConfig(**base, fused=True))
+        plain = RecurrentInteractionGNN(IGNNConfig(**base, fused=False))
+        plain.load_state_dict(fused.state_dict())
+        assert fused.shared_layer.fused and not plain.shared_layer.fused
         lf = fused(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
         lp = plain(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
         np.testing.assert_allclose(lf.data, lp.data, rtol=2e-4, atol=2e-5)

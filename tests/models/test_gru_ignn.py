@@ -67,3 +67,41 @@ class TestGRUIGNN:
         model = GRUInteractionGNN(cfg())
         p = model.predict_proba(graph)
         assert np.all((p >= 0) & (p <= 1))
+
+    def test_predict_proba_keeps_eval_mode(self, graph):
+        """Used to end in a forced ``.train()``."""
+        model = GRUInteractionGNN(cfg()).eval()
+        model.predict_proba(graph)
+        assert not model.training
+        model.train()
+        model.predict_proba(graph)
+        assert model.training
+
+    def test_predict_proba_casts_to_the_parameter_dtype(self, graph):
+        model = GRUInteractionGNN(cfg())
+        p32 = model.predict_proba(graph)
+        model.astype(np.float64)
+        p64 = model.predict_proba(graph)  # float32 graph features
+        assert p64.dtype == np.float64
+        np.testing.assert_allclose(p64, p32, rtol=1e-3, atol=1e-4)
+
+    def test_is_the_shared_traversal_over_a_gru_block(self):
+        model = GRUInteractionGNN(cfg(num_layers=4))
+        assert type(model).forward is InteractionGNN.forward
+        assert len(model.blocks) == 4
+        assert all(b is model.shared_layer for b in model.blocks)
+        names = {n for n, _ in model.named_parameters()}
+        assert "shared_layer.node_gru.w_ir" in names
+        assert not any(".node_mlp." in n for n in names)
+
+    def test_recompute_matches_plain_backprop(self, graph):
+        grads = {}
+        for recompute in (False, True):
+            model = GRUInteractionGNN(cfg())
+            logits = model(
+                Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols, recompute=recompute
+            )
+            BCEWithLogitsLoss()(logits, graph.edge_labels.astype(np.float32)).backward()
+            grads[recompute] = {n: p.grad for n, p in model.named_parameters()}
+        for name, plain in grads[False].items():
+            np.testing.assert_allclose(grads[True][name], plain, rtol=1e-4, atol=1e-6)

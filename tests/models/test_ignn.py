@@ -174,3 +174,58 @@ class TestTraining:
                 first = loss.item()
             last = loss.item()
         assert last < first
+
+
+class TestRecurrentVariantIsTheSameModel:
+    """RecurrentInteractionGNN is InteractionGNN over one repeated block:
+    it inherits the traversal, the fused/unfused choice, the recompute
+    flag and the inference path."""
+
+    def test_blocks_are_one_shared_layer(self):
+        model = RecurrentInteractionGNN(small_config(num_layers=4))
+        assert len(model.blocks) == 4
+        assert all(b is model.shared_layer for b in model.blocks)
+        assert type(model).forward is InteractionGNN.forward
+        assert {n.split(".")[0] for n, _ in model.named_parameters()} == {
+            "node_encoder", "edge_encoder", "shared_layer", "output_mlp",
+        }
+
+    def test_honours_the_fused_flag(self, graph, monkeypatch):
+        """The shared layer used to be built fused whatever the config."""
+        assert RecurrentInteractionGNN(small_config(fused=False)).shared_layer.fused is False
+
+        def fused_kernel_called(*a, **k):
+            raise AssertionError("fused kernel reached with fused=False")
+
+        monkeypatch.setattr(ops, "gather_concat_matmul", fused_kernel_called)
+        monkeypatch.setattr(ops, "scatter_mlp_input", fused_kernel_called)
+        model = RecurrentInteractionGNN(small_config(fused=False))
+        out = model(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
+        assert out.shape == (graph.num_edges,)
+
+    def test_predict_proba_keeps_mode_and_casts_dtype(self, graph):
+        model = RecurrentInteractionGNN(small_config()).eval()
+        model.predict_proba(graph)
+        assert not model.training  # was forced back to train()
+        model.train().astype(np.float64)
+        proba = model.predict_proba(graph)  # float32 graph, float64 net
+        assert model.training
+        assert proba.dtype == np.float64
+        assert all(p.data.dtype == np.float64 for p in model.parameters())
+
+    def test_mismatched_edges_rejected(self, graph):
+        model = RecurrentInteractionGNN(small_config())
+        with pytest.raises(ValueError):
+            model(Tensor(graph.x), Tensor(graph.y), graph.rows[:-1], graph.cols)
+
+    def test_recompute_matches_plain_backprop(self, graph):
+        grads = {}
+        for recompute in (False, True):
+            model = RecurrentInteractionGNN(small_config(num_layers=3))
+            logits = model(
+                Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols, recompute=recompute
+            )
+            BCEWithLogitsLoss()(logits, graph.edge_labels.astype(np.float32)).backward()
+            grads[recompute] = {n: p.grad for n, p in model.named_parameters()}
+        for name, plain in grads[False].items():
+            np.testing.assert_allclose(grads[True][name], plain, rtol=1e-4, atol=1e-6)

@@ -6,9 +6,11 @@ import numpy as np
 
 from repro.distributed import CommCostModel, SimCommunicator
 from repro.obs import (
+    NULL_METRICS,
     NULL_TRACER,
     RunTelemetry,
     config_hash,
+    get_metrics,
     get_telemetry,
     get_tracer,
     git_describe,
@@ -48,6 +50,23 @@ class TestInstall:
             assert get_tracer() is telemetry.tracer
         assert get_telemetry() is None
         assert get_tracer() is NULL_TRACER
+
+    def test_get_metrics_is_the_registry_or_the_shared_null_object(self):
+        assert get_metrics() is NULL_METRICS
+        telemetry = RunTelemetry()
+        with use_telemetry(telemetry):
+            assert get_metrics() is telemetry.metrics
+            get_metrics().counter("x.calls").add(2)
+        assert get_metrics() is NULL_METRICS
+        assert telemetry.metrics.to_dict()["counters"] == {"x.calls": 2.0}
+
+    def test_null_metrics_accepts_every_instrument_write(self):
+        NULL_METRICS.counter("c").add(3)
+        NULL_METRICS.gauge("g").set(1.5)
+        NULL_METRICS.histogram("h").observe(0.2)
+        NULL_METRICS.histogram("h", max_samples=8).observe(0.2)
+        # one shared instrument, nothing recorded anywhere
+        assert NULL_METRICS.counter("a") is NULL_METRICS.histogram("b")
 
     def test_use_telemetry_none_is_noop_scope(self):
         with use_telemetry(None):
