@@ -126,27 +126,19 @@ class EmbeddingStage:
 
     # ------------------------------------------------------------------
     def embed(self, event: Event) -> np.ndarray:
-        """Embed one event's hits: :meth:`embed_many` on one event."""
-        return self.embed_many([event])[0]
-
-    def embed_many(self, events: Sequence[Event]) -> List[np.ndarray]:
-        """Embed several events through ONE fused forward pass.
-
-        Hit features of all events are concatenated row-wise, pushed
-        through the network once, and split back per event.  Under
-        :func:`repro.tensor.row_stable_matmul` (entered by the pipeline's
-        inference methods) a row does not depend on which events share
-        the call — the MLP is row-wise, so batching only amortises the
-        per-call overhead.
-        """
+        """Embed one event's hits — the one forward every caller shares
+        (``fit``'s graph building, serving, store ingest)."""
         if self.net is None:
             raise RuntimeError("embedding stage not fitted")
-        if not events:
-            return []
-        feats = [
-            vertex_features(e, self.geometry, self.config.feature_scheme)
-            for e in events
-        ]
-        z = self.net.embed(np.concatenate(feats, axis=0))
-        splits = np.cumsum([f.shape[0] for f in feats])[:-1]
-        return [np.ascontiguousarray(part) for part in np.split(z, splits)]
+        return self.net.embed(
+            vertex_features(event, self.geometry, self.config.feature_scheme)
+        )
+
+    def embed_many(self, events: Sequence[Event]) -> List[np.ndarray]:
+        """:meth:`embed` per event.
+
+        No forward ever sees two events: a BLAS row's bits depend on how
+        many rows share the call, so a batch is a loop, and an event's
+        embedding cannot depend on what it is batched with.
+        """
+        return [self.embed(e) for e in events]

@@ -80,15 +80,11 @@ class FilterStage:
     def prune_many(
         self, graphs: Sequence[EventGraph]
     ) -> List[Tuple[EventGraph, np.ndarray, np.ndarray]]:
-        """Prune several graphs with ONE fused filter forward pass.
+        """Prune several graphs, one filter forward per graph.
 
-        Node/edge features are concatenated block-diagonally (edge
-        endpoint indices offset per graph) and scored in a single MLP
-        call; scores are split back per graph and thresholded.  The
-        filter MLP is row-wise over edges, so under
-        :func:`repro.tensor.row_stable_matmul` (entered by the pipeline's
-        inference methods) each edge's score does not depend on which
-        graphs share the call.
+        No forward ever sees two graphs: a BLAS row's bits depend on how
+        many rows share the call, so a batch is a loop, and an edge's
+        score cannot depend on which graphs share the call.
 
         Returns one ``(pruned_graph, keep_mask, scores)`` triple per
         input graph — ``scores`` are the pre-threshold filter
@@ -97,24 +93,12 @@ class FilterStage:
         """
         if self.net is None:
             raise RuntimeError("filter stage not fitted")
-        nonempty = [g for g in graphs if g.num_edges > 0]
-        if nonempty:
-            offsets = np.cumsum([0] + [g.num_nodes for g in nonempty])
-            batch = EventGraph(
-                edge_index=np.concatenate(
-                    [g.edge_index + off for g, off in zip(nonempty, offsets)], axis=1
-                ),
-                x=np.concatenate([g.x for g in nonempty], axis=0),
-                y=np.concatenate([g.y for g in nonempty], axis=0),
-            )
-            edge_splits = np.cumsum([g.num_edges for g in nonempty])[:-1]
-            per_graph = iter(np.split(self.net.predict_proba(batch), edge_splits))
         out: List[Tuple[EventGraph, np.ndarray, np.ndarray]] = []
         for g in graphs:
             if g.num_edges == 0:
                 out.append((g, np.zeros(0, dtype=bool), np.zeros(0)))
                 continue
-            scores = np.ascontiguousarray(next(per_graph))
+            scores = self.net.predict_proba(g)
             keep = scores >= self.config.filter_threshold
             out.append((g.edge_mask_subgraph(keep), keep, scores))
         return out

@@ -37,9 +37,9 @@ class GraphConstructionStage:
     def build(self, event: Event, z: Optional[np.ndarray] = None) -> EventGraph:
         """Construct the labelled candidate graph of one event.
 
-        ``z`` lets a caller supply precomputed embeddings (the batched
-        serving path embeds a whole micro-batch in one forward pass);
-        everything downstream of the embedding is per-event regardless.
+        ``z`` lets a caller supply the event's precomputed embeddings
+        (:meth:`build_many` embeds its events first); everything
+        downstream of the embedding is per-event regardless.
         """
         if z is None:
             z = self.embedding.embed(event)
@@ -67,13 +67,10 @@ class GraphConstructionStage:
         )
 
     def build_many(self, events: Sequence[Event]) -> List[EventGraph]:
-        """Construct several events' graphs with ONE fused embedding pass.
-
-        The embedding forward runs once over the concatenated hit arrays
-        (:meth:`EmbeddingStage.embed_many`); the FRNN search, edge
-        orientation, feature attachment, and truth labelling stay
-        strictly per-event, so no cross-event edges can ever appear.
-        """
+        """Construct several events' graphs: one
+        :meth:`EmbeddingStage.embed_many` call (itself a per-event loop),
+        then :meth:`build` per event.  Nothing here spans two events, so
+        a graph cannot depend on what its event is batched with."""
         zs = self.embedding.embed_many(events)
         return [self.build(event, z=z) for event, z in zip(events, zs)]
 

@@ -5,11 +5,11 @@ GNN — each consuming the previous stage's output on the training events.
 
 Inference is ONE traversal, shared by every caller (``reconstruct``, the
 serving engine, the diagnostics, the construction-store ingest):
-``upstream_many`` (construction + filter, one fused forward each) then
-``finish_from_filtered`` per event (GNN + track building).  Each of these
-methods enters :func:`repro.tensor.row_stable_matmul` itself, so an
-event's result is bit-identical whether it is processed alone or inside
-any batch — by construction, not by the caller remembering the scope.
+``upstream_many`` (construction + filter) then ``finish_from_filtered``
+per event (GNN + track building).  No forward ever sees two events — a
+batch is a loop over the single-event stage call — so an event's result
+is bit-identical whether it is processed alone or inside any batch, and
+``fit``, evaluation and serving score with the same kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from ..graph import EventGraph
 from ..guard import EventValidator, Quarantine, QuarantineLog
 from ..metrics import TrackingScore, match_tracks
 from ..obs import get_tracer
-from ..tensor import row_stable_matmul
 from .config import PipelineConfig
 from .embedding_stage import EmbeddingStage
 from .filter_stage import FilterStage
@@ -48,7 +47,7 @@ class _ModuleMapConstruction:
         return self.module_map.build(event)
 
     def build_many(self, events: Sequence[Event]):
-        return [self.build(e) for e in events]  # no fused forward
+        return [self.build(e) for e in events]
 
     def edge_efficiency(self, event: Event, graph=None) -> float:
         return self.module_map.edge_efficiency(event)
@@ -220,13 +219,13 @@ class ExaTrkXPipeline:
     def construct_many(
         self, events: Sequence[Event], span: str = "pipeline.graph_construction"
     ) -> List[EventGraph]:
-        """Stages 1–2 for several events: ONE fused embedding forward,
-        then the per-event FRNN search / labelling."""
+        """Stages 1–2 for several events: per event, the embedding
+        forward, then the FRNN search / labelling."""
         if self.construction is None:
             raise RuntimeError("pipeline not fitted")
         with get_tracer().span(
             span, category=span.split(".")[0], events=len(events)
-        ), row_stable_matmul():
+        ):
             return self.construction.build_many(events)
 
     def upstream_many(
@@ -235,7 +234,7 @@ class ExaTrkXPipeline:
         graphs: Optional[Sequence[Optional[EventGraph]]] = None,
         spans: Tuple[str, str] = ("pipeline.graph_construction", "pipeline.filter"),
     ) -> List[UpstreamStages]:
-        """Stages 1–3 for several events, one fused forward per stage.
+        """Stages 1–3 for several events, one forward per event and stage.
 
         A non-``None`` ``graphs[i]`` is a construction graph the caller
         already holds for ``events[i]`` (the serving engine hydrates them
@@ -251,7 +250,7 @@ class ExaTrkXPipeline:
                 graphs[i] = graph
         with get_tracer().span(
             spans[1], category=spans[1].split(".")[0], graphs=len(graphs)
-        ), row_stable_matmul():
+        ):
             pruned = self.filter.prune_many(graphs)
         return [UpstreamStages(g, *triple) for g, triple in zip(graphs, pruned)]
 
@@ -260,9 +259,7 @@ class ExaTrkXPipeline:
     ) -> Tuple[EventGraph, np.ndarray, np.ndarray]:
         """Stage 4 on a filter-pruned graph: ``(pruned, keep, scores)``
         from :meth:`GNNStage.prune`, cut at ``config.gnn.threshold``."""
-        with get_tracer().span(
-            "pipeline.gnn", category="pipeline"
-        ), row_stable_matmul():
+        with get_tracer().span("pipeline.gnn", category="pipeline"):
             return self.gnn.prune(graph)
 
     def finish_from_filtered(

@@ -2,14 +2,15 @@
 
 ``repro.serve`` turns a fitted :class:`~repro.pipeline.ExaTrkXPipeline`
 into a request-serving system: a bounded :class:`RequestQueue` feeding a
-dynamic micro-batcher (fused embedding/filter forwards over concatenated
-per-batch arrays), a keyed :class:`StageCache` so replayed events skip
-the upstream stages, and admission control with load-shedding plus a
-degraded GNN-skip mode under latency pressure.  Batched results are
-bit-identical to looped :meth:`~repro.pipeline.ExaTrkXPipeline.reconstruct`
-(see :mod:`repro.serve.engine` for the determinism contract), and
-:mod:`repro.serve.loadgen` provides an open-loop generator for overload
-experiments.
+dynamic micro-batcher (one dispatch, in-batch dedup, cache lookups and
+admission per batch; stage forwards stay per event), a keyed
+:class:`StageCache` so replayed events skip the upstream stages, and
+admission control with load-shedding plus a degraded GNN-skip mode under
+latency pressure.  Batched results are bit-identical to looped
+:meth:`~repro.pipeline.ExaTrkXPipeline.reconstruct` because no forward
+ever sees two events (see :mod:`repro.serve.engine` for the determinism
+contract), and :mod:`repro.serve.loadgen` provides an open-loop
+generator for overload experiments.
 
 Guardrails (``docs/resilience.md``): input quarantine at submit, a
 circuit breaker around the GNN stage routing to the degraded GNN-skip

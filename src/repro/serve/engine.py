@@ -7,9 +7,8 @@ requests through a bounded :class:`RequestQueue`:
 
 * a **dynamic micro-batcher** groups queued requests and flushes on
   whichever comes first — ``max_batch_events`` requests waiting, or the
-  oldest request waiting ``max_wait_ms`` — so the embedding and filter
-  forward passes run ONCE over the concatenated per-batch hit/edge
-  arrays instead of once per event;
+  oldest request waiting ``max_wait_ms``.  A micro-batch shares a
+  dispatch, in-batch dedup, the stage cache and admission — not compute;
 * a **keyed stage cache** (:class:`~repro.serve.cache.StageCache`)
   memoises construction/filter outputs under an event-content hash, so
   replayed events enter the pipeline directly at the GNN stage;
@@ -25,12 +24,12 @@ Batched execution is bit-identical to looped
 :meth:`~repro.pipeline.ExaTrkXPipeline.reconstruct` because it IS the
 same traversal: the engine calls the pipeline's ``upstream_many`` and
 ``finish_from_filtered`` — the two halves ``reconstruct_many`` composes —
-and those methods enter :func:`repro.tensor.row_stable_matmul`
-themselves, so per-row results do not depend on what else is in the
-batch.  The engine owns only serving policy (cache, store hydration,
-breaker, timeout, degrade); it never walks a stage or picks a track
-builder.  Batch *composition* therefore never influences results — only
-latency.
+and in those a batch is a loop over the single-event stage call: no
+forward ever sees two events, so per-event results cannot depend on
+what else is in the batch.  The engine owns only serving policy (cache,
+store hydration, breaker, timeout, degrade); it never walks a stage or
+picks a track builder.  Batch *composition* therefore never influences
+results — only latency.
 
 Time is read from an injectable clock (:class:`repro.faults.SimClock`
 compatible), so overload, shedding, and degraded-mode decisions are
@@ -869,8 +868,8 @@ class InferenceEngine:
 
         Serving policy only: cache lookup, in-batch dedup, store
         hydration.  Whatever is left goes through ONE
-        :meth:`~repro.pipeline.ExaTrkXPipeline.upstream_many` call (the
-        fused batched stages); cache hits skip both stages.
+        :meth:`~repro.pipeline.ExaTrkXPipeline.upstream_many` call;
+        cache hits skip both stages.
         """
         keys = [event_fingerprint(r.event) for r in batch]
         staged: Dict[str, Optional[CachedStages]] = {}

@@ -428,7 +428,7 @@ def ingest_construction(
 
     The stored graphs are what the pipeline's own inference traversal
     constructs for each event (:meth:`ExaTrkXPipeline.construct_many`,
-    the row-stable entry point serving uses), keyed by event fingerprint
+    the entry point serving uses), keyed by event fingerprint
     — exactly what :class:`repro.serve.InferenceEngine` needs to hydrate
     replayed requests from the warm shard cache instead of rebuilding
     the graph from the request payload.  The manifest records

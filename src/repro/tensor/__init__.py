@@ -25,7 +25,6 @@ from .tensor import (
     unbroadcast,
 )
 from . import kernels, ops
-from .ops import is_row_stable_matmul, row_stable_matmul
 from .gradcheck import gradcheck
 
 __all__ = [
@@ -42,6 +41,4 @@ __all__ = [
     "ops",
     "kernels",
     "gradcheck",
-    "row_stable_matmul",
-    "is_row_stable_matmul",
 ]

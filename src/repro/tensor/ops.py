@@ -18,8 +18,6 @@ Gradient formulas are checked against central finite differences in
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,8 +34,6 @@ __all__ = [
     "pow",
     "matmul",
     "linear",
-    "row_stable_matmul",
-    "is_row_stable_matmul",
     "sum",
     "mean",
     "reshape",
@@ -186,49 +182,10 @@ def clip(a: Tensor, lo: Optional[float], hi: Optional[float]) -> Tensor:
 # ----------------------------------------------------------------------
 # linear algebra and shape ops
 # ----------------------------------------------------------------------
-# Row-stable matmul mode.  BLAS GEMM picks its blocking by matrix shape,
-# so row i of ``x @ W`` can round differently depending on how many other
-# rows are in the batch — which breaks bit-identity between per-event and
-# concatenated-batch inference.  Under ``row_stable_matmul()`` the forward
-# product is computed with ``np.einsum``, whose per-row accumulation order
-# is independent of the row count: the same input row always produces the
-# same output bits, whatever it is batched with.  The backward pass is
-# unaffected (training stays on BLAS).
-_ROW_STABLE_STATE = threading.local()
-
-
-def is_row_stable_matmul() -> bool:
-    """Whether matmul forwards on this thread use the row-stable kernel."""
-    return getattr(_ROW_STABLE_STATE, "depth", 0) > 0
-
-
-@contextlib.contextmanager
-def row_stable_matmul():
-    """Scope in which 2-D matmul forwards are bitwise row-stable.
-
-    Inference paths that must produce identical results per event whether
-    events are processed one at a time or concatenated into a batch (the
-    serving engine's parity contract, see :mod:`repro.serve`) run under
-    this context.  Slower than BLAS; never use it for training.
-
-    Re-entrant, and scoped to the calling thread: each serving worker
-    enters its own scope, so concurrent threads outside any scope keep
-    the fast BLAS kernel.
-    """
-    _ROW_STABLE_STATE.depth = getattr(_ROW_STABLE_STATE, "depth", 0) + 1
-    try:
-        yield
-    finally:
-        _ROW_STABLE_STATE.depth -= 1
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product ``a @ b`` for 1-D or 2-D operands."""
     a, b = astensor(a), astensor(b)
-    if is_row_stable_matmul() and a.ndim == 2 and b.ndim == 2:
-        out = np.einsum("ij,jk->ik", a.data, b.data)
-    else:
-        out = a.data @ b.data
+    out = a.data @ b.data
 
     def backward(grad: np.ndarray):
         ga = gb = None
@@ -257,7 +214,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     staging-table entry) and its gradient is a single column sum.
     """
     x, weight = astensor(x), astensor(weight)
-    out = _mm(x.data, weight.data) if x.ndim == 2 else x.data @ weight.data
+    out = x.data @ weight.data
     bias_t = None
     if bias is not None:
         bias_t = astensor(bias)
@@ -490,13 +447,6 @@ def segment_mean(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tenso
     return Tensor.from_op(out, (a,), backward, op="segment_mean")
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2-D matmul honouring the row-stable serving contract."""
-    if is_row_stable_matmul():
-        return np.einsum("ij,jk->ik", a, b)
-    return a @ b
-
-
 def gather_concat_matmul(
     y: Tensor,
     x: Tensor,
@@ -543,9 +493,9 @@ def gather_concat_matmul(
     w_y, w_r, w_c = w[:e], w[e : e + f], w[e + f :]
 
     arena = kernels.get_arena()
-    out = _mm(y.data, w_y)
-    xr = _mm(x.data, w_r)
-    xc = _mm(x.data, w_c)
+    out = y.data @ w_y
+    xr = x.data @ w_r
+    xc = x.data @ w_c
     scratch = kernels.gather_rows_out(xr, rows)
     out += scratch
     kernels.gather_rows_out(xc, cols, out=scratch)
@@ -629,9 +579,9 @@ def scatter_mlp_input(
 
     m_src = kernels.scatter_add_rows(messages.data, rows, n)
     m_dst = kernels.scatter_add_rows(messages.data, cols, n)
-    out = _mm(m_src, w_s)
-    out += _mm(m_dst, w_d)
-    out += _mm(x.data, w_x)
+    out = m_src @ w_s
+    out += m_dst @ w_d
+    out += x.data @ w_x
     bias_t = None
     if bias is not None:
         bias_t = astensor(bias)

@@ -13,12 +13,12 @@ import contextlib
 import numpy as np
 import pytest
 
+from repro.detector import EventSimulator, ParticleGun
 from repro.faults import SimClock
 from repro.pipeline import ExaTrkXPipeline, GNNTrainConfig, PipelineConfig
 from repro.pipeline.config import TRACK_BUILDERS
 from repro.serve import InferenceEngine, ServeConfig
 from repro.store import EventStore, ingest_construction
-from repro.tensor import is_row_stable_matmul
 
 from .conftest import track_builder
 
@@ -178,8 +178,7 @@ def test_degraded_serving_is_finish_from_filtered_on_filter_scores(
 def test_single_event_stage_methods_are_the_batched_ones(
     serve_pipeline, serve_events
 ):
-    """Outside the row-stable scope too — ``fit`` calls these directly."""
-    assert not is_row_stable_matmul()
+    """``fit`` calls these directly."""
     for event in serve_events:
         z = serve_pipeline.embedding.embed(event)
         assert np.array_equal(z, serve_pipeline.embedding.embed_many([event])[0])
@@ -188,3 +187,65 @@ def test_single_event_stage_methods_are_the_batched_ones(
         many_pruned, many_keep, _ = serve_pipeline.filter.prune_many([graph])[0]
         assert np.array_equal(keep, many_keep)
         assert np.array_equal(pruned.edge_index, many_pruned.edge_index)
+
+
+# ----------------------------------------------------------------------
+# No forward spans two events, and there is one scorer.  The fixture
+# events (94–194 hits) are small enough that a BLAS forward over a
+# concatenated batch can agree with the per-event one; at >= 800 hits it
+# does not, so these are the cases that go red if a fused forward returns.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def large_events(geometry):
+    sim = EventSimulator(
+        geometry, gun=ParticleGun(), particles_per_event=100, noise_fraction=0.05
+    )
+    events = [
+        sim.generate(np.random.default_rng(940 + i), event_id=200 + i)
+        for i in range(4)
+    ]
+    assert min(e.num_hits for e in events) >= 800
+    return events
+
+
+def test_large_events_bit_identical_at_every_batching(serve_pipeline, large_events):
+    alone = [serve_pipeline.upstream_many([e])[0] for e in large_events]
+    for one, batched in zip(alone, serve_pipeline.upstream_many(large_events)):
+        assert np.array_equal(one.graph.edge_index, batched.graph.edge_index)
+        assert np.array_equal(one.filter_scores, batched.filter_scores)
+    sequential = [serve_pipeline.reconstruct(e) for e in large_events]
+    assert any(sequential)
+    served = {"reconstruct_many": serve_pipeline.reconstruct_many(large_events)}
+    for batch in (1, len(large_events)):
+        config = ServeConfig(max_batch_events=batch, cache_capacity=0)
+        with InferenceEngine(serve_pipeline, config) as engine:
+            served[f"engine b{batch}"] = [
+                r.tracks for r in engine.process(large_events)
+            ]
+    for how, results in served.items():
+        for seq, tracks in zip(sequential, results):
+            _assert_tracks_equal(seq, tracks, how)
+
+
+def test_serving_scores_with_the_scorer_fit_and_evaluation_use(
+    serve_pipeline, serve_events, monkeypatch
+):
+    """The stage networks called directly — as ``fit`` and
+    ``evaluate_edge_classifier`` call them — return the bits the
+    inference traversal computes."""
+    embedded = {}
+    build = serve_pipeline.construction.build
+
+    def spy(event, z=None):
+        embedded[event.event_id] = z
+        return build(event, z=z)
+
+    monkeypatch.setattr(serve_pipeline.construction, "build", spy)
+    for event in serve_events:
+        staged = serve_pipeline.upstream_many([event])[0]
+        z = serve_pipeline.embedding.embed(event)
+        assert np.array_equal(z, embedded[event.event_id])
+        scores = serve_pipeline.filter.prune_many([staged.graph])[0][2]
+        assert np.array_equal(scores, staged.filter_scores)
+        gnn_scores = serve_pipeline.gnn.model.predict_proba(staged.filtered)
+        assert np.array_equal(gnn_scores, serve_pipeline.gnn_prune(staged.filtered)[2])

@@ -6,7 +6,6 @@ import pytest
 from repro.graph import random_graph
 from repro.serve import InferenceEngine, ServeConfig, event_fingerprint
 from repro.store import EventStore, ingest_construction, ingest_graphs
-from repro.tensor import is_row_stable_matmul
 
 
 @pytest.fixture()
@@ -92,8 +91,8 @@ class TestIngestThroughThePipeline:
         self, serve_pipeline, serve_events, construction_store
     ):
         """What the engine hydrates is bitwise what it would have built:
-        ingest constructs through the pipeline's row-stable entry point
-        (the store keeps edges stably sorted by source row)."""
+        ingest constructs through the pipeline's own entry point (the
+        store keeps edges stably sorted by source row)."""
         handles = {h.fingerprint: h for h in construction_store.handles()}
         for event in serve_events:
             stored = handles[event_fingerprint(event)].materialize()
@@ -106,14 +105,18 @@ class TestIngestThroughThePipeline:
     def test_embedding_runs_row_stable_during_ingest(
         self, serve_pipeline, serve_events, tmp_path, monkeypatch
     ):
-        net = serve_pipeline.embedding.net
-        scoped = []
-        embed = net.embed
-        monkeypatch.setattr(
-            net, "embed", lambda x: scoped.append(is_row_stable_matmul()) or embed(x)
-        )
+        """Ingest builds through the traversal's own entry point, one
+        ``construct_many`` call per admitted event."""
+        built = []
+        construct_many = serve_pipeline.construct_many
+
+        def spy(events, **kwargs):
+            built.append([e.event_id for e in events])
+            return construct_many(events, **kwargs)
+
+        monkeypatch.setattr(serve_pipeline, "construct_many", spy)
         ingest_construction(serve_pipeline, serve_events, str(tmp_path / "s"))
-        assert scoped == [True] * len(serve_events)
+        assert built == [[e.event_id] for e in serve_events]
 
 
 class TestStoreMetaGuard:

@@ -176,56 +176,3 @@ class TestBinaryOpProperties:
     def test_sigmoid_in_unit_interval(self, a):
         out = ops.sigmoid(Tensor(a)).numpy()
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
-
-
-class TestRowStableMatmul:
-    def test_row_independent_of_batch(self):
-        rng = np.random.default_rng(7)
-        w = Tensor(rng.normal(size=(64, 32)).astype(np.float32))
-        x = rng.normal(size=(37, 64)).astype(np.float32)
-        with ops.row_stable_matmul():
-            full = ops.matmul(Tensor(x), w).numpy()
-            rows = [ops.matmul(Tensor(x[i : i + 1]), w).numpy()[0] for i in range(len(x))]
-        assert all(np.array_equal(full[i], rows[i]) for i in range(len(x)))
-
-    def test_scope_toggles_flag(self):
-        from repro.tensor import is_row_stable_matmul
-
-        assert not is_row_stable_matmul()
-        with ops.row_stable_matmul():
-            assert is_row_stable_matmul()
-            with ops.row_stable_matmul():  # nested scope
-                assert is_row_stable_matmul()
-            assert is_row_stable_matmul()
-        assert not is_row_stable_matmul()
-
-    def test_scopes_are_per_thread(self):
-        """Scopes overlapping across threads (the serving worker pool
-        enters one per in-flight batch) must neither re-enable BLAS inside
-        another worker's live scope nor leak row-stable mode process-wide
-        after out-of-order exits."""
-        import threading
-
-        from repro.tensor import is_row_stable_matmul
-
-        entered_b = threading.Event()
-        release_b = threading.Event()
-        b_state = {}
-
-        def hold_scope():
-            with ops.row_stable_matmul():
-                entered_b.set()
-                release_b.wait(timeout=10.0)
-                b_state["active_inside"] = is_row_stable_matmul()
-            b_state["active_after"] = is_row_stable_matmul()
-
-        with ops.row_stable_matmul():
-            worker = threading.Thread(target=hold_scope)
-            worker.start()
-            assert entered_b.wait(timeout=10.0)
-        # A exited (out of order w.r.t. B): A's thread is back on BLAS...
-        assert not is_row_stable_matmul()
-        release_b.set()
-        worker.join(timeout=10.0)
-        # ...while B stayed row-stable to the end of its own scope.
-        assert b_state == {"active_inside": True, "active_after": False}

@@ -1,9 +1,12 @@
-"""Structural pin: inference has one traversal and one determinism scope.
+"""Structural pin: inference has one traversal and no determinism scope.
 
-``row_stable_matmul()`` is entered only by the pipeline's inference
-methods (``pipeline/pipeline.py``), so no caller can forget it, and the
-serving engine walks no stage itself: it imports neither the track
-builders nor the tensor layer.
+There is one 2-D product (``@``) and no mode that swaps it: the tensor
+layer holds no row-stable kernel and no thread-local state, and the
+stage ``*_many`` methods loop over the single-event call instead of
+concatenating a batch into one forward — so per-event results cannot
+depend on batch composition, and there is nothing for a caller to
+forget.  The serving engine walks no stage itself: it imports neither
+the track builders nor the tensor layer.
 """
 
 import ast
@@ -32,19 +35,36 @@ def _calls(tree, names):
     )
 
 
-def _parse(relpath):
+def _read(relpath):
     with open(os.path.join(SRC, relpath)) as fh:
-        return ast.parse(fh.read())
+        return fh.read()
+
+
+def _parse(relpath):
+    return ast.parse(_read(relpath))
 
 
 def test_row_stable_scope_is_entered_only_by_the_pipeline():
-    entered = [
-        path
-        for path in _source_files()
-        if not path.startswith("tensor" + os.sep)
-        and _calls(_parse(path), ["row_stable_matmul"])
-    ]
-    assert entered == [os.path.join("pipeline", "pipeline.py")]
+    """Stronger since the scope was deleted: nothing enters it because it
+    does not exist — not even in a docstring — and nothing spells a
+    matrix product as an einsum."""
+    gone = re.compile(r"""row_stable|\b_mm\b|einsum\(\s*["']ij,jk->ik["']""")
+    for path in _source_files():
+        assert not gone.search(_read(path)), path
+    assert "threading" not in _read(os.path.join("tensor", "ops.py"))
+
+
+def test_stage_many_methods_loop_over_the_single_event_call():
+    """No fused forward: the ``*_many`` bodies never join or split a batch."""
+    seen = []
+    for path in ("embedding_stage.py", "filter_stage.py", "graph_construction.py"):
+        for node in ast.walk(_parse(os.path.join("pipeline", path))):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                "embed_many", "prune_many", "build_many"
+            ):
+                seen.append(node.name)
+                assert _calls(node, ["concatenate", "split", "cumsum"]) == [], node.name
+    assert sorted(seen) == ["build_many", "embed_many", "prune_many"]
 
 
 def test_serving_engine_imports_no_stage_internals():
