@@ -742,11 +742,12 @@ def _check_regression_gate(tmp: str, trace_path: str) -> None:
 # -- kernels -------------------------------------------------------------
 @suite("kernels")
 def kernels_suite(argv) -> None:
-    """``repro.tensor.kernels`` fast path: scatter and fused-op parity
-    (forward + gradients) against the unfused references, arena pooling
-    bit-safety, a measured message-path speedup; then the fused/precision
-    parity test files, a fresh fig3 profile, and the perf-regression gate
-    against the checked-in baseline (locks in the fused epoch-time win)."""
+    """``repro.tensor.kernels`` fast path: scatter parity and id
+    validation, fused-op parity (forward + gradients) against the unfused
+    references, a measured message-path speedup, the forward/backward op
+    table of one Ex3-shaped step; then the fused/precision parity test
+    files, a fresh fig3 profile, and the perf-regression gate against the
+    checked-in baseline (locks in the fused epoch-time win)."""
     parser = argparse.ArgumentParser(prog="validate.py kernels")
     # Defaults mirror the Fig-3 bulk-ShaDow batch shapes (hidden 32 with
     # the residual concat: e = f = 64), where the old path paid the most
@@ -760,8 +761,8 @@ def kernels_suite(argv) -> None:
     rng = np.random.default_rng(0)
     _check_scatter_parity(rng)
     _check_fused_parity(rng)
-    _check_arena(rng)
     _check_speedup(rng, args.edges, args.nodes, args.repeats)
+    _print_op_table()
     run(
         sys.executable, "-m", "pytest", "-q", "tests/tensor/test_fused_kernels.py",
         "tests/memory/test_arena.py", "tests/models/test_fused_ignn.py",
@@ -788,7 +789,18 @@ def _check_scatter_parity(rng) -> None:
         out = kernels.scatter_add_rows(vals, idx, 97)
         if not np.allclose(out, ref, rtol=rtol, atol=rtol):
             fail(f"scatter_add_rows diverges from np.add.at ({dtype.__name__})")
-    ok("scatter parity")
+    # one id rule for the 2-D (CSR product) and the 1-D (bincount) path
+    for payload in (np.ones((4, 2)), np.ones(4)):
+        for bad in (-1, 3):
+            try:
+                kernels.scatter_add_rows(payload, np.array([0, 1, bad, 1]), 3)
+            except IndexError:
+                continue
+            fail(f"scatter_add_rows accepted id {bad} for 3 segments ({payload.ndim}-D)")
+        empty = kernels.scatter_add_rows(payload[:0], np.empty(0, np.int64), 3)
+        if empty.shape != (3,) + payload.shape[1:] or empty.any():
+            fail(f"empty index: expected zeros, got {empty!r}")
+    ok("scatter parity, out-of-range ids rejected")
 
 
 def _edge_case(rng, m, n, e=64, f=64, h=32, dtype=np.float64):
@@ -848,28 +860,6 @@ def _check_fused_parity(rng) -> None:
         if not np.allclose(g, p.grad, rtol=1e-10, atol=1e-10):
             fail("fused gradients diverge from unfused reference")
     ok("fused-op parity")
-
-
-def _check_arena(rng) -> None:
-    from repro.memory import default_arena, set_arena_enabled
-
-    arena = default_arena()
-    tensors = _edge_case(rng, m=600, n=80)
-    before = arena.stats.hits
-    _fused_pass(*tensors)
-    pooled = [p.grad for p in _params(tensors)]
-    if arena.stats.hits <= before:
-        fail("arena saw no pool hits across a forward/backward pass")
-    _clear_grads(tensors)
-    prev = set_arena_enabled(False)
-    try:
-        _fused_pass(*tensors)
-    finally:
-        set_arena_enabled(prev)
-    for a, p in zip(pooled, _params(tensors)):
-        if not np.array_equal(a, p.grad):
-            fail("arena pooling changed gradient bits")
-    ok(f"arena hygiene ({arena.stats.to_dict()})")
 
 
 def _legacy_pass(y, x, rows, cols, w1, w2):
@@ -936,6 +926,33 @@ def _check_speedup(rng, m: int, n: int, repeats: int) -> None:
     if speedup < 1.5:
         fail(f"fused message path speedup {speedup:.2f}x < 1.5x")
     ok("speedup")
+
+
+def _print_op_table() -> None:
+    """Forward/backward seconds by autograd op for one Ex3-shaped training
+    step (ROADMAP: aim the next kernel pass from numbers)."""
+    from repro.graph import random_graph
+    from repro.models import IGNNConfig, InteractionGNN
+    from repro.nn import BCEWithLogitsLoss
+    from repro.perf import by_op, profiled
+    from repro.tensor import Tensor
+
+    g = random_graph(1_400, 4_500, rng=np.random.default_rng(0), true_fraction=0.4)
+    model = InteractionGNN(IGNNConfig(
+        node_features=g.x.shape[1], edge_features=g.y.shape[1], hidden=64, num_layers=8,
+    ))
+    loss_fn, labels = BCEWithLogitsLoss(), g.edge_labels.astype(np.float32)
+
+    def step():
+        loss_fn(model(Tensor(g.x), Tensor(g.y), g.rows, g.cols), labels).backward()
+
+    step()  # warm: plans, allocator
+    with profiled() as report:
+        step()
+    print(f"{'op':<22} | {'fwd [ms]':>9} | {'bwd [ms]':>9} | calls")
+    for op, (fwd, bwd, calls) in by_op(report).items():
+        print(f"{op:<22} | {1e3 * fwd:>9.2f} | {1e3 * bwd:>9.2f} | {calls:>5}")
+    ok("op table (m=4500, n=1400, hidden 64, 8 layers; cProfile, one step)")
 
 
 # -- store ---------------------------------------------------------------

@@ -3,7 +3,7 @@
 from .timer import StageTimer, Timer
 from .breakdown import EpochBreakdown, project_epoch_time
 from .scaling import ScalingCurve, amdahl_time, fit_amdahl
-from .profile import HotSpot, ProfileReport, profiled
+from .profile import HotSpot, ProfileReport, by_op, profiled
 
 __all__ = [
     "Timer",
@@ -16,4 +16,5 @@ __all__ = [
     "HotSpot",
     "ProfileReport",
     "profiled",
+    "by_op",
 ]

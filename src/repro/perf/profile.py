@@ -7,13 +7,15 @@ samplers and the tensor engine starts from numbers rather than guesses.
 
 from __future__ import annotations
 
+import ast
 import cProfile
 import pstats
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
-__all__ = ["HotSpot", "ProfileReport", "profiled"]
+__all__ = ["HotSpot", "ProfileReport", "profiled", "by_op"]
 
 
 @dataclass(frozen=True)
@@ -82,3 +84,39 @@ def profiled() -> Iterator[ProfileReport]:
             )
         entries.sort(key=lambda h: -h.total_seconds)
         report.hotspots = entries
+
+
+def by_op(report: ProfileReport) -> Dict[str, Tuple[float, float, int]]:
+    """Fold a profile onto the autograd ops, hottest first.
+
+    Returns ``{op: (forward_s, backward_s, forward calls)}``.  Forward is
+    the cumulative time of each public function of
+    :mod:`repro.tensor.ops`, backward that of the ``backward`` closures
+    defined inside it (a closure is mapped to its op by source line).  An
+    op composed of other ops (``checkpoint``, the pairwise losses) includes
+    them.  Works on any :func:`profiled` report; nothing runs unless called.
+    """
+    from ..tensor import ops
+
+    with open(ops.__file__) as fh:
+        defs = [
+            node for node in ast.parse(fh.read()).body
+            if isinstance(node, ast.FunctionDef) and node.name in ops.__all__
+        ]
+    table: Dict[str, List[float]] = {}
+    for spot in report.hotspots:
+        match = re.fullmatch(r"(.*):(\d+)\((\w+)\)", spot.name)
+        if match is None or match.group(1) != ops.__file__:
+            continue
+        line, name = int(match.group(2)), match.group(3)
+        op = next((d for d in defs if d.lineno <= line <= d.end_lineno), None)
+        if op is None:
+            continue
+        row = table.setdefault(op.name, [0.0, 0.0, 0])
+        if line == op.lineno:  # the op's own frame
+            row[0] += spot.cumulative_seconds
+            row[2] += spot.calls
+        elif name == "backward":
+            row[1] += spot.cumulative_seconds
+    ranked = sorted(table.items(), key=lambda kv: -(kv[1][0] + kv[1][1]))
+    return {op: (fwd, bwd, int(calls)) for op, (fwd, bwd, calls) in ranked}

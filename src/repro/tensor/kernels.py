@@ -1,45 +1,41 @@
-"""Fused scatter/gather kernels for the IGNN hot path.
+"""Sparse-matrix scatter/gather kernels for the IGNN hot path.
 
-The telemetry profiles under ``benchmarks/results/telemetry/`` rank the
-Algorithm-1 message path — gather, concat, matmul, segment-reduce — as
-the hot set of a training epoch.  Two properties of the old code made it
-slow:
+Algorithm 1's ``REDUCTION(Y, A.rows, +)`` is a sparse-matrix product:
+with ``S`` the ``(num_segments, m)`` incidence matrix of an index array
+(``S[s, j] = 1`` iff ``index[j] == s``), the segment sum of ``(m, f)``
+values is ``S @ values`` — the same formulation (and the same
+``scipy.sparse`` CSR kernels) the bulk sampler uses for ``Q <- Q.A``.
 
-* every scatter-add went through ``np.add.at``, which dispatches one
-  ufunc inner loop per *row* and is roughly an order of magnitude slower
-  than a sort-once + ``np.add.reduceat`` (or per-column ``bincount``)
-  reduction over the same data;
-* the same ``rows``/``cols`` index arrays are re-sorted for every
-  ``segment_sum`` of every layer of every step, although the adjacency
-  is fixed for the duration of a forward/backward pass.
-
-This module provides the fast primitives: :class:`ScatterPlan` (the
-sort-once artefact, cached per index-array identity) and
-:func:`scatter_add_rows` (the sorted segment reduction).  The autograd
+:class:`ScatterPlan` is the cached incidence operator of one index
+array; :func:`scatter_add_rows` is the product and
+:func:`gather_rows_out` its transpose (``values[index]``).  The autograd
 ops in :mod:`repro.tensor.ops` and the distributed call sites
 (:mod:`repro.distributed.partitioned_gnn`,
 :mod:`repro.distributed.compression`) build on them.
 
-Numerical note: ``np.add.reduceat`` reduces each segment with pairwise
-summation while ``np.add.at`` accumulates strictly left-to-right, so the
-two differ in final float32 bits (pairwise is the *more* accurate one).
-The parity suites therefore gate float32 results on tolerance and
-float64 results tightly.  Within one kernel the reduction order is a
-pure function of the per-segment element sequence, which keeps the
-serving engine's batched-vs-sequential bit-parity contract intact.
+Summation order: the operator's column indices are the *stable* argsort
+of the index array, so each segment is accumulated sequentially, in
+original edge order — the order ``np.add.at`` uses, and a pure function
+of the segment's own element sequence, which is what "same arrays, same
+shape -> same bits" in the serving parity contract rests on.
 
-Scratch buffers come from the :mod:`repro.memory.arena` pool (imported
-lazily to avoid an import cycle through the package root).
+Ids are validated where the plan is built: it records the array's min
+and max once, and every kernel compares them to its bound in O(1)
+before any C loop runs (:meth:`ScatterPlan.check`).  An id outside
+``[0, bound)`` raises ``IndexError``; nothing wraps and nothing is
+scanned per call.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from collections import OrderedDict
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "ScatterPlan",
@@ -47,89 +43,76 @@ __all__ = [
     "scatter_add_rows",
     "scatter_add_1d",
     "gather_rows_out",
-    "get_arena",
 ]
 
-# ----------------------------------------------------------------------
-# lazy arena access (repro.memory imports repro.models -> repro.tensor,
-# so the reverse import must happen after the package is initialised)
-# ----------------------------------------------------------------------
-_ARENA = None
 
-
-def get_arena():
-    """The process-global :class:`repro.memory.arena.BufferArena`."""
-    global _ARENA
-    if _ARENA is None:
-        from ..memory.arena import default_arena
-
-        _ARENA = default_arena()
-    return _ARENA
-
-
-# ----------------------------------------------------------------------
-# scatter plans
-# ----------------------------------------------------------------------
 class ScatterPlan:
-    """Sort-once artefact for scattering rows by an integer index array.
+    """Cached incidence operator of one ``(m,)`` integer index array.
 
     Attributes
     ----------
-    order:
-        Stable argsort of the index array, or ``None`` when the array is
-        already non-decreasing (CSR-ordered adjacencies hit this path
-        and skip both the sort and the gather).
-    starts:
-        Segment start offsets into the (sorted) value stream.
-    unique:
-        The distinct segment ids, ascending.
-    sizes:
-        Rows per distinct segment (``len(unique)``).
     length:
         Number of indexed rows ``m``.
+    lo, hi:
+        Smallest and largest id (``0`` / ``-1`` for an empty array),
+        recorded once so bounds checks never rescan the array.
     """
 
-    __slots__ = ("order", "starts", "unique", "sizes", "length")
+    __slots__ = ("length", "lo", "hi", "_operators")
 
-    def __init__(self, order, starts, unique, sizes, length) -> None:
-        self.order = order
-        self.starts = starts
-        self.unique = unique
-        self.sizes = sizes
-        self.length = length
+    def __init__(self, index: np.ndarray) -> None:
+        self.length = index.shape[0]
+        self.lo, self.hi = (int(index.min()), int(index.max())) if self.length else (0, -1)
+        self._operators: dict = {}
 
-    def counts(self, num_segments: int, dtype=np.int64) -> np.ndarray:
-        """Dense per-segment row counts (``(num_segments,)``)."""
-        out = np.zeros(num_segments, dtype=dtype)
-        out[self.unique] = self.sizes
-        return out
+    def check(self, bound: int) -> None:
+        """Raise ``IndexError`` unless every id lies in ``[0, bound)``."""
+        if self.lo < 0 or self.hi >= bound:
+            bad = self.lo if self.lo < 0 else self.hi
+            raise IndexError(f"index {bad} is out of bounds for {bound} segments")
+
+    def operator(self, index: np.ndarray, num_segments: int, dtype) -> sp.csr_matrix:
+        """The ``(num_segments, m)`` CSR incidence matrix of ``index``.
+
+        ``indices`` is the stable argsort (a segment's rows in edge
+        order; the identity for CSR-ordered adjacencies), ``indptr`` the
+        running segment counts, and ``data`` ones of ``dtype`` — the
+        values' dtype, or scipy would upcast a float32 product to
+        float64.  Built once per ``(num_segments, dtype)``; a concurrent
+        duplicate build stores an equal operator.
+        """
+        key = (num_segments, np.dtype(dtype).char)
+        op = self._operators.get(key)
+        if op is None:
+            self.check(num_segments)
+            indptr = np.zeros(num_segments + 1, dtype=np.int64)
+            np.cumsum(np.bincount(index, minlength=num_segments), out=indptr[1:])
+            op = self._operators[key] = sp.csr_matrix(
+                (np.ones(self.length, dtype=dtype), np.argsort(index, kind="stable"), indptr),
+                shape=(num_segments, self.length),
+            )
+        return op
 
 
-def _build_plan(index: np.ndarray) -> ScatterPlan:
-    m = index.shape[0]
-    if m == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return ScatterPlan(None, empty, empty, empty, 0)
-    if np.all(index[:-1] <= index[1:]):
-        order, sorted_ids = None, index
-    else:
-        order = np.argsort(index, kind="stable")
-        sorted_ids = index[order]
-    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-    unique = sorted_ids[starts]
-    sizes = np.diff(np.r_[starts, m])
-    return ScatterPlan(order, starts, unique, sizes, m)
-
-
-# Plan cache keyed by index-array identity.  A weak reference guards
-# against id() reuse after garbage collection; entries for dead arrays
-# are evicted on sight.  The cache is small (one forward/backward pass
-# touches at most a handful of distinct adjacency arrays) and assumes
-# the cached arrays are not mutated in place — true for every
-# ``EventGraph.edge_index`` consumer in the pipeline.
+# Plan cache keyed by index-array identity.  Each entry holds a weak
+# reference whose callback drops the entry when the array dies, so a
+# streamed epoch's short-lived ``rows``/``cols`` do not pin their CSR
+# operators; the LRU bound only caps the plans of *live* arrays.  The
+# cache assumes the cached arrays are not mutated in place — true for
+# every ``EventGraph.edge_index`` consumer in the pipeline.
 _PLAN_CACHE: "OrderedDict[int, Tuple[weakref.ref, ScatterPlan]]" = OrderedDict()
 _PLAN_CACHE_MAX = 128
 _PLAN_LOCK = threading.Lock()
+
+
+def _drop_dead_plan(ref: weakref.ref, key: int) -> None:
+    # Runs wherever the array's last reference goes away — possibly
+    # inside a ``with _PLAN_LOCK`` block of this very thread, so it must
+    # not take the lock.  The id may already belong to a new array: pop
+    # only the entry that still holds *this* weakref.
+    entry = _PLAN_CACHE.get(key)
+    if entry is not None and entry[0] is ref:
+        _PLAN_CACHE.pop(key, None)
 
 
 def scatter_plan(index: np.ndarray) -> ScatterPlan:
@@ -138,17 +121,11 @@ def scatter_plan(index: np.ndarray) -> ScatterPlan:
     key = id(index)
     with _PLAN_LOCK:
         entry = _PLAN_CACHE.get(key)
-        if entry is not None:
-            ref, plan = entry
-            if ref() is index:
-                _PLAN_CACHE.move_to_end(key)
-                return plan
-            del _PLAN_CACHE[key]  # id() was recycled by the allocator
-    plan = _build_plan(index)
-    try:
-        ref = weakref.ref(index)
-    except TypeError:
-        return plan  # non-weakref-able (e.g. np.matrix subclass): no caching
+        if entry is not None and entry[0]() is index:
+            _PLAN_CACHE.move_to_end(key)
+            return entry[1]
+    plan = ScatterPlan(index)
+    ref = weakref.ref(index, lambda r: _drop_dead_plan(r, key))
     with _PLAN_LOCK:
         _PLAN_CACHE[key] = (ref, plan)
         while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
@@ -176,21 +153,22 @@ def scatter_add_rows(
     """Segment-sum ``values`` rows into ``num_segments`` buckets.
 
     Drop-in replacement for ``out = zeros(...); np.add.at(out, index,
-    values)`` built on a sorted ``np.add.reduceat``: one stable sort
-    (cached across calls via :func:`scatter_plan`), one gather, one
-    vectorised segment reduction.
+    values)``: the product of the cached incidence operator of ``index``
+    (:meth:`ScatterPlan.operator`) with ``values``, summing each segment
+    in edge order.
 
     Parameters
     ----------
     values:
-        ``(m, f)`` or ``(m,)`` rows to scatter.
+        ``(m, f)`` or ``(m,)`` rows to scatter (any strides).
     index:
-        ``(m,)`` destination row per value row.
+        ``(m,)`` destination row per value row; an id outside
+        ``[0, num_segments)`` raises ``IndexError``.
     num_segments:
-        Output row count; ``index`` must lie in ``[0, num_segments)``.
+        Output row count.
     out:
-        Optional destination (zeroed by this function unless
-        ``accumulate``).  Shape must be ``(num_segments,) + values.shape[1:]``.
+        Optional destination (overwritten unless ``accumulate``).  Shape
+        must be ``(num_segments,) + values.shape[1:]``.
     plan:
         Precomputed :func:`scatter_plan` of ``index``.
     accumulate:
@@ -201,32 +179,24 @@ def scatter_add_rows(
     values = np.asarray(values)
     index = np.asarray(index)
     shape = (num_segments,) + values.shape[1:]
-    if out is None:
-        out = np.zeros(shape, dtype=values.dtype)
-    else:
-        if out.shape != shape:
-            raise ValueError(f"out shape {out.shape} != {shape}")
-        if not accumulate:
-            out[...] = 0
-    if index.shape[0] == 0:
-        return out
-    if values.ndim == 1:
-        return scatter_add_1d(values, index, num_segments, out=out)
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out shape {out.shape} != {shape}")
     if plan is None:
         plan = scatter_plan(index)
-    if plan.order is None:
-        sorted_vals = values
-        segments = np.add.reduceat(sorted_vals, plan.starts, axis=0)
+    if values.ndim == 1:
+        plan.check(num_segments)
+        summed = np.bincount(index, weights=values, minlength=num_segments)
+        summed = summed.astype(values.dtype, copy=False)
     else:
-        arena = get_arena()
-        sorted_vals = arena.take(values.shape, values.dtype)
-        np.take(values, plan.order, axis=0, out=sorted_vals)
-        segments = np.add.reduceat(sorted_vals, plan.starts, axis=0)
-        arena.give(sorted_vals)
+        operator = plan.operator(index, num_segments, values.dtype)
+        flat = values.reshape(plan.length, math.prod(shape[1:]))  # no-op for (m, f)
+        summed = (operator @ flat).reshape(shape)
+    if out is None:
+        return summed
     if accumulate:
-        out[plan.unique] += segments  # `unique` is duplicate-free
+        out += summed
     else:
-        out[plan.unique] = segments
+        out[...] = summed
     return out
 
 
@@ -236,24 +206,18 @@ def scatter_add_1d(
     num_segments: int,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """1-D scatter-add via ``np.bincount`` (fastest for flat payloads)."""
-    summed = np.bincount(index, weights=values, minlength=num_segments)
-    if summed.shape[0] > num_segments:
-        raise IndexError(
-            f"index max {int(np.max(index))} out of bounds for "
-            f"{num_segments} segments"
-        )
-    if out is None:
-        return summed.astype(values.dtype, copy=False)
-    out += summed.astype(out.dtype, copy=False)
-    return out
+    """1-D scatter-add via ``np.bincount``, accumulated onto ``out``."""
+    return scatter_add_rows(values, index, num_segments, out=out, accumulate=True)
 
 
 def gather_rows_out(
     values: np.ndarray, index: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Row gather ``values[index]`` into an (arena-pooled) destination."""
-    if out is None:
-        out = get_arena().take((index.shape[0],) + values.shape[1:], values.dtype)
-    np.take(values, index, axis=0, out=out)
-    return out
+    """Row gather ``values[index]`` for ids in ``[0, len(values))``.
+
+    The plan's recorded bounds are checked first, so the gather itself
+    runs with ``mode="clip"``: numpy's default ``mode="raise"`` stages the
+    whole result in a bounce buffer whenever ``out`` is given.
+    """
+    scatter_plan(index).check(values.shape[0])
+    return np.take(values, index, axis=0, out=out, mode="clip")

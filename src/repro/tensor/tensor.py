@@ -142,61 +142,6 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-# ----------------------------------------------------------------------
-# gradient-buffer recycling
-# ----------------------------------------------------------------------
-# Backward closures that produce large gradients (gather/scatter/fused
-# graph ops) allocate them from the repro.memory buffer arena.  The
-# staging loop in Tensor.backward hands each gradient back to the arena
-# the moment it is dead — consumed into a leaf `.grad` or folded into a
-# staged sum — so steady-state training reuses the same few buffers
-# instead of round-tripping through malloc every step.  Reclaiming a
-# foreign array is a no-op (the arena only pools what it issued), so the
-# loop can offer every dead array without tracking provenance.
-_ARENA = None
-
-
-def _arena():
-    global _ARENA
-    if _ARENA is None:
-        from ..memory.arena import default_arena
-
-        _ARENA = default_arena()
-    return _ARENA
-
-
-def _reclaim_dead(dead, grads) -> None:
-    """Return dead gradient buffers to the arena.
-
-    A candidate is skipped when any *live* staged gradient is (or is a
-    view of) the same array — closures may pass a gradient through
-    unchanged (e.g. identity-like ops), in which case the "dead" buffer
-    is still referenced by the staging table under another key.
-    """
-    arena = _arena()
-    # Cheap filter first: only arena-issued buffers can be pooled, so the
-    # O(live grads) alias walk below runs for those few candidates only.
-    candidates = [
-        arr for arr in dead if isinstance(arr, np.ndarray) and arena.is_issued(arr)
-    ]
-    if not candidates:
-        return
-    live = list(grads.values())
-    for arr in candidates:
-        aliased = False
-        for g in live:
-            v = g
-            while isinstance(v, np.ndarray):
-                if v is arr:
-                    aliased = True
-                    break
-                v = v.base
-            if aliased:
-                break
-        if not aliased:
-            arena.reclaim(arr)
-
-
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 
 # Backward closure signature: output gradient -> one gradient per parent
@@ -401,7 +346,6 @@ class Tensor:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
                 node.grad += node_grad
-                _reclaim_dead((node_grad,), grads)
                 continue
             parent_grads = node._backward(node_grad)
             if len(parent_grads) != len(node._parents):
@@ -409,7 +353,6 @@ class Tensor:
                     f"op '{node._op}' returned {len(parent_grads)} gradients "
                     f"for {len(node._parents)} parents"
                 )
-            dead = [node_grad]
             for parent, pgrad in zip(node._parents, parent_grads):
                 if pgrad is None or not parent.requires_grad:
                     continue
@@ -420,13 +363,9 @@ class Tensor:
                     )
                 key = id(parent)
                 if key in grads:
-                    # Replacing the staged sum kills both addends.
-                    dead.append(grads[key])
-                    dead.append(pgrad)
                     grads[key] = grads[key] + pgrad
                 else:
                     grads[key] = pgrad
-            _reclaim_dead(dead, grads)
 
     # ------------------------------------------------------------------
     # operator sugar (implementations live in repro.tensor.ops)

@@ -1,9 +1,12 @@
 """Fused vs unfused IGNN message path: forward/grad/training parity."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.graph import random_graph
+from repro.memory import default_arena
 from repro.models import (
     GRUInteractionGNN,
     IGNNConfig,
@@ -11,7 +14,7 @@ from repro.models import (
     RecurrentInteractionGNN,
 )
 from repro.nn import Adam, BCEWithLogitsLoss
-from repro.tensor import Tensor
+from repro.tensor import Tensor, kernels
 
 
 def make_pair(fused_cfg=True, **kw):
@@ -101,3 +104,28 @@ class TestPrecisionCast:
         assert all(p.data.dtype == np.float32 for p in fused.parameters())
         probs32 = fused.predict_proba(graph)
         np.testing.assert_allclose(probs64, probs32, rtol=1e-3, atol=1e-4)
+
+
+class TestNoPerShapeState:
+    def test_memory_does_not_grow_with_the_shapes_seen(self):
+        """ShaDow batches have a new (m, n) every step: nothing under the
+        kernels may keep a buffer set or a plan per subgraph shape."""
+        kernels.clear_plan_cache()
+        default_arena().clear()
+        model = InteractionGNN(IGNNConfig(
+            node_features=6, edge_features=2, hidden=8, num_layers=2, mlp_layers=2, seed=0,
+        ))
+        loss_fn = BCEWithLogitsLoss()
+        graphs = [
+            random_graph(20 + k, 60 + 3 * k, rng=np.random.default_rng(k), true_fraction=0.4)
+            for k in range(40)
+        ]
+        assert len({(g.num_edges, g.num_nodes) for g in graphs}) == 40
+        for g in graphs:
+            logits = model(Tensor(g.x), Tensor(g.y), g.rows, g.cols)
+            loss_fn(logits, g.edge_labels.astype(np.float32)).backward()
+        assert len(kernels._PLAN_CACHE) > 0  # the last tape still holds its ids
+        del graphs, g, logits
+        gc.collect()
+        assert default_arena().pooled_bytes == 0
+        assert len(kernels._PLAN_CACHE) == 0

@@ -53,3 +53,34 @@ class TestProfiled:
         except ValueError:
             pass
         assert len(report.hotspots) > 0
+
+
+class TestByOp:
+    def test_folds_forward_and_backward_closures_under_the_op(self):
+        from repro.perf import by_op
+        from repro.tensor import Tensor, ops
+
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(30, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        idx = rng.integers(0, 5, size=30)
+        with profiled() as report:
+            for _ in range(3):
+                h = ops.relu(ops.linear(x, w, b))
+                ops.sum(ops.segment_sum(h, idx, 5)).backward()
+        table = by_op(report)
+        assert {"linear", "relu", "segment_sum", "sum"} <= set(table)
+        assert "_column_sum" not in table  # private helpers are not ops
+        for op in ("linear", "relu", "segment_sum"):
+            fwd, bwd, calls = table[op]
+            assert calls == 3 and fwd > 0 and bwd > 0
+        totals = [fwd + bwd for fwd, bwd, _ in table.values()]
+        assert totals == sorted(totals, reverse=True)
+
+    def test_profile_without_ops_is_empty(self):
+        from repro.perf import by_op
+
+        with profiled() as report:
+            _busy_work()
+        assert by_op(report) == {}

@@ -1,13 +1,20 @@
 """Parity and gradient suites for the fused scatter/gather kernels.
 
 Every fused op is checked against its unfused reference composition:
-float64 comparisons are tight (the reductions are exact enough), and the
-reduceat-vs-add.at pairwise/sequential ordering difference is covered by
-an explicit float32 tolerance case.
+float64 comparisons are tight (the reductions are exact enough), float32
+ones carry an explicit tolerance, and the kernels' contract (ids, dtypes,
+strides, determinism) is stated as hypothesis properties.
 """
+
+import gc
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory import default_arena, set_arena_enabled
 from repro.tensor import Tensor, gradcheck, kernels, ops
@@ -27,29 +34,47 @@ def t64(rng, *shape):
 # ----------------------------------------------------------------------
 class TestScatterPlan:
     def test_presorted_skips_sort(self):
+        # CSR-ordered ids: the operator's column order is the identity
         idx = np.array([0, 0, 1, 3, 3, 3], dtype=np.int64)
-        plan = kernels.scatter_plan(idx)
-        assert plan.order is None
-        np.testing.assert_array_equal(plan.unique, [0, 1, 3])
-        np.testing.assert_array_equal(plan.sizes, [2, 1, 3])
-        np.testing.assert_array_equal(plan.starts, [0, 2, 3])
+        op = kernels.scatter_plan(idx).operator(idx, 4, np.float64)
+        np.testing.assert_array_equal(op.indices, np.arange(6))
+        np.testing.assert_array_equal(op.indptr, [0, 2, 3, 3, 6])
 
     def test_unsorted_stable_order(self):
         idx = np.array([2, 0, 2, 1, 0], dtype=np.int64)
-        plan = kernels.scatter_plan(idx)
-        assert plan.order is not None
-        np.testing.assert_array_equal(idx[plan.order], np.sort(idx))
-        np.testing.assert_array_equal(plan.unique, [0, 1, 2])
-        np.testing.assert_array_equal(plan.sizes, [2, 1, 2])
+        op = kernels.scatter_plan(idx).operator(idx, 3, np.float64)
+        # a segment's rows appear in original edge order
+        np.testing.assert_array_equal(op.indices, [1, 4, 3, 0, 2])
+        np.testing.assert_array_equal(op.indptr, [0, 2, 3, 5])
+        assert op.shape == (3, 5) and op.has_canonical_format
 
     def test_empty(self):
         plan = kernels.scatter_plan(np.empty(0, dtype=np.int64))
-        assert plan.length == 0 and plan.unique.size == 0
+        assert plan.length == 0 and (plan.lo, plan.hi) == (0, -1)
 
     def test_counts_includes_empty_segments(self):
         idx = np.array([0, 0, 3], dtype=np.int64)
-        counts = kernels.scatter_plan(idx).counts(5)
-        np.testing.assert_array_equal(counts, [2, 0, 0, 1, 0])
+        op = kernels.scatter_plan(idx).operator(idx, 5, np.float32)
+        np.testing.assert_array_equal(np.diff(op.indptr), [2, 0, 0, 1, 0])
+
+    def test_records_bounds(self):
+        idx = np.array([4, 2, 7], dtype=np.int64)
+        plan = kernels.scatter_plan(idx)
+        assert (plan.lo, plan.hi, plan.length) == (2, 7, 3)
+        plan.check(8)
+        with pytest.raises(IndexError, match="7.*7 segments"):
+            plan.check(7)
+
+    def test_operator_per_num_segments_and_dtype(self):
+        # the plan is cached per index array, the operator's shape and
+        # data dtype are not part of that key
+        idx = np.array([1, 0, 1], dtype=np.int64)
+        plan = kernels.scatter_plan(idx)
+        a = plan.operator(idx, 2, np.float32)
+        assert plan.operator(idx, 2, np.float32) is a
+        assert plan.operator(idx, 5, np.float32).shape == (5, 3)
+        assert plan.operator(idx, 2, np.float64).dtype == np.float64
+        assert a.dtype == np.float32
 
     def test_cache_hit_same_array(self):
         idx = np.array([1, 0, 1], dtype=np.int64)
@@ -60,7 +85,77 @@ class TestScatterPlan:
         b = np.array([1, 0], dtype=np.int64)
         # equal contents, distinct identity: plans may differ as objects
         pa, pb = kernels.scatter_plan(a), kernels.scatter_plan(b)
-        np.testing.assert_array_equal(pa.unique, pb.unique)
+        assert (pa.lo, pa.hi, pa.length) == (pb.lo, pb.hi, pb.length)
+
+    def test_cache_drops_plans_of_dead_arrays(self):
+        kernels.clear_plan_cache()
+        arrays = [np.arange(k + 1) for k in range(300)]
+        for arr in arrays:
+            kernels.scatter_add_rows(np.ones((arr.size, 2)), arr, arr.size)
+        live = np.array([0, 2, 1], dtype=np.int64)
+        live_plan = kernels.scatter_plan(live)
+        assert len(kernels._PLAN_CACHE) == kernels._PLAN_CACHE_MAX
+        del arrays, arr
+        gc.collect()
+        assert list(kernels._PLAN_CACHE) == [id(live)]
+        assert kernels.scatter_plan(live) is live_plan
+        del live
+        gc.collect()
+        assert not kernels._PLAN_CACHE
+
+    def test_dead_weakref_does_not_evict_the_ids_new_owner(self):
+        # id() reuse: the callback of the dead array's weakref must leave
+        # an entry alone that no longer holds that weakref
+        kernels.clear_plan_cache()
+        old = np.array([0, 1], dtype=np.int64)
+        kernels.scatter_plan(old)
+        key = id(old)
+        stale_ref = kernels._PLAN_CACHE[key][0]
+        new = np.array([1, 0], dtype=np.int64)
+        new_entry = (weakref.ref(new), kernels.ScatterPlan(new))
+        kernels._PLAN_CACHE[key] = new_entry  # as if `new` got the old id
+        kernels._drop_dead_plan(stale_ref, key)
+        assert kernels._PLAN_CACHE[key] is new_entry
+        kernels.clear_plan_cache()
+
+
+    def test_concurrent_plans_and_evictions(self):
+        """More threads than cores share one index array (racing to build
+        its plan and operator) while each churns short-lived arrays whose
+        weakref callbacks evict under the others' feet."""
+        shared = np.random.default_rng(0).integers(0, 50, size=600)
+        values = np.random.default_rng(1).normal(size=(600, 4))
+        expect = add_at(values, shared, 50)
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(150):
+                    np.testing.assert_array_equal(
+                        kernels.scatter_add_rows(values, shared, 50), expect
+                    )
+                    ids = rng.integers(0, 9, size=30)  # dies at the next turn
+                    got = kernels.scatter_add_rows(values[:30], ids, 9)
+                    np.testing.assert_allclose(got, add_at(values[:30], ids, 9))
+            except Exception as exc:  # surfaced below, on the main thread
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            kernels.clear_plan_cache()
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        gc.collect()
+        assert list(kernels._PLAN_CACHE) == [id(shared)]
 
 
 # ----------------------------------------------------------------------
@@ -79,8 +174,7 @@ class TestScatterAddParity:
         np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-13)
 
     def test_float32_tolerance(self, rng):
-        # reduceat sums pairwise, add.at left-to-right: bits may differ,
-        # values agree to float32 round-off
+        # values agree to float32 round-off whatever the summation order
         idx = rng.integers(0, 7, size=4096)
         vals = rng.normal(size=(4096, 3)).astype(np.float32)
         ref = np.zeros((7, 3), dtype=np.float32)
@@ -129,6 +223,28 @@ class TestScatterAddParity:
         with pytest.raises(IndexError):
             kernels.scatter_add_1d(np.ones(3), np.array([0, 1, 5]), 4)
 
+    @pytest.mark.parametrize("payload", [np.ones((4, 2)), np.ones(4)], ids=["2d", "1d"])
+    @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "num_segments"])
+    def test_out_of_range_id_raises_index_error(self, payload, bad):
+        # one rule for both paths: nothing wraps, nothing reaches a C loop
+        idx = np.array([0, 1, bad, 1], dtype=np.int64)
+        with pytest.raises(IndexError, match=rf"index {bad} is out of bounds for 3 segments"):
+            kernels.scatter_add_rows(payload, idx, 3)
+        out = np.full((3,) + payload.shape[1:], 7.0)
+        with pytest.raises(IndexError):
+            kernels.scatter_add_rows(payload, idx, 3, out=out, accumulate=True)
+        np.testing.assert_array_equal(out, 7.0)  # rejected before any write
+
+    def test_empty_index_1d(self):
+        out = kernels.scatter_add_rows(np.empty(0), np.empty(0, np.int64), 3)
+        np.testing.assert_array_equal(out, np.zeros(3))
+
+    def test_gather_rows_out_rejects_out_of_range(self):
+        values = np.arange(6.0).reshape(3, 2)
+        for bad in (-1, 3):
+            with pytest.raises(IndexError):
+                kernels.gather_rows_out(values, np.array([0, bad], dtype=np.int64))
+
     def test_wrong_out_shape_raises(self):
         with pytest.raises(ValueError):
             kernels.scatter_add_rows(
@@ -145,6 +261,126 @@ class TestScatterAddParity:
         finally:
             set_arena_enabled(prev)
         np.testing.assert_array_equal(pooled, plain)
+
+
+# ----------------------------------------------------------------------
+# the kernels' contract, as properties
+# ----------------------------------------------------------------------
+@st.composite
+def scatter_cases(draw):
+    """(values, ids, n): sorted / unsorted ids, empty segments, all equal."""
+    m, n, f = draw(st.integers(0, 400)), draw(st.integers(1, 60)), draw(st.integers(1, 9))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["unsorted", "sorted", "sparse", "equal"]))
+    if kind == "equal":
+        ids = np.full(m, int(rng.integers(0, n)), dtype=np.int64)
+    elif kind == "sparse":  # most segments stay empty
+        ids = rng.choice(rng.integers(0, n, size=max(1, n // 8)), size=m)
+    else:
+        ids = rng.integers(0, n, size=m)
+    if kind == "sorted":
+        ids = np.sort(ids)
+    return rng.normal(size=(m, f)).astype(dtype), ids.astype(np.int64), n
+
+
+def add_at(values, ids, n, base=None):
+    ref = np.zeros((n,) + values.shape[1:], values.dtype) if base is None else base.copy()
+    np.add.at(ref, ids, values)
+    return ref
+
+
+class TestKernelProperties:
+    @given(scatter_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_scatter_add_rows_is_add_at(self, case):
+        values, ids, n = case
+        tol = dict(rtol=1e-12, atol=1e-12) if values.dtype == np.float64 else dict(rtol=1e-4, atol=1e-4)
+        ref = add_at(values, ids, n)
+        out = kernels.scatter_add_rows(values, ids, n)
+        assert out.dtype == values.dtype  # scipy upcasts unless data matches
+        np.testing.assert_allclose(out, ref, **tol)
+        # same arrays, same shape -> same bits
+        np.testing.assert_array_equal(kernels.scatter_add_rows(values, ids, n), out)
+        # out= overwrites, accumulate=True adds
+        dest = np.full_like(ref, 3.0)
+        assert kernels.scatter_add_rows(values, ids, n, out=dest) is dest
+        np.testing.assert_array_equal(dest, out)
+        kernels.scatter_add_rows(values, ids, n, out=dest, accumulate=True)
+        np.testing.assert_allclose(dest, 2 * ref, **tol)
+
+    @given(scatter_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_scatter_add_rows_column_slice(self, case):
+        # concat's backward hands the kernel column slices of one gradient
+        values, ids, n = case
+        f = values.shape[1]
+        sliced = np.concatenate([values - 1, values, values + 1], axis=1)[:, f : 2 * f]
+        out = kernels.scatter_add_rows(sliced, ids, n)
+        assert out.dtype == values.dtype
+        np.testing.assert_array_equal(out, kernels.scatter_add_rows(values, ids, n))
+
+    @given(scatter_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_gather_rows_out_is_fancy_indexing(self, case):
+        grads, ids, n = case  # gather is the scatter's transpose: (n, f)[ids]
+        table = np.random.default_rng(0).normal(size=(n, grads.shape[1])).astype(grads.dtype)
+        np.testing.assert_array_equal(kernels.gather_rows_out(table, ids), table[ids])
+        dest = np.empty_like(grads)
+        assert kernels.gather_rows_out(table, ids, out=dest) is dest
+        np.testing.assert_array_equal(dest, table[ids])
+
+
+def textbook_layer_norm(x, w, b, eps=1e-5):
+    x = x.astype(np.float64)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * w + b
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(7, 5), (3, 4, 5)], ids=["2d", "3d"])
+    def test_gradcheck(self, rng, shape):
+        a, w, b = t64(rng, *shape), t64(rng, shape[-1]), t64(rng, shape[-1])
+        probe = rng.normal(size=shape)  # a non-symmetric readout
+        gradcheck(
+            lambda a, w, b: ops.sum(ops.mul(ops.layer_norm(a, w, b), probe)),
+            [a, w, b], atol=1e-5,
+        )
+
+    def test_nd_input_matches_its_2d_view(self, rng):
+        x = rng.normal(size=(3, 4, 6))
+        w, b = rng.normal(size=6), rng.normal(size=6)
+        nd = ops.layer_norm(Tensor(x), Tensor(w), Tensor(b)).data
+        flat = ops.layer_norm(Tensor(x.reshape(12, 6)), Tensor(w), Tensor(b)).data
+        assert nd.shape == x.shape
+        np.testing.assert_array_equal(nd.reshape(12, 6), flat)
+
+    @given(st.integers(0, 2**16), st.integers(1, 300), st.integers(8, 96))
+    @settings(max_examples=40, deadline=None)
+    def test_float32_forward_matches_two_pass_formula(self, seed, m, f):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=(m, f)) * 3.0 + rng.normal(size=(m, 1))).astype(np.float32)
+        w = rng.normal(size=f).astype(np.float32)
+        b = rng.normal(size=f).astype(np.float32)
+        out = ops.layer_norm(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.dtype == np.float32
+        ref = textbook_layer_norm(x, w, b)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=2e-6 * max(1.0, np.abs(ref).max()))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_degenerate_rows_stay_finite(self, dtype):
+        # f = 1 and a constant row both have variance 0
+        for x in (np.array([[2.0], [-5.0]]), np.array([[4.0] * 6, [0.0] * 6])):
+            f = x.shape[1]
+            a = Tensor(x.astype(dtype), requires_grad=True)
+            w = Tensor(np.full(f, 1.5, dtype), requires_grad=True)
+            b = Tensor(np.full(f, 0.25, dtype), requires_grad=True)
+            out = ops.layer_norm(a, w, b)
+            np.testing.assert_allclose(out.data, 0.25, atol=1e-6)
+            ops.sum(ops.mul(out, out)).backward()
+            for p in (a, w, b):
+                assert p.grad.dtype == dtype and np.all(np.isfinite(p.grad))
 
 
 # ----------------------------------------------------------------------
