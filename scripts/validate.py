@@ -343,11 +343,12 @@ def prefetch_suite(argv) -> None:
 # -- serve ---------------------------------------------------------------
 @suite("serve")
 def serve_suite(argv) -> None:
-    """Deterministic overload shedding + degraded serving through the
-    load generator, and the ``serve.*`` metrics schema (latency
-    histograms carry p50/p95/p99).  Bit-parity with the sequential
-    ``reconstruct`` loop and cache-replay identity are tier-1's
-    (``tests/serve/test_parity.py``), not re-proved here."""
+    """The dispatch policy's shape on a SimClock — below capacity no
+    request waits for company (queue-wait p50 exactly 0), overload still
+    sheds and degrades — through the load generator, and the ``serve.*``
+    metrics schema (latency histograms carry p50/p95/p99).  Bit-parity
+    with the sequential ``reconstruct`` loop and cache-replay identity
+    are tier-1's (``tests/serve/test_parity.py``), not re-proved here."""
     from repro.faults import SimClock
     from repro.obs import RunTelemetry, use_telemetry
     from repro.serve import InferenceEngine, LoadGenConfig, ServeConfig, run_loadgen
@@ -355,6 +356,33 @@ def serve_suite(argv) -> None:
     pipe, serve_events = tiny_pipeline()
     telemetry = RunTelemetry.for_run(command="validate serve")
     with use_telemetry(telemetry):
+        # the ledger's serve_small_open shape (batch 8 / wait 5 ms / queue
+        # 64, Poisson at 18/s, ~1/9 of capacity): an idle engine dispatches
+        # at once, so the median request never queues — a revert to
+        # deadline batching reads max_wait_ms here
+        calm = InferenceEngine(
+            pipe,
+            ServeConfig(
+                max_batch_events=8,
+                max_wait_ms=5.0,
+                max_queue_events=64,
+                sim_service_time_s=0.006,
+            ),
+            clock=SimClock(),
+        )
+        report = run_loadgen(
+            calm,
+            serve_events,
+            LoadGenConfig(rate=18.0, num_requests=48, arrival="poisson", seed=1),
+        )
+        if report.completed != report.offered or report.degraded:
+            fail("low-load run shed or degraded requests")
+        if report.queue_wait_p50_ms != 0.0:
+            fail(f"low-load queue-wait p50 {report.queue_wait_p50_ms} ms != 0: "
+                 "requests wait while the engine is idle")
+        ok(f"low load: queue-wait p50 0 ms, mean batch {report.mean_batch_size:.2f}, "
+           f"latency p50 {report.latency_p50_ms:.1f} ms")
+
         overload = InferenceEngine(
             pipe,
             ServeConfig(
@@ -944,14 +972,26 @@ def _print_op_table() -> None:
     loss_fn, labels = BCEWithLogitsLoss(), g.edge_labels.astype(np.float32)
 
     def step():
-        loss_fn(model(Tensor(g.x), Tensor(g.y), g.rows, g.cols), labels).backward()
+        loss = loss_fn(model(Tensor(g.x), Tensor(g.y), g.rows, g.cols), labels)
+        loss.backward()
+        return loss
 
-    step()  # warm: plans, allocator
+    # warm (plans, allocator), and count what one step puts on the tape
+    seen, stack, nodes = set(), [step()], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            nodes += not node.is_leaf
     with profiled() as report:
         step()
     print(f"{'op':<22} | {'fwd [ms]':>9} | {'bwd [ms]':>9} | calls")
     for op, (fwd, bwd, calls) in by_op(report).items():
         print(f"{op:<22} | {1e3 * fwd:>9.2f} | {1e3 * bwd:>9.2f} | {calls:>5}")
+    print(f"tape: {nodes} op nodes per step over {len(seen) - nodes} leaves")
+    if nodes > 320:
+        fail(f"one step records {nodes} tape nodes (> 320): an MLP layer is one node")
     ok("op table (m=4500, n=1400, hidden 64, 8 layers; cProfile, one step)")
 
 

@@ -142,15 +142,10 @@ def build_candidate_graph(
 def label_edges(event: Event, edge_index: np.ndarray) -> np.ndarray:
     """Label candidate edges: 1 iff the pair is a truth segment (either
     orientation), else 0."""
-    m = edge_index.shape[1]
-    if m == 0:
-        return np.zeros(0, dtype=np.int8)
-    segments = event.true_segments()
+    # an ordered pair (a, b) is the integer key a·n + b: one membership
+    # test of the edge keys against the truth keys of both orientations
     n = event.num_hits
-    truth = set()
-    for a, b in segments.T:
-        truth.add(int(a) * n + int(b))
-        truth.add(int(b) * n + int(a))
+    a, b = event.true_segments()
+    truth = np.concatenate([a * n + b, b * n + a])
     keys = edge_index[0].astype(np.int64) * n + edge_index[1].astype(np.int64)
-    labels = np.fromiter((1 if int(k) in truth else 0 for k in keys), dtype=np.int8, count=m)
-    return labels
+    return np.isin(keys, truth).astype(np.int8)

@@ -94,17 +94,20 @@ class _IGNNLayer(Module):
         # Inputs: M_src (h) ++ M_dst (h) ++ X' (2h)
         self.node_mlp = _mlp(config, 4 * config.hidden, rng)
 
-    def forward(self, x: Tensor, y: Tensor, x0: Tensor, y0: Tensor, rows, cols):
+    def forward(
+        self, x: Tensor, y: Tensor, x0: Tensor, y0: Tensor, rows, cols, update=True
+    ):
+        """``(Xˡ⁺¹, Yˡ⁺¹)`` — or ``Yˡ⁺¹`` alone with ``update=False``, for
+        a caller that will not read the vertex states again."""
         x_res = ops.concat([x, x0], axis=1)  # X' ← [Xˡ X⁰]
         y_res = ops.concat([y, y0], axis=1)  # Y' ← [Yˡ Y⁰]
         if self.fused:
-            # MSG: the first edge-MLP Linear is fused with the endpoint
+            # MSG: the first edge-MLP layer is fused with the endpoint
             # gathers (matmul-then-gather: n·f·h instead of m·f·h per
             # endpoint block), then the MLP tail runs as usual.
-            first = self.edge_mlp.first_linear
             y_next = self.edge_mlp.forward_tail(
                 ops.gather_concat_matmul(
-                    y_res, x_res, rows, cols, first.weight, first.bias
+                    y_res, x_res, rows, cols, *self.edge_mlp.first_layer
                 )
             )
         else:
@@ -114,6 +117,8 @@ class _IGNNLayer(Module):
                 axis=1,
             )
             y_next = self.edge_mlp(msg_in)
+        if not update:
+            return y_next
         return self.update(x, x_res, y_next, rows, cols), y_next
 
     def update(self, x: Tensor, x_res: Tensor, y_next: Tensor, rows, cols) -> Tensor:
@@ -121,11 +126,11 @@ class _IGNNLayer(Module):
         num_nodes = x.shape[0]
         if self.fused:
             # both segment sums and the concat with X' are fused into the
-            # first node-MLP Linear
-            first = self.node_mlp.first_linear
+            # first node-MLP layer
+            weight, bias, norm = self.node_mlp.first_layer
             return self.node_mlp.forward_tail(
                 ops.scatter_mlp_input(
-                    y_next, rows, cols, x_res, first.weight, first.bias, num_nodes
+                    y_next, rows, cols, x_res, weight, bias, num_nodes, norm
                 )
             )
         # AGG: sum incoming messages over both endpoints
@@ -200,11 +205,15 @@ class InteractionGNN(EdgeClassifier):
         x0 = self.node_encoder(x)
         y0 = self.edge_encoder(y)
         xl, yl = x0, y0
-        for block in self.blocks:
-            step = partial(block, rows=rows, cols=cols)
-            xl, yl = (
-                ops.checkpoint(step, xl, yl, x0, y0)
-                if recompute
-                else step(xl, yl, x0, y0)
-            )
+
+        def apply(block, update=True):
+            step = partial(block, rows=rows, cols=cols, update=update)
+            if recompute:
+                return ops.checkpoint(step, xl, yl, x0, y0)
+            return step(xl, yl, x0, y0)
+
+        for block in self.blocks[:-1]:
+            xl, yl = apply(block)
+        # the head scores Y^L: the final application's X^L is never read
+        yl = apply(self.blocks[-1], update=False)
         return self.output_mlp(yl).reshape(-1)

@@ -107,7 +107,8 @@ class Dropout(Module):
 
 
 class Sequential(Module):
-    """Chain of modules applied in order."""
+    """Chain of modules applied in order; a ``Linear → LayerNorm → ReLU``
+    run (one MLP layer of Algorithm 1) executes as ONE autograd op."""
 
     def __init__(self, *layers: Module) -> None:
         super().__init__()
@@ -116,20 +117,34 @@ class Sequential(Module):
             self.register_module(str(i), layer)
             self._layers.append(layer)
 
+    def norm_after(self, i: int):
+        """``(gamma, beta, eps)`` when layers ``i, i+1, i+2`` are exactly
+        ``Linear → LayerNorm → ReLU`` — what the op computing layer ``i``
+        takes as ``norm`` to absorb the other two — else ``None``."""
+        run = self._layers[i : i + 3]
+        if [type(layer) for layer in run] != [Linear, LayerNorm, ReLU]:
+            return None
+        return run[1].weight, run[1].bias, run[1].eps
+
     def forward(self, x: Tensor) -> Tensor:
-        for layer in self._layers:
-            x = layer(x)
-        return x
+        return self.forward_from(x, 0)
 
     def forward_from(self, x: Tensor, start: int) -> Tensor:
         """Apply layers ``start``, ``start+1``, ... to ``x``.
 
         The entry point of the fused IGNN kernels: they compute the first
-        ``Linear`` themselves (fused with the gather/scatter) and hand the
-        pre-activation to the rest of the stack.
+        layer themselves (fused with the gather/scatter) and hand the
+        result to the rest of the stack.
         """
-        for layer in self._layers[start:]:
-            x = layer(x)
+        i = start
+        while i < len(self._layers):
+            layer, norm = self._layers[i], self.norm_after(i)
+            if norm is None:
+                x = layer(x)
+                i += 1
+            else:  # layers i+1 and i+2 run inside the op
+                x = ops.linear(x, layer.weight, layer.bias, norm)
+                i += 3
         return x
 
     def __len__(self) -> int:

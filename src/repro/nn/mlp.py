@@ -90,18 +90,19 @@ class MLP(Module):
         return self.net(x)
 
     @property
-    def first_linear(self) -> Linear:
-        """The first ``Linear`` of the stack (always ``net[0]``).
+    def first_layer(self):
+        """``(weight, bias, norm)`` of the first layer (``net[0]`` and, when
+        they follow it, its LayerNorm → ReLU as ``norm``, else ``None``).
 
         The fused graph kernels (:func:`repro.tensor.ops.gather_concat_matmul`,
         :func:`repro.tensor.ops.scatter_mlp_input`) absorb this layer into
         the gather/scatter and then continue via :meth:`forward_tail`.
         """
-        return self.net[0]
+        return self.net[0].weight, self.net[0].bias, self.net.norm_after(0)
 
     def forward_tail(self, x: Tensor) -> Tensor:
-        """Apply everything after the first ``Linear`` to a pre-activation."""
-        return self.net.forward_from(x, 1)
+        """Apply everything after :attr:`first_layer` to its output."""
+        return self.net.forward_from(x, 1 if self.net.norm_after(0) is None else 3)
 
     def __repr__(self) -> str:
         return f"MLP({self.in_features} -> {self.out_features}, layers={len(self.net)})"

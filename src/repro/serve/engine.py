@@ -5,10 +5,11 @@ the serving-side counterpart.  An :class:`InferenceEngine` owns a fitted
 :class:`~repro.pipeline.ExaTrkXPipeline` and answers reconstruction
 requests through a bounded :class:`RequestQueue`:
 
-* a **dynamic micro-batcher** groups queued requests and flushes on
-  whichever comes first — ``max_batch_events`` requests waiting, or the
-  oldest request waiting ``max_wait_ms``.  A micro-batch shares a
-  dispatch, in-batch dedup, the stage cache and admission — not compute;
+* a **dynamic micro-batcher** dispatches whenever a worker is idle: a
+  lone request leaves at once, and requests that arrive while every
+  worker is busy leave together, up to ``max_batch_events``, when one
+  frees up.  A micro-batch shares a dispatch, in-batch dedup, the stage
+  cache and admission — not compute — so no request waits for company;
 * a **keyed stage cache** (:class:`~repro.serve.cache.StageCache`)
   memoises construction/filter outputs under an event-content hash, so
   replayed events enter the pipeline directly at the GNN stage;
@@ -127,12 +128,13 @@ class ServeConfig:
     Parameters
     ----------
     max_batch_events:
-        Micro-batch flush threshold: a batch dispatches as soon as this
-        many requests are queued.
+        Micro-batch cap: a dispatch takes at most this many of the
+        requests that queued up while the engine was busy.
     max_wait_ms:
-        Micro-batch deadline: a batch also dispatches once its oldest
-        request has waited this long, whatever the batch size — bounding
-        the batching-induced latency at low load.
+        No effect: a batch dispatches as soon as a worker is idle
+        (:meth:`InferenceEngine.next_due_time`), never on a deadline.
+        Still accepted and validated because the benchmark suite and
+        the CLI surface pass it; it goes with its flag once they stop.
     max_queue_events:
         Admission bound.  A request arriving while this many are queued
         is shed immediately (``status == "shed"``).
@@ -190,9 +192,9 @@ class ServeConfig:
         batched-vs-sequential bit-parity contract holds in either mode.
     """
 
-    max_batch_events: int = knob(8, "micro-batch flush threshold (events)")
+    max_batch_events: int = knob(8, "micro-batch cap (events per dispatch)")
     max_wait_ms: float = knob(
-        5.0, "micro-batch deadline: dispatch once the oldest request waited X ms"
+        5.0, "no effect (batches dispatch when a worker is idle); kept for callers"
     )
     max_queue_events: int = knob(
         64, "admission bound: requests beyond N queued are shed"
@@ -528,6 +530,7 @@ class InferenceEngine:
         self.stats = ServeStats()
         self._stats_lock = threading.Lock()
         self._closed = False
+        self._in_flight = 0  # batches on the worker pool (under the queue lock)
         self._executor: Optional[ThreadPoolExecutor] = None
         self._batcher: Optional[threading.Thread] = None
         if self.config.workers > 0:
@@ -646,20 +649,20 @@ class InferenceEngine:
                     r._completed.wait()
         return requests
 
-    # -- synchronous pumping (workers == 0) ----------------------------
+    # -- dispatch policy -------------------------------------------------
     def next_due_time(self) -> Optional[float]:
-        """Earliest clock time at which a batch should dispatch.
+        """Clock time at which the next batch should dispatch — the one
+        statement of the dispatch policy.
 
-        ``None`` when the queue is empty.  A full batch is due
-        immediately (its oldest submit time); a partial batch is due
-        when its oldest request's ``max_wait_ms`` deadline expires.
+        A non-empty queue is due *now* (its oldest submit time) whenever
+        a worker is free: always for the synchronous engine, fewer
+        batches in flight than ``workers`` for the threaded one.
+        ``None`` when the queue is empty or every worker is busy, so a
+        batch only forms while the engine could not have served it.
         """
-        oldest = self.queue.oldest_submit_time()
-        if oldest is None:
+        if self._executor is not None and self._in_flight >= self.config.workers:
             return None
-        if len(self.queue) >= self.config.max_batch_events:
-            return oldest
-        return oldest + 1e-3 * self.config.max_wait_ms
+        return self.queue.oldest_submit_time()
 
     def _pop_due(self) -> List[ServeRequest]:
         """The dispatch policy's one pop: the next batch if one is due at
@@ -670,12 +673,12 @@ class InferenceEngine:
                 return []
             return self.queue.pop_batch(self.config.max_batch_events)
 
+    # -- synchronous pumping (workers == 0) ----------------------------
     def pump(self) -> int:
         """Dispatch ONE batch if one is due; returns its size (0 if not).
 
-        Synchronous mode only.  "Due" means a full batch is waiting or
-        the oldest request's batching deadline has expired at the
-        current clock time.
+        Synchronous mode only, where the caller is the worker: whatever
+        is queued (up to ``max_batch_events``) is due.
         """
         batch = self._pop_due()
         if batch:
@@ -683,7 +686,7 @@ class InferenceEngine:
         return len(batch)
 
     def flush(self) -> int:
-        """Dispatch everything queued, deadline or not; returns count."""
+        """Dispatch everything queued; returns count."""
         total = 0
         while True:
             batch = self.queue.pop_batch(self.config.max_batch_events)
@@ -694,26 +697,27 @@ class InferenceEngine:
 
     # -- threaded micro-batcher (workers >= 1) -------------------------
     def _batcher_loop(self) -> None:
+        assert self._executor is not None
         while True:
             with self.queue.not_empty:
-                # sleep until the policy says a batch is due (an offer or
-                # close() wakes the wait early); a closing engine drains
-                # whatever is queued without waiting out the deadline
-                while not self._closed:
-                    due = self.next_due_time()
-                    remaining = 0.05 if due is None else due - self.clock.now
-                    if remaining <= 0:
-                        break
-                    self.queue.not_empty.wait(timeout=min(remaining, 0.05))
-                if self._closed:
-                    batch = self.queue.pop_batch(self.config.max_batch_events)
-                    if not batch:
-                        return
-                else:
-                    batch = self._pop_due()
-            if batch:
-                assert self._executor is not None
-                self._executor.submit(self._process_batch, batch)
+                # sleep until the policy says a batch is due; an offer, a
+                # batch completion and close() each notify.  A closing
+                # engine drains whatever is queued onto the pool's backlog
+                while not self._closed and self.next_due_time() is None:
+                    self.queue.not_empty.wait()
+                batch = self.queue.pop_batch(self.config.max_batch_events)
+                if not batch:
+                    return  # closed and drained
+                self._in_flight += 1
+            self._executor.submit(self._run_batch, batch)
+
+    def _run_batch(self, batch: List[ServeRequest]) -> None:
+        try:
+            self._process_batch(batch)
+        finally:
+            with self.queue.not_empty:
+                self._in_flight -= 1
+                self.queue.not_empty.notify()
 
     # -- batch execution ------------------------------------------------
     def _fail_requests(self, requests: List[ServeRequest], error: BaseException) -> None:

@@ -138,7 +138,7 @@ def run_loadgen(
         if clock.now < t_arrive:
             clock.now = t_arrive
         requests.append(engine.submit(events[i % len(events)]))
-    # drain: everything still queued dispatches as its deadline expires
+    # drain: everything still queued dispatches, one batch per pump
     while True:
         due = engine.next_due_time()
         if due is None:

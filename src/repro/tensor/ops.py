@@ -75,6 +75,61 @@ def _column_sum(grad: np.ndarray) -> np.ndarray:
     return np.ones(grad.shape[0], dtype=grad.dtype) @ grad
 
 
+def _finish_layer(out: np.ndarray, bias: Optional[Tensor], norm):
+    """The tail of one MLP layer, in place on the matmul result ``out``
+    its op owns: ``+ bias`` and, given ``norm = (gamma, beta, eps)``,
+    :func:`layer_norm` then :func:`relu` — inside the op's own tape node.
+
+    Returns ``(result, tail parents, pull)``; ``pull(grad)`` maps the
+    node's output gradient to ``(gradient of the matmul result, the tail
+    parents' gradients)``.  The arithmetic is that of the separate ops in
+    their order, so the bits are the three-op spelling's.  Under grad the
+    node holds ``(xhat, inv, result)`` — the ReLU mask is ``result > 0``
+    — and under ``no_grad`` nothing.
+    """
+    tail = ()
+    if bias is not None:
+        tail = (astensor(bias),)
+        out += tail[0].data
+    if norm is not None:
+        gamma, beta = astensor(norm[0]), astensor(norm[1])
+        tail += (gamma, beta)
+        f = out.shape[-1]
+        w = gamma.data.reshape(f)
+        xhat = out.reshape(-1, f)
+        xhat -= (xhat @ np.full(f, 1.0 / f, dtype=xhat.dtype))[:, None]
+        var = np.einsum("ij,ij->i", xhat, xhat)
+        var *= 1.0 / f
+        inv = (1.0 / np.sqrt(var + norm[2]))[:, None]
+        xhat *= inv
+        act = xhat * w if is_grad_enabled() else np.multiply(xhat, w, out=xhat)
+        act += beta.data.reshape(f)
+        out = np.maximum(act, 0, out=act).reshape(out.shape)
+
+    def pull(grad: np.ndarray):
+        g_norm = ()
+        if norm is not None:
+            grad = grad.reshape(-1, f) * (act > 0)
+            g_norm = (
+                np.einsum("ij,ij->j", grad, xhat).reshape(gamma.shape),
+                _column_sum(grad).reshape(beta.shape),
+            )
+            # layer_norm's backward: dx = inv * (g - mean(g) - xhat *
+            # mean(g * xhat)) with g = grad * w, on this closure's temporaries
+            g_mean = grad @ (w / f)
+            grad *= w
+            proj = xhat * (np.einsum("ij,ij->i", grad, xhat) / f)[:, None]
+            proj += g_mean[:, None]
+            grad -= proj
+            grad *= inv
+            grad = grad.reshape(out.shape)
+        if bias is None:
+            return grad, g_norm
+        return grad, (_column_sum(grad) if grad.ndim > 1 else grad,) + g_norm
+
+    return out, tail, pull
+
+
 # ----------------------------------------------------------------------
 # elementwise arithmetic
 # ----------------------------------------------------------------------
@@ -213,34 +268,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor.from_op(out, (a, b), backward, op="matmul")
 
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def linear(
+    x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, norm=None
+) -> Tensor:
     """Fused affine map ``x @ weight + bias`` as one autograd node.
 
     The hot-path spelling of ``add(matmul(x, w), b)``: the bias is added
     in place on the matmul output (no broadcast temporary, no extra
-    staging-table entry) and its gradient is a single column sum.
+    staging-table entry) and its gradient is a single column sum.  With
+    ``norm = (gamma, beta, eps)`` the node is the whole MLP layer
+    ``relu(layer_norm(x @ weight + bias, gamma, beta, eps))``.
     """
     x, weight = astensor(x), astensor(weight)
-    out = x.data @ weight.data
-    bias_t = None
-    if bias is not None:
-        bias_t = astensor(bias)
-        out += bias_t.data
+    out, tail, pull = _finish_layer(x.data @ weight.data, bias, norm)
 
     def backward(grad: np.ndarray):
-        grad = np.asarray(grad)
-        if x.ndim == 2:
-            gx = grad @ weight.data.T
-            gw = x.data.T @ grad
-        else:
-            gx = grad @ weight.data.T
-            gw = np.outer(x.data, grad)
-        if bias_t is None:
-            return gx, gw
-        return gx, gw, _column_sum(grad) if grad.ndim > 1 else grad
+        grad, g_tail = pull(np.asarray(grad))
+        gx = grad @ weight.data.T
+        gw = x.data.T @ grad if x.ndim == 2 else np.outer(x.data, grad)
+        return (gx, gw) + g_tail
 
-    parents = (x, weight) if bias_t is None else (x, weight, bias_t)
-    return Tensor.from_op(out, parents, backward, op="linear")
+    return Tensor.from_op(out, (x, weight) + tail, backward, op="linear")
 
 
 def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
@@ -457,6 +505,7 @@ def gather_concat_matmul(
     cols: np.ndarray,
     weight: Tensor,
     bias: Optional[Tensor] = None,
+    norm=None,
 ) -> Tensor:
     """Fused MSG-step input: ``concat([y, x[rows], x[cols]], 1) @ W + b``.
 
@@ -483,6 +532,9 @@ def gather_concat_matmul(
         to match the ``concat([y, x[rows], x[cols]])`` column order.
     bias:
         Optional ``(h,)`` first-layer bias.
+    norm:
+        Optional ``(gamma, beta, eps)``: the first layer's LayerNorm →
+        ReLU, applied inside this node (see :func:`linear`).
     """
     y, x, weight = astensor(y), astensor(x), astensor(weight)
     rows = np.asarray(rows, dtype=np.int64)
@@ -499,13 +551,10 @@ def gather_concat_matmul(
     scratch = kernels.gather_rows_out(x.data @ w_r, rows)
     out += scratch
     out += kernels.gather_rows_out(x.data @ w_c, cols, out=scratch)
-    bias_t = None
-    if bias is not None:
-        bias_t = astensor(bias)
-        out += bias_t.data
+    out, tail, pull = _finish_layer(out, bias, norm)
 
     def backward(grad: np.ndarray):
-        grad = np.asarray(grad)
+        grad, g_tail = pull(np.asarray(grad))
         n = x.shape[0]
         # Per-endpoint reductions of the output gradient (h columns).
         g_r = kernels.scatter_add_rows(grad, rows, n)
@@ -517,12 +566,9 @@ def gather_concat_matmul(
         g_y = grad @ w_y.T
         g_x = g_r @ w_r.T
         g_x += g_c @ w_c.T
-        if bias_t is None:
-            return g_y, g_x, g_w
-        return g_y, g_x, g_w, _column_sum(grad)
+        return (g_y, g_x, g_w) + g_tail
 
-    parents = (y, x, weight) if bias_t is None else (y, x, weight, bias_t)
-    return Tensor.from_op(out, parents, backward, op="gather_concat_matmul")
+    return Tensor.from_op(out, (y, x, weight) + tail, backward, op="gather_concat_matmul")
 
 
 def scatter_mlp_input(
@@ -533,6 +579,7 @@ def scatter_mlp_input(
     weight: Tensor,
     bias: Optional[Tensor] = None,
     num_segments: Optional[int] = None,
+    norm=None,
 ) -> Tensor:
     """Fused AGG-step input:
     ``concat([seg_sum(msg, rows), seg_sum(msg, cols), x], 1) @ W + b``.
@@ -560,6 +607,8 @@ def scatter_mlp_input(
         Optional ``(k,)`` first-layer bias.
     num_segments:
         Vertex count ``n``; defaults to ``x.shape[0]``.
+    norm:
+        Optional ``(gamma, beta, eps)``, as in :func:`gather_concat_matmul`.
     """
     messages, x, weight = astensor(messages), astensor(x), astensor(weight)
     rows = np.asarray(rows, dtype=np.int64)
@@ -580,13 +629,10 @@ def scatter_mlp_input(
     out = m_src @ w_s
     out += m_dst @ w_d
     out += x.data @ w_x
-    bias_t = None
-    if bias is not None:
-        bias_t = astensor(bias)
-        out += bias_t.data
+    out, tail, pull = _finish_layer(out, bias, norm)
 
     def backward(grad: np.ndarray):
-        grad = np.asarray(grad)
+        grad, g_tail = pull(np.asarray(grad))
         # (n, h) gradients w.r.t. m_src / m_dst, gathered to the edges
         g_msg = kernels.gather_rows_out(grad @ w_s.T, rows)
         g_msg += kernels.gather_rows_out(grad @ w_d.T, cols)
@@ -595,12 +641,9 @@ def scatter_mlp_input(
         g_w[:h] = m_src.T @ grad
         g_w[h : 2 * h] = m_dst.T @ grad
         g_w[2 * h :] = x.data.T @ grad
-        if bias_t is None:
-            return g_msg, g_x, g_w
-        return g_msg, g_x, g_w, _column_sum(grad)
+        return (g_msg, g_x, g_w) + g_tail
 
-    parents = (messages, x, weight) if bias_t is None else (messages, x, weight, bias_t)
-    return Tensor.from_op(out, parents, backward, op="scatter_mlp_input")
+    return Tensor.from_op(out, (messages, x, weight) + tail, backward, op="scatter_mlp_input")
 
 
 # ----------------------------------------------------------------------

@@ -54,3 +54,23 @@ def medium_graph():
 def chains_graph():
     """Idealised event: 10 disjoint 8-hit tracks."""
     return disjoint_chains(10, 8, rng=np.random.default_rng(3))
+
+
+@pytest.fixture(scope="session")
+def tape_ops():
+    """``tape_ops(root) -> (sorted op names of the tape nodes reachable
+    from root, number of tensors reachable, leaves included)``."""
+
+    def walk(root):
+        seen, stack, names = set(), [root], []
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if not node.is_leaf:
+                names.append(node._op)
+        return sorted(names), len(seen)
+
+    return walk

@@ -90,7 +90,27 @@ class TestLabeling:
         assert labels.mean() < 0.1
 
     def test_empty_edges(self, event):
-        assert label_edges(event, np.zeros((2, 0), dtype=np.int64)).shape == (0,)
+        labels = label_edges(event, np.zeros((2, 0), dtype=np.int64))
+        assert labels.shape == (0,) and labels.dtype == np.int8
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_set_membership_loop(self, geometry, seed):
+        """The sorted-key membership test labels exactly what the Python
+        set loop it replaced did: random events with noise hits, truth
+        segments in both orientations mixed into random pairs."""
+        rng = np.random.default_rng(seed)
+        sim = EventSimulator(geometry, particles_per_event=10 + 5 * seed, noise_fraction=0.2)
+        event = sim.generate(rng)
+        n = event.num_hits
+        seg = event.true_segments()
+        pairs = np.stack([rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)])
+        ei = np.concatenate([seg, seg[::-1], pairs], axis=1)[:, rng.permutation(2 * seg.shape[1] + 4 * n)]
+        truth = {(int(a), int(b)) for a, b in seg.T} | {(int(b), int(a)) for a, b in seg.T}
+        expected = np.array([(int(a), int(b)) in truth for a, b in ei.T], dtype=np.int8)
+        labels = label_edges(event, ei.astype(np.int32))
+        assert labels.dtype == np.int8
+        assert np.array_equal(labels, expected)
+        assert 0 < labels.sum() < labels.size
 
 
 class TestBuilder:

@@ -68,6 +68,28 @@ class TestForwardParity:
         np.testing.assert_allclose(lf.data, lp.data, rtol=2e-4, atol=2e-5)
 
 
+class TestTapeSize:
+    def test_ex3_shaped_step_is_about_300_nodes(self, graph, tape_ops):
+        """8 blocks x 2-layer MLPs: one node per MLP layer (the graph ops
+        carry their layer's LayerNorm → ReLU), two concats per block, and
+        no vertex update in the last block."""
+        model = InteractionGNN(IGNNConfig(
+            node_features=6, edge_features=2, hidden=8, num_layers=8, mlp_layers=2,
+        ))
+        labels = graph.edge_labels.astype(np.float32)
+        logits = model(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
+        loss = BCEWithLogitsLoss()(logits, labels)
+        ops_seen, tensors = tape_ops(loss)
+        assert "layer_norm" not in ops_seen and "relu" not in ops_seen
+        assert ops_seen.count("gather_concat_matmul") == 8
+        assert ops_seen.count("scatter_mlp_input") == 7
+        assert len(ops_seen) <= 60  # 124 with three nodes per MLP layer
+        assert tensors <= 320  # every tensor reachable, parameters included
+        loss.backward()
+        dead = [n for n, p in model.named_parameters() if p.grad is None]
+        assert dead and all(n.startswith("layer7.node_mlp.") for n in dead)
+
+
 class TestTrainingParity:
     def test_short_training_converges_together(self, graph):
         """Convergence-parity gate: a handful of fused Adam steps lands

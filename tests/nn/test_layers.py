@@ -110,3 +110,59 @@ class TestMLP:
         m = MLP(4, 8, num_layers=2, output_activation=False, rng=np.random.default_rng(0))
         out = m(Tensor(np.random.default_rng(1).normal(size=(50, 4)).astype(np.float32)))
         assert np.any(out.numpy() < 0.0)
+
+
+class TestOneLayerOneNode:
+    """``Linear → LayerNorm → ReLU`` runs as one ``linear`` tape node; any
+    other stack is the plain module chain."""
+
+    X = np.random.default_rng(2).normal(size=(9, 4)).astype(np.float32)
+
+    def test_relu_layernorm_mlp_is_linear_nodes_only(self, tape_ops):
+        m = MLP(4, 8, num_layers=3, output_activation=True, rng=np.random.default_rng(0))
+        assert tape_ops(m(Tensor(self.X)))[0] == ["linear"] * 3
+        head = MLP(4, 8, out_features=1, num_layers=2, rng=np.random.default_rng(0))
+        assert tape_ops(head(Tensor(self.X)))[0] == ["linear"] * 2
+
+    @pytest.mark.parametrize(
+        "kwargs, ops_per_layer",
+        [
+            (dict(activation="tanh"), ["layer_norm", "linear", "tanh"]),
+            (dict(layer_norm=False), ["linear", "relu"]),
+            (dict(activation="none"), ["layer_norm", "linear"]),
+        ],
+        ids=["tanh", "no-layernorm", "no-activation"],
+    )
+    def test_other_stacks_take_the_unfused_modules(self, tape_ops, kwargs, ops_per_layer):
+        m = MLP(4, 8, num_layers=2, output_activation=True,
+                rng=np.random.default_rng(0), **kwargs)
+        assert tape_ops(m(Tensor(self.X)))[0] == sorted(2 * ops_per_layer)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_stack_equals_the_module_chain(self, tape_ops, dtype):
+        m = MLP(4, 8, num_layers=2, output_activation=True,
+                rng=np.random.default_rng(0)).astype(dtype)
+        x = Tensor(self.X.astype(dtype), requires_grad=True)
+        m(x).sum().backward()
+        grads = [x.grad.copy()] + [p.grad.copy() for p in m.parameters()]
+        x.grad = None
+        m.zero_grad()
+        out = x
+        for layer in m.net._layers:  # module by module: three nodes a layer
+            out = layer(out)
+        assert tape_ops(out)[0] == sorted(2 * ["layer_norm", "linear", "relu"])
+        assert np.array_equal(out.data, m(x).data)
+        out.sum().backward()
+        for g, p in zip(grads, [x, *m.parameters()]):
+            assert np.array_equal(g, p.grad)
+
+    def test_first_layer_and_tail_compose_to_forward(self):
+        from repro.tensor import ops
+
+        for kwargs in (dict(), dict(layer_norm=False), dict(activation="tanh")):
+            m = MLP(4, 8, num_layers=2, output_activation=True,
+                    rng=np.random.default_rng(0), **kwargs)
+            weight, bias, norm = m.first_layer
+            assert (norm is None) == bool(kwargs)
+            split = m.forward_tail(ops.linear(Tensor(self.X), weight, bias, norm))
+            assert np.array_equal(split.data, m(Tensor(self.X)).data)

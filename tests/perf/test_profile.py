@@ -78,6 +78,30 @@ class TestByOp:
         totals = [fwd + bwd for fwd, bwd, _ in table.values()]
         assert totals == sorted(totals, reverse=True)
 
+    def test_layer_epilogue_is_charged_to_its_host_op(self):
+        """``linear(..., norm=...)`` is one row: the LayerNorm → ReLU
+        helper's forward and backward land in ``linear``, not in a row of
+        their own and not in ``layer_norm`` / ``relu``."""
+        from repro.perf import by_op
+        from repro.tensor import Tensor, ops
+
+        rng = np.random.default_rng(0)
+        x, w, b, gamma, beta = (
+            Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in [(400, 16), (16, 16), (16,), (16,), (16,)]
+        )
+        with profiled() as report:
+            for _ in range(3):
+                ops.sum(ops.linear(x, w, b, norm=(gamma, beta, 1e-5))).backward()
+        helper = report.find("_finish_layer")
+        assert helper and helper[0].calls == 3  # it ran, inside linear's frames
+        table = by_op(report)
+        assert set(table) == {"linear", "sum"}
+        fwd, bwd, calls = table["linear"]
+        assert calls == 3
+        assert fwd >= helper[0].cumulative_seconds
+        assert bwd >= report.find("(pull)")[0].cumulative_seconds > 0
+
     def test_profile_without_ops_is_empty(self):
         from repro.perf import by_op
 

@@ -1,11 +1,14 @@
 """InferenceEngine mechanics: batching, shedding, degradation, telemetry.
 
-Everything here runs the synchronous engine (``workers=0``) on a
-:class:`repro.faults.SimClock`, so batch formation, admission control,
-and the latency-budget degradation are exact and deterministic.
+Everything but one gated threaded case runs the synchronous engine
+(``workers=0``) on a :class:`repro.faults.SimClock`, so batch formation,
+admission control, and the latency-budget degradation are exact and
+deterministic.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -23,14 +26,26 @@ def make_engine(pipe, clock=None, **overrides):
 
 class TestMicroBatching:
     def test_partial_batch_waits_for_deadline(self, serve_pipeline, serve_events):
+        """(id kept from the deadline policy) Nothing waits for a deadline:
+        an idle engine dispatches a lone request at once, and only what
+        arrives during a service interval leaves together, capped."""
         clock = SimClock()
-        engine = make_engine(serve_pipeline, clock, max_batch_events=3)
+        engine = make_engine(
+            serve_pipeline, clock, max_batch_events=3, max_queue_events=8,
+            sim_service_time_s=0.02,
+        )
         request = engine.submit(serve_events[0])
-        assert engine.pump() == 0  # one queued, deadline not reached
-        assert request.status == "queued"
-        clock.now += 0.011  # past max_wait_ms
-        assert engine.pump() == 1
+        assert engine.pump() == 1  # partial batch, idle engine: no wait
         assert request.status == "done"
+        assert request.queue_wait_ms == 0.0
+        assert clock.now == pytest.approx(0.02)  # the service interval
+        # four arrivals inside it reach the queue as a burst at its end
+        burst = [engine.submit(e) for e in serve_events[1:5]]
+        assert engine.pump() == 3  # one batch, capped at max_batch_events
+        assert engine.pump() == 1
+        assert engine.pump() == 0
+        assert [r.status for r in burst] == ["done"] * 4
+        assert burst[0].t_dispatch == burst[2].t_dispatch < burst[3].t_dispatch
 
     def test_full_batch_dispatches_immediately(self, serve_pipeline, serve_events):
         clock = SimClock()
@@ -49,12 +64,48 @@ class TestMicroBatching:
 
     def test_next_due_time(self, serve_pipeline, serve_events):
         clock = SimClock()
+        clock.now = 1.0
         engine = make_engine(serve_pipeline, clock, max_batch_events=2)
         assert engine.next_due_time() is None
         engine.submit(serve_events[0])
-        assert engine.next_due_time() == pytest.approx(0.010)  # deadline
+        assert engine.next_due_time() == 1.0  # due now: its submit time
+        clock.now += 0.5
         engine.submit(serve_events[1])
-        assert engine.next_due_time() == pytest.approx(0.0)  # full now
+        assert engine.next_due_time() == 1.0  # the oldest request's
+        assert engine.pump() == 2
+        assert engine.next_due_time() is None
+
+    def test_threaded_batches_form_only_while_busy(
+        self, serve_pipeline, serve_events, monkeypatch
+    ):
+        """One worker held busy by a gated stage: later submits queue up,
+        leave as ONE batch when the worker frees, and close() strands none."""
+        gate, entered = threading.Event(), threading.Event()
+        upstream = serve_pipeline.upstream_many
+
+        def gated(*args, **kwargs):
+            entered.set()
+            assert gate.wait(30)
+            return upstream(*args, **kwargs)
+
+        monkeypatch.setattr(serve_pipeline, "upstream_many", gated)
+        engine = make_engine(
+            serve_pipeline, max_batch_events=4, max_queue_events=8, workers=1
+        )
+        first = engine.submit(serve_events[0])
+        assert entered.wait(30)  # idle worker: dispatched at once, alone
+        later = [engine.submit(e) for e in serve_events[1:4]]
+        assert engine.next_due_time() is None  # worker busy: nothing is due
+        assert len(engine.queue) == 3 and engine.stats.batches == 0
+        gate.set()  # completion, not a deadline, releases the batch
+        for request in [first] + later:
+            assert isinstance(request.result(timeout=30), list)
+        assert engine.stats.batches == 2  # 1 + 3
+        assert len({r.t_dispatch for r in later}) == 1
+        last = engine.submit(serve_events[4])
+        engine.close()
+        assert last.status == "done"
+        assert engine.stats.terminal == engine.stats.submitted == 5
 
 
 class TestAdmissionControl:

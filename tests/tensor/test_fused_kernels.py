@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import default_arena, set_arena_enabled
-from repro.tensor import Tensor, gradcheck, kernels, ops
+from repro.tensor import Tensor, gradcheck, kernels, no_grad, ops
 
 
 @pytest.fixture
@@ -561,6 +561,109 @@ class TestScatterMlpInput:
         bad_w = t64(rng, 4, 5)
         with pytest.raises(ValueError):
             ops.scatter_mlp_input(msg, rows, cols, x, bad_w, b)
+
+
+# ----------------------------------------------------------------------
+# one MLP layer as one tape node: the LayerNorm → ReLU epilogue
+# ----------------------------------------------------------------------
+def _layer_forms(rng, dtype):
+    """``{name: (op, args, differentiated tensors)}`` — ``op(*args,
+    norm=...)`` is the affine op of each of the three hosts, bias included."""
+    def t(*shape):
+        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    m, n, f, h = 23, 7, 4, 6
+    rows, cols = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+    x2, w_lin, b_lin = t(m, f), t(f, h), t(h)
+    y, x, w_edge, b_edge = t(m, 3), t(n, f), t(3 + 2 * f, h), t(h)
+    msg, xv, w_node, b_node = t(m, 5), t(n, f), t(2 * 5 + f, h), t(h)
+    return {
+        "linear": (ops.linear, (x2, w_lin, b_lin), (x2, w_lin, b_lin)),
+        "gather_concat_matmul": (
+            ops.gather_concat_matmul, (y, x, rows, cols, w_edge, b_edge),
+            (y, x, w_edge, b_edge),
+        ),
+        "scatter_mlp_input": (
+            ops.scatter_mlp_input, (msg, rows, cols, xv, w_node, b_node),
+            (msg, xv, w_node, b_node),
+        ),
+    }
+
+
+FORMS = ["linear", "gather_concat_matmul", "scatter_mlp_input"]
+
+
+class TestNormReluEpilogue:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_bit_equal_to_three_op_spelling(self, rng, form, dtype):
+        op, args, leaves = _layer_forms(rng, dtype)[form]
+        gamma = Tensor(rng.normal(size=6).astype(dtype), requires_grad=True)
+        beta = Tensor(rng.normal(size=6).astype(dtype), requires_grad=True)
+        leaves = leaves + (gamma, beta)
+        seed = rng.normal(size=op(*args).shape).astype(dtype)
+
+        def run(build):
+            for p in leaves:
+                p.grad = None
+            out = build()
+            out.backward(seed)
+            return out, [p.grad.copy() for p in leaves]
+
+        fused, fused_grads = run(lambda: op(*args, norm=(gamma, beta, 1e-5)))
+        ref, ref_grads = run(
+            lambda: ops.relu(ops.layer_norm(op(*args), gamma, beta, eps=1e-5))
+        )
+        assert fused.dtype == dtype and np.array_equal(fused.data, ref.data)
+        assert (fused.data == 0).any() and (fused.data > 0).any()
+        assert len(fused_grads) >= 5
+        for g, r in zip(fused_grads, ref_grads):
+            assert g.dtype == dtype and np.array_equal(g, r)
+        # the layer is ONE node over the op's inputs and the norm's
+        assert fused._op == form and fused._parents[-2:] == (gamma, beta)
+        assert all(p.is_leaf for p in fused._parents)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_gradcheck(self, rng, form):
+        op, args, leaves = _layer_forms(rng, np.float64)[form]
+        gamma, beta = t64(rng, 6), t64(rng, 6)
+        slots = [next(i for i, a in enumerate(args) if a is p) for p in leaves]
+        weights = rng.normal(size=op(*args).shape)
+
+        def loss(*tensors):
+            *inputs, g, b = tensors
+            call = list(args)
+            for slot, tensor in zip(slots, inputs):
+                call[slot] = tensor
+            out = op(*call, norm=(g, b, 1e-5))
+            return ops.sum(ops.mul(out, Tensor(weights)))
+
+        gradcheck(loss, [*leaves, gamma, beta], atol=1e-5)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_no_grad_keeps_nothing_and_touches_no_input(self, rng, form):
+        op, args, leaves = _layer_forms(rng, np.float32)[form]
+        gamma, beta = Tensor(np.ones(6)), Tensor(np.zeros(6))
+        tensors = leaves + (gamma, beta)
+        before = [p.data.copy() for p in tensors]
+        expected = op(*args, norm=(gamma, beta, 1e-5)).data
+        with no_grad():
+            out = op(*args, norm=(gamma, beta, 1e-5))
+        assert out.is_leaf and out._parents == () and not out.requires_grad
+        assert np.array_equal(out.data, expected)
+        for p, data in zip(tensors, before):
+            assert np.array_equal(p.data, data)
+
+    def test_single_row_linear(self, rng):
+        x, w, b = t64(rng, 4), t64(rng, 4, 6), t64(rng, 6)
+        gamma, beta = t64(rng, 6), t64(rng, 6)
+        fused = ops.linear(x, w, b, norm=(gamma, beta, 1e-5))
+        ref = ops.relu(ops.layer_norm(ops.linear(x, w, b), gamma, beta, eps=1e-5))
+        assert fused.shape == (6,) and np.array_equal(fused.data, ref.data)
+        gradcheck(
+            lambda *t: ops.sum(ops.pow(ops.linear(*t[:3], norm=(t[3], t[4], 1e-5)), 2.0)),
+            [x, w, b, gamma, beta], atol=1e-5,
+        )
 
 
 # ----------------------------------------------------------------------
