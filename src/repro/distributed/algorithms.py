@@ -25,6 +25,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .ring import staged_allreduce
+
 __all__ = [
     "halving_doubling_allreduce",
     "tree_allreduce",
@@ -32,17 +34,6 @@ __all__ = [
     "tree_time",
     "ALLREDUCE_ALGORITHMS",
 ]
-
-
-def _validate(buffers: Sequence[np.ndarray]) -> int:
-    p = len(buffers)
-    if p == 0:
-        raise ValueError("need at least one rank")
-    shape = buffers[0].shape
-    for b in buffers:
-        if b.shape != shape:
-            raise ValueError("all rank buffers must share a shape")
-    return p
 
 
 def halving_doubling_allreduce(
@@ -53,54 +44,46 @@ def halving_doubling_allreduce(
     Requires a power-of-two rank count (as the classical algorithm does;
     NCCL pads otherwise).  Works in float64 internally.
     """
-    p = _validate(buffers)
+    p = len(buffers)
     if p & (p - 1):
         raise ValueError(f"halving-doubling requires power-of-two ranks, got {p}")
-    shape = buffers[0].shape
-    dtype = buffers[0].dtype
-    work = [b.astype(np.float64).reshape(-1).copy() for b in buffers]
-    n = work[0].shape[0]
 
-    # reduce-scatter by recursive halving: at step s, partner is r ^ 2^s
-    # and each pair exchanges half of its currently-owned range.
-    ranges = [(0, n)] * p
-    step = 1
-    while step < p:
-        new_work = [w.copy() for w in work]
-        new_ranges = list(ranges)
-        for r in range(p):
-            partner = r ^ step
-            lo, hi = ranges[r]
-            mid = (lo + hi) // 2
-            if r < partner:
-                keep = (lo, mid)
-                send = (mid, hi)
-            else:
-                keep = (mid, hi)
-                send = (lo, mid)
-            # receive the partner's contribution for our kept half
-            klo, khi = keep
-            new_work[r][klo:khi] = work[r][klo:khi] + work[partner][klo:khi]
-            new_ranges[r] = keep
-        work, ranges = new_work, new_ranges
-        step *= 2
+    def exchange(work: List[np.ndarray]) -> List[np.ndarray]:
+        n = work[0].shape[0]
+        # reduce-scatter by recursive halving: at step s, partner is r ^ 2^s
+        # and each pair exchanges half of its currently-owned range.
+        ranges = [(0, n)] * p
+        step = 1
+        while step < p:
+            new_work = [w.copy() for w in work]
+            new_ranges = list(ranges)
+            for r in range(p):
+                partner = r ^ step
+                lo, hi = ranges[r]
+                mid = (lo + hi) // 2
+                # receive the partner's contribution for our kept half
+                klo, khi = keep = (lo, mid) if r < partner else (mid, hi)
+                new_work[r][klo:khi] = work[r][klo:khi] + work[partner][klo:khi]
+                new_ranges[r] = keep
+            work, ranges = new_work, new_ranges
+            step *= 2
 
-    # all-gather by recursive doubling: reverse the exchange pattern.
-    step = p // 2
-    while step >= 1:
-        new_work = [w.copy() for w in work]
-        new_ranges = list(ranges)
-        for r in range(p):
-            partner = r ^ step
-            plo, phi = ranges[partner]
-            new_work[r][plo:phi] = work[partner][plo:phi]
-            lo, hi = ranges[r]
-            new_ranges[r] = (min(lo, plo), max(hi, phi))
-        work, ranges = new_work, new_ranges
-        step //= 2
+        # all-gather by recursive doubling: reverse the exchange pattern.
+        step = p // 2
+        while step >= 1:
+            new_work = [w.copy() for w in work]
+            new_ranges = list(ranges)
+            for r in range(p):
+                partner = r ^ step
+                plo, phi = ranges[partner]
+                new_work[r][plo:phi] = work[partner][plo:phi]
+                lo, hi = ranges[r]
+                new_ranges[r] = (min(lo, plo), max(hi, phi))
+            work, ranges = new_work, new_ranges
+            step //= 2
+        return work
 
-    scale = 1.0 / p if average else 1.0
-    return [(w * scale).reshape(shape).astype(dtype) for w in work]
+    return staged_allreduce(buffers, average, exchange)
 
 
 def tree_allreduce(
@@ -108,30 +91,28 @@ def tree_allreduce(
 ) -> List[np.ndarray]:
     """Binary-tree all-reduce: reduce to rank 0 up a binomial tree, then
     broadcast back down.  Works for any rank count."""
-    p = _validate(buffers)
-    shape = buffers[0].shape
-    dtype = buffers[0].dtype
-    work = [b.astype(np.float64).reshape(-1).copy() for b in buffers]
 
-    # reduce up: at step s, ranks with (r % 2^{s+1}) == 2^s send to r - 2^s
-    step = 1
-    while step < p:
-        for r in range(0, p, 2 * step):
-            src = r + step
-            if src < p:
-                work[r] += work[src]
-        step *= 2
-    # broadcast down
-    step //= 2
-    while step >= 1:
-        for r in range(0, p, 2 * step):
-            dst = r + step
-            if dst < p:
-                work[dst][:] = work[r]
+    def exchange(work: List[np.ndarray]) -> List[np.ndarray]:
+        p = len(work)
+        # reduce up: at step s, ranks with (r % 2^{s+1}) == 2^s send to r - 2^s
+        step = 1
+        while step < p:
+            for r in range(0, p, 2 * step):
+                src = r + step
+                if src < p:
+                    work[r] += work[src]
+            step *= 2
+        # broadcast down
         step //= 2
+        while step >= 1:
+            for r in range(0, p, 2 * step):
+                dst = r + step
+                if dst < p:
+                    work[dst][:] = work[r]
+            step //= 2
+        return work
 
-    scale = 1.0 / p if average else 1.0
-    return [(w * scale).reshape(shape).astype(dtype) for w in work]
+    return staged_allreduce(buffers, average, exchange)
 
 
 def halving_doubling_time(nbytes: int, world_size: int, alpha: float, beta: float) -> float:

@@ -32,6 +32,7 @@ from ..models import InteractionGNN
 from ..tensor import Tensor, no_grad, ops
 from ..tensor.kernels import scatter_add_rows
 from .costmodel import CommCostModel, NVLINK_A100
+from .ring import chunk_bounds
 
 __all__ = ["HaloStats", "VertexPartition", "PartitionedIGNNForward"]
 
@@ -69,8 +70,7 @@ class VertexPartition:
         """Equal-sized contiguous blocks (±1)."""
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
-        cuts = np.linspace(0, num_nodes, world_size + 1).astype(np.int64)
-        return VertexPartition(cuts=tuple(int(c) for c in cuts))
+        return VertexPartition(cuts=tuple(chunk_bounds(num_nodes, world_size).tolist()))
 
     @property
     def world_size(self) -> int:

@@ -1,14 +1,15 @@
 """Real multi-process communication backend (``--backend proc``).
 
-One ``multiprocessing`` worker per rank executes the *same* ring
-all-reduce schedule as :func:`repro.distributed.ring.ring_allreduce`,
-but over ``shared_memory`` segments with genuine inter-process barriers
-— so collectives run under true parallelism, with real wall-clock, real
-crashes, and real stragglers.  The backend is deliberately **bit-exact**
-with the in-process simulator: chunk boundaries, accumulation order, and
-the float64 working precision are identical, so a seeded ``proc`` run
-reproduces a ``sim`` run to the last bit (the elastic-recovery
-smoke suite, ``scripts/validate.py elastic``, depends on this).
+One ``multiprocessing`` worker per rank executes its share of the
+schedule of :mod:`repro.distributed.ring` over ``shared_memory``
+segments with genuine inter-process barriers — so collectives run under
+true parallelism, with real wall-clock, real crashes, and real
+stragglers.  The backend is **bit-exact** with the in-process simulator
+by construction: chunk boundaries, accumulation order, the float64
+staging and the epilogue are the simulator's own code, so a seeded
+``proc`` run reproduces a ``sim`` run to the last bit (the
+elastic-recovery smoke suite, ``scripts/validate.py elastic``, depends
+on this).
 
 Crash tolerance
 ---------------
@@ -58,6 +59,7 @@ from ..faults import CommTimeoutError, ProcessFault, RankDeadError
 from ..obs import RunTelemetry, get_metrics, get_telemetry, get_tracer, set_telemetry
 from .backend import CommBackend
 from .costmodel import CommCostModel, NVLINK_A100
+from .ring import ring_barriers, ring_schedule, staged_allreduce
 from .supervisor import (
     FLAG_ABORT,
     ControlBlock,
@@ -157,58 +159,32 @@ def _check_abort(ctrl: ControlBlock, abort0: int) -> None:
 
 
 def _op_allreduce(ctrl: ControlBlock, rank: int, cmd: dict, segments: dict) -> None:
-    """Worker's share of one ring all-reduce.
-
-    Identical schedule and accumulation order to
-    :func:`repro.distributed.ring.ring_allreduce`: P-1 reduce-scatter
-    steps (each rank adds its left neighbour's travelling chunk into its
-    own float64 buffer), then P-1 all-gather steps circulating the
-    finished chunks.  A shared barrier separates consecutive steps —
-    within a step every rank reads a region nobody writes, so steps are
-    data-race-free and the per-chunk accumulation order matches the
-    sequential reference exactly (bit-exactness).
-    """
+    """Worker's share of one ring all-reduce: this ring position's
+    :func:`~repro.distributed.ring.ring_schedule`, each step on the
+    float64 segments of this rank and its left neighbour, with a shared
+    barrier wherever the schedule asks for one."""
     live: List[int] = cmd["live"]
     names: Dict[int, str] = cmd["names"]
     n: int = cmd["nelems"]
-    abort0: int = cmd["abort0"]
-    seq0: int = cmd["seq0"]
-    timeout: float = cmd["timeout"]
 
     tracer = get_tracer()
-    p = len(live)
     pos = live.index(rank)
-    left = live[(pos - 1) % p]
     mine = np.ndarray(
         (n,), np.float64, buffer=_segment_view(segments, names[rank]).buf
     )
     theirs = np.ndarray(
-        (n,), np.float64, buffer=_segment_view(segments, names[left]).buf
+        (n,), np.float64, buffer=_segment_view(segments, names[live[pos - 1]]).buf
     )
-    bounds = np.linspace(0, n, p + 1).astype(np.int64)
-
-    b = 0
-    # reduce-scatter: at step s this rank receives chunk (pos - 1 - s)
-    for s in range(p - 1):
-        if s > 0:
-            _barrier_wait(ctrl, rank, seq0 + b, live, abort0, timeout)
-            b += 1
-        c = (pos - 1 - s) % p
-        sl = slice(bounds[c], bounds[c + 1])
-        with tracer.span("comm.worker.reduce", category="comm.worker",
-                         step=s, chunk=int(c)):
-            mine[sl] += theirs[sl]
-    # all-gather: at step s this rank receives finished chunk (pos - s);
-    # every step reads what the left neighbour wrote in the previous one,
-    # so each needs a leading barrier
-    for s in range(p - 1):
-        _barrier_wait(ctrl, rank, seq0 + b, live, abort0, timeout)
-        b += 1
-        c = (pos - s) % p
-        sl = slice(bounds[c], bounds[c + 1])
-        with tracer.span("comm.worker.copy", category="comm.worker",
-                         step=s, chunk=int(c)):
-            mine[sl] = theirs[sl]
+    seq = cmd["seq0"]
+    for step in ring_schedule(pos, len(live), n):
+        if step.barrier:
+            _barrier_wait(ctrl, rank, seq, live, cmd["abort0"], cmd["timeout"])
+            seq += 1
+        with tracer.span(
+            "comm.worker.reduce" if step.reduce else "comm.worker.copy",
+            category="comm.worker", step=step.step, chunk=step.chunk,
+        ):
+            step.run(mine, theirs)
 
 
 def _op_broadcast(ctrl: ControlBlock, rank: int, cmd: dict, segments: dict) -> None:
@@ -567,37 +543,29 @@ class ProcCommunicator(CommBackend):
     ) -> List[np.ndarray]:
         """Ring all-reduce executed by the worker fleet; bit-exact with
         :class:`SimCommunicator` on the same inputs."""
-        shape = buffers[0].shape
-        dtype = buffers[0].dtype
-        for b in buffers:
-            if b.shape != shape:
-                raise ValueError("all rank buffers must share a shape")
-        p = self.world_size
-        if p == 1:
-            out = buffers[0].astype(np.float64, copy=True)
-            return [out.astype(dtype)]
-        n = int(buffers[0].size)
+        return staged_allreduce(buffers, average, self._exchange)
+
+    def _exchange(self, work: List[np.ndarray]) -> List[np.ndarray]:
+        """Staged float64 buffers into the ranks' segments, one
+        ``allreduce`` round trip, reduced buffers back out."""
+        p, n = len(work), work[0].shape[0]
         live = list(self.ranks)
         names: Dict[int, str] = {}
         with get_tracer().span(
             "comm.shm_write", category="comm", nelems=n, world_size=p
         ):
-            for rank, buf in zip(live, buffers):
+            for rank, staged in zip(live, work):
                 seg = self._ensure_segment(rank, n * 8)
-                view = np.ndarray((n,), np.float64, buffer=seg.buf)
-                view[:] = np.ascontiguousarray(buf).reshape(-1)
+                np.ndarray((n,), np.float64, buffer=seg.buf)[:] = staged
                 names[rank] = seg.name
-        self._roundtrip("allreduce", 2 * p - 3, live, nelems=n, names=names)
-        scale = 1.0 / p if average else 1.0
-        out = []
+        self._roundtrip("allreduce", ring_barriers(p), live, nelems=n, names=names)
         with get_tracer().span(
             "comm.shm_read", category="comm", nelems=n, world_size=p
         ):
-            for rank in live:
-                seg = self._segments[rank]
-                w = np.ndarray((n,), np.float64, buffer=seg.buf).copy()
-                out.append((w * scale).reshape(shape).astype(dtype))
-        return out
+            return [
+                np.ndarray((n,), np.float64, buffer=self._segments[rank].buf).copy()
+                for rank in live
+            ]
 
     def _run_broadcast(self, buffer: np.ndarray) -> List[np.ndarray]:
         """Copy ``buffer`` (the lowest live rank's state) into every

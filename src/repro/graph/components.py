@@ -1,14 +1,14 @@
 """Connected components — the final track-building stage (Stage 5).
 
 After the GNN scores every edge and low-scoring edges are removed, the
-remaining connected components *are* the candidate particle tracks.  Two
-implementations are provided:
+remaining connected components *are* the candidate particle tracks.
 
+* :func:`connected_components` — what the pipeline labels events with; it
+  delegates to ``scipy.sparse.csgraph``
+  (:func:`connected_components_scipy`);
 * :class:`UnionFind` — array-based disjoint-set with union by rank and
-  path halving, the production path;
-* :func:`connected_components_scipy` — delegation to
-  ``scipy.sparse.csgraph``, used as an independent oracle in tests next to
-  a networkx cross-check.
+  path halving, for incremental use (the walkthrough track builder's
+  cycle check) and as an independent oracle for the scipy labels in tests.
 """
 
 from __future__ import annotations

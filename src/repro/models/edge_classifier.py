@@ -18,18 +18,25 @@ __all__ = ["EdgeClassifier"]
 class EdgeClassifier(Module):
     """A network whose ``forward(x, y, rows, cols)`` returns edge logits."""
 
+    def logits(self, graph, **forward_kwargs) -> Tensor:
+        """``forward`` on an :class:`repro.graph.EventGraph`: the one
+        input boundary — ``x`` / ``y`` cast to the parameter dtype and
+        wrapped, then ``rows`` / ``cols``."""
+        dt = next(self.parameters()).data.dtype
+        return self.forward(
+            Tensor(graph.x.astype(dt, copy=False)),
+            Tensor(graph.y.astype(dt, copy=False)),
+            graph.rows,
+            graph.cols,
+            **forward_kwargs,
+        )
+
     def predict_proba(self, graph) -> np.ndarray:
         """Edge probabilities for an :class:`repro.graph.EventGraph`.
 
         Inference path: evaluation mode and no autograd for the call
         (the prior mode is restored), inputs cast to the parameter dtype.
         """
-        dt = next(self.parameters()).data.dtype
         with self.inference():
-            logits = self.forward(
-                Tensor(graph.x.astype(dt, copy=False)),
-                Tensor(graph.y.astype(dt, copy=False)),
-                graph.rows,
-                graph.cols,
-            )
+            logits = self.logits(graph)
         return 1.0 / (1.0 + np.exp(-np.clip(logits.numpy(), -60, 60)))

@@ -175,6 +175,24 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
+def _chrome_event(rec: Dict[str, Any]) -> Dict[str, Any]:
+    """One exported record in Chrome ``trace_event`` form: a span is a
+    complete (``"X"``) event, an event an instant (``"i"``) one."""
+    args = dict(rec.get("attrs", {}))
+    if "t0" in rec:
+        args.update(depth=rec.get("depth", 0), id=rec.get("id"), parent=rec.get("parent"))
+        shape = {"cat": rec.get("cat", "span"), "ph": "X", "ts": rec["t0"] * 1e6,
+                 "dur": (rec["t1"] - rec["t0"]) * 1e6}
+        scope = {}
+    else:
+        shape = {"cat": rec.get("cat", "event"), "ph": "i", "ts": rec["t"] * 1e6}
+        scope = {"s": "t"}
+    if rec.get("rank") is not None:
+        args["rank"] = rec["rank"]
+    return {"name": rec["name"], **shape, "pid": rec.get("pid", 0),
+            "tid": rec.get("tid", 0), **scope, "args": args}
+
+
 class Tracer:
     """Recording tracer: hierarchical spans + instantaneous events.
 
@@ -323,42 +341,35 @@ class Tracer:
         """
         if pid == 0:
             raise ValueError("pid 0 is reserved for the local lane")
-        shifted_spans = []
-        for rec in spans:
+
+        def rebase(rec: Dict[str, Any], *stamps: str) -> Dict[str, Any]:
             rec = dict(rec)
-            rec["t0"] = rec["t0"] + time_shift
-            rec["t1"] = rec["t1"] + time_shift
+            for key in stamps:
+                rec[key] = rec[key] + time_shift
             rec["pid"] = pid
             if rank is not None:
                 rec["rank"] = rank
-            shifted_spans.append(rec)
-        shifted_events = []
-        for rec in events:
-            rec = dict(rec)
-            rec["t"] = rec["t"] + time_shift
-            rec["pid"] = pid
-            if rank is not None:
-                rec["rank"] = rank
-            shifted_events.append(rec)
+            return rec
+
+        shifted_spans = [rebase(rec, "t0", "t1") for rec in spans]
+        shifted_events = [rebase(rec, "t") for rec in events]
         with self._lock:
             self._process_names[pid] = process_name
             self.remote_spans.extend(shifted_spans)
             self.remote_events.extend(shifted_events)
 
     # -- export --------------------------------------------------------
-    def to_jsonl_lines(self) -> List[str]:
-        """One JSON object per line: spans (close order) then events.
+    def _records(self) -> List[Dict[str, Any]]:
+        """Every record in export order: local spans (close order), local
+        events, ingested spans, ingested events.  Local records carry no
+        ``pid`` key (implicitly lane 0); ingested ones keep their
+        ``pid`` / ``rank`` tags."""
+        local: List[Dict[str, Any]] = [s.to_record() for s in self.spans]
+        return local + self.events + self.remote_spans + self.remote_events
 
-        Local records carry no ``pid`` key (implicitly lane 0); ingested
-        remote records keep their ``pid``/``rank`` tags.
-        """
-        records: Iterable[Dict[str, Any]] = [s.to_record() for s in self.spans]
-        return (
-            [json.dumps(r) for r in records]
-            + [json.dumps(e) for e in self.events]
-            + [json.dumps(r) for r in self.remote_spans]
-            + [json.dumps(e) for e in self.remote_events]
-        )
+    def to_jsonl_lines(self) -> List[str]:
+        """One JSON object per line, in :meth:`_records` order."""
+        return [json.dumps(r) for r in self._records()]
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -376,81 +387,13 @@ class Tracer:
             {
                 "name": "process_name",
                 "ph": "M",
-                "pid": 0,
+                "pid": pid,
                 "tid": 0,
-                "args": {"name": "repro"},
+                "args": {"name": name},
             }
+            for pid, name in [(0, "repro")] + sorted(self._process_names.items())
         ]
-        for pid, name in sorted(self._process_names.items()):
-            trace_events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": name},
-                }
-            )
-        for s in self.spans:
-            trace_events.append(
-                {
-                    "name": s.name,
-                    "cat": s.category,
-                    "ph": "X",
-                    "ts": s.start_s * 1e6,
-                    "dur": s.duration_s * 1e6,
-                    "pid": 0,
-                    "tid": s.tid,
-                    "args": dict(s.attributes, depth=s.depth, id=s.span_id,
-                                 parent=s.parent_id),
-                }
-            )
-        for e in self.events:
-            trace_events.append(
-                {
-                    "name": e["name"],
-                    "cat": e["cat"],
-                    "ph": "i",
-                    "ts": e["t"] * 1e6,
-                    "pid": 0,
-                    "tid": e.get("tid", 0),
-                    "s": "t",
-                    "args": dict(e["attrs"]),
-                }
-            )
-        for r in self.remote_spans:
-            args = dict(r.get("attrs", {}), depth=r.get("depth", 0),
-                        id=r.get("id"), parent=r.get("parent"))
-            if r.get("rank") is not None:
-                args["rank"] = r["rank"]
-            trace_events.append(
-                {
-                    "name": r["name"],
-                    "cat": r.get("cat", "span"),
-                    "ph": "X",
-                    "ts": r["t0"] * 1e6,
-                    "dur": (r["t1"] - r["t0"]) * 1e6,
-                    "pid": r["pid"],
-                    "tid": r.get("tid", 0),
-                    "args": args,
-                }
-            )
-        for r in self.remote_events:
-            args = dict(r.get("attrs", {}))
-            if r.get("rank") is not None:
-                args["rank"] = r["rank"]
-            trace_events.append(
-                {
-                    "name": r["name"],
-                    "cat": r.get("cat", "event"),
-                    "ph": "i",
-                    "ts": r["t"] * 1e6,
-                    "pid": r["pid"],
-                    "tid": r.get("tid", 0),
-                    "s": "t",
-                    "args": args,
-                }
-            )
+        trace_events.extend(_chrome_event(r) for r in self._records())
         out: Dict[str, Any] = {
             "traceEvents": trace_events,
             "displayTimeUnit": "ms",

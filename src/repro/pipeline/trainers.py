@@ -55,7 +55,6 @@ from ..nn import Adam, BCEWithLogitsLoss
 from ..obs import get_metrics, get_telemetry, get_tracer
 from ..perf import StageTimer
 from ..sampling import BulkShadowSampler, SampledBatch, Sampler, ShadowSampler
-from ..tensor import Tensor
 from .checkpoint import TrainerState, load_with_fallback, save_trainer_checkpoint
 from .config import GNNTrainConfig
 
@@ -328,15 +327,8 @@ class _Rank:
         model = self.model
         self.optimizer.zero_grad()
         tracer = get_tracer()
-        dt = next(model.parameters()).data.dtype
         with tracer.span("forward", category="train", edges=graph.num_edges):
-            logits = model(
-                Tensor(graph.x.astype(dt, copy=False)),
-                Tensor(graph.y.astype(dt, copy=False)),
-                graph.rows,
-                graph.cols,
-                recompute=recompute,
-            )
+            logits = model.logits(graph, recompute=recompute)
             loss = loss_fn(logits, graph.edge_labels.astype(np.float32))
         loss_value = float("nan") if fault == "loss" else loss.item()
         if np.isfinite(loss_value):

@@ -10,7 +10,7 @@ For ShaDow the subgraph has one connected block per batch vertex
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,22 +74,43 @@ class Sampler:
         """Sample a training subgraph for the given batch vertices."""
         raise NotImplementedError
 
+    #: Names of the sampler's own hyper-parameters, recorded on the
+    #: ``sampler.sample_bulk`` span after ``sampler`` and ``k``.
+    _span_fields: Tuple[str, ...] = ()
+
     def sample_bulk(
         self,
         graph: EventGraph,
         batches: Sequence[np.ndarray],
         rng: np.random.Generator,
     ) -> List[SampledBatch]:
-        """Sample several batches.  Default: one `sample` call per batch
-        (sequential); bulk samplers override this with a single fused
-        sampling step (the paper's k-batch stacking, Eq. 1)."""
+        """Sample several batches: the one ``sampler.sample_bulk`` span
+        (with the sampled ``nodes`` / ``edges`` totals) around
+        :meth:`_sample_bulk`."""
         with get_tracer().span(
             "sampler.sample_bulk",
             category="sampling",
             sampler=type(self).__name__,
             k=len(batches),
-        ):
-            return [self.sample(graph, b, rng) for b in batches]
+            **{name: getattr(self, name) for name in self._span_fields},
+        ) as span:
+            results = self._sample_bulk(graph, batches, rng)
+            span.set(
+                nodes=sum(r.graph.num_nodes for r in results),
+                edges=sum(r.graph.num_edges for r in results),
+            )
+        return results
+
+    def _sample_bulk(
+        self,
+        graph: EventGraph,
+        batches: Sequence[np.ndarray],
+        rng: np.random.Generator,
+    ) -> List[SampledBatch]:
+        """Default: one `sample` call per batch (sequential); bulk
+        samplers override this with a single fused sampling step (the
+        paper's k-batch stacking, Eq. 1)."""
+        return [self.sample(graph, b, rng) for b in batches]
 
 
 def stack_components(

@@ -11,9 +11,15 @@ Tripathy et al. replaces the walk with sparse matrix algebra:
 2. ``s`` distinct columns are sampled per row of ``P`` (vectorised), and
    ``Q^{d-1}`` is *expanded* to one nonzero per sampled vertex.  All
    vertices touched are accumulated per batch root in a sparse ``F``.
-3. After ``d`` levels, the induced subgraph per root is extracted with row
-   and column selection SpGEMMs: a single ``S A Sᵀ`` over the stacked
-   (root, vertex) selection, masked to the block diagonal.
+3. After ``d`` levels, the induced subgraph per root is extracted with a
+   row-selection SpGEMM ``S A`` over the stacked (root, vertex) selection
+   and a column selection restricted to each root's own block — a lookup
+   of every candidate ``(root, vertex)`` key.  There are two lookups,
+   chosen by whether the dense ``(roots × n)`` id table fits
+   (:attr:`BulkShadowSampler.DENSE_LOOKUP_MAX`): the table where it does —
+   every benchmark workload — and a binary search of the sorted selection
+   keys where it would not (paper-scale CTD at ``k = 4``: 1 024 × 330.7K
+   entries).  Both return the same batches, edge order included.
 
 Multiple minibatches are sampled in one shot by stacking their ``Q``
 matrices (Eq. 1): the per-SpGEMM fixed costs are amortised over ``k``
@@ -28,7 +34,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..graph import EventGraph
-from ..obs import get_tracer
 from .base import SampledBatch, Sampler
 
 __all__ = ["BulkShadowSampler", "sample_rows_csr"]
@@ -99,6 +104,8 @@ class BulkShadowSampler(Sampler):
     # workloads are far below it).
     DENSE_LOOKUP_MAX = 200_000_000
 
+    _span_fields = ("depth", "fanout")
+
     def __init__(self, depth: int = 3, fanout: int = 6) -> None:
         if depth < 1 or fanout < 1:
             raise ValueError("depth and fanout must be >= 1")
@@ -113,34 +120,13 @@ class BulkShadowSampler(Sampler):
         return self.sample_bulk(graph, [batch], rng)[0]
 
     # ------------------------------------------------------------------
-    def sample_bulk(
+    def _sample_bulk(
         self,
         graph: EventGraph,
         batches: Sequence[np.ndarray],
         rng: np.random.Generator,
     ) -> List[SampledBatch]:
         """Sample ``k`` stacked minibatches in one bulk pass (Eq. 1)."""
-        with get_tracer().span(
-            "sampler.sample_bulk",
-            category="sampling",
-            sampler=type(self).__name__,
-            k=len(batches),
-            depth=self.depth,
-            fanout=self.fanout,
-        ) as span:
-            results = self._sample_bulk_impl(graph, batches, rng)
-            span.set(
-                nodes=sum(r.graph.num_nodes for r in results),
-                edges=sum(r.graph.num_edges for r in results),
-            )
-        return results
-
-    def _sample_bulk_impl(
-        self,
-        graph: EventGraph,
-        batches: Sequence[np.ndarray],
-        rng: np.random.Generator,
-    ) -> List[SampledBatch]:
         batches = [np.asarray(b, dtype=np.int64) for b in batches]
         if not batches or any(b.size == 0 for b in batches):
             raise ValueError("need at least one non-empty batch")
@@ -186,92 +172,53 @@ class BulkShadowSampler(Sampler):
         sel_vertex = uniq_keys % n
 
         # Extraction: for every root block, the induced subgraph over that
-        # block's selected vertices.  Three strategies, chosen by estimated
-        # work (all produce identical edge sets — the property tests check
-        # this):
-        #
-        # * block-mask  — batched edge-membership kernel
-        #   member[:, A.rows] & member[:, A.cols]; scans the parent edge
-        #   list once per root, O(roots · edges).  Wins when selections are
-        #   a large fraction of the graph.
-        # * spgemm+table — row-selection SpGEMM R ← S·A then O(1) dense
-        #   table lookups for the in-block column selection,
-        #   O(Σ deg(selected)).  Wins when selections are small relative to
-        #   the graph (dense graphs, shallow walks).
-        # * spgemm+search — as above with binary search instead of the
-        #   dense table; used when the (roots × n) table would not fit.
+        # block's selected vertices — row-selection SpGEMM R ← S·A, then
+        # the in-block column selection, O(Σ deg(selected)).
         K = sel_vertex.shape[0]
-        m = graph.num_edges
-        degrees = np.diff(A.indptr)
-        est_spgemm = int(degrees[sel_vertex].sum())
-        est_mask = b_tot * m
-        use_table = b_tot * n <= self.DENSE_LOOKUP_MAX
-
-        if use_table:
+        S = sp.csr_matrix(
+            (
+                np.ones(K, dtype=np.float64),
+                (np.arange(K, dtype=np.int64), sel_vertex),
+            ),
+            shape=(K, n),
+        )
+        R = (S @ A).tocsr()  # row i = neighbourhood of sel_vertex[i]
+        nnz_per_row = np.diff(R.indptr)
+        r_row = np.repeat(np.arange(K, dtype=np.int64), nnz_per_row)
+        r_col_vertex = R.indices.astype(np.int64)
+        cand_keys = sel_root[r_row] * np.int64(n) + r_col_vertex
+        # Compact id of each candidate (root, vertex) key, if selected: an
+        # O(1) dense table lookup — or, when the (roots × n) table would
+        # not fit (paper-scale CTD stacks exceed it), a binary search of
+        # the sorted selection keys (≈ 20 % slower per bulk step on the
+        # CTD-like ledger graph, so it is not the one lookup).
+        if b_tot * n <= self.DENSE_LOOKUP_MAX:
             table = np.full(b_tot * n, -1, dtype=np.int64)
             table[uniq_keys] = np.arange(K, dtype=np.int64)
-
-        if use_table and est_mask <= 2 * est_spgemm:
-            # --- block-mask path
-            member2d = (table >= 0).reshape(b_tot, n)
-            rows_arr = graph.rows.astype(np.int64)
-            cols_arr = graph.cols.astype(np.int64)
-            hit_roots, hit_edges = [], []
-            # chunk roots so the (chunk × m) mask stays ~64 MB
-            chunk = max(1, int(64_000_000 // max(m, 1)))
-            for lo in range(0, b_tot, chunk):
-                hi = min(lo + chunk, b_tot)
-                mask2d = member2d[lo:hi, rows_arr] & member2d[lo:hi, cols_arr]
-                rr, ee = np.nonzero(mask2d)
-                hit_roots.append(rr.astype(np.int64) + lo)
-                hit_edges.append(ee.astype(np.int64))
-            hit_root = np.concatenate(hit_roots) if hit_roots else np.zeros(0, np.int64)
-            hit_edge = np.concatenate(hit_edges) if hit_edges else np.zeros(0, np.int64)
-            edge_parent_all = hit_edge
-            sub_rows_all = table[hit_root * np.int64(n) + rows_arr[hit_edge]]
-            sub_cols_all = table[hit_root * np.int64(n) + cols_arr[hit_edge]]
+            cand = table[cand_keys]
+            in_block = cand >= 0
         else:
-            # --- SpGEMM paths
-            S = sp.csr_matrix(
-                (
-                    np.ones(K, dtype=np.float64),
-                    (np.arange(K, dtype=np.int64), sel_vertex),
-                ),
-                shape=(K, n),
-            )
-            R = (S @ A).tocsr()  # row i = neighbourhood of sel_vertex[i]
-            nnz_per_row = np.diff(R.indptr)
-            r_row = np.repeat(np.arange(K, dtype=np.int64), nnz_per_row)
-            r_col_vertex = R.indices.astype(np.int64)
-            cand_keys = sel_root[r_row] * np.int64(n) + r_col_vertex
-            if use_table:
-                cand = table[cand_keys]
-                in_block = cand >= 0
-                br = r_row[in_block]
-                bc = cand[in_block]
-            else:
-                pos = np.minimum(np.searchsorted(uniq_keys, cand_keys), K - 1)
-                in_block = uniq_keys[pos] == cand_keys
-                br = r_row[in_block]
-                bc = pos[in_block]
-            # Keep only entries matching *directed* parent edges u→v (the
-            # symmetric mirror (v, u) is dropped) and recover edge ids.
-            # A (u, v) key can match several parent edges (duplicate edges
-            # in the event graph); every instance is emitted, matching the
-            # sequential sampler and the block-mask path.
-            parent_keys = graph.rows.astype(np.int64) * n + graph.cols.astype(np.int64)
-            key_order = np.argsort(parent_keys, kind="stable")
-            sorted_keys = parent_keys[key_order]
-            edge_keys = sel_vertex[br] * np.int64(n) + sel_vertex[bc]
-            lo_pos = np.searchsorted(sorted_keys, edge_keys, side="left")
-            hi_pos = np.searchsorted(sorted_keys, edge_keys, side="right")
-            counts = hi_pos - lo_pos  # 0 where (u, v) is not a parent edge
-            rep = np.repeat(np.arange(edge_keys.shape[0], dtype=np.int64), counts)
-            within = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            edge_parent_all = key_order[lo_pos[rep] + within]
-            sub_rows_all, sub_cols_all = br[rep], bc[rep]
+            cand = np.minimum(np.searchsorted(uniq_keys, cand_keys), K - 1)
+            in_block = uniq_keys[cand] == cand_keys
+        br, bc = r_row[in_block], cand[in_block]
+        # Keep only entries matching *directed* parent edges u→v (the
+        # symmetric mirror (v, u) is dropped) and recover edge ids.
+        # A (u, v) key can match several parent edges (duplicate edges
+        # in the event graph); every instance is emitted, matching the
+        # sequential sampler.
+        parent_keys = graph.rows.astype(np.int64) * n + graph.cols.astype(np.int64)
+        key_order = np.argsort(parent_keys, kind="stable")
+        sorted_keys = parent_keys[key_order]
+        edge_keys = sel_vertex[br] * np.int64(n) + sel_vertex[bc]
+        lo_pos = np.searchsorted(sorted_keys, edge_keys, side="left")
+        hi_pos = np.searchsorted(sorted_keys, edge_keys, side="right")
+        counts = hi_pos - lo_pos  # 0 where (u, v) is not a parent edge
+        rep = np.repeat(np.arange(edge_keys.shape[0], dtype=np.int64), counts)
+        within = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        edge_parent_all = key_order[lo_pos[rep] + within]
+        sub_rows_all, sub_cols_all = br[rep], bc[rep]
 
         # Global compact id of every root: its position among the sorted
         # (root, vertex) selection keys (each root is guaranteed present in

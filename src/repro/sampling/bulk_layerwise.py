@@ -47,7 +47,7 @@ class BulkLayerWiseSampler(Sampler):
     ) -> SampledBatch:
         return self.sample_bulk(graph, [batch], rng)[0]
 
-    def sample_bulk(
+    def _sample_bulk(
         self,
         graph: EventGraph,
         batches: Sequence[np.ndarray],

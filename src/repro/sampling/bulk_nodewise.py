@@ -24,7 +24,6 @@ import scipy.sparse as sp
 
 from ..graph import EventGraph
 from ..graph.subgraph import induced_subgraph
-from ..obs import get_tracer
 from .base import SampledBatch, Sampler
 from .bulk import sample_rows_csr
 
@@ -52,27 +51,13 @@ class BulkNodeWiseSampler(Sampler):
     ) -> SampledBatch:
         return self.sample_bulk(graph, [batch], rng)[0]
 
-    def sample_bulk(
+    def _sample_bulk(
         self,
         graph: EventGraph,
         batches: Sequence[np.ndarray],
         rng: np.random.Generator,
     ) -> List[SampledBatch]:
         """Sample ``k`` stacked batches in one fused pass."""
-        with get_tracer().span(
-            "sampler.sample_bulk",
-            category="sampling",
-            sampler=type(self).__name__,
-            k=len(batches),
-        ):
-            return self._sample_bulk_impl(graph, batches, rng)
-
-    def _sample_bulk_impl(
-        self,
-        graph: EventGraph,
-        batches: Sequence[np.ndarray],
-        rng: np.random.Generator,
-    ) -> List[SampledBatch]:
         batches = [np.asarray(b, dtype=np.int64) for b in batches]
         if not batches or any(b.size == 0 for b in batches):
             raise ValueError("need at least one non-empty batch")

@@ -75,17 +75,18 @@ def _column_sum(grad: np.ndarray) -> np.ndarray:
     return np.ones(grad.shape[0], dtype=grad.dtype) @ grad
 
 
-def _finish_layer(out: np.ndarray, bias: Optional[Tensor], norm):
-    """The tail of one MLP layer, in place on the matmul result ``out``
-    its op owns: ``+ bias`` and, given ``norm = (gamma, beta, eps)``,
-    :func:`layer_norm` then :func:`relu` — inside the op's own tape node.
+def _finish_layer(out: np.ndarray, bias: Optional[Tensor], norm, relu: bool = True):
+    """The tail of one MLP layer, in place on the array ``out`` its op
+    owns: ``+ bias`` and, given ``norm = (gamma, beta, eps)``, layer
+    normalisation over the last axis then (unless ``relu=False``) ReLU —
+    inside the op's own tape node.  This is the one spelling of the
+    LayerNorm arithmetic: :func:`layer_norm` is a node over the same tail.
 
     Returns ``(result, tail parents, pull)``; ``pull(grad)`` maps the
-    node's output gradient to ``(gradient of the matmul result, the tail
-    parents' gradients)``.  The arithmetic is that of the separate ops in
-    their order, so the bits are the three-op spelling's.  Under grad the
-    node holds ``(xhat, inv, result)`` — the ReLU mask is ``result > 0``
-    — and under ``no_grad`` nothing.
+    node's output gradient to ``(gradient of the array handed in, the
+    tail parents' gradients)``.  Under grad the node holds ``(xhat, inv,
+    result)`` — the ReLU mask is ``result > 0`` — and under ``no_grad``
+    nothing.
     """
     tail = ()
     if bias is not None:
@@ -96,7 +97,10 @@ def _finish_layer(out: np.ndarray, bias: Optional[Tensor], norm):
         tail += (gamma, beta)
         f = out.shape[-1]
         w = gamma.data.reshape(f)
-        xhat = out.reshape(-1, f)
+        # Row means are BLAS gemvs against a constant vector; the variance
+        # is a row dot product of the centred values (einsum: no squared
+        # temporary); the centred buffer is then normalised in place.
+        xhat = out.reshape(-1, f)  # one code path: N-D inputs are rows of f
         xhat -= (xhat @ np.full(f, 1.0 / f, dtype=xhat.dtype))[:, None]
         var = np.einsum("ij,ij->i", xhat, xhat)
         var *= 1.0 / f
@@ -104,18 +108,22 @@ def _finish_layer(out: np.ndarray, bias: Optional[Tensor], norm):
         xhat *= inv
         act = xhat * w if is_grad_enabled() else np.multiply(xhat, w, out=xhat)
         act += beta.data.reshape(f)
-        out = np.maximum(act, 0, out=act).reshape(out.shape)
+        if relu:
+            np.maximum(act, 0, out=act)
+        out = act.reshape(out.shape)
 
     def pull(grad: np.ndarray):
         g_norm = ()
         if norm is not None:
-            grad = grad.reshape(-1, f) * (act > 0)
+            grad = grad.reshape(-1, f)
+            grad = grad * (act > 0) if relu else grad.copy()
             g_norm = (
                 np.einsum("ij,ij->j", grad, xhat).reshape(gamma.shape),
                 _column_sum(grad).reshape(beta.shape),
             )
-            # layer_norm's backward: dx = inv * (g - mean(g) - xhat *
-            # mean(g * xhat)) with g = grad * w, on this closure's temporaries
+            # Standard layer-norm backward, dx = inv * (g - mean(g) - xhat *
+            # mean(g * xhat)) with g = grad * w; mean(g) comes straight from
+            # ``grad`` as a gemv, all on this closure's private temporaries
             g_mean = grad @ (w / f)
             grad *= w
             proj = xhat * (np.einsum("ij,ij->i", grad, xhat) / f)[:, None]
@@ -760,42 +768,14 @@ def layer_norm(a: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     The acorn IGNN applies layer-norm inside each MLP; we match that so the
     8-layer network trains stably at hidden dim 64.
     """
-    a, weight, bias = astensor(a), astensor(weight), astensor(bias)
-    f = a.shape[-1]
-    x = a.data.reshape(-1, f)  # one code path: N-D inputs are rows of f
-    w = weight.data.reshape(f)
-    # Row means are BLAS gemvs against a constant vector; the variance is
-    # a row dot product of the centred values (einsum: no squared
-    # temporary); the centred buffer is then normalised in place.
-    xhat = x - (x @ np.full(f, 1.0 / f, dtype=x.dtype))[:, None]
-    var = np.einsum("ij,ij->i", xhat, xhat)
-    var *= 1.0 / f
-    inv = (1.0 / np.sqrt(var + eps))[:, None]
-    xhat *= inv
-    out = xhat * w
-    out += bias.data.reshape(f)
+    a = astensor(a)
+    out, tail, pull = _finish_layer(a.data.copy(), None, (weight, bias, eps), relu=False)
 
     def backward(grad: np.ndarray):
-        grad = grad.reshape(-1, f)
-        # Standard layer-norm backward, dx = inv * (g - mean(g) -
-        # xhat * mean(g * xhat)) with g = grad * w.  mean(g) comes
-        # straight from ``grad`` as a gemv; it and the xhat projection
-        # are subtracted in one pass over this closure's two private
-        # temporaries.
-        gxhat = grad * w
-        proj = xhat * (np.einsum("ij,ij->i", gxhat, xhat) / f)[:, None]
-        proj += (grad @ (w / f))[:, None]
-        gxhat -= proj
-        gxhat *= inv
-        gw = np.einsum("ij,ij->j", grad, xhat).reshape(weight.shape)
-        gb = _column_sum(grad).reshape(bias.shape)
-        return (
-            gxhat.reshape(a.shape).astype(a.dtype, copy=False),
-            gw.astype(weight.dtype, copy=False),
-            gb,
-        )
+        grad, g_tail = pull(np.asarray(grad))
+        return (grad,) + g_tail
 
-    return Tensor.from_op(out.reshape(a.shape), (a, weight, bias), backward, op="layer_norm")
+    return Tensor.from_op(out, (a,) + tail, backward, op="layer_norm")
 
 
 # ----------------------------------------------------------------------

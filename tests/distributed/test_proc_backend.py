@@ -88,6 +88,66 @@ class TestAllreduceParity:
         assert comm2.stats.modeled_seconds == pytest.approx(expected)
 
 
+class TestWorkerSharesOnThreads:
+    """The schedule is race-free, not merely right when run in sequence:
+    the real worker share (``_op_allreduce``), one thread per rank with a
+    ``threading.Barrier`` standing in for ``_barrier_wait``, produces the
+    simulator's bits."""
+
+    @pytest.mark.parametrize(
+        "live, n", [([0, 1], 33), ([0, 2, 3], 10), ([0, 1, 2, 3, 4], 3), (list(range(8)), 4133)]
+    )
+    def test_bits_match_lockstep(self, live, n, rng, monkeypatch):
+        import sys
+        import threading
+        from types import SimpleNamespace
+
+        from repro.distributed import proc_backend
+        from repro.distributed.ring import ring_barriers
+
+        p = len(live)
+        bufs = [rng.standard_normal(n) for _ in live]
+        work = {rank: b.copy() for rank, b in zip(live, bufs)}
+        barrier = threading.Barrier(p)
+        waits = {rank: [] for rank in live}
+
+        def barrier_wait(ctrl, rank, seq, ranks, abort0, timeout):
+            waits[rank].append(seq)
+            barrier.wait(timeout=20)
+
+        monkeypatch.setattr(proc_backend, "_barrier_wait", barrier_wait)
+        names = {rank: f"segment-{rank}" for rank in live}
+        segments = {names[rank]: SimpleNamespace(buf=work[rank]) for rank in live}
+        cmd = {"live": live, "names": names, "nelems": n, "seq0": 5,
+               "abort0": 0, "timeout": 20.0}
+        errors = []
+
+        def share(rank):
+            try:
+                proc_backend._op_allreduce(None, rank, cmd, dict(segments))
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=share, args=(rank,)) for rank in live]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        ref = ring_allreduce(bufs, average=False)
+        for rank, r in zip(live, ref):
+            assert np.array_equal(work[rank], r)
+        # every rank crossed the barriers the driver allocated, in order
+        expected = list(range(5, 5 + ring_barriers(p)))
+        assert all(seqs == expected for seqs in waits.values())
+
+
 class TestBroadcastAndBarrier:
     def test_broadcast_bit_exact(self, comm4, rng):
         x = rng.standard_normal((3, 4))

@@ -232,6 +232,91 @@ class TestRemoteIngestion:
         assert all(r.get("rank") == 0 for r in remote if r["type"] == "span")
 
 
+class TestExportGolden:
+    """Both exports walk one record stream — local spans, local events,
+    ingested spans, ingested events.  A fixed clock (0.25 s per reading)
+    and one ingested rank pin every exported field and the order; the
+    comparison is on the JSON text, so key order counts too."""
+
+    @staticmethod
+    def _trace():
+        def fixed_clock():
+            state = {"t": 0.0}
+
+            def clock():
+                state["t"] += 0.25
+                return state["t"]
+
+            return clock
+
+        worker = Tracer(clock=fixed_clock())
+        with worker.span("comm.worker.allreduce", category="comm.worker", seq=1, nelems=8):
+            with worker.span("comm.worker.reduce", category="comm.worker", step=0, chunk=1):
+                pass
+            worker.event("comm.worker.aborted", category="comm.worker", seq=1)
+        driver = Tracer(clock=fixed_clock())
+        with driver.span("epoch", category="train", epoch=0):
+            with driver.span("batch", category="train"):
+                driver.event("watchdog.skip", category="train", reason="spike")
+        driver.ingest_remote(
+            *worker.drain_records(), pid=2, process_name="rank 1", time_shift=0.5, rank=1
+        )
+        return driver
+
+    def test_jsonl(self):
+        assert self._trace().to_jsonl_lines() == [
+            '{"type": "span", "name": "batch", "cat": "train", "t0": 0.5, "t1": 1.0, '
+            '"dur": 0.5, "id": 1, "parent": 0, "depth": 1, "tid": 0, "attrs": {}}',
+            '{"type": "span", "name": "epoch", "cat": "train", "t0": 0.25, "t1": 1.25, '
+            '"dur": 1.0, "id": 0, "parent": null, "depth": 0, "tid": 0, "attrs": {"epoch": 0}}',
+            '{"type": "event", "name": "watchdog.skip", "cat": "train", "t": 0.75, '
+            '"parent": 1, "tid": 0, "attrs": {"reason": "spike"}}',
+            '{"type": "span", "name": "comm.worker.reduce", "cat": "comm.worker", "t0": 1.0, '
+            '"t1": 1.25, "dur": 0.25, "id": 1, "parent": 0, "depth": 1, "tid": 0, '
+            '"attrs": {"step": 0, "chunk": 1}, "pid": 2, "rank": 1}',
+            '{"type": "span", "name": "comm.worker.allreduce", "cat": "comm.worker", "t0": 0.75, '
+            '"t1": 1.75, "dur": 1.0, "id": 0, "parent": null, "depth": 0, "tid": 0, '
+            '"attrs": {"seq": 1, "nelems": 8}, "pid": 2, "rank": 1}',
+            '{"type": "event", "name": "comm.worker.aborted", "cat": "comm.worker", "t": 1.5, '
+            '"parent": 0, "tid": 0, "attrs": {"seq": 1}, "pid": 2, "rank": 1}',
+        ]
+
+    def test_chrome_trace(self):
+        def lane(pid, name):
+            return {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                    "args": {"name": name}}
+
+        def complete(name, cat, ts, dur, pid, args):
+            return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
+                    "pid": pid, "tid": 0, "args": args}
+
+        def instant(name, cat, ts, pid, args):
+            return {"name": name, "cat": cat, "ph": "i", "ts": ts, "pid": pid,
+                    "tid": 0, "s": "t", "args": args}
+
+        expected = {
+            "traceEvents": [
+                lane(0, "repro"),
+                lane(2, "rank 1"),
+                complete("batch", "train", 500000.0, 500000.0, 0,
+                         {"depth": 1, "id": 1, "parent": 0}),
+                complete("epoch", "train", 250000.0, 1000000.0, 0,
+                         {"epoch": 0, "depth": 0, "id": 0, "parent": None}),
+                instant("watchdog.skip", "train", 750000.0, 0, {"reason": "spike"}),
+                complete("comm.worker.reduce", "comm.worker", 1000000.0, 250000.0, 2,
+                         {"step": 0, "chunk": 1, "depth": 1, "id": 1, "parent": 0, "rank": 1}),
+                complete("comm.worker.allreduce", "comm.worker", 750000.0, 1000000.0, 2,
+                         {"seq": 1, "nelems": 8, "depth": 0, "id": 0, "parent": None, "rank": 1}),
+                instant("comm.worker.aborted", "comm.worker", 1500000.0, 2,
+                        {"seq": 1, "rank": 1}),
+            ],
+            "displayTimeUnit": "ms",
+            "otherData": {"seed": 0},
+        }
+        got = self._trace().to_chrome_trace({"seed": 0})
+        assert json.dumps(got) == json.dumps(expected)
+
+
 class TestNullTracer:
     def test_span_is_shared_noop(self):
         tracer = NullTracer()

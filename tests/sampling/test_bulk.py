@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import chain_graph, random_graph
-from repro.sampling import BulkShadowSampler, ShadowSampler, sample_rows_csr
+from repro.sampling import (
+    BulkLayerWiseSampler,
+    BulkNodeWiseSampler,
+    BulkShadowSampler,
+    ShadowSampler,
+    sample_rows_csr,
+)
 
 
 @st.composite
@@ -200,18 +206,55 @@ class TestBulkMultiBatch:
             BulkShadowSampler(2, 2).sample_bulk(g, [np.array([], dtype=np.int64)], np.random.default_rng(0))
 
     def test_fallback_searchsorted_path_matches_dense(self):
-        """Force the non-dense extraction path and compare."""
+        """The two lookups of the one extraction path — dense id table,
+        or binary search when the table would not fit — return the same
+        batches, edge order included."""
         g = random_graph(80, 400, rng=np.random.default_rng(4))
-        batch = np.arange(10)
-        dense = BulkShadowSampler(2, 3)
-        sparse_path = BulkShadowSampler(2, 3)
-        sparse_path.DENSE_LOOKUP_MAX = 0  # force fallback
-        a = dense.sample(g, batch, np.random.default_rng(9))
-        b = sparse_path.sample(g, batch, np.random.default_rng(9))
-        assert np.array_equal(a.node_parent, b.node_parent)
-        assert np.array_equal(a.component_ids, b.component_ids)
-        assert a.graph.num_edges == b.graph.num_edges
-        # identical edge sets (order may differ between the two paths)
-        ea = set(zip(a.graph.rows.tolist(), a.graph.cols.tolist()))
-        eb = set(zip(b.graph.rows.tolist(), b.graph.cols.tolist()))
-        assert ea == eb
+        batches = [np.arange(10), np.array([11, 40, 79])]
+        table = BulkShadowSampler(2, 3)
+        search = BulkShadowSampler(2, 3)
+        search.DENSE_LOOKUP_MAX = 0  # the table never fits
+        outs_a = table.sample_bulk(g, batches, np.random.default_rng(9))
+        outs_b = search.sample_bulk(g, batches, np.random.default_rng(9))
+        for a, b in zip(outs_a, outs_b):
+            assert np.array_equal(a.node_parent, b.node_parent)
+            assert np.array_equal(a.component_ids, b.component_ids)
+            assert np.array_equal(a.roots, b.roots)
+            assert a.graph.num_edges > 0
+            assert np.array_equal(a.graph.edge_index, b.graph.edge_index)
+            assert np.array_equal(a.edge_parent, b.edge_parent)
+
+
+class TestSampleBulkSpan:
+    """``Sampler.sample_bulk`` owns the one ``sampler.sample_bulk`` span;
+    every sampler — bulk body or the sequential default — is visible in a
+    trace with its identity first and the sampled totals last."""
+
+    @pytest.mark.parametrize(
+        "make, own",
+        [
+            (lambda: BulkShadowSampler(2, 3), {"depth": 2, "fanout": 3}),
+            (lambda: ShadowSampler(2, 3), {}),
+            (lambda: BulkNodeWiseSampler([3, 2]), {}),
+            (lambda: BulkLayerWiseSampler(4, 2), {}),
+        ],
+        ids=["bulk_shadow", "sequential_default", "bulk_nodewise", "bulk_layerwise"],
+    )
+    def test_one_span_with_identity_and_totals(self, make, own):
+        from repro.obs import RunTelemetry, use_telemetry
+
+        g = random_graph(60, 300, rng=np.random.default_rng(0))
+        batches = [np.array([0, 1, 2]), np.array([5, 7])]
+        sampler = make()
+        telemetry = RunTelemetry()
+        with use_telemetry(telemetry):
+            outs = sampler.sample_bulk(g, batches, np.random.default_rng(3))
+        (span,) = telemetry.tracer.find("sampler.sample_bulk")
+        assert span.category == "sampling"
+        assert list(span.attributes.items()) == [
+            ("sampler", type(sampler).__name__),
+            ("k", 2),
+            *own.items(),
+            ("nodes", sum(o.graph.num_nodes for o in outs)),
+            ("edges", sum(o.graph.num_edges for o in outs)),
+        ]

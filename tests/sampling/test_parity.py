@@ -87,6 +87,24 @@ class TestDegenerateEdges:
         _assert_parity(g, np.array([0, 2, 3]), forced_sparse=forced_sparse)
 
 
+class TestDenseSelections:
+    @pytest.mark.parametrize("forced_sparse", [False, True])
+    def test_selection_covering_the_whole_graph(self, forced_sparse):
+        """A near-complete graph where every root's depth-2 selection is
+        the whole vertex set, so scanning every parent edge per root would
+        cost no more than the SpGEMM (roots × edges ≤ 2 × selected degree
+        mass): the one SpGEMM extraction agrees with the sequential
+        sampler in that regime too."""
+        n = 12
+        pairs = np.array([(u, v) for u in range(n) for v in range(n) if u < v and (u + v) % 5])
+        g = _graph(pairs.T.copy(), n)
+        batch = np.array([0, 5, 11])
+        seq, blk = _assert_parity(g, batch, forced_sparse=forced_sparse)
+        assert len(blk.node_parent) == len(batch) * n
+        assert blk.graph.num_edges == len(batch) * g.num_edges
+        assert len(batch) * g.num_edges <= 2 * int(g.degrees()[blk.node_parent].sum())
+
+
 class TestRandomizedParity:
     def test_sweep(self):
         """Randomized graphs with injected duplicates, self-loops, and

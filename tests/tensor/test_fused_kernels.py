@@ -356,6 +356,50 @@ class TestLayerNorm:
         assert nd.shape == x.shape
         np.testing.assert_array_equal(nd.reshape(12, 6), flat)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(9, 6), (3, 4, 6), (6,)], ids=["2d", "3d", "1d"])
+    def test_bits_of_the_standalone_spelling(self, rng, shape, dtype):
+        """``layer_norm`` is a node over the layer tail the fused ops
+        apply; its output and three gradients are, bit for bit, those of
+        the arithmetic written out here on its own (forward: gemv mean,
+        einsum variance, normalise, affine; backward: the standard
+        ``inv * (g - mean(g) - xhat * mean(g * xhat))``)."""
+        f = shape[-1]
+        x = (rng.normal(size=shape) * 3.0).astype(dtype)
+        w, b = rng.normal(size=f).astype(dtype), rng.normal(size=f).astype(dtype)
+        seed = rng.normal(size=shape).astype(dtype)
+
+        rows = x.reshape(-1, f)
+        xhat = rows - (rows @ np.full(f, 1.0 / f, dtype=dtype))[:, None]
+        var = np.einsum("ij,ij->i", xhat, xhat)
+        var *= 1.0 / f
+        inv = (1.0 / np.sqrt(var + 1e-5))[:, None]
+        xhat *= inv
+        ref_out = (xhat * w + b).reshape(shape)
+        grad = seed.reshape(-1, f)
+        gxhat = grad * w
+        proj = xhat * (np.einsum("ij,ij->i", gxhat, xhat) / f)[:, None]
+        proj += (grad @ (w / f))[:, None]
+        ref_grads = [
+            ((gxhat - proj) * inv).reshape(shape),
+            np.einsum("ij,ij->j", grad, xhat),
+            np.ones(grad.shape[0], dtype=dtype) @ grad,
+        ]
+
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in (x, w, b)]
+        out = ops.layer_norm(*leaves, eps=1e-5)
+        out.backward(seed)
+        assert out._op == "layer_norm" and out._parents == tuple(leaves)
+        assert out.dtype == dtype and np.array_equal(out.data, ref_out)
+        for leaf, ref in zip(leaves, ref_grads):
+            assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, ref)
+        # the tail works in place — on the op's own copy, never the input
+        assert np.array_equal(leaves[0].data, x)
+        with no_grad():
+            quiet = ops.layer_norm(*leaves)
+        assert quiet.is_leaf and quiet._parents == ()
+        assert np.array_equal(quiet.data, ref_out) and np.array_equal(leaves[0].data, x)
+
     @given(st.integers(0, 2**16), st.integers(1, 300), st.integers(8, 96))
     @settings(max_examples=40, deadline=None)
     def test_float32_forward_matches_two_pass_formula(self, seed, m, f):

@@ -74,6 +74,38 @@ def test_rank_step_takes_plain_data():
     assert names.isdisjoint({"watchdog", "fault_plan", "CheckpointedIGNN"})
 
 
+def test_edge_classifiers_have_one_input_boundary(monkeypatch):
+    """Training (``_Rank.step``) and inference (``predict_proba``) both go
+    through ``EdgeClassifier.logits``: dtype cast, wrap, ``rows`` / ``cols``
+    — and ``forward`` is looked up at call time with ``recompute`` passed on."""
+    import numpy as np
+
+    from repro.graph import random_graph
+    from repro.models import IGNNConfig, InteractionGNN
+
+    assert _count("models", "graph.x.astype(") == {"edge_classifier.py": 1}
+    assert _count("pipeline", ".astype(dt,") == {}
+    assert _count("pipeline", ".logits(graph") == {"trainers.py": 1}
+
+    g = random_graph(12, 30, rng=np.random.default_rng(0))
+    model = InteractionGNN(
+        IGNNConfig(node_features=g.x.shape[1], edge_features=g.y.shape[1],
+                   hidden=8, num_layers=2)
+    ).astype(np.float64)
+    seen = []
+    original = InteractionGNN.forward
+
+    def forward(self, x, y, rows, cols, recompute=False):
+        seen.append((x.dtype, y.dtype, recompute))
+        return original(self, x, y, rows, cols, recompute=recompute)
+
+    monkeypatch.setattr(InteractionGNN, "forward", forward)
+    direct = model.logits(g, recompute=True)
+    probs = model.predict_proba(g)
+    assert seen == [(np.float64, np.float64, True), (np.float64, np.float64, False)]
+    assert np.array_equal(probs, 1.0 / (1.0 + np.exp(-np.clip(direct.numpy(), -60, 60))))
+
+
 def test_only_the_driver_talks_to_the_fault_plan_and_the_watchdog():
     for call in ("numeric_fault_target(", "observe_loss(", "observe_grad_norm("):
         assert _count("pipeline", call) == {"trainers.py": 1}, call

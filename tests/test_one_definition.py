@@ -1,0 +1,74 @@
+"""Structural pin: code paths that must agree to the last bit share one
+definition instead of two copies and a parity test.
+
+The ring schedule, its chunk bounds, the float64 staging and the
+scale-then-cast epilogue live in ``distributed/ring.py`` and are executed
+by the simulator and by the proc workers alike; the LayerNorm arithmetic
+is spelled once in ``tensor/ops.py``; bulk ShaDow extraction has one path
+and no work estimate choosing between several; and the
+``sampler.sample_bulk`` span is opened in one place.
+"""
+
+import ast
+import os
+import re
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
+
+
+def _read(*relpath):
+    with open(os.path.join(SRC, *relpath)) as fh:
+        return fh.read()
+
+
+def _count(package, needle):
+    """``{file: occurrences}`` over one package's modules, zero counts dropped."""
+    counts = {
+        name: _read(package, name).count(needle)
+        for name in sorted(os.listdir(os.path.join(SRC, package)))
+        if name.endswith(".py")
+    }
+    return {name: n for name, n in counts.items() if n}
+
+
+def test_chunk_bounds_are_computed_in_one_function():
+    assert _count("distributed", "linspace") == {"ring.py": 1}
+    (owner,) = [
+        node.name
+        for node in ast.walk(ast.parse(_read("distributed", "ring.py")))
+        if isinstance(node, ast.FunctionDef) and "linspace" in ast.unparse(node)
+    ]
+    assert owner == "chunk_bounds"
+
+
+def test_proc_backend_holds_no_schedule_of_its_own():
+    source = _read("distributed", "proc_backend.py")
+    # no chunk arithmetic, no hand-counted barriers: both are read off
+    # ring.py's schedule
+    assert not re.search(r"% p\b|linspace|2 \* p - 3", source)
+    assert "ring_schedule(" in source and "ring_barriers(" in source
+
+
+def test_backends_share_one_staging_and_epilogue():
+    assert _count("distributed", "def staged_allreduce(") == {"ring.py": 1}
+    assert _count("distributed", "1.0 / p") == {"ring.py": 1}
+    for name in ("comm.py", "proc_backend.py", "algorithms.py"):
+        assert "astype(np.float64)" not in _read("distributed", name), name
+
+
+def test_layer_norm_arithmetic_is_spelled_once():
+    source = _read("tensor", "ops.py")
+    assert source.count("np.sqrt(var") == 1
+    # forward variance + backward projection, and nothing else, reduce rows
+    assert source.count('np.einsum("ij,ij->i"') == 2
+
+
+def test_bulk_extraction_has_one_path_and_no_estimate():
+    source = _read("sampling", "bulk.py")
+    assert not re.search(r"est_|block-mask|mask2d", source)
+    assert source.count("self.DENSE_LOOKUP_MAX") == 1  # the one switch: does the table fit
+
+
+def test_one_sample_bulk_span():
+    assert _count("sampling", '"sampler.sample_bulk"') == {"base.py": 1}
+    assert _count("sampling", "def sample_bulk(") == {"base.py": 1}
