@@ -12,8 +12,9 @@ is served two ways —
   the whole of the engine's advantage here.
 
 The bench asserts bit-identical tracks and ≥1.5× engine throughput: 20
-of 24 requests skip stages 1–3 through the stage cache, and that must
-outweigh the engine's queueing and dispatch.  From the run's telemetry
+of 24 requests are answered from the stage cache's memoised tracks (no
+stage runs for them), and that must outweigh the engine's queueing and
+dispatch.  From the run's telemetry
 export it reports p50/p99 latency plus the shed/degraded/cache-hit
 counters, with a deterministic overload segment (fixed modelled service
 time on a simulated clock) driving the shedding/degradation numbers.
@@ -112,6 +113,7 @@ def test_serving_throughput(benchmark, bench_profile):
             max_queue_events=8,
             latency_budget_ms=25.0,
             sim_service_time_s=0.05,
+            cache_capacity=0,  # a memoised replay has no forward to skip
         ),
         clock=SimClock(),
     )

@@ -345,10 +345,11 @@ def prefetch_suite(argv) -> None:
 def serve_suite(argv) -> None:
     """The dispatch policy's shape on a SimClock — below capacity no
     request waits for company (queue-wait p50 exactly 0), overload still
-    sheds and degrades — through the load generator, and the ``serve.*``
-    metrics schema (latency histograms carry p50/p95/p99).  Bit-parity
-    with the sequential ``reconstruct`` loop and cache-replay identity
-    are tier-1's (``tests/serve/test_parity.py``), not re-proved here."""
+    sheds and degrades — through the load generator, a replay drill (a
+    replayed event is one memo hit: no GNN forward, ``reconstruct``'s
+    tracks), and the ``serve.*`` metrics schema (latency histograms carry
+    p50/p95/p99).  Bit-parity across batchings and the memo policy's
+    corners are tier-1's (``tests/serve``), not re-proved here."""
     from repro.faults import SimClock
     from repro.obs import RunTelemetry, use_telemetry
     from repro.serve import InferenceEngine, LoadGenConfig, ServeConfig, run_loadgen
@@ -383,6 +384,33 @@ def serve_suite(argv) -> None:
         ok(f"low load: queue-wait p50 0 ms, mean batch {report.mean_batch_size:.2f}, "
            f"latency p50 {report.latency_p50_ms:.1f} ms")
 
+        # replay drill: the calm engine has answered every event, so a
+        # replay is one hash per request — no forward, the same tracks
+        def forwards_and_memo_hits():
+            return (
+                sum(s.name == "pipeline.gnn" for s in telemetry.tracer.spans),
+                telemetry.metrics.to_dict()["counters"].get("serve.cache.memo_hits", 0),
+            )
+
+        forwards, memo_hits = forwards_and_memo_hits()
+        t0 = time.perf_counter()
+        replay = calm.process(serve_events)
+        hit_ms = 1e3 * (time.perf_counter() - t0)
+        if forwards_and_memo_hits() != (forwards, memo_hits + len(replay)):
+            fail(f"replay of {len(replay)} answered events: pipeline.gnn spans / "
+                 f"serve.cache.memo_hits {(forwards, memo_hits)} -> {forwards_and_memo_hits()}")
+        with InferenceEngine(pipe, calm.config, clock=SimClock()) as cold:
+            t0 = time.perf_counter()
+            fresh = cold.process(serve_events)
+            miss_ms = 1e3 * (time.perf_counter() - t0)
+        for event, miss, hit in zip(serve_events, fresh, replay):
+            expected = pipe.reconstruct(event)
+            for tracks in (miss.tracks, hit.tracks):
+                if len(tracks) != len(expected) or not all(map(np.array_equal, tracks, expected)):
+                    fail(f"replay drill: event {event.event_id} served tracks != reconstruct")
+        ok(f"replay: {len(replay)} memo hits, 0 GNN forwards, tracks == reconstruct; "
+           f"hit batch {hit_ms:.2f} ms vs miss batch {miss_ms:.1f} ms")
+
         overload = InferenceEngine(
             pipe,
             ServeConfig(
@@ -391,6 +419,7 @@ def serve_suite(argv) -> None:
                 max_queue_events=8,
                 latency_budget_ms=25.0,
                 sim_service_time_s=0.05,
+                cache_capacity=0,  # a memoised replay has no forward to skip
             ),
             clock=SimClock(),
         )

@@ -80,6 +80,8 @@ def _cap_neighbors(
     """
     if max_neighbors < 1:
         raise ValueError("max_neighbors must be >= 1")
+    if np.bincount(edge_index.ravel()).max() <= max_neighbors:
+        return edge_index  # no vertex is over the cap: nothing to rank
     src, dst = edge_index
     m = edge_index.shape[1]
     d = np.linalg.norm(embeddings[src] - embeddings[dst], axis=1)

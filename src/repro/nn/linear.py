@@ -107,8 +107,8 @@ class Dropout(Module):
 
 
 class Sequential(Module):
-    """Chain of modules applied in order; a ``Linear → LayerNorm → ReLU``
-    run (one MLP layer of Algorithm 1) executes as ONE autograd op."""
+    """Chain of modules applied in order (one MLP layer = ONE autograd op).
+    A ``Linear → LayerNorm → ReLU`` run, a layer of Algorithm 1, is that op."""
 
     def __init__(self, *layers: Module) -> None:
         super().__init__()

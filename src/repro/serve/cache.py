@@ -1,12 +1,17 @@
-"""Keyed stage cache: event-content hash → upstream stage outputs.
+"""Keyed stage cache: event-content hash → the event's answer so far.
 
 Production tracking serves many *replayed* events — calibration reruns,
 trigger-menu sweeps, A/B comparisons of downstream settings — where the
-hits are byte-identical to a request already answered.  The expensive
-upstream stages (embedding forward, FRNN search, feature attachment,
-filter forward) are pure functions of the hit content, so their outputs
-can be memoised under a content fingerprint and reused: a cache hit
-enters the pipeline directly at the GNN stage.
+hits are byte-identical to a request already answered.  Every stage is a
+pure function of the hit content and of weights the engine fixes for its
+lifetime, so one record per content fingerprint holds the chain at
+whatever depth it has been computed, and one lookup has three outcomes:
+**absent** → construction, filter, GNN, tracks; **upstream only** (a
+degraded batch, or a GNN failure, created the entry) → GNN and tracks,
+which fill it; **complete** → the tracks: no forward, no pruning, no
+connected components.  An engine is the unit of invalidation: nothing a
+live engine can change (weights, thresholds, track builder, precision)
+enters the key, so new settings mean a new engine and an empty cache.
 
 The fingerprint hashes the raw hit arrays (positions, layer ids), NOT
 ``event_id`` — two events with the same hits share an entry whatever
@@ -14,12 +19,15 @@ they are called, and an event whose hits changed never matches a stale
 entry.
 
 An entry (``CachedStages``) is the record
-:meth:`repro.pipeline.ExaTrkXPipeline.upstream_many` returns per event —
-the same class, re-exported under its serving-side name.
+:meth:`repro.pipeline.ExaTrkXPipeline.upstream_many` returns per event
+plus, once a full-quality pass has produced them, the final tracks.
 
 The cache is a bounded LRU, safe for concurrent access from the serving
-worker pool; graphs stored in it are treated as immutable by every
-consumer (pruning produces new graphs via ``edge_mask_subgraph``).
+worker pool; entries are frozen, graphs and tracks stored in them are
+treated as immutable by every consumer (pruning produces new graphs via
+``edge_mask_subgraph``; the engine marks track arrays read-only), and an
+entry is filled by ``put``-ting its completed copy, so eviction drops
+the tracks with their entry.
 """
 
 from __future__ import annotations
@@ -27,12 +35,13 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..detector import Event
-from ..pipeline import UpstreamStages as CachedStages
+from ..pipeline import UpstreamStages
 
 __all__ = ["CachedStages", "StageCache", "event_fingerprint"]
 
@@ -48,6 +57,15 @@ def event_fingerprint(event: Event) -> str:
     h.update(np.ascontiguousarray(event.positions, dtype=np.float64).tobytes())
     h.update(np.ascontiguousarray(event.layer_ids, dtype=np.int64).tobytes())
     return h.hexdigest()
+
+
+@dataclass(frozen=True)
+class CachedStages(UpstreamStages):
+    """One fingerprint's answer so far: upstream outputs and, once built, the tracks.
+
+    ``tracks`` stays ``None`` until a full-quality pass has produced them."""
+
+    tracks: Optional[Tuple[np.ndarray, ...]] = None
 
 
 class StageCache:

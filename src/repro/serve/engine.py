@@ -11,8 +11,9 @@ requests through a bounded :class:`RequestQueue`:
   frees up.  A micro-batch shares a dispatch, in-batch dedup, the stage
   cache and admission — not compute — so no request waits for company;
 * a **keyed stage cache** (:class:`~repro.serve.cache.StageCache`)
-  memoises construction/filter outputs under an event-content hash, so
-  replayed events enter the pipeline directly at the GNN stage;
+  memoises the whole chain — construction/filter outputs, then the
+  tracks — under an event-content hash: a replayed event costs one hash
+  and runs no forward at all (policy below);
 * **admission control**: when the queue is full a new request is shed
   immediately (cheap rejection beats queueing past the deadline), and
   when the per-request latency budget is already blown at dispatch the
@@ -30,7 +31,27 @@ forward ever sees two events, so per-event results cannot depend on
 what else is in the batch.  The engine owns only serving policy (cache,
 store hydration, breaker, timeout, degrade); it never walks a stage or
 picks a track builder.  Batch *composition* therefore never influences
-results — only latency.
+results — only latency — and a memoised answer *is* what that traversal
+returned for those bytes under the weights the engine fixes for its life.
+
+Stage-cache policy
+------------------
+One lookup per request: absent, upstream only, or complete
+(:mod:`repro.serve.cache`).  (a) Duplicates inside a batch share one
+computation end to end.  (b) Only full-quality results are memoised: the
+degraded path never writes, and a later full-quality request for an entry
+a degraded batch created runs the GNN and fills it.  (c) Degrade, breaker
+and fault plan govern GNN *forwards*: a memoised request is answered at
+full quality even in a late or breaker-open batch (there is no forward to
+skip); the ``"gnn"`` fault point and the breaker's ``allow`` / success /
+exception outcomes happen only in a dispatch that runs at least one
+forward, and a fully memoised batch records no ``serve.stage.gnn`` span
+(a latency breach is still reported to the breaker).  (d) Memoised track
+arrays are read-only and every response gets its own list, so a client
+cannot change a later response.  (e) ``cache_capacity=0`` keeps no memo
+across batches.  ``cache_hit`` / ``cache_hits`` / ``cache_misses`` keep
+their meaning (the upstream lookup); ``memo_hit`` / ``memo_hits`` /
+``memoised=`` on the ``serve.batch`` span count complete lookups.
 
 Time is read from an injectable clock (:class:`repro.faults.SimClock`
 compatible), so overload, shedding, and degraded-mode decisions are
@@ -51,8 +72,8 @@ take the process down:
 * with ``breaker_threshold`` set, a :class:`repro.guard.CircuitBreaker`
   wraps the GNN stage: consecutive stage exceptions (or latency-budget
   breaches) trip it open, open batches are served on the degraded
-  GNN-skip path, and after a cooldown a half-open probe decides whether
-  to close it again;
+  GNN-skip path (their memoised requests at full quality, rule (c)), and
+  after a cooldown a half-open probe decides whether to close it again;
 * with ``request_timeout_ms``, requests that are already older than the
   timeout at dispatch complete exceptionally (``status == "timed_out"``)
   instead of consuming stage compute;
@@ -73,8 +94,8 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,9 +167,9 @@ class ServeConfig:
         to a pool of this many worker threads.
     latency_budget_ms:
         Per-request latency budget.  If the oldest request of a batch
-        has already waited longer than this at dispatch, the whole batch
-        is served in degraded mode (GNN skipped, filter-score tracks);
-        ``None`` disables degradation.
+        has already waited longer than this at dispatch, every request
+        of the batch that still needs a GNN forward is served degraded
+        (filter-score tracks); ``None`` disables degradation.
     degraded_threshold:
         Filter-score threshold used in place of the GNN threshold when
         serving degraded (the filter's threshold is tuned loose, so the
@@ -289,6 +310,7 @@ class ServeRequest:
     degraded: bool = False
     breaker_degraded: bool = False  # degraded because the breaker was open
     cache_hit: bool = False
+    memo_hit: bool = False  # answered from memoised tracks: no forward ran
     store_hit: bool = False  # construction graph hydrated from the event store
     error: Optional[BaseException] = None
     t_dispatch: float = 0.0
@@ -393,6 +415,7 @@ class ServeStats:
     batches: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    memo_hits: int = 0
     store_hydrated: int = 0
 
     @property
@@ -417,6 +440,7 @@ _COUNTERS = {
     "batches": "serve.batches",
     "cache_hits": "serve.cache.hits",
     "cache_misses": "serve.cache.misses",
+    "memo_hits": "serve.cache.memo_hits",
     "store_hydrated": "serve.store.hydrated",
 }
 
@@ -451,8 +475,8 @@ class InferenceEngine:
         stage for every known event.
 
     Telemetry: every dispatched batch records a ``serve.batch`` span
-    with nested ``serve.stage.construction`` / ``serve.stage.filter`` /
-    ``serve.stage.gnn`` spans (the GNN span wraps the per-event
+    (``memoised=<n>``) with nested ``serve.stage.construction`` / ``.filter``
+    / ``.gnn`` spans for the stages it ran (the GNN span wraps the per-event
     ``pipeline.gnn`` / ``pipeline.track_building`` spans), and the run
     metrics gain ``serve.*`` counters, queue-depth gauges, and
     latency/batch-size histograms — plus ``guard.*`` quarantine and
@@ -795,31 +819,34 @@ class InferenceEngine:
         # GNN without re-measuring every batch
         if late and self.breaker is not None:
             self.breaker.record_failure(kind="latency")
-        breaker_open = (
-            not late and self.breaker is not None and not self.breaker.allow()
-        )
-        use_gnn = not late and not breaker_open
-        degraded = not use_gnn
         t0_wall = time.perf_counter()
         with tracer.span(
-            "serve.batch",
-            category="serve",
-            size=len(batch),
-            degraded=degraded,
-            breaker_open=breaker_open,
-            oldest_wait_ms=oldest_wait_ms,
-        ):
-            stages = self._upstream_stages(batch)
+            "serve.batch", category="serve", size=len(batch), oldest_wait_ms=oldest_wait_ms
+        ) as span:
+            keys, staged = self._upstream_stages(batch)
+            for request, key in zip(batch, keys):
+                request.memo_hit = staged[key].tracks is not None
+            memoised = sum(r.memo_hit for r in batch)
+            self._count("memo_hits", memoised)
+            # degrade, breaker and fault plan govern *forwards*: the breaker
+            # is consulted only when some entry still needs one
+            forward = [key for key, entry in staged.items() if entry.tracks is None]
+            breaker_open = bool(
+                forward and not late and self.breaker is not None and not self.breaker.allow()
+            )
+            degraded = bool(forward) and (late or breaker_open)
+            span.set(degraded=degraded, breaker_open=breaker_open, memoised=memoised)
             gnn_error: Optional[BaseException] = None
-            if use_gnn:
+            if forward and not degraded:
                 with tracer.span("serve.stage.gnn", category="serve", degraded=False):
                     try:
                         if self.fault_plan is not None:
                             self.fault_plan.before_stage("gnn")
-                        for request, staged in zip(batch, stages):
-                            request.tracks = self.pipeline.finish_from_filtered(
-                                staged.filtered
-                            )
+                        for key in forward:
+                            tracks = self.pipeline.finish_from_filtered(staged[key].filtered)
+                            for track in tracks:
+                                track.flags.writeable = False  # shared by every later response
+                            staged[key] = replace(staged[key], tracks=tuple(tracks))
                         if self.breaker is not None:
                             self.breaker.record_success()
                     except Exception as exc:
@@ -832,24 +859,32 @@ class InferenceEngine:
                             stage="gnn",
                             error=str(exc),
                         )
-            if not use_gnn or gnn_error is not None:
+            if self.cache is not None:
+                for key in forward:  # one put per entry, at the depth it reached
+                    self.cache.put(key, staged[key])
+            if degraded or gnn_error is not None:
                 # degraded GNN-skip path: latency breach, open breaker,
-                # or fallback for the requests a GNN failure left unserved
+                # or fallback for the requests a GNN failure left unserved;
+                # never memoised
                 with tracer.span("serve.stage.gnn", category="serve", degraded=True):
-                    for request, staged in zip(batch, stages):
-                        if request.tracks is not None:
+                    for request, key in zip(batch, keys):
+                        entry = staged[key]
+                        if entry.tracks is not None:
                             continue
                         # filter scores stand in for GNN scores, re-cut
                         # at the stricter degraded threshold
                         request.tracks = self.pipeline.finish_from_filtered(
-                            staged.filtered,
-                            scores=staged.filter_scores[staged.filter_keep],
+                            entry.filtered,
+                            scores=entry.filter_scores[entry.filter_keep],
                             min_score=cfg.degraded_threshold,
                         )
                         request.degraded = True
                         request.breaker_degraded = (
                             breaker_open or gnn_error is not None
                         )
+            for request, key in zip(batch, keys):
+                if request.tracks is None:  # a fresh list of the shared arrays
+                    request.tracks = list(staged[key].tracks)
         service_wall_s = time.perf_counter() - t0_wall
         if not isinstance(self.clock, WallClock):
             # simulated clock: model the service time explicitly so
@@ -867,8 +902,11 @@ class InferenceEngine:
             request._completed.set()
         self._record_batch(batch)
 
-    def _upstream_stages(self, batch: List[ServeRequest]) -> List[CachedStages]:
-        """Construction + filter for a batch, through the stage cache.
+    def _upstream_stages(
+        self, batch: List[ServeRequest]
+    ) -> Tuple[List[str], Dict[str, CachedStages]]:
+        """Construction + filter for a batch, through the stage cache:
+        each request's key and one entry per distinct key.
 
         Serving policy only: cache lookup, in-batch dedup, store
         hydration.  Whatever is left goes through ONE
@@ -910,14 +948,12 @@ class InferenceEngine:
                 graphs,
                 spans=("serve.stage.construction", "serve.stage.filter"),
             )
-            for i, entry in zip(miss_idx, fresh):
-                staged[keys[i]] = entry
-                if self.cache is not None:
-                    self.cache.put(keys[i], entry)
+            for i, upstream in zip(miss_idx, fresh):
+                staged[keys[i]] = CachedStages(**vars(upstream))
             self._count("store_hydrated", sum(g is not None for g in graphs))
         self._count("cache_hits", len(batch) - len(miss_idx))
         self._count("cache_misses", len(miss_idx))
-        return [staged[key] for key in keys]
+        return keys, staged
 
     # -- accounting -----------------------------------------------------
     def _count(self, field: str, n: int = 1) -> None:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import fixed_radius_graph, knn_graph
+from repro.graph.frnn import _cap_neighbors
 
 
 @st.composite
@@ -61,6 +62,27 @@ class TestFixedRadius:
         ei = fixed_radius_graph(pts, radius=1.0, max_neighbors=3)
         deg = np.bincount(ei.reshape(-1), minlength=30)
         assert deg.max() <= 3
+
+    @given(point_clouds(), st.integers(-3, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_cap_early_exit_equals_full_ranking(self, pts, offset):
+        """Caps straddling the max degree: the early exit (nothing over the
+        cap) and the full ranking both equal a per-vertex reference, edge
+        order included."""
+        ei = fixed_radius_graph(pts, radius=0.8)
+        if ei.shape[1] == 0:
+            return
+        max_degree = int(np.bincount(ei.ravel()).max())
+        cap = max(1, max_degree + offset)
+        d = np.linalg.norm(pts[ei[0]] - pts[ei[1]], axis=1)
+        keep = np.ones(ei.shape[1], dtype=bool)
+        for v in range(len(pts)):
+            incident = np.flatnonzero((ei[0] == v) | (ei[1] == v))
+            keep[incident[np.argsort(d[incident], kind="stable")][cap:]] = False
+        capped = _cap_neighbors(pts, ei, cap)
+        assert np.array_equal(capped, ei[:, keep])
+        assert keep.all() == (cap >= max_degree)  # binds only below the max
+        assert np.array_equal(capped, fixed_radius_graph(pts, 0.8, max_neighbors=cap))
 
     def test_empty_input(self):
         ei = fixed_radius_graph(np.zeros((0, 3)), 0.5)

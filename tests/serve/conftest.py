@@ -61,3 +61,10 @@ def track_builder(pipe: ExaTrkXPipeline, builder: str):
         yield pipe
     finally:
         pipe.config = original
+
+
+def assert_tracks_equal(expected, actual, context=""):
+    """Two track lists hold the same hit-index arrays, in order."""
+    assert len(expected) == len(actual), context
+    for a, b in zip(expected, actual):
+        assert np.array_equal(a, b), context

@@ -68,6 +68,26 @@ class TestStageCache:
         assert len(cache) == 1
         assert cache.get("k") is second
 
+    def test_entry_is_filled_by_putting_its_completed_copy(self):
+        cache = StageCache(capacity=2)
+        upstream = _entry()
+        assert upstream.tracks is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            upstream.tracks = ()
+        cache.put("k", upstream)
+        complete = dataclasses.replace(upstream, tracks=(np.arange(3),))
+        cache.put("k", complete)
+        assert len(cache) == 1
+        assert cache.get("k") is complete
+        assert complete.filtered is upstream.filtered
+
+    def test_eviction_drops_tracks_with_their_entry(self):
+        cache = StageCache(capacity=1)
+        cache.put("a", dataclasses.replace(_entry(), tracks=(np.arange(3),)))
+        cache.put("b", _entry())
+        assert cache.get("a") is None  # no second table keeps a's tracks
+        assert cache.get("b").tracks is None
+
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             StageCache(capacity=0)

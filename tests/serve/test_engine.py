@@ -12,10 +12,12 @@ import threading
 
 import pytest
 
-from repro.faults import SimClock
+from repro.faults import FaultPlan, SimClock, StageFault
 from repro.obs import RunTelemetry, use_telemetry
 from repro.pipeline import ExaTrkXPipeline, PipelineConfig
-from repro.serve import InferenceEngine, ServeConfig
+from repro.serve import InferenceEngine, ServeConfig, event_fingerprint
+
+from .conftest import assert_tracks_equal
 
 
 def make_engine(pipe, clock=None, **overrides):
@@ -197,6 +199,167 @@ class TestStageCacheIntegration:
         engine.process(serve_events[:2])
         replay = engine.process(serve_events[:2])
         assert not any(r.cache_hit for r in replay)
+
+
+def _spans(telemetry, name):
+    return [s for s in telemetry.tracer.spans if s.name == name]
+
+
+class TestMemoPolicy:
+    """The stage cache memoises the whole chain (engine docstring,
+    "Stage-cache policy", rules (a)–(e))."""
+
+    def test_replayed_batch_runs_no_forward(self, serve_pipeline, serve_events):
+        expected = [serve_pipeline.reconstruct(e) for e in serve_events[:3]]
+        engine = make_engine(serve_pipeline, SimClock(), max_batch_events=8)
+        first = engine.process(serve_events[:3])
+        telemetry = RunTelemetry()
+        with use_telemetry(telemetry):
+            replay = engine.process(serve_events[:3])
+        for name in ("pipeline.gnn", "pipeline.track_building", "serve.stage.gnn"):
+            assert _spans(telemetry, name) == []
+        (batch_span,) = _spans(telemetry, "serve.batch")
+        assert batch_span.attributes["memoised"] == 3
+        assert batch_span.attributes["degraded"] is False
+        assert telemetry.metrics.to_dict()["counters"]["serve.cache.memo_hits"] == 3
+        assert not any(r.memo_hit for r in first)
+        assert all(r.memo_hit and r.cache_hit and not r.degraded for r in replay)
+        assert engine.stats.memo_hits == 3
+        for tracks, request in zip(expected, replay):
+            assert_tracks_equal(tracks, request.tracks)
+
+    def test_in_batch_duplicates_run_one_forward(self, serve_pipeline, serve_events):
+        telemetry = RunTelemetry()
+        with use_telemetry(telemetry):
+            engine = make_engine(
+                serve_pipeline, SimClock(), max_batch_events=4, cache_capacity=0
+            )
+            requests = engine.process([serve_events[0]] * 3)
+        assert len(_spans(telemetry, "pipeline.gnn")) == 1
+        assert len(_spans(telemetry, "pipeline.track_building")) == 1
+        expected = serve_pipeline.reconstruct(serve_events[0])
+        for request in requests:
+            assert_tracks_equal(expected, request.tracks)
+        assert engine.stats.memo_hits == 0  # the lookup found nothing complete
+
+    def test_lru_eviction_recomputes(self, serve_pipeline, serve_events):
+        a, b = serve_events[:2]
+        engine = make_engine(serve_pipeline, SimClock(), cache_capacity=1)
+        telemetry = RunTelemetry()
+        with use_telemetry(telemetry):
+            outcomes = [engine.process([e])[0] for e in (a, b, b, a)]
+        assert [r.memo_hit for r in outcomes] == [False, False, True, False]
+        assert len(_spans(telemetry, "pipeline.gnn")) == 3  # a, b, a again
+        assert_tracks_equal(outcomes[0].tracks, outcomes[3].tracks)
+
+    def test_cache_disabled_keeps_no_memo(self, serve_pipeline, serve_events):
+        engine = make_engine(serve_pipeline, SimClock(), cache_capacity=0)
+        engine.process(serve_events[:2])
+        replay = engine.process(serve_events[:2])
+        assert not any(r.memo_hit for r in replay)
+        assert engine.stats.memo_hits == 0
+
+    def test_degraded_batch_writes_no_memo(self, serve_pipeline, serve_events):
+        clock = SimClock()
+        engine = make_engine(
+            serve_pipeline, clock, latency_budget_ms=50.0, sim_service_time_s=0.0
+        )
+        late = engine.submit(serve_events[0])
+        clock.now += 1.0
+        engine.flush()
+        assert late.degraded and not late.memo_hit
+        entry = engine.cache.get(event_fingerprint(serve_events[0]))
+        assert entry is not None and entry.tracks is None  # upstream only
+        telemetry = RunTelemetry()
+        with use_telemetry(telemetry):
+            on_time = engine.process([serve_events[0]])[0]
+        # upstream only: the GNN runs, on the cached filtered graph, and fills
+        assert on_time.cache_hit and not on_time.memo_hit and not on_time.degraded
+        assert len(_spans(telemetry, "pipeline.gnn")) == 1
+        assert _spans(telemetry, "serve.stage.construction") == []
+        assert_tracks_equal(serve_pipeline.reconstruct(serve_events[0]), on_time.tracks)
+        again = engine.process([serve_events[0]])[0]
+        assert again.memo_hit
+        assert_tracks_equal(on_time.tracks, again.tracks)
+
+    def test_late_batch_answers_memoised_requests_in_full(
+        self, serve_pipeline, serve_events
+    ):
+        clock = SimClock()
+        engine = make_engine(
+            serve_pipeline, clock, latency_budget_ms=50.0, sim_service_time_s=0.0
+        )
+        seen = engine.process([serve_events[0]])[0]
+        late = [engine.submit(e) for e in serve_events[:2]]
+        clock.now += 1.0  # budget blown for the whole batch
+        engine.flush()
+        assert late[0].memo_hit and not late[0].degraded
+        assert_tracks_equal(seen.tracks, late[0].tracks)
+        assert late[1].degraded and not late[1].memo_hit
+        assert engine.stats.degraded == 1
+
+    def test_open_breaker_governs_forwards_only(self, serve_pipeline, serve_events):
+        clock = SimClock()
+        plan = FaultPlan(stage_faults=[StageFault(stage="gnn", at_call=1, times=1)])
+        engine = InferenceEngine(
+            serve_pipeline,
+            ServeConfig(
+                max_batch_events=2, breaker_threshold=1, breaker_cooldown_ms=100.0
+            ),
+            clock=clock,
+            fault_plan=plan,
+        )
+        seen = engine.process([serve_events[0]])[0]  # gnn call 0: fine
+        tripped = engine.process([serve_events[1]])[0]  # gnn call 1: fault
+        assert tripped.breaker_degraded and engine.breaker.state == "open"
+        mixed = engine.process([serve_events[0], serve_events[2]])
+        assert mixed[0].memo_hit and not mixed[0].degraded
+        assert_tracks_equal(seen.tracks, mixed[0].tracks)
+        assert mixed[1].breaker_degraded
+        # a fully memoised batch neither probes nor reports to the breaker:
+        # past the cooldown it would otherwise be the half-open probe
+        clock.sleep(0.2)
+        transitions = dict(engine.breaker.transitions)
+        telemetry = RunTelemetry()
+        with use_telemetry(telemetry):
+            memoised = engine.process([serve_events[0]])[0]
+        assert memoised.memo_hit and not memoised.degraded
+        assert telemetry.tracer.events == []  # no breaker transition event
+        assert telemetry.metrics.to_dict()["counters"].keys() == {
+            "serve.requests.submitted", "serve.requests.completed",
+            "serve.batches", "serve.cache.hits", "serve.cache.memo_hits",
+        }  # no guard.breaker.* counter moved
+        assert engine.breaker.transitions == transitions
+        # the next forward is the probe, and closes it
+        probe = engine.process([serve_events[1]])[0]
+        assert not probe.degraded and engine.breaker.state == "closed"
+        engine.close()
+
+    def test_gnn_fault_waits_for_a_dispatch_with_a_forward(
+        self, serve_pipeline, serve_events
+    ):
+        plan = FaultPlan(stage_faults=[StageFault(stage="gnn", at_call=1, times=1)])
+        engine = InferenceEngine(
+            serve_pipeline, ServeConfig(max_batch_events=4), fault_plan=plan
+        )
+        engine.process(serve_events[:2])  # gnn call 0
+        replay = engine.process(serve_events[:2])  # no forward: not a gnn call
+        assert all(r.memo_hit and not r.degraded for r in replay)
+        unseen = engine.process([serve_events[2]])[0]  # gnn call 1: fires
+        assert unseen.degraded and unseen.breaker_degraded
+        engine.close()
+
+    def test_client_cannot_change_a_later_response(self, serve_pipeline, serve_events):
+        engine = make_engine(serve_pipeline, SimClock())
+        first = engine.process([serve_events[0]])[0]
+        expected = [t.copy() for t in first.tracks]
+        assert expected
+        with pytest.raises(ValueError, match="read-only"):
+            first.tracks[0][0] = -1
+        first.tracks.clear()  # the list is the client's own
+        replay = engine.process([serve_events[0]])[0]
+        assert replay.memo_hit
+        assert_tracks_equal(expected, replay.tracks)
 
 
 class TestTelemetryWiring:

@@ -92,6 +92,7 @@ class TestRunLoadgen:
                 latency_budget_ms=10.0,
                 max_queue_events=64,
                 sim_service_time_s=0.05,
+                cache_capacity=0,  # each replayed request must need a forward
             ),
             serve_events,
             LoadGenConfig(rate=200.0, num_requests=40, arrival="poisson", seed=1),

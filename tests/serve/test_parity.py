@@ -9,6 +9,7 @@ every request's tracks are exactly — not approximately — what a looped
 from __future__ import annotations
 
 import contextlib
+import sys
 
 import numpy as np
 import pytest
@@ -20,18 +21,13 @@ from repro.pipeline.config import TRACK_BUILDERS
 from repro.serve import InferenceEngine, ServeConfig
 from repro.store import EventStore, ingest_construction
 
+from .conftest import assert_tracks_equal as _assert_tracks_equal
 from .conftest import track_builder
 
 TINY_GNN = GNNTrainConfig(
     mode="bulk", epochs=2, batch_size=64, hidden=8, num_layers=2,
     mlp_layers=2, depth=2, fanout=4, bulk_k=4,
 )
-
-
-def _assert_tracks_equal(expected, actual, context=""):
-    assert len(expected) == len(actual), context
-    for a, b in zip(expected, actual):
-        assert np.array_equal(a, b), context
 
 
 class TestBatchedSequentialParity:
@@ -92,6 +88,37 @@ class TestBatchedSequentialParity:
             _assert_tracks_equal(seq, req.tracks)
 
 
+    def test_threaded_replay_equals_synchronous_engine(
+        self, serve_pipeline, serve_events
+    ):
+        """Workers (more than cores, switching often) may race to fill one
+        entry; whoever wins, every response and a later replay carry the
+        synchronous engine's tracks, and no lookup is lost from the counts."""
+        stream = list(serve_events) * 3
+        with InferenceEngine(serve_pipeline, ServeConfig(max_batch_events=2)) as engine:
+            synchronous = engine.process(stream)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with InferenceEngine(
+                serve_pipeline, ServeConfig(max_batch_events=2, workers=4)
+            ) as engine:
+                threaded = engine.process(stream)
+                replay = engine.process(serve_events)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.status == "done" and not r.degraded for r in threaded + replay)
+        assert all(r.memo_hit for r in replay)
+        stats = engine.stats
+        assert stats.cache_hits + stats.cache_misses == stats.completed == len(stream) + 5
+        assert stats.memo_hits == sum(r.memo_hit for r in threaded + replay)
+        assert all(entry.tracks is not None for entry in engine.cache._entries.values())
+        for a, b in zip(synchronous, threaded):
+            _assert_tracks_equal(a.tracks, b.tracks)
+        for event, request in zip(serve_events, replay):
+            _assert_tracks_equal(serve_pipeline.reconstruct(event), request.tracks)
+
+
 # ----------------------------------------------------------------------
 # One traversal: every way of running inference is the pipeline's
 # upstream_many + finish_from_filtered, so every cell below is the same
@@ -129,6 +156,8 @@ def test_every_serving_mode_equals_reconstruct(
     assert all(r.status == "done" and not r.degraded for r in first + replay)
     assert all(r.store_hit == use_store for r in first)
     assert all(r.cache_hit == bool(cache_capacity) for r in replay)
+    assert all(r.memo_hit == bool(cache_capacity) for r in replay)
+    assert not any(r.memo_hit for r in first)
     for seq, batched, a, b in zip(sequential, many, first, replay):
         _assert_tracks_equal(seq, batched, "reconstruct_many")
         _assert_tracks_equal(seq, a.tracks, "engine")
