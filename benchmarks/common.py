@@ -1,6 +1,8 @@
 """Shared infrastructure for the benchmark harness.
 
-Every table/figure of the paper has one bench module; they share the
+One bench module per paper artefact (Table I, Figures 3–4, the §III-C /
+§III-D claims, the §I pileup and §III-B memory-skip claims) plus the
+serving bench whose telemetry baseline is checked in; they share the
 scaled-down dataset builders (cached on disk under ``.bench_cache``) and a
 report registry whose lines are flushed to both stdout and
 ``benchmarks/results/<name>.txt`` so the regenerated tables survive

@@ -11,7 +11,12 @@ from .particles import Particle, ParticleGun
 from .propagation import TrueHit, helix_position, propagate, propagate_with_scattering
 from .events import Event, EventSimulator
 from .features import FEATURE_SCHEMES, edge_features, feature_dims, vertex_features
-from .builders import GeometricBuilderConfig, build_candidate_graph, label_edges
+from .builders import (
+    GeometricBuilderConfig,
+    build_candidate_graph,
+    label_edges,
+    segment_recall,
+)
 from .fitting import HelixFit, fit_event_tracks, fit_helix, pt_resolution
 from .module_map import ModuleMap, ModuleMapConfig
 from .display import event_display_svg
@@ -53,6 +58,7 @@ __all__ = [
     "GeometricBuilderConfig",
     "build_candidate_graph",
     "label_edges",
+    "segment_recall",
     "DatasetConfig",
     "TrackingDataset",
     "DATASET_REGISTRY",

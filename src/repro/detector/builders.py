@@ -22,7 +22,12 @@ from .events import Event
 from .features import edge_features, vertex_features
 from .geometry import DetectorGeometry
 
-__all__ = ["GeometricBuilderConfig", "build_candidate_graph", "label_edges"]
+__all__ = [
+    "GeometricBuilderConfig",
+    "build_candidate_graph",
+    "label_edges",
+    "segment_recall",
+]
 
 
 @dataclass(frozen=True)
@@ -149,3 +154,18 @@ def label_edges(event: Event, edge_index: np.ndarray) -> np.ndarray:
     truth = np.concatenate([a * n + b, b * n + a])
     keys = edge_index[0].astype(np.int64) * n + edge_index[1].astype(np.int64)
     return np.isin(keys, truth).astype(np.int8)
+
+
+def segment_recall(event: Event, edge_index: np.ndarray) -> float:
+    """Fraction of the event's truth segments that ``edge_index`` holds.
+
+    Either orientation counts; an event without segments scores 1.0.
+    """
+    n = event.num_hits
+    a, b = event.true_segments()
+    if a.size == 0:
+        return 1.0
+    rows = edge_index[0].astype(np.int64)
+    cols = edge_index[1].astype(np.int64)
+    built = np.concatenate([rows * n + cols, cols * n + rows])
+    return np.count_nonzero(np.isin(a * n + b, built)) / a.size

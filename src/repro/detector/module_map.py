@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..graph import EventGraph
-from .builders import label_edges
+from .builders import label_edges, segment_recall
 from .events import Event
 from .features import edge_features, vertex_features
 from .geometry import DetectorGeometry
@@ -199,14 +199,8 @@ class ModuleMap:
             event_id=event.event_id,
         )
 
-    def edge_efficiency(self, event: Event) -> float:
-        """Fraction of truth segments the built graph contains."""
-        graph = self.build(event)
-        segments = event.true_segments()
-        if segments.shape[1] == 0:
-            return 1.0
-        n = event.num_hits
-        built = set((graph.edge_index[0] * n + graph.edge_index[1]).tolist())
-        built |= set((graph.edge_index[1] * n + graph.edge_index[0]).tolist())
-        hit = sum(1 for a, b in segments.T if int(a) * n + int(b) in built)
-        return hit / segments.shape[1]
+    def edge_efficiency(self, event: Event, graph: Optional[EventGraph] = None) -> float:
+        """Fraction of truth segments the built graph contains (``graph``
+        defaults to :meth:`build` of ``event``)."""
+        graph = graph if graph is not None else self.build(event)
+        return segment_recall(event, graph.edge_index)

@@ -61,9 +61,9 @@ class ActivationMemoryModel:
 
     def checkpointed_bytes(self, num_nodes: int, num_edges: int) -> int:
         """Activation bytes under layer-boundary gradient checkpointing
-        (:class:`repro.models.CheckpointedIGNN`): the stored state is one
-        ``(n+m)·f`` boundary pair per layer plus a single layer's working
-        set for the recompute window."""
+        (``InteractionGNN.forward(..., recompute=True)``): the stored
+        state is one ``(n+m)·f`` boundary pair per layer plus a single
+        layer's working set for the recompute window."""
         f = self.config.hidden
         boundaries = (self.config.num_layers + 1) * (num_nodes + num_edges) * f
         window = self.elements_per_layer(num_nodes, num_edges)

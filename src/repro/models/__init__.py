@@ -2,7 +2,6 @@
 
 from .interaction_gnn import IGNNConfig, InteractionGNN
 from .recurrent_ignn import RecurrentInteractionGNN
-from .checkpointing import CheckpointedIGNN
 from .gru_ignn import GRUInteractionGNN
 from .embedding_net import EmbeddingConfig, EmbeddingNet, sample_training_pairs
 from .filter_net import FilterConfig, FilterNet
@@ -11,7 +10,6 @@ __all__ = [
     "IGNNConfig",
     "InteractionGNN",
     "RecurrentInteractionGNN",
-    "CheckpointedIGNN",
     "GRUInteractionGNN",
     "EmbeddingConfig",
     "EmbeddingNet",

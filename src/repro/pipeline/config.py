@@ -83,8 +83,9 @@ class GNNTrainConfig:
     checkpoint_activations:
         Full-graph mode only: when a graph exceeds ``capacity_bytes``,
         retry with layer-boundary gradient checkpointing
-        (:class:`repro.models.CheckpointedIGNN`) before skipping — the
-        memory/compute trade the original pipeline leaves unused.
+        (``InteractionGNN.forward(..., recompute=True)``) before
+        skipping — the memory/compute trade the original pipeline leaves
+        unused.
     checkpoint_every:
         Write a resumable trainer checkpoint every this many epochs
         (``None`` = never).  Requires ``checkpoint_path``.  Checkpoints

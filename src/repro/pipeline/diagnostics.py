@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..detector import Event
+from ..detector import Event, segment_recall
 from ..graph import EventGraph
 from ..metrics import TrackingScore, match_tracks, roc_auc
 from ..obs import get_tracer
@@ -70,20 +70,14 @@ class EventDiagnostics:
 
 
 def _stage_report(name: str, event: Event, graph: EventGraph) -> StageReport:
-    segments = event.true_segments()
-    total_segments = segments.shape[1]
-    n = event.num_hits
-    present = 0
-    if total_segments and graph.num_edges:
-        built = set((graph.rows * n + graph.cols).tolist())
-        built |= set((graph.cols * n + graph.rows).tolist())
-        present = sum(1 for a, b in segments.T if int(a) * n + int(b) in built)
-    recall = present / total_segments if total_segments else 1.0
     purity = (
         float(graph.edge_labels.mean()) if graph.num_edges and graph.edge_labels is not None else 0.0
     )
     return StageReport(
-        name=name, num_edges=graph.num_edges, segment_recall=recall, purity=purity
+        name=name,
+        num_edges=graph.num_edges,
+        segment_recall=segment_recall(event, graph.edge_index),
+        purity=purity,
     )
 
 

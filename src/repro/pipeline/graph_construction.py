@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..detector import Event, edge_features, label_edges, vertex_features
+from ..detector import Event, edge_features, label_edges, segment_recall, vertex_features
 from ..detector.geometry import DetectorGeometry
 from ..graph import EventGraph, fixed_radius_graph
 from .config import PipelineConfig
@@ -78,14 +78,4 @@ class GraphConstructionStage:
         """Fraction of truth segments present in the constructed graph —
         the graph-construction recall the embedding stage is tuned for."""
         graph = graph if graph is not None else self.build(event)
-        segments = event.true_segments()
-        if segments.shape[1] == 0:
-            return 1.0
-        n = event.num_hits
-        built = set(
-            (graph.edge_index[0] * n + graph.edge_index[1]).tolist()
-        ) | set((graph.edge_index[1] * n + graph.edge_index[0]).tolist())
-        present = sum(
-            1 for a, b in segments.T if int(a) * n + int(b) in built
-        )
-        return present / segments.shape[1]
+        return segment_recall(event, graph.edge_index)

@@ -50,7 +50,7 @@ class _ModuleMapConstruction:
         return [self.build(e) for e in events]
 
     def edge_efficiency(self, event: Event, graph=None) -> float:
-        return self.module_map.edge_efficiency(event)
+        return self.module_map.edge_efficiency(event, graph)
 
 
 @dataclass

@@ -1,7 +1,11 @@
 """Feature extraction (Table-I widths) and candidate-graph building."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detector import (
     DetectorGeometry,
@@ -11,6 +15,7 @@ from repro.detector import (
     edge_features,
     feature_dims,
     label_edges,
+    segment_recall,
     vertex_features,
 )
 
@@ -111,6 +116,44 @@ class TestLabeling:
         assert labels.dtype == np.int8
         assert np.array_equal(labels, expected)
         assert 0 < labels.sum() < labels.size
+
+
+def _set_loop_recall(segments, edge_index, n):
+    """The Python set loop ``segment_recall`` replaced."""
+    if segments.shape[1] == 0:
+        return 1.0
+    built = {int(a) * n + int(b) for a, b in edge_index.T}
+    built |= {int(b) * n + int(a) for a, b in edge_index.T}
+    return sum(1 for a, b in segments.T if int(a) * n + int(b) in built) / segments.shape[1]
+
+
+@st.composite
+def segments_and_edges(draw):
+    n = draw(st.integers(1, 40))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    segments = np.array(draw(st.lists(pair, max_size=30)), dtype=np.int64).reshape(-1, 2).T
+    edges = draw(st.lists(pair, max_size=60))
+    if segments.size and draw(st.booleans()):  # plant truth, some reversed
+        edges += [(b, a) if draw(st.booleans()) else (a, b) for a, b in segments.T.tolist()]
+    edge_index = np.array(edges, dtype=np.int32).reshape(-1, 2).T
+    return n, segments, edge_index
+
+
+class TestSegmentRecall:
+    @given(segments_and_edges())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_loop(self, data):
+        """Either orientation counts, duplicate segments count once each,
+        no segments → 1.0, no edges → 0.0 — as the loop counted."""
+        n, segments, edge_index = data
+        event = SimpleNamespace(num_hits=n, true_segments=lambda: segments)
+        assert segment_recall(event, edge_index) == _set_loop_recall(segments, edge_index, n)
+
+    def test_truth_in_either_orientation_is_complete(self, event):
+        seg = event.true_segments()
+        assert segment_recall(event, seg) == 1.0
+        assert segment_recall(event, seg[::-1].astype(np.int32)) == 1.0
+        assert segment_recall(event, np.zeros((2, 0), dtype=np.int64)) == 0.0
 
 
 class TestBuilder:

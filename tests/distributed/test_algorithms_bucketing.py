@@ -19,10 +19,17 @@ from repro.distributed import (
     tree_allreduce,
     tree_time,
 )
+from repro.models import IGNNConfig, InteractionGNN
 from repro.nn import MLP, BCEWithLogitsLoss
 from repro.tensor import Tensor
 
 finite = st.floats(-100, 100, allow_nan=False, width=32)
+
+
+def paper_scale_gradient_sizes():
+    """Bytes per gradient tensor of the paper's IGNN (hidden 64, 8 layers)."""
+    model = InteractionGNN(IGNNConfig(6, 2, hidden=64, num_layers=8, mlp_layers=2))
+    return [p.size * 4 for p in model.parameters()]
 
 
 class TestHalvingDoubling:
@@ -87,6 +94,29 @@ class TestAlgorithmCostModels:
     def test_single_rank_free(self):
         assert halving_doubling_time(100, 1, 1e-5, 1e-9) == 0.0
         assert tree_time(100, 1, 1e-5, 1e-9) == 0.0
+
+    def test_coalescing_pays_under_every_algorithm_at_paper_scale(self):
+        """Per-parameter calls vs one coalesced call on the paper's IGNN
+        gradients: coalescing wins under every algorithm; per parameter
+        the log-depth halving-doubling beats the ring at P=8; coalesced,
+        halving-doubling is never beaten and at P=2 the bandwidth term
+        puts the ring ahead of the tree."""
+        sizes = paper_scale_gradient_sizes()
+        alpha, beta = NVLINK_A100.alpha, NVLINK_A100.beta
+        cost = {
+            "ring": NVLINK_A100.allreduce_time,
+            "hd": lambda n, p: halving_doubling_time(n, p, alpha, beta),
+            "tree": lambda n, p: tree_time(n, p, alpha, beta),
+        }
+        for p in (2, 4, 8):
+            per_param = {k: sum(f(s, p) for s in sizes) for k, f in cost.items()}
+            coalesced = {k: f(sum(sizes), p) for k, f in cost.items()}
+            assert all(per_param[k] > coalesced[k] for k in cost), p
+            assert coalesced["hd"] <= min(coalesced["ring"], coalesced["tree"]) + 1e-12, p
+            if p == 8:
+                assert per_param["hd"] < per_param["ring"]
+            if p == 2:
+                assert coalesced["ring"] < coalesced["tree"]
 
 
 class TestPartitionBuckets:
@@ -181,6 +211,19 @@ class TestOverlapModel:
         tiny = overlapped_sync_time(self.SIZES, 1, 8, 0.0, NVLINK_A100)
         moderate = overlapped_sync_time(self.SIZES, 64 * 64 * 4 * 8, 8, 0.0, NVLINK_A100)
         assert moderate < tiny
+
+    def test_a_moderate_bucket_beats_both_extremes_at_paper_scale(self):
+        """Paper-scale gradients, P=4, a 5 ms backward: some moderate
+        bucket exposes no more than one coalesced call and less than
+        per-tensor buckets."""
+        sizes = paper_scale_gradient_sizes()
+        exposed = {
+            b: overlapped_sync_time(sizes, b, 4, 5e-3, NVLINK_A100)
+            for b in (1, 4 * 1024, 32 * 1024, 256 * 1024, 2**40)
+        }
+        best_moderate = min(exposed[b] for b in (4 * 1024, 32 * 1024, 256 * 1024))
+        assert best_moderate <= exposed[2**40] + 1e-12
+        assert best_moderate < exposed[1]
 
     def test_zero_backward_equals_unoverlapped_sum(self):
         sizes = [100, 100]

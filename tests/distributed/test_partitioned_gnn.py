@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distributed import PartitionedIGNNForward, VertexPartition
+from repro.distributed import NVLINK_A100, PartitionedIGNNForward, VertexPartition
 from repro.graph import chain_graph, random_graph
 from repro.models import IGNNConfig, InteractionGNN
 from repro.tensor import Tensor, no_grad
@@ -59,6 +59,17 @@ class TestPartitionedForward:
             dist.forward(g)
             volumes.append(dist.stats.bytes_total)
         assert volumes[0] < volumes[-1]
+
+    def test_halo_exchange_outprices_one_gradient_sync(self, setup):
+        """One partitioned forward's halo traffic costs more (α–β) than the
+        single coalesced gradient all-reduce of a minibatch step."""
+        g, model, _ = setup
+        grad_bytes = sum(p.size * 4 for p in model.parameters())
+        for world in (2, 4, 8):
+            dist = PartitionedIGNNForward(model, VertexPartition.balanced(g.num_nodes, world))
+            dist.forward(g)
+            halo = dist.stats.modeled_seconds(world)
+            assert halo > NVLINK_A100.allreduce_time(grad_bytes, world), world
 
     def test_chain_graph_minimal_halo(self):
         """A chain partitioned into blocks has exactly one cut edge per

@@ -5,7 +5,7 @@ import pytest
 
 from repro.graph import random_graph
 from repro.memory import ActivationMemoryModel
-from repro.models import CheckpointedIGNN, IGNNConfig, InteractionGNN
+from repro.models import IGNNConfig, InteractionGNN
 from repro.nn import Adam, BCEWithLogitsLoss
 from repro.tensor import Tensor
 
@@ -26,6 +26,9 @@ def graph():
 
 
 class TestExactness:
+    """``loss_fn(model(..., recompute=True), labels).backward()`` is the
+    whole checkpointed step: no wrapper spells it."""
+
     @pytest.mark.parametrize("num_layers", [1, 2, 4])
     def test_loss_matches_plain_forward(self, graph, num_layers):
         m1, m2 = make_pair(num_layers=num_layers)
@@ -34,10 +37,9 @@ class TestExactness:
         plain = loss_fn(
             m1(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols), labels
         )
-        ck_loss = CheckpointedIGNN(m2).training_step(
-            graph.x, graph.y, graph.rows, graph.cols, labels, loss_fn
-        )
-        assert ck_loss == pytest.approx(plain.item(), abs=1e-5)
+        ck = loss_fn(m2(graph.x, graph.y, graph.rows, graph.cols, recompute=True), labels)
+        ck.backward()
+        assert ck.item() == pytest.approx(plain.item(), abs=1e-5)
 
     @pytest.mark.parametrize("num_layers", [1, 3])
     def test_gradients_match_plain_backprop(self, graph, num_layers):
@@ -47,9 +49,9 @@ class TestExactness:
         loss_fn(
             m1(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols), labels
         ).backward()
-        CheckpointedIGNN(m2).training_step(
-            graph.x, graph.y, graph.rows, graph.cols, labels, loss_fn
-        )
+        loss_fn(
+            m2(graph.x, graph.y, graph.rows, graph.cols, recompute=True), labels
+        ).backward()
         for (n1, p1), (n2, p2) in zip(m1.named_parameters(), m2.named_parameters()):
             g1 = p1.grad if p1.grad is not None else np.zeros_like(p1.data)
             g2 = p2.grad if p2.grad is not None else np.zeros_like(p2.data)
@@ -64,10 +66,9 @@ class TestExactness:
         labels = graph.edge_labels.astype(np.float32)
         plain = loss_fn(m1(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols), labels)
         plain.backward()
-        ck_loss = CheckpointedIGNN(m2).training_step(
-            graph.x, graph.y, graph.rows, graph.cols, labels, loss_fn
-        )
-        assert ck_loss == plain.item()
+        ck = loss_fn(m2(graph.x, graph.y, graph.rows, graph.cols, recompute=True), labels)
+        ck.backward()
+        assert ck.item() == plain.item()
         dead = "layer2.node_mlp"  # X^L is never read: neither path runs it
         for (name, p1), (_, p2) in zip(m1.named_parameters(), m2.named_parameters()):
             if name.startswith(dead):
@@ -75,46 +76,33 @@ class TestExactness:
             else:
                 assert np.array_equal(p1.grad, p2.grad), name
 
-    def test_training_step_is_forward_recompute_backward(self, graph):
-        """``training_step`` is only a spelling of the model's own flag."""
-        m1, m2 = make_pair(num_layers=2)
-        loss_fn = BCEWithLogitsLoss(pos_weight=2.0)
-        labels = graph.edge_labels.astype(np.float32)
-        loss_fn(
-            m1(graph.x, graph.y, graph.rows, graph.cols, recompute=True), labels
-        ).backward()
-        CheckpointedIGNN(m2).training_step(
-            graph.x, graph.y, graph.rows, graph.cols, labels, loss_fn
-        )
-        for (name, p1), (_, p2) in zip(m1.named_parameters(), m2.named_parameters()):
-            assert np.array_equal(p1.grad, p2.grad), name
-
     def test_float64_network_is_not_downcast(self, graph):
-        """The hand-written sweep cast its inputs to float32 whatever the
-        network's precision."""
+        """The recompute path keeps the network's precision: a float64
+        network gets float64 gradients from float64 inputs."""
         _, model = make_pair(num_layers=2)
         model.astype(np.float64)
-        CheckpointedIGNN(model).training_step(
+        logits = model(
             graph.x.astype(np.float64), graph.y.astype(np.float64),
-            graph.rows, graph.cols, graph.edge_labels.astype(np.float32),
-            BCEWithLogitsLoss(),
+            graph.rows, graph.cols, recompute=True,
         )
+        BCEWithLogitsLoss()(logits, graph.edge_labels.astype(np.float32)).backward()
         assert all(
             p.grad.dtype == np.float64 for p in model.parameters() if p.grad is not None
         )
 
     def test_training_converges(self, graph):
         _, model = make_pair(num_layers=2, hidden=16)
-        ck = CheckpointedIGNN(model)
         opt = Adam(model.parameters(), lr=3e-3)
         loss_fn = BCEWithLogitsLoss()
         labels = graph.edge_labels.astype(np.float32)
         losses = []
         for _ in range(20):
             opt.zero_grad()
-            losses.append(
-                ck.training_step(graph.x, graph.y, graph.rows, graph.cols, labels, loss_fn)
+            loss = loss_fn(
+                model(graph.x, graph.y, graph.rows, graph.cols, recompute=True), labels
             )
+            loss.backward()
+            losses.append(loss.item())
             opt.step()
         assert losses[-1] < 0.8 * losses[0]
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.graph import random_graph
-from repro.models import IGNNConfig, InteractionGNN, RecurrentInteractionGNN
+from repro.distributed import NVLINK_A100
+from repro.models import (
+    GRUInteractionGNN,
+    IGNNConfig,
+    InteractionGNN,
+    RecurrentInteractionGNN,
+)
 from repro.nn import Adam, BCEWithLogitsLoss
 from repro.tensor import Tensor, gradcheck, no_grad, ops
 
@@ -35,6 +41,18 @@ class TestShapes:
         rec4 = RecurrentInteractionGNN(small_config(num_layers=4)).num_parameters()
         assert p4 > p2
         assert rec2 == rec4  # weight sharing
+
+    def test_weight_sharing_cuts_parameters_and_sync_cost(self):
+        """At L=4 both weight-shared variants keep under half the distinct
+        stack's parameters, so a coalesced gradient sync sends less."""
+        cfg = small_config(hidden=16, num_layers=4)
+        distinct = InteractionGNN(cfg).num_parameters()
+        for variant in (RecurrentInteractionGNN, GRUInteractionGNN):
+            shared = variant(cfg).num_parameters()
+            assert shared < 0.5 * distinct, variant.__name__
+            assert NVLINK_A100.allreduce_time(4 * shared, 4) < NVLINK_A100.allreduce_time(
+                4 * distinct, 4
+            )
 
     def test_mismatched_edges_rejected(self, graph):
         model = InteractionGNN(small_config())

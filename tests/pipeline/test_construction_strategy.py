@@ -54,6 +54,15 @@ class TestModuleMapStrategy:
         diag = diagnose_event(mm_pipeline, mm_events[13])
         assert len(diag.stages) == 3
 
+    def test_edge_efficiency_scores_the_graph_it_is_given(self, mm_pipeline, mm_events):
+        """``fit`` passes each training graph in; the module map must score
+        that graph, not build the event a second time."""
+        event = mm_events[0]
+        graph = mm_pipeline.construction.build(event)
+        empty = graph.edge_mask_subgraph(np.zeros(graph.num_edges, dtype=bool))
+        assert mm_pipeline.construction.edge_efficiency(event, graph) > 0.5
+        assert mm_pipeline.construction.edge_efficiency(event, empty) == 0.0
+
     def test_report_populated(self, mm_pipeline):
         assert mm_pipeline.report.graph_edge_efficiency > 0.5
         assert mm_pipeline.report.gnn_final_recall > 0.0

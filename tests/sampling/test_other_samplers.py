@@ -7,6 +7,8 @@ from repro.graph import chain_graph, random_graph, star_graph
 from repro.sampling import (
     LayerWiseSampler,
     NodeWiseSampler,
+    SaintRWSampler,
+    ShadowSampler,
     epoch_batches,
     group_batches,
     iter_vertex_batches,
@@ -75,6 +77,19 @@ class TestLayerWise:
             LayerWiseSampler(0, 2)
         with pytest.raises(ValueError):
             LayerWiseSampler(2, 0)
+
+
+def test_shadow_subgraphs_are_the_largest(graph):
+    """ShaDow extracts one subgraph per root, replicating shared
+    neighbourhoods, so its batch outgrows the shared-context samplers'."""
+    batch = np.random.default_rng(0).choice(graph.num_nodes, size=16, replace=False)
+
+    def nodes(sampler):
+        return sampler.sample(graph, batch, np.random.default_rng(1)).graph.num_nodes
+
+    shadow = nodes(ShadowSampler(depth=2, fanout=4))
+    assert shadow > nodes(NodeWiseSampler([4, 4]))
+    assert shadow > nodes(SaintRWSampler(walk_length=2, num_walks_per_root=2))
 
 
 class TestBatching:

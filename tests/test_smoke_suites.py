@@ -1,6 +1,8 @@
 """The smoke suites are named once per surface — script registry, Makefile
-rule, CI matrix — and the three lists must agree."""
+rule, CI matrix — and the three lists must agree.  The legacy benches are
+one per paper artefact, and every checked-in result table has a writer."""
 
+import glob
 import os
 import re
 import shutil
@@ -13,6 +15,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUITES = [
     "telemetry", "prefetch", "serve", "guard", "elastic",
     "obs", "kernels", "store", "scenarios",
+]
+
+#: ``benchmarks/bench_<name>.py``: Table I, Figures 3–4, the §III-C/§III-D
+#: claims, the §I pileup and §III-B memory-skip claims, and serving (whose
+#: telemetry baseline is checked in)
+BENCHES = [
+    "allreduce", "bulk_sampling", "fig3_epoch_time", "fig4_convergence",
+    "memory_skip", "pileup_scaling", "sampling_fraction", "serving",
+    "table1_datasets",
 ]
 
 
@@ -68,3 +79,20 @@ def test_make_clean_preserves_telemetry_baselines(tmp_path):
     subprocess.run(["make", "clean"], cwd=tmp_path, check=True, capture_output=True)
     assert (baselines / "bench.json").exists()
     assert not regenerated.exists()
+
+
+def test_benches_are_the_paper_artefacts_and_every_table_has_a_writer():
+    benches = sorted(
+        os.path.basename(path)[len("bench_"):-len(".py")]
+        for path in glob.glob(os.path.join(ROOT, "benchmarks", "bench_*.py"))
+    )
+    assert benches == BENCHES
+    writers = set()
+    for bench in benches:
+        source = read("benchmarks", f"bench_{bench}.py")
+        writers.update(re.findall(r'write_report\(\s*"(\w+)"', source))
+    tables = {
+        os.path.basename(path)[: -len(".txt")]
+        for path in glob.glob(os.path.join(ROOT, "benchmarks", "results", "*.txt"))
+    }
+    assert tables <= writers, sorted(tables - writers)
