@@ -12,6 +12,7 @@ Table-I shape targets without training a pipeline first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
@@ -63,43 +64,30 @@ class GeometricBuilderConfig:
 def _window_pairs(
     phi: np.ndarray,
     z: np.ndarray,
-    idx_a: np.ndarray,
-    idx_b: np.ndarray,
+    layer_a: Tuple[np.ndarray, cKDTree],
+    layer_b: Tuple[np.ndarray, cKDTree],
+    radius: float,
     dphi_max: float,
     dz_max: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All pairs (a in idx_a, b in idx_b) with |Δφ|<=dphi_max, |Δz|<=dz_max.
+    """All pairs (a in layer_a, b in layer_b) with |Δφ|<=dphi_max, |Δz|<=dz_max.
 
-    Azimuthal wrap-around is handled by embedding φ on the unit circle:
-    the chord distance ``2 sin(Δφ/2)`` is monotone in |Δφ| for |Δφ|≤π, so a
-    KD-tree radius query in (cosφ, sinφ, z·s) space with an appropriately
-    scaled radius is an exact superset, filtered exactly afterwards.
+    A layer is its hit indices and the KD-tree of their embedded points
+    (see :func:`build_candidate_graph`); the tree's radius-``radius`` query
+    is a superset, filtered exactly here.  Pairs come grouped by source hit
+    in ``layer_a`` order.
     """
-    if idx_a.size == 0 or idx_b.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    chord = 2.0 * np.sin(min(dphi_max, np.pi) / 2.0)
-    # Scale z so that the dz window maps onto the same radius as the chord.
-    s = chord / dz_max
-    pts_a = np.stack([np.cos(phi[idx_a]), np.sin(phi[idx_a]), z[idx_a] * s], axis=1)
-    pts_b = np.stack([np.cos(phi[idx_b]), np.sin(phi[idx_b]), z[idx_b] * s], axis=1)
-    tree_b = cKDTree(pts_b)
-    # conservative superset radius: sqrt(chord^2 + chord^2)
-    radius = np.sqrt(2.0) * chord
-    neighbors = cKDTree(pts_a).query_ball_tree(tree_b, r=radius)
-    srcs, dsts = [], []
-    for i, nbrs in enumerate(neighbors):
-        if not nbrs:
-            continue
-        a = idx_a[i]
-        cand = idx_b[np.asarray(nbrs, dtype=np.int64)]
-        dphi = np.arctan2(np.sin(phi[cand] - phi[a]), np.cos(phi[cand] - phi[a]))
-        ok = (np.abs(dphi) <= dphi_max) & (np.abs(z[cand] - z[a]) <= dz_max)
-        good = cand[ok]
-        srcs.append(np.full(good.shape, a, dtype=np.int64))
-        dsts.append(good)
-    if not srcs:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(srcs), np.concatenate(dsts)
+    idx_a, tree_a = layer_a
+    idx_b, tree_b = layer_b
+    neighbors = tree_a.query_ball_tree(tree_b, r=radius)
+    counts = np.fromiter(map(len, neighbors), dtype=np.int64, count=len(neighbors))
+    flat = np.fromiter(chain.from_iterable(neighbors), dtype=np.int64, count=int(counts.sum()))
+    src = np.repeat(idx_a, counts)
+    dst = idx_b[flat]
+    delta = phi[dst] - phi[src]
+    dphi = np.arctan2(np.sin(delta), np.cos(delta))
+    ok = (np.abs(dphi) <= dphi_max) & (np.abs(z[dst] - z[src]) <= dz_max)
+    return src[ok], dst[ok]
 
 
 def build_candidate_graph(
@@ -111,20 +99,33 @@ def build_candidate_graph(
 
     Edges run from the inner to the outer layer of each allowed layer pair
     and are labelled against the event's truth segments.
+
+    Azimuthal wrap-around is handled by embedding φ on the unit circle:
+    the chord distance ``2 sin(Δφ/2)`` is monotone in |Δφ| for |Δφ|≤π, so a
+    KD-tree radius query in (cosφ, sinφ, z·s) space with an appropriately
+    scaled radius is an exact superset of the window.  Each layer's tree is
+    built once and serves every layer pair it is part of.
     """
     r, phi, z = event.cylindrical()
     layers = event.layer_ids
-    unique_layers = np.unique(layers)
-    by_layer = {int(l): np.flatnonzero(layers == l) for l in unique_layers}
+    chord = 2.0 * np.sin(min(config.dphi_max, np.pi) / 2.0)
+    # Scale z so that the dz window maps onto the same radius as the chord.
+    z_scale = chord / config.dz_max
+    # conservative superset radius: sqrt(chord^2 + chord^2)
+    radius = np.sqrt(2.0) * chord
+    by_layer = {}
+    for l in np.unique(layers):
+        idx = np.flatnonzero(layers == l)
+        pts = np.stack([np.cos(phi[idx]), np.sin(phi[idx]), z[idx] * z_scale], axis=1)
+        by_layer[int(l)] = (idx, cKDTree(pts))
 
     srcs, dsts = [], []
-    for la in unique_layers:
+    for la, layer_a in by_layer.items():
         for skip in range(1, config.max_layer_skip + 1):
-            lb = int(la) + skip
-            if lb not in by_layer:
+            if la + skip not in by_layer:
                 continue
             s, d = _window_pairs(
-                phi, z, by_layer[int(la)], by_layer[lb], config.dphi_max, config.dz_max
+                phi, z, layer_a, by_layer[la + skip], radius, config.dphi_max, config.dz_max
             )
             srcs.append(s)
             dsts.append(d)

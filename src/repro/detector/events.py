@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import DetectorGeometry
 from .particles import Particle, ParticleGun
-from .propagation import TrueHit, propagate
+from .propagation import _crossings, propagate_with_scattering
 
 __all__ = ["Event", "EventSimulator"]
 
@@ -149,86 +149,93 @@ class EventSimulator:
 
     # ------------------------------------------------------------------
     def generate(self, rng: np.random.Generator, event_id: int = 0) -> Event:
-        """Generate one event."""
+        """Generate one event.
+
+        The draws from ``rng``, in order: the multiplicity, the gun; per
+        particle its scattering angles (if any), one ``random`` over its
+        crossings (inefficiency) and one ``normal`` over its survivors'
+        (r-φ, z) smears, hit by hit; one ``integers → uniform → uniform``
+        per noise hit; the final shuffle.
+        """
         n_particles = int(rng.poisson(self.particles_per_event))
         particles = self.gun.sample(n_particles, rng)
 
-        xs, ys, zs, layers, pids, orders = [], [], [], [], [], []
-        for p in particles:
-            if self.multiple_scattering > 0.0:
-                from .propagation import propagate_with_scattering
+        if self.multiple_scattering > 0.0:
+            # lazy, so a particle's scattering draws come right before its own
+            tracks = (self._scattered(p, rng) for p in particles)
+        else:
+            counts, layer_ids, hits = _crossings(particles, self.geometry, self.min_hits)
+            ends = np.cumsum(counts)
+            tracks = ((hits[:3, e - c : e], layer_ids[e - c : e]) for c, e in zip(counts, ends))
 
-                crossings = propagate_with_scattering(
-                    p,
-                    self.geometry,
-                    rng,
-                    radiation_length_fraction=self.multiple_scattering,
-                    min_hits=self.min_hits,
-                )
-            else:
-                crossings = propagate(p, self.geometry, min_hits=self.min_hits)
-            if not crossings:
+        xyz, layers, pids, orders = [np.zeros((3, 0))], [], [], []
+        drawn, draws = [np.zeros((0, 2), dtype=bool)], [np.zeros(0)]
+        sigmas = np.tile((self.sigma_rphi, self.sigma_z), (self.geometry.num_layers, 1))
+        for p, (h, lid) in zip(particles, tracks):
+            if not lid.size:
                 continue
             # inefficiency: drop crossings at random, then re-check min_hits
-            keep = rng.random(len(crossings)) < self.hit_efficiency
-            survivors = [h for h, k in zip(crossings, keep) if k]
-            if len(survivors) < self.min_hits:
+            keep = np.flatnonzero(rng.random(lid.size) < self.hit_efficiency)
+            if keep.size < self.min_hits:
                 continue
-            for rank, h in enumerate(survivors):
-                x, y, z = self._smear(h, rng)
-                xs.append(x)
-                ys.append(y)
-                zs.append(z)
-                layers.append(h.layer_id)
-                pids.append(h.particle_id)
-                orders.append(rank)
+            h = h[:, keep]
+            # one r-φ draw per hit off the beam line, one z draw per hit
+            mask = np.ones((keep.size, 2), dtype=bool)
+            mask[:, 0] = np.hypot(h[0], h[1]) > 0
+            draws.append(rng.normal(0.0, sigmas[: keep.size][mask]))
+            drawn.append(mask)
+            xyz.append(h)
+            layers.append(lid[keep])
+            pids.append(np.full(keep.size, p.particle_id, dtype=np.int64))
+            orders.append(np.arange(keep.size, dtype=np.int64))
 
-        n_true = len(xs)
-        n_noise = int(round(self.noise_fraction * n_true))
-        for _ in range(n_noise):
-            x, y, z, lid = self._noise_hit(rng)
-            xs.append(x)
-            ys.append(y)
-            zs.append(z)
-            layers.append(lid)
-            pids.append(0)
-            orders.append(-1)
+        # measurement resolution, tangentially (r-φ) and in z
+        x, y, z = np.concatenate(xyz, axis=1)
+        drawn = np.concatenate(drawn)
+        eps = np.zeros(drawn.shape)
+        eps[drawn] = np.concatenate(draws)
+        r = np.hypot(x, y)
+        phi = np.arctan2(y, x) + np.divide(eps[:, 0], r, out=np.zeros_like(r), where=drawn[:, 0])
 
-        positions = np.array([xs, ys, zs], dtype=np.float64).T.reshape(-1, 3)
-        event = Event(
-            positions=positions,
-            layer_ids=np.asarray(layers, dtype=np.int64),
-            particle_ids=np.asarray(pids, dtype=np.int64),
-            hit_order=np.asarray(orders, dtype=np.int64),
+        n_noise = int(round(self.noise_fraction * x.size))
+        surfaces = list(self.geometry.barrel) + list(self.geometry.endcaps)
+        noise = np.array(
+            [self._noise_hit(surfaces, rng) for _ in range(n_noise)], dtype=np.float64
+        ).reshape(-1, 4)
+
+        positions = np.concatenate(
+            [np.stack([r * np.cos(phi), r * np.sin(phi), z + eps[:, 1]]), noise[:, :3].T], axis=1
+        ).T
+        layer_ids = np.concatenate([*layers, noise[:, 3].astype(np.int64)])
+        particle_ids = np.concatenate([*pids, np.zeros(n_noise, dtype=np.int64)])
+        hit_order = np.concatenate([*orders, np.full(n_noise, -1, dtype=np.int64)])
+        # shuffle hit order so nothing downstream can rely on generation order
+        perm = rng.permutation(positions.shape[0])
+        return Event(
+            positions=positions[perm],
+            layer_ids=layer_ids[perm],
+            particle_ids=particle_ids[perm],
+            hit_order=hit_order[perm],
             particles=particles,
             event_id=event_id,
         )
-        # shuffle hit order so nothing downstream can rely on generation order
-        perm = rng.permutation(event.num_hits)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(len(perm))
-        event.positions = event.positions[perm]
-        event.layer_ids = event.layer_ids[perm]
-        event.particle_ids = event.particle_ids[perm]
-        event.hit_order = event.hit_order[perm]
-        return event
 
     # ------------------------------------------------------------------
-    def _smear(self, h: TrueHit, rng: np.random.Generator) -> Tuple[float, float, float]:
-        """Apply measurement resolution tangentially (r-phi) and in z."""
-        r = np.hypot(h.x, h.y)
-        phi = np.arctan2(h.y, h.x)
-        if r > 0:
-            dphi = rng.normal(0.0, self.sigma_rphi) / r
-        else:
-            dphi = 0.0
-        phi += dphi
-        z = h.z + rng.normal(0.0, self.sigma_z)
-        return float(r * np.cos(phi)), float(r * np.sin(phi)), float(z)
+    def _scattered(self, p: Particle, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        """``(3, k)`` positions and ``(k,)`` layer ids of one scattered track."""
+        hits = propagate_with_scattering(
+            p,
+            self.geometry,
+            rng,
+            radiation_length_fraction=self.multiple_scattering,
+            min_hits=self.min_hits,
+        )
+        xyz = np.array([(h.x, h.y, h.z) for h in hits], dtype=np.float64).reshape(-1, 3)
+        return xyz.T, np.array([h.layer_id for h in hits], dtype=np.int64)
 
-    def _noise_hit(self, rng: np.random.Generator) -> Tuple[float, float, float, int]:
-        """Uniform fake hit on a random detector surface."""
-        surfaces = list(self.geometry.barrel) + list(self.geometry.endcaps)
+    @staticmethod
+    def _noise_hit(surfaces: list, rng: np.random.Generator) -> Tuple[float, float, float, int]:
+        """Uniform fake hit on a random one of ``surfaces``."""
         surf = surfaces[int(rng.integers(len(surfaces)))]
         if hasattr(surf, "radius"):  # barrel layer
             phi = rng.uniform(-np.pi, np.pi)

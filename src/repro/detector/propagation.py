@@ -14,17 +14,22 @@ Parametrisation (turning angle ``t >= 0``)::
 
 with ``q = ±1`` the charge sign.  The transverse trajectory is a circle of
 radius ``R`` centred at ``(vx - (R/q) sin phi0, vy + (R/q) cos phi0)``.
+
+Every crossing is solved by one batched solver, :func:`_turning_angles`,
+over a ``(particles, surfaces)`` grid; :func:`propagate` is its
+one-particle view and :func:`propagate_with_scattering` calls it once per
+layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import BarrelLayer, DetectorGeometry, EndcapDisk
-from .particles import Particle
+from .particles import MM_PER_GEV_PER_TESLA, Particle
 
 __all__ = ["TrueHit", "propagate", "propagate_with_scattering", "helix_position"]
 
@@ -33,6 +38,9 @@ __all__ = ["TrueHit", "propagate", "propagate_with_scattering", "helix_position"
 # pattern recognition treats those as separate track segments, and the
 # Exa.TrkX truth definition keeps only the outward-going arc.
 MAX_TURNING_ANGLE = np.pi
+
+# Helix parameters as columns: (R, q, phi0, eta, vx, vy, vz).
+Kinematics = Tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -47,80 +55,112 @@ class TrueHit:
     t: float  # turning angle at the intersection (orders hits along the track)
 
 
+def _kinematics(particles: Sequence[Particle], field_tesla: float) -> Kinematics:
+    """Column arrays ``(R, q, phi0, eta, vx, vy, vz)`` of ``particles``."""
+    cols = np.array(
+        [(p.pt, p.charge, p.phi0, p.eta, p.vx, p.vy, p.vz) for p in particles], dtype=np.float64
+    ).reshape(-1, 7)
+    pt, *rest = np.ascontiguousarray(cols.T)
+    return (pt * MM_PER_GEV_PER_TESLA / field_tesla, *rest)
+
+
+def _helix(k: Kinematics, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, z) of the helices ``k`` at turning angles ``t`` (broadcast)."""
+    R, q, phi0, eta, vx, vy, vz = k
+    x = vx + (R / q) * (np.sin(phi0 + q * t) - np.sin(phi0))
+    y = vy - (R / q) * (np.cos(phi0 + q * t) - np.cos(phi0))
+    z = vz + R * t * np.sinh(eta)
+    return x, y, z
+
+
 def helix_position(p: Particle, t: np.ndarray, field_tesla: float) -> np.ndarray:
     """Evaluate the helix of particle ``p`` at turning angles ``t``.
 
     Returns an ``(len(t), 3)`` array of (x, y, z) positions [mm].
     """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    R = p.helix_radius_mm(field_tesla)
-    q = float(p.charge)
-    x = p.vx + (R / q) * (np.sin(p.phi0 + q * t) - np.sin(p.phi0))
-    y = p.vy - (R / q) * (np.cos(p.phi0 + q * t) - np.cos(p.phi0))
-    z = p.vz + R * t * np.sinh(p.eta)
-    return np.stack([x, y, z], axis=1)
+    k = (p.helix_radius_mm(field_tesla), float(p.charge), p.phi0, p.eta, p.vx, p.vy, p.vz)
+    return np.stack(_helix(k, t), axis=1)
 
 
-def _barrel_crossing(p: Particle, layer: BarrelLayer, field_tesla: float) -> Optional[float]:
-    """Smallest turning angle ``t in (0, pi]`` with ``r(t) == layer.radius``.
+def _turning_angles(
+    k: Kinematics, barrel: Sequence[BarrelLayer], endcaps: Sequence[EndcapDisk]
+) -> np.ndarray:
+    """``(P, len(barrel) + len(endcaps))`` turning angle at which each helix
+    first crosses each surface; NaN where it does not within the cap.
 
-    Solved analytically from the transverse circle geometry: with helix
-    centre ``C`` at distance ``d`` from the origin and radius ``R``, the
-    helix reaches radius ``r_L`` iff ``|d - R| <= r_L <= d + R``.
+    Barrel: with helix centre ``C`` at distance ``d`` from the origin and
+    radius ``R``, the helix reaches radius ``r_L`` iff
+    ``|d - R| <= r_L <= d + R``; the crossing azimuth around ``C`` follows
+    from the law of cosines, and of the two crossings the first reached
+    (smallest ``t > 0``) counts if inside the cylinder's half-length.
+    Disk: the helix meets the plane at ``t = (z_D - vz) / (R sinh eta)``,
+    counted if inside the annulus.
     """
-    R = p.helix_radius_mm(field_tesla)
-    q = float(p.charge)
-    cx = p.vx - (R / q) * np.sin(p.phi0)
-    cy = p.vy + (R / q) * np.cos(p.phi0)
-    d = np.hypot(cx, cy)
-    r_L = layer.radius
-    if r_L > d + R or r_L < np.abs(d - R):
-        return None  # layer unreachable (curler or displaced vertex)
-    # Law of cosines in the triangle (origin, centre, crossing point):
-    # angle at the centre between the crossing point and the beam line.
-    cos_alpha = (d * d + R * R - r_L * r_L) / (2.0 * d * R)
-    cos_alpha = np.clip(cos_alpha, -1.0, 1.0)
-    alpha = np.arccos(cos_alpha)
-    # Angle (at the centre) of the starting point:
-    phi_start = np.arctan2(p.vy - cy, p.vx - cx)
-    phi_beam = np.arctan2(-cy, -cx)
-    # Two crossing azimuths around the centre; pick the one reached first.
-    # On the helix, the point's azimuth around the centre is
-    # phi_start + q*t (for either charge sign).
-    candidates = []
-    for sign in (+1.0, -1.0):
-        phi_cross = phi_beam + sign * alpha
-        # solve phi_start + q t ≡ phi_cross (mod 2π) for smallest t > 0
-        t = (q * (phi_cross - phi_start)) % (2.0 * np.pi)
-        if t > 1e-12:
-            candidates.append(t)
-    if not candidates:
-        return None
-    t_min = min(candidates)
-    if t_min > MAX_TURNING_ANGLE:
-        return None
-    # respect the cylinder half-length
-    z = p.vz + R * t_min * np.sinh(p.eta)
-    if np.abs(z) > layer.half_length:
-        return None
-    return float(t_min)
+    k = tuple(c[:, None] for c in k)
+    R, q, phi0, eta, vx, vy, vz = k
+    r_L = np.array([l.radius for l in barrel], dtype=np.float64)
+    half = np.array([l.half_length for l in barrel], dtype=np.float64)
+    z_D = np.array([d.z for d in endcaps], dtype=np.float64)
+    r_in = np.array([d.r_inner for d in endcaps], dtype=np.float64)
+    r_out = np.array([d.r_outer for d in endcaps], dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cx = vx - (R / q) * np.sin(phi0)
+        cy = vy + (R / q) * np.cos(phi0)
+        d = np.hypot(cx, cy)
+        cos_alpha = np.clip((d * d + R * R - r_L * r_L) / (2.0 * d * R), -1.0, 1.0)
+        alpha = np.arccos(cos_alpha)
+        phi_start = np.arctan2(vy - cy, vx - cx)
+        phi_beam = np.arctan2(-cy, -cx)
+        # On the helix, the azimuth around the centre is phi_start + q*t:
+        # solve phi_start + q t ≡ phi_beam ± alpha (mod 2π) for t > 0.
+        first = [
+            (q * (phi_beam + sign * alpha - phi_start)) % (2.0 * np.pi) for sign in (+1.0, -1.0)
+        ]
+        t_b = np.fmin(*(np.where(t > 1e-12, t, np.nan) for t in first))
+        _, _, z = _helix(k, t_b)
+        barrel_ok = (
+            ~((r_L > d + R) | (r_L < np.abs(d - R)))
+            & ~(t_b > MAX_TURNING_ANGLE)
+            & ~(np.abs(z) > half)
+        )
+        slope = R * np.sinh(eta)
+        t_d = (z_D - vz) / slope
+        x, y, _ = _helix(k, t_d)
+        r = np.hypot(x, y)
+        disk_ok = (
+            ~(np.abs(slope) < 1e-12)
+            & ~((t_d <= 1e-12) | (t_d > MAX_TURNING_ANGLE))
+            & (r_in <= r)
+            & (r <= r_out)
+        )
+    return np.concatenate(
+        [np.where(barrel_ok, t_b, np.nan), np.where(disk_ok, t_d, np.nan)], axis=1
+    )
 
 
-def _disk_crossing(p: Particle, disk: EndcapDisk, field_tesla: float) -> Optional[float]:
-    """Turning angle at which the helix crosses the disk plane, if inside
-    the annulus and within the turning-angle cap."""
-    R = p.helix_radius_mm(field_tesla)
-    slope = R * np.sinh(p.eta)
-    if np.abs(slope) < 1e-12:
-        return None  # purely transverse track never reaches a disk
-    t = (disk.z - p.vz) / slope
-    if t <= 1e-12 or t > MAX_TURNING_ANGLE:
-        return None
-    pos = helix_position(p, np.array([t]), field_tesla)[0]
-    r = np.hypot(pos[0], pos[1])
-    if not (disk.r_inner <= r <= disk.r_outer):
-        return None
-    return float(t)
+def _crossings(
+    particles: Sequence[Particle], geometry: DetectorGeometry, min_hits: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every crossing of every particle in one pass.
+
+    Returns ``(counts, layer_ids, hits)``: ``counts[i]`` crossings of
+    particle ``i`` (0 when fewer than ``min_hits``), then their layer ids
+    and ``(4, n)`` rows ``x, y, z, t``, grouped by particle and ordered by
+    turning angle within a particle (barrel before disks on ties).
+    """
+    surfaces = list(geometry.barrel) + list(geometry.endcaps)
+    k = _kinematics(particles, geometry.solenoid_field_tesla)
+    t = _turning_angles(k, geometry.barrel, geometry.endcaps)
+    counts = np.count_nonzero(~np.isnan(t), axis=1)
+    counts[counts < min_hits] = 0
+    order = np.argsort(t, axis=1, kind="stable")  # NaN last
+    rows, ranks = np.nonzero(np.arange(len(surfaces)) < counts[:, None])
+    cols = order[rows, ranks]
+    t_hit = t[rows, cols]
+    x, y, z = _helix(tuple(c[rows] for c in k), t_hit)
+    layer_ids = np.array([s.layer_id for s in surfaces], dtype=np.int64)[cols]
+    return counts, layer_ids, np.stack([x, y, z, t_hit])
 
 
 def propagate_with_scattering(
@@ -160,21 +200,14 @@ def propagate_with_scattering(
     state = p
     t_accumulated = 0.0
     for layer in geometry.barrel:
-        t = _barrel_crossing(state, layer, B)
-        if t is None:
+        k = _kinematics([state], B)
+        t = _turning_angles(k, (layer,), ())
+        if np.isnan(t[0, 0]):
             break  # curler or deflected out of reach; outer layers unreachable
-        pos = helix_position(state, np.array([t]), B)[0]
+        x, y, z = (float(c[0, 0]) for c in _helix(k, t))
+        t = float(t[0, 0])
         t_accumulated += t
-        hits.append(
-            TrueHit(
-                particle_id=p.particle_id,
-                layer_id=layer.layer_id,
-                x=float(pos[0]),
-                y=float(pos[1]),
-                z=float(pos[2]),
-                t=t_accumulated,
-            )
-        )
+        hits.append(TrueHit(p.particle_id, layer.layer_id, x, y, z, t_accumulated))
         # direction at the crossing: tangent of the current helix
         q = float(state.charge)
         phi_here = state.phi0 + q * t
@@ -187,9 +220,9 @@ def propagate_with_scattering(
             phi0=phi_here + dphi,
             eta=state.eta + deta,
             charge=state.charge,
-            vx=float(pos[0]),
-            vy=float(pos[1]),
-            vz=float(pos[2]),
+            vx=x,
+            vy=y,
+            vz=z,
         )
     if len(hits) < min_hits:
         return []
@@ -206,39 +239,8 @@ def propagate(
     list — they cannot form a reconstructable track and match the paper's
     truth selection (which requires a minimum number of hits).
     """
-    B = geometry.solenoid_field_tesla
-    hits: List[TrueHit] = []
-    for layer in geometry.barrel:
-        t = _barrel_crossing(p, layer, B)
-        if t is None:
-            continue
-        pos = helix_position(p, np.array([t]), B)[0]
-        hits.append(
-            TrueHit(
-                particle_id=p.particle_id,
-                layer_id=layer.layer_id,
-                x=float(pos[0]),
-                y=float(pos[1]),
-                z=float(pos[2]),
-                t=t,
-            )
-        )
-    for disk in geometry.endcaps:
-        t = _disk_crossing(p, disk, B)
-        if t is None:
-            continue
-        pos = helix_position(p, np.array([t]), B)[0]
-        hits.append(
-            TrueHit(
-                particle_id=p.particle_id,
-                layer_id=disk.layer_id,
-                x=float(pos[0]),
-                y=float(pos[1]),
-                z=float(pos[2]),
-                t=t,
-            )
-        )
-    hits.sort(key=lambda h: h.t)
-    if len(hits) < min_hits:
-        return []
-    return hits
+    _, layer_ids, hits = _crossings([p], geometry, min_hits)
+    return [
+        TrueHit(p.particle_id, int(lid), float(x), float(y), float(z), float(t))
+        for lid, (x, y, z, t) in zip(layer_ids, hits.T)
+    ]

@@ -5,8 +5,9 @@ The ring schedule, its chunk bounds, the float64 staging and the
 scale-then-cast epilogue live in ``distributed/ring.py`` and are executed
 by the simulator and by the proc workers alike; the LayerNorm arithmetic
 is spelled once in ``tensor/ops.py``; bulk ShaDow extraction has one path
-and no work estimate choosing between several; and the
-``sampler.sample_bulk`` span is opened in one place.
+and no work estimate choosing between several; the
+``sampler.sample_bulk`` span is opened in one place; and one batched
+solver computes every helix-surface crossing.
 """
 
 import ast
@@ -72,3 +73,10 @@ def test_bulk_extraction_has_one_path_and_no_estimate():
 def test_one_sample_bulk_span():
     assert _count("sampling", '"sampler.sample_bulk"') == {"base.py": 1}
     assert _count("sampling", "def sample_bulk(") == {"base.py": 1}
+
+
+def test_one_crossing_solver():
+    # every surface crossing, batched or one particle, comes from one solve
+    assert _count("detector", "def _barrel_crossing") == {}
+    assert _count("detector", "def _disk_crossing") == {}
+    assert _count("detector", "np.arccos") == {"propagation.py": 1}
