@@ -347,7 +347,9 @@ def serve_suite(argv) -> None:
     request waits for company (queue-wait p50 exactly 0), overload still
     sheds and degrades — through the load generator, a replay drill (a
     replayed event is one memo hit: no GNN forward, ``reconstruct``'s
-    tracks), and the ``serve.*`` metrics schema (latency histograms carry
+    tracks), batches of large events on every core (``reconstruct``'s
+    tracks, GNN spans on two thread lanes, sequential vs served ms/event
+    printed), and the ``serve.*`` metrics schema (latency histograms carry
     p50/p95/p99).  Bit-parity across batchings and the memo policy's
     corners are tier-1's (``tests/serve``), not re-proved here."""
     from repro.faults import SimClock
@@ -436,6 +438,7 @@ def serve_suite(argv) -> None:
             fail("loadgen accounting does not add up")
         ok(f"overload shed {report.shed} and degraded {report.degraded} of "
            f"{report.offered} offered")
+        _check_events_on_every_core(pipe, telemetry)
 
     snapshot = telemetry.metrics.to_dict()
     require_positive_counters(
@@ -458,6 +461,37 @@ def serve_suite(argv) -> None:
     if not latency["count"]:
         fail("latency histogram recorded no samples")
     ok("serve.* counters populated, latency histogram has p50/p95/p99")
+
+
+def _check_events_on_every_core(pipe, telemetry) -> None:
+    """16 distinct large events in batches of 8 run on every core (the
+    per-event map): the tracks are ``reconstruct``'s, and the GNN spans of
+    one batch sit on two thread lanes when the process has two cores."""
+    from repro.detector import EventSimulator, ParticleGun
+    from repro.pipeline import _per_event
+    from repro.serve import InferenceEngine, ServeConfig
+
+    sim = EventSimulator(
+        pipe.geometry, gun=ParticleGun(), particles_per_event=100, noise_fraction=0.05
+    )
+    events = [sim.generate(np.random.default_rng(70 + i), event_id=70 + i) for i in range(16)]
+    t0 = time.perf_counter()
+    expected = [pipe.reconstruct(e) for e in events]
+    sequential_ms = 1e3 * (time.perf_counter() - t0) / len(events)
+    before = len(telemetry.tracer.spans)
+    with InferenceEngine(pipe, ServeConfig(max_batch_events=8)) as engine:
+        t0 = time.perf_counter()
+        served = engine.process(events[:8]) + engine.process(events[8:])
+        parallel_ms = 1e3 * (time.perf_counter() - t0) / len(events)
+    for event, tracks, request in zip(events, expected, served):
+        if len(request.tracks) != len(tracks) or not all(map(np.array_equal, request.tracks, tracks)):
+            fail(f"event {event.event_id}: tracks served in a batch of 8 != reconstruct")
+    lanes = {s.tid for s in telemetry.tracer.spans[before:] if s.name == "pipeline.gnn"}
+    if len(lanes) != min(2, 1 + _per_event._HELPERS):
+        fail(f"pipeline.gnn spans on {len(lanes)} thread lane(s) with "
+             f"{_per_event._HELPERS} helper(s)")
+    ok(f"16 large events in batches of 8 == reconstruct, GNN spans on {len(lanes)} "
+       f"lane(s): {sequential_ms:.1f} ms/event sequential, {parallel_ms:.1f} ms/event served")
 
 
 # -- guard ---------------------------------------------------------------

@@ -99,14 +99,17 @@ class Module:
     @contextmanager
     def inference(self) -> Iterator[None]:
         """Evaluation mode without autograd for the ``with`` body; the
-        prior train/eval mode is restored on exit, even if the body raises."""
+        prior train/eval mode is restored on exit, even if the body raises.
+        An eval-mode root is not written: threads may score it at once."""
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         try:
             with no_grad():
                 yield
         finally:
-            self.train(was_training)
+            if was_training:
+                self.train(True)
 
     def zero_grad(self) -> None:
         """Clear gradients of every parameter."""

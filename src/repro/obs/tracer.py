@@ -31,7 +31,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
@@ -161,6 +162,12 @@ class NullTracer:
     def event(self, name: str, category: str = "event", **attrs: Any) -> None:
         return None
 
+    def current(self) -> None:
+        return None
+
+    def under(self, parent: Any) -> _NullSpan:
+        return _NULL_SPAN
+
     @property
     def spans(self) -> tuple:
         return ()
@@ -268,6 +275,25 @@ class Tracer:
         }
         with self._lock:
             self.events.append(record)
+
+    def current(self) -> Optional[Span]:
+        """The innermost span open on the calling thread, if any."""
+        stack = self._stack()
+        return stack[-1] if stack else None
+
+    @contextmanager
+    def under(self, parent: Optional[Span]) -> Iterator[None]:
+        """Open this thread's spans as children of ``parent``, a span
+        another thread holds open (the per-event map's helpers)."""
+        if parent is None:
+            yield
+            return
+        stack = self._stack()
+        stack.append(parent)
+        try:
+            yield
+        finally:
+            stack.pop()
 
     # -- span lifecycle (called by Span.__enter__/__exit__) ------------
     def _open(self, span: Span) -> None:

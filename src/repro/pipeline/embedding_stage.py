@@ -19,6 +19,7 @@ from ..detector.geometry import DetectorGeometry
 from ..models import EmbeddingConfig, EmbeddingNet, sample_training_pairs
 from ..nn import Adam, HingeEmbeddingLoss
 from ..tensor import Tensor, ops
+from ._per_event import per_event
 from .config import PipelineConfig
 
 __all__ = ["EmbeddingStage"]
@@ -99,7 +100,7 @@ class EmbeddingStage:
                 optimizer.step()
                 epoch_losses.append(loss.item())
             self.losses.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
-        self.net = net
+        self.net = net.eval()
         return self
 
     # ------------------------------------------------------------------
@@ -135,10 +136,10 @@ class EmbeddingStage:
         )
 
     def embed_many(self, events: Sequence[Event]) -> List[np.ndarray]:
-        """:meth:`embed` per event.
+        """:meth:`embed` per event, the events spread over the cores.
 
         No forward ever sees two events: a BLAS row's bits depend on how
-        many rows share the call, so a batch is a loop, and an event's
-        embedding cannot depend on what it is batched with.
+        many rows share the call, so a batch is a per-event map, and an
+        event's embedding cannot depend on what it is batched with.
         """
-        return [self.embed(e) for e in events]
+        return list(per_event(self.embed, events))

@@ -15,6 +15,7 @@ from ..graph import EventGraph
 from ..models import FilterConfig, FilterNet
 from ..nn import Adam, BCEWithLogitsLoss
 from ..tensor import Tensor
+from ._per_event import per_event
 from .config import PipelineConfig
 from .trainers import derive_pos_weight
 
@@ -65,7 +66,7 @@ class FilterStage:
                 optimizer.step()
                 epoch_losses.append(loss.item())
             self.losses.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
-        self.net = net
+        self.net = net.eval()
         return self
 
     # ------------------------------------------------------------------
@@ -83,8 +84,8 @@ class FilterStage:
         """Prune several graphs, one filter forward per graph.
 
         No forward ever sees two graphs: a BLAS row's bits depend on how
-        many rows share the call, so a batch is a loop, and an edge's
-        score cannot depend on which graphs share the call.
+        many rows share the call, so a batch is a per-event map, and an
+        edge's score cannot depend on which graphs share the call.
 
         Returns one ``(pruned_graph, keep_mask, scores)`` triple per
         input graph — ``scores`` are the pre-threshold filter
@@ -93,15 +94,14 @@ class FilterStage:
         """
         if self.net is None:
             raise RuntimeError("filter stage not fitted")
-        out: List[Tuple[EventGraph, np.ndarray, np.ndarray]] = []
-        for g in graphs:
-            if g.num_edges == 0:
-                out.append((g, np.zeros(0, dtype=bool), np.zeros(0)))
-                continue
-            scores = self.net.predict_proba(g)
-            keep = scores >= self.config.filter_threshold
-            out.append((g.edge_mask_subgraph(keep), keep, scores))
-        return out
+        return list(per_event(self._prune_one, graphs))
+
+    def _prune_one(self, g: EventGraph) -> Tuple[EventGraph, np.ndarray, np.ndarray]:
+        if g.num_edges == 0:
+            return g, np.zeros(0, dtype=bool), np.zeros(0)
+        scores = self.net.predict_proba(g)
+        keep = scores >= self.config.filter_threshold
+        return g.edge_mask_subgraph(keep), keep, scores
 
     def segment_recall(self, graph: EventGraph, keep: np.ndarray) -> float:
         """Fraction of true edges surviving the filter."""

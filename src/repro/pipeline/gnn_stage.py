@@ -34,6 +34,7 @@ class GNNStage:
     ) -> "GNNStage":
         """Train under ``config.gnn`` (mode, sampler, DDP, …)."""
         self.result = train_gnn(train_graphs, val_graphs, self.config.gnn)
+        self.result.model.eval()  # inference() then writes no module state
         return self
 
     @property

@@ -15,6 +15,7 @@ import numpy as np
 from ..detector import Event, edge_features, label_edges, segment_recall, vertex_features
 from ..detector.geometry import DetectorGeometry
 from ..graph import EventGraph, fixed_radius_graph
+from ._per_event import per_event
 from .config import PipelineConfig
 from .embedding_stage import EmbeddingStage
 
@@ -68,11 +69,11 @@ class GraphConstructionStage:
 
     def build_many(self, events: Sequence[Event]) -> List[EventGraph]:
         """Construct several events' graphs: one
-        :meth:`EmbeddingStage.embed_many` call (itself a per-event loop),
+        :meth:`EmbeddingStage.embed_many` call (itself a per-event map),
         then :meth:`build` per event.  Nothing here spans two events, so
         a graph cannot depend on what its event is batched with."""
         zs = self.embedding.embed_many(events)
-        return [self.build(event, z=z) for event, z in zip(events, zs)]
+        return list(per_event(self.build, events, zs))
 
     def edge_efficiency(self, event: Event, graph: Optional[EventGraph] = None) -> float:
         """Fraction of truth segments present in the constructed graph —

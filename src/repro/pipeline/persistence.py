@@ -67,6 +67,7 @@ def _load_stage_state(net, prefix: str, archive, path: str) -> None:
     """Load one stage's weights, naming the archive on any mismatch."""
     try:
         net.load_state_dict(_unpack(prefix, archive))
+        net.eval()
     except (KeyError, ValueError) as exc:
         raise CheckpointError(
             f"pipeline archive {path!r} has incomplete or mismatched "

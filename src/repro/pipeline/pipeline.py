@@ -7,9 +7,11 @@ Inference is ONE traversal, shared by every caller (``reconstruct``, the
 serving engine, the diagnostics, the construction-store ingest):
 ``upstream_many`` (construction + filter) then ``finish_from_filtered``
 per event (GNN + track building).  No forward ever sees two events — a
-batch is a loop over the single-event stage call — so an event's result
-is bit-identical whether it is processed alone or inside any batch, and
-``fit``, evaluation and serving score with the same kernel.
+batch is a map of the single-event stage call, spread over the cores by
+``_per_event.per_event`` — so an event's result is bit-identical whether
+it is processed alone or inside any batch, on one thread or several, and
+``fit``, evaluation and serving score with the same kernel.  ``fit``
+stays a sequential loop.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from ..graph import EventGraph
 from ..guard import EventValidator, Quarantine, QuarantineLog
 from ..metrics import TrackingScore, match_tracks
 from ..obs import get_tracer
+from ._per_event import per_event
 from .config import PipelineConfig
 from .embedding_stage import EmbeddingStage
 from .filter_stage import FilterStage
@@ -47,7 +50,7 @@ class _ModuleMapConstruction:
         return self.module_map.build(event)
 
     def build_many(self, events: Sequence[Event]):
-        return [self.build(e) for e in events]
+        return list(per_event(self.build, events))
 
     def edge_efficiency(self, event: Event, graph=None) -> float:
         return self.module_map.edge_efficiency(event, graph)
@@ -200,7 +203,7 @@ class ExaTrkXPipeline:
 
     # ------------------------------------------------------------------
     def astype(self, dtype) -> "ExaTrkXPipeline":
-        """Cast every fitted stage network to ``dtype`` in place.
+        """Cast every fitted stage network to ``dtype`` in place, in eval mode.
 
         The serving engine's ``precision`` knob uses this to run a
         fitted pipeline in the float64 reference mode (or back to the
@@ -212,7 +215,7 @@ class ExaTrkXPipeline:
             self.gnn.result.model if self.gnn.result is not None else None,
         ):
             if net is not None:
-                net.astype(dtype)
+                net.astype(dtype).eval()
         return self
 
     # -- inference: the one traversal -----------------------------------
@@ -300,10 +303,8 @@ class ExaTrkXPipeline:
         with get_tracer().span(
             "pipeline.reconstruct", category="pipeline", events=len(events)
         ):
-            return [
-                self.finish_from_filtered(staged.filtered)
-                for staged in self.upstream_many(events)
-            ]
+            filtered = [staged.filtered for staged in self.upstream_many(events)]
+            return list(per_event(self.finish_from_filtered, filtered))
 
     def reconstruct(self, event: Event) -> List[np.ndarray]:
         """:meth:`reconstruct_many` on one event."""

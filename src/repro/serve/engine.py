@@ -26,9 +26,14 @@ Batched execution is bit-identical to looped
 :meth:`~repro.pipeline.ExaTrkXPipeline.reconstruct` because it IS the
 same traversal: the engine calls the pipeline's ``upstream_many`` and
 ``finish_from_filtered`` — the two halves ``reconstruct_many`` composes —
-and in those a batch is a loop over the single-event stage call: no
+and in those a batch is a map of the single-event stage call: no
 forward ever sees two events, so per-event results cannot depend on
-what else is in the batch.  The engine owns only serving policy (cache,
+what else is in the batch.  The map runs a batch's events on every core
+(``repro.pipeline._per_event``), and so does this engine's GNN +
+track-building loop; each item is the same single-event call, numpy
+and BLAS release the GIL, and results come back in item order, so the
+bits and the policy below are those of a one-thread loop.  Pin BLAS to
+one thread per process.  The engine owns only serving policy (cache,
 store hydration, breaker, timeout, degrade); it never walks a stage or
 picks a track builder.  Batch *composition* therefore never influences
 results — only latency — and a memoised answer *is* what that traversal
@@ -110,6 +115,7 @@ from ..guard import (
 )
 from ..obs import get_metrics, get_tracer
 from ..pipeline import ExaTrkXPipeline
+from ..pipeline._per_event import per_event
 from ..pipeline.config import PRECISIONS, knob
 from .cache import CachedStages, StageCache, event_fingerprint
 
@@ -289,7 +295,12 @@ class ServeConfig:
             raise ValueError("breaker_probes must be >= 1")
 
 
-@dataclass
+_COMPLETION = threading.Lock()  # guards every ServeRequest._event
+_FINISHED = threading.Event()  # the shared event of a request nobody waited on
+_FINISHED.set()
+
+
+@dataclass(slots=True)
 class ServeRequest:
     """One reconstruction request and, eventually, its result.
 
@@ -315,7 +326,21 @@ class ServeRequest:
     error: Optional[BaseException] = None
     t_dispatch: float = 0.0
     t_done: float = 0.0
-    _completed: threading.Event = field(default_factory=threading.Event, repr=False)
+    _event: Optional[threading.Event] = field(default=None, repr=False)
+
+    @property
+    def _completed(self) -> threading.Event:
+        """Set once terminal; made on the first wait, so a request read
+        only after it finished allocates no primitive."""
+        with _COMPLETION:
+            self._event = self._event or threading.Event()
+            return self._event
+
+    def _finish(self, status: str, t_done: float) -> None:
+        self.status, self.t_done = status, t_done
+        with _COMPLETION:
+            self._event = self._event or _FINISHED
+            self._event.set()
 
     @property
     def queue_wait_ms(self) -> float:
@@ -749,12 +774,10 @@ class InferenceEngine:
         failed = 0
         t_now = self.clock.now
         for request in requests:
-            if request._completed.is_set():
+            if request.status != "queued":  # already terminal
                 continue
-            request.status = "failed"
             request.error = error
-            request.t_done = t_now
-            request._completed.set()
+            request._finish("failed", t_now)
             failed += 1
         if not failed:
             return
@@ -773,9 +796,7 @@ class InferenceEngine:
         expired = 0
         for request in batch:
             if 1e3 * (t_dispatch - request.t_submit) > cfg.request_timeout_ms:
-                request.status = "timed_out"
-                request.t_done = t_dispatch
-                request._completed.set()
+                request._finish("timed_out", t_dispatch)
                 expired += 1
             else:
                 live.append(request)
@@ -842,8 +863,10 @@ class InferenceEngine:
                     try:
                         if self.fault_plan is not None:
                             self.fault_plan.before_stage("gnn")
-                        for key in forward:
-                            tracks = self.pipeline.finish_from_filtered(staged[key].filtered)
+                        # in item order: a raise on entry k leaves the k before it served
+                        filtered = [staged[key].filtered for key in forward]
+                        done = per_event(self.pipeline.finish_from_filtered, filtered)
+                        for key, tracks in zip(forward, done):
                             for track in tracks:
                                 track.flags.writeable = False  # shared by every later response
                             staged[key] = replace(staged[key], tracks=tuple(tracks))
@@ -897,9 +920,7 @@ class InferenceEngine:
             )
         t_done = self.clock.now
         for request in batch:
-            request.t_done = t_done
-            request.status = "done"
-            request._completed.set()
+            request._finish("done", t_done)
         self._record_batch(batch)
 
     def _upstream_stages(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -74,3 +77,24 @@ def tape_ops():
         return sorted(names), len(seen)
 
     return walk
+
+
+@pytest.fixture(scope="session")
+def forced_helpers():
+    """``forced_helpers(n)``: a context in which the per-event map has
+    ``n`` helper threads (a fresh pool, shut down on exit) whatever the
+    core count — a test hook on a private constant, not a knob."""
+    from repro.pipeline import _per_event
+
+    @contextlib.contextmanager
+    def force(n=3):
+        with mock.patch.object(_per_event, "_HELPERS", n), mock.patch.object(
+            _per_event, "_pool", None
+        ):
+            try:
+                yield
+            finally:
+                if _per_event._pool is not None:
+                    _per_event._pool.shutdown()
+
+    return force

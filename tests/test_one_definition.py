@@ -6,8 +6,9 @@ scale-then-cast epilogue live in ``distributed/ring.py`` and are executed
 by the simulator and by the proc workers alike; the LayerNorm arithmetic
 is spelled once in ``tensor/ops.py``; bulk ShaDow extraction has one path
 and no work estimate choosing between several; the
-``sampler.sample_bulk`` span is opened in one place; and one batched
-solver computes every helix-surface crossing.
+``sampler.sample_bulk`` span is opened in one place; one batched
+solver computes every helix-surface crossing; and every per-event loop of
+the inference traversal is one order-preserving map.
 """
 
 import ast
@@ -80,3 +81,30 @@ def test_one_crossing_solver():
     assert _count("detector", "def _barrel_crossing") == {}
     assert _count("detector", "def _disk_crossing") == {}
     assert _count("detector", "np.arccos") == {"propagation.py": 1}
+
+
+def _calls_in(package, module, qualname):
+    """Names called inside ``Class.method`` of one module."""
+    cls, method = qualname.split(".")
+    tree = ast.parse(_read(package, module))
+    (klass,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+    (fn,) = [n for n in klass.body if isinstance(n, ast.FunctionDef) and n.name == method]
+    return {
+        node.func.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_per_event_loops_go_through_one_map():
+    for package, module, qualname in [
+        ("pipeline", "embedding_stage.py", "EmbeddingStage.embed_many"),
+        ("pipeline", "graph_construction.py", "GraphConstructionStage.build_many"),
+        ("pipeline", "pipeline.py", "_ModuleMapConstruction.build_many"),
+        ("pipeline", "filter_stage.py", "FilterStage.prune_many"),
+        ("pipeline", "pipeline.py", "ExaTrkXPipeline.reconstruct_many"),
+        ("serve", "engine.py", "InferenceEngine._process_batch_inner"),
+    ]:
+        assert "per_event" in _calls_in(package, module, qualname), qualname
+    assert _count("pipeline", "def per_event(") == {"_per_event.py": 1}
+    assert _count("pipeline", "ThreadPoolExecutor(") == {"_per_event.py": 1}
