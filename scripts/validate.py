@@ -465,8 +465,10 @@ def serve_suite(argv) -> None:
 
 def _check_events_on_every_core(pipe, telemetry) -> None:
     """16 distinct large events in batches of 8 run on every core (the
-    per-event map): the tracks are ``reconstruct``'s, and the GNN spans of
-    one batch sit on two thread lanes when the process has two cores."""
+    per-event map): the tracks are ``reconstruct``'s, and the GNN spans
+    sit on two or more thread lanes when the process has two or more cores.
+    The printed ms/event compare fairly only with BLAS pinned to one thread
+    (``OPENBLAS_NUM_THREADS=1``), as the benchmark suite runs."""
     from repro.detector import EventSimulator, ParticleGun
     from repro.pipeline import _per_event
     from repro.serve import InferenceEngine, ServeConfig
@@ -487,9 +489,9 @@ def _check_events_on_every_core(pipe, telemetry) -> None:
         if len(request.tracks) != len(tracks) or not all(map(np.array_equal, request.tracks, tracks)):
             fail(f"event {event.event_id}: tracks served in a batch of 8 != reconstruct")
     lanes = {s.tid for s in telemetry.tracer.spans[before:] if s.name == "pipeline.gnn"}
-    if len(lanes) != min(2, 1 + _per_event._HELPERS):
-        fail(f"pipeline.gnn spans on {len(lanes)} thread lane(s) with "
-             f"{_per_event._HELPERS} helper(s)")
+    helpers = _per_event._HELPERS
+    if not (2 <= len(lanes) <= 1 + helpers if helpers >= 1 else len(lanes) == 1):
+        fail(f"pipeline.gnn spans on {len(lanes)} thread lane(s) with {helpers} helper(s)")
     ok(f"16 large events in batches of 8 == reconstruct, GNN spans on {len(lanes)} "
        f"lane(s): {sequential_ms:.1f} ms/event sequential, {parallel_ms:.1f} ms/event served")
 

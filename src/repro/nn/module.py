@@ -98,9 +98,8 @@ class Module:
 
     @contextmanager
     def inference(self) -> Iterator[None]:
-        """Evaluation mode without autograd for the ``with`` body; the
-        prior train/eval mode is restored on exit, even if the body raises.
-        An eval-mode root is not written: threads may score it at once."""
+        """Evaluation mode without autograd for the ``with`` body, restored on
+        exit even if it raises; an eval-mode root is never written (threads share it)."""
         was_training = self.training
         if was_training:
             self.eval()

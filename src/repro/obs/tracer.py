@@ -31,8 +31,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
@@ -162,11 +161,8 @@ class NullTracer:
     def event(self, name: str, category: str = "event", **attrs: Any) -> None:
         return None
 
-    def current(self) -> None:
-        return None
-
-    def under(self, parent: Any) -> _NullSpan:
-        return _NULL_SPAN
+    def carry(self, fn: Callable) -> Callable:
+        return fn
 
     @property
     def spans(self) -> tuple:
@@ -276,24 +272,19 @@ class Tracer:
         with self._lock:
             self.events.append(record)
 
-    def current(self) -> Optional[Span]:
-        """The innermost span open on the calling thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+    def carry(self, fn: Callable) -> Callable:
+        """``fn`` for another thread (the per-event map's helpers): the spans
+        it opens are children of the span open here now, if any."""
+        parents = self._stack()[-1:]
 
-    @contextmanager
-    def under(self, parent: Optional[Span]) -> Iterator[None]:
-        """Open this thread's spans as children of ``parent``, a span
-        another thread holds open (the per-event map's helpers)."""
-        if parent is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(parent)
-        try:
-            yield
-        finally:
-            stack.pop()
+        def run(*args: Any) -> Any:
+            stack = self._stack()
+            stack.extend(parents)
+            try:
+                return fn(*args)
+            finally:
+                del stack[len(stack) - len(parents):]  # the parent pushed here
+        return run
 
     # -- span lifecycle (called by Span.__enter__/__exit__) ------------
     def _open(self, span: Span) -> None:

@@ -1,78 +1,57 @@
-"""One order-preserving per-event map, spread over the process's cores.
-
-The caller runs items alongside ``cores - 1`` helper threads that pull
-indices from one shared counter.  Each item is the call a plain loop
-makes, and numpy, BLAS and ``cKDTree`` release the GIL, so the results
-are the loop's bits by construction (pin BLAS to one thread).
-"""
+"""One order-preserving per-event map over the process's cores: the caller
+and ``cores - 1`` helpers run a plain loop's calls, whose numpy, BLAS and
+``cKDTree`` work releases the GIL; the bits are the loop's (pin BLAS)."""
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, Optional
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Iterator
 
 from ..obs import get_tracer
 from ..tensor import default_dtype, get_default_dtype
 
 _HELPERS = len(os.sched_getaffinity(0)) - 1  # tests patch it; not a knob
-_state = threading.local()  # .inside: this thread is running an item
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
+_state = threading.local()  # .inside: this thread is running the map's items
 
 
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads: it starts poolless."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _new_pool() -> None:  # at import, and in a forked child: none of the parent's threads
+    global _pool
+    _pool = ThreadPoolExecutor(max(_HELPERS, 1), "repro-event")  # threads start on first use
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
 
 
 def per_event(fn: Callable, *iterables) -> Iterator:
-    """Yield ``fn(*args)`` for each ``args`` of ``zip(*iterables)``, in order.
-
-    One item, one core, or a call from inside an item is a plain loop.
-    Otherwise every item runs before the first yield; an item that raised
-    re-raises at its position, and items after it that no thread started
-    are skipped.  Helpers run under the caller's default dtype, with the
-    caller's open tracer span as the parent of theirs.
-    """
-    global _pool
+    """``fn(*args)`` for each ``args`` of ``zip(*iterables)``, in order; an
+    item that raised re-raises at its position.  One item, one core, or a
+    call from inside an item is a plain loop; otherwise the helpers run
+    under the caller's default dtype and open tracer span."""
     items = list(zip(*iterables))
-    n, helpers = len(items), min(_HELPERS, len(items) - 1)
+    helpers = min(_HELPERS, len(items) - 1)
     if helpers < 1 or getattr(_state, "inside", False):
         yield from (fn(*args) for args in items)
         return
-    results, errors = [None] * n, [None] * n  # each slot written by one thread
-    claim, done = itertools.count(), threading.Semaphore(0)
-    tracer, dtype = get_tracer(), get_default_dtype()
+    todo, done = iter(enumerate(items)), [None] * len(items)
+    dtype, carried = get_default_dtype(), get_tracer().carry(fn)
 
-    def run(parent) -> None:
+    def work(inside_after: bool) -> None:
         _state.inside = True
-        with default_dtype(dtype), tracer.under(parent):
-            while (i := next(claim)) < n:  # one shared counter, atomic under the GIL
-                if not any(e is not None for e in errors[:i]):  # none after a failure
-                    try:
-                        results[i] = fn(*items[i])
-                    except BaseException as exc:  # re-raised by the caller, in order
-                        errors[i] = exc
-                done.release()
+        with default_dtype(dtype):
+            for i, args in todo:  # one shared iterator: each item is claimed once
+                try:
+                    done[i] = (carried(*args), None)
+                except BaseException as exc:
+                    done[i] = (None, exc)
+        _state.inside = inside_after
 
-    with _pool_lock:
-        _pool = _pool or ThreadPoolExecutor(_HELPERS, "repro-event")
-        for _ in range(helpers):
-            _pool.submit(run, tracer.current())
-    try:
-        run(None)
-    finally:
-        _state.inside = False
-    for _ in range(n):  # items a helper claimed may still be running
-        done.acquire()
-    for result, error in zip(results, errors):
+    futures = [_pool.submit(work, True) for _ in range(helpers)]
+    work(False)
+    wait([f for f in futures if not f.cancel()])  # a helper that never started: not waited for
+    for result, error in done:
         if error is not None:
             raise error
         yield result

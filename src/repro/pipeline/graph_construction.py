@@ -69,9 +69,9 @@ class GraphConstructionStage:
 
     def build_many(self, events: Sequence[Event]) -> List[EventGraph]:
         """Construct several events' graphs: one
-        :meth:`EmbeddingStage.embed_many` call (itself a per-event map),
-        then :meth:`build` per event.  Nothing here spans two events, so
-        a graph cannot depend on what its event is batched with."""
+        :meth:`EmbeddingStage.embed_many` call (a per-event map; the traced
+        ``pipeline.embed`` row times it), then :meth:`build` per event.
+        Nothing spans two events, so no graph depends on its batch."""
         zs = self.embedding.embed_many(events)
         return list(per_event(self.build, events, zs))
 

@@ -7,11 +7,9 @@ Inference is ONE traversal, shared by every caller (``reconstruct``, the
 serving engine, the diagnostics, the construction-store ingest):
 ``upstream_many`` (construction + filter) then ``finish_from_filtered``
 per event (GNN + track building).  No forward ever sees two events — a
-batch is a map of the single-event stage call, spread over the cores by
-``_per_event.per_event`` — so an event's result is bit-identical whether
-it is processed alone or inside any batch, on one thread or several, and
-``fit``, evaluation and serving score with the same kernel.  ``fit``
-stays a sequential loop.
+batch is a map of the single-event stage call over the cores — so an
+event's result is bit-identical alone or in any batch, on any number of
+threads, and ``fit`` (a loop), evaluation and serving score alike.
 """
 
 from __future__ import annotations

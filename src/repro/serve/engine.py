@@ -26,18 +26,15 @@ Batched execution is bit-identical to looped
 :meth:`~repro.pipeline.ExaTrkXPipeline.reconstruct` because it IS the
 same traversal: the engine calls the pipeline's ``upstream_many`` and
 ``finish_from_filtered`` — the two halves ``reconstruct_many`` composes —
-and in those a batch is a map of the single-event stage call: no
-forward ever sees two events, so per-event results cannot depend on
-what else is in the batch.  The map runs a batch's events on every core
-(``repro.pipeline._per_event``), and so does this engine's GNN +
-track-building loop; each item is the same single-event call, numpy
-and BLAS release the GIL, and results come back in item order, so the
-bits and the policy below are those of a one-thread loop.  Pin BLAS to
-one thread per process.  The engine owns only serving policy (cache,
-store hydration, breaker, timeout, degrade); it never walks a stage or
-picks a track builder.  Batch *composition* therefore never influences
-results — only latency — and a memoised answer *is* what that traversal
-returned for those bytes under the weights the engine fixes for its life.
+and in those a batch is an in-order map of the single-event stage call
+over every core (``repro.pipeline._per_event``, like this engine's GNN
++ track loop): no forward sees two events and each item is the loop's
+call on any thread (pin BLAS to one), so results cannot depend on the
+batch.  The engine owns only serving policy (cache, store hydration,
+breaker, timeout, degrade); it never walks a stage or picks a track
+builder.  Batch *composition* therefore never influences results — only
+latency — and a memoised answer *is* what that traversal returned for
+those bytes under the weights the engine fixes for its life.
 
 Stage-cache policy
 ------------------
@@ -95,11 +92,12 @@ disjointly.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -295,12 +293,10 @@ class ServeConfig:
             raise ValueError("breaker_probes must be >= 1")
 
 
-_COMPLETION = threading.Lock()  # guards every ServeRequest._event
-_FINISHED = threading.Event()  # the shared event of a request nobody waited on
-_FINISHED.set()
+_TERMINAL = threading.Condition()  # notified whenever a request leaves "queued"
 
 
-@dataclass(slots=True)
+@dataclass(**({"slots": True} if sys.version_info >= (3, 10) else {}))  # 3.9: no slots
 class ServeRequest:
     """One reconstruction request and, eventually, its result.
 
@@ -326,21 +322,16 @@ class ServeRequest:
     error: Optional[BaseException] = None
     t_dispatch: float = 0.0
     t_done: float = 0.0
-    _event: Optional[threading.Event] = field(default=None, repr=False)
 
-    @property
-    def _completed(self) -> threading.Event:
-        """Set once terminal; made on the first wait, so a request read
-        only after it finished allocates no primitive."""
-        with _COMPLETION:
-            self._event = self._event or threading.Event()
-            return self._event
+    def _wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until terminal: one shared condition, no per-request primitive."""
+        with _TERMINAL:
+            return _TERMINAL.wait_for(lambda: self.status != "queued", timeout)
 
     def _finish(self, status: str, t_done: float) -> None:
-        self.status, self.t_done = status, t_done
-        with _COMPLETION:
-            self._event = self._event or _FINISHED
-            self._event.set()
+        with _TERMINAL:
+            self.status, self.t_done = status, t_done
+            _TERMINAL.notify_all()
 
     @property
     def queue_wait_ms(self) -> float:
@@ -362,7 +353,7 @@ class ServeRequest:
                 f"event {self.event.event_id} failed input validation: "
                 f"{self.error}"
             )
-        if not self._completed.wait(timeout):
+        if not self._wait(timeout):
             raise TimeoutError("request did not complete in time")
         if self.status == "timed_out":
             raise RequestTimeoutError(
@@ -695,7 +686,7 @@ class InferenceEngine:
                 if r.status not in ("shed", "quarantined"):
                     # wait for the terminal state without raising on
                     # exceptional ones — callers inspect status/result()
-                    r._completed.wait()
+                    r._wait()
         return requests
 
     # -- dispatch policy -------------------------------------------------
@@ -863,10 +854,9 @@ class InferenceEngine:
                     try:
                         if self.fault_plan is not None:
                             self.fault_plan.before_stage("gnn")
-                        # in item order: a raise on entry k leaves the k before it served
                         filtered = [staged[key].filtered for key in forward]
                         done = per_event(self.pipeline.finish_from_filtered, filtered)
-                        for key, tracks in zip(forward, done):
+                        for key, tracks in zip(forward, done):  # a raise on k: the k before served
                             for track in tracks:
                                 track.flags.writeable = False  # shared by every later response
                             staged[key] = replace(staged[key], tracks=tuple(tracks))

@@ -84,17 +84,19 @@ def forced_helpers():
     """``forced_helpers(n)``: a context in which the per-event map has
     ``n`` helper threads (a fresh pool, shut down on exit) whatever the
     core count — a test hook on a private constant, not a knob."""
+    from concurrent.futures import ThreadPoolExecutor
+
     from repro.pipeline import _per_event
 
     @contextlib.contextmanager
     def force(n=3):
+        pool = ThreadPoolExecutor(max(n, 1), "repro-event")
         with mock.patch.object(_per_event, "_HELPERS", n), mock.patch.object(
-            _per_event, "_pool", None
+            _per_event, "_pool", pool
         ):
             try:
                 yield
             finally:
-                if _per_event._pool is not None:
-                    _per_event._pool.shutdown()
+                pool.shutdown()
 
     return force

@@ -73,22 +73,6 @@ def test_errors_come_back_in_item_order(forced_helpers):
             next(results)
 
 
-def test_items_after_a_failure_that_no_thread_started_are_skipped(
-    forced_helpers,
-):
-    ran = []
-
-    def fn(i):
-        ran.append(i)
-        if i == 0:
-            raise RuntimeError("first")
-        time.sleep(0.01)
-
-    with forced_helpers(1), pytest.raises(RuntimeError, match="first"):
-        list(per_event(fn, range(50)))
-    assert 0 in ran and len(ran) < 50
-
-
 def test_a_map_inside_an_item_runs_as_a_plain_loop(forced_helpers):
     def inner_item(j):
         time.sleep(0.002)  # long enough for an idle helper to claim one

@@ -10,6 +10,7 @@ import json
 import os
 import select
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from repro.detector import Event
 from repro.obs import RunTelemetry, use_telemetry
 from repro.pipeline import _per_event, load_pipeline, save_pipeline
 from repro.serve import InferenceEngine, ServeConfig
-from repro.serve import engine as engine_module
 from repro.tensor import default_dtype
 
 from .conftest import assert_tracks_equal
@@ -147,13 +147,15 @@ def test_a_forked_child_starts_without_helpers(
     forced_helpers, serve_pipeline, serve_events, looped
 ):
     with forced_helpers(3):
-        serve_pipeline.reconstruct_many(serve_events)  # the pool is up
-        assert _per_event._pool is not None
+        serve_pipeline.reconstruct_many(serve_events)  # the pool's threads are up
+        parent_pool = _per_event._pool
+        assert parent_pool._threads
         read_end, write_end = os.pipe()
         pid = os.fork()
         if pid == 0:  # child: report, never return into pytest
             try:
-                ok = _per_event._pool is None and all(
+                fresh = _per_event._pool is not parent_pool and not _per_event._pool._threads
+                ok = fresh and all(
                     len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
                     for a, b in zip(serve_pipeline.reconstruct_many(serve_events), looped)
                 )
@@ -190,6 +192,7 @@ def test_a_request_nobody_waited_on_holds_no_threading_primitive(
 ):
     with InferenceEngine(serve_pipeline, ServeConfig()) as engine:
         requests = engine.process(serve_events)
-    assert all(r._event is engine_module._FINISHED for r in requests)
+    primitives = (type(threading.Event()), type(threading.Lock()), threading.Condition)
     for request in requests:
+        assert not any(isinstance(getattr(request, f.name), primitives) for f in fields(request))
         assert request.result(timeout=0) is request.tracks
