@@ -10,7 +10,7 @@ resolution), and noise hits (fake clusters uniform over the surfaces).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -198,9 +198,9 @@ class EventSimulator:
         phi = np.arctan2(y, x) + np.divide(eps[:, 0], r, out=np.zeros_like(r), where=drawn[:, 0])
 
         n_noise = int(round(self.noise_fraction * x.size))
-        surfaces = list(self.geometry.barrel) + list(self.geometry.endcaps)
+        surfaces = self.geometry.surfaces
         noise = np.array(
-            [self._noise_hit(surfaces, rng) for _ in range(n_noise)], dtype=np.float64
+            [_noise_hit(surfaces, rng) for _ in range(n_noise)], dtype=np.float64
         ).reshape(-1, 4)
 
         positions = np.concatenate(
@@ -233,20 +233,22 @@ class EventSimulator:
         xyz = np.array([(h.x, h.y, h.z) for h in hits], dtype=np.float64).reshape(-1, 3)
         return xyz.T, np.array([h.layer_id for h in hits], dtype=np.int64)
 
-    @staticmethod
-    def _noise_hit(surfaces: list, rng: np.random.Generator) -> Tuple[float, float, float, int]:
-        """Uniform fake hit on a random one of ``surfaces``."""
-        surf = surfaces[int(rng.integers(len(surfaces)))]
-        if hasattr(surf, "radius"):  # barrel layer
-            phi = rng.uniform(-np.pi, np.pi)
-            z = rng.uniform(-surf.half_length, surf.half_length)
-            return (
-                float(surf.radius * np.cos(phi)),
-                float(surf.radius * np.sin(phi)),
-                float(z),
-                surf.layer_id,
-            )
-        # endcap disk: uniform in area over the annulus
+
+def _noise_hit(surfaces: Sequence, rng: np.random.Generator) -> Tuple[float, float, float, int]:
+    """Uniform fake hit on a random one of ``surfaces``: one ``integers``
+    draw, then two ``uniform`` draws (the simulator's and the scenario
+    mutators' noise, one draw order)."""
+    surf = surfaces[int(rng.integers(len(surfaces)))]
+    if hasattr(surf, "radius"):  # barrel layer
         phi = rng.uniform(-np.pi, np.pi)
-        r = np.sqrt(rng.uniform(surf.r_inner ** 2, surf.r_outer ** 2))
-        return float(r * np.cos(phi)), float(r * np.sin(phi)), float(surf.z), surf.layer_id
+        z = rng.uniform(-surf.half_length, surf.half_length)
+        return (
+            float(surf.radius * np.cos(phi)),
+            float(surf.radius * np.sin(phi)),
+            float(z),
+            surf.layer_id,
+        )
+    # endcap disk: uniform in area over the annulus
+    phi = rng.uniform(-np.pi, np.pi)
+    r = np.sqrt(rng.uniform(surf.r_inner ** 2, surf.r_outer ** 2))
+    return float(r * np.cos(phi)), float(r * np.sin(phi)), float(surf.z), surf.layer_id

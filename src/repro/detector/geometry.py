@@ -80,9 +80,14 @@ class DetectorGeometry:
         radii = [l.radius for l in self.barrel]
         if sorted(radii) != radii:
             raise ValueError("barrel layers must be ordered by increasing radius")
-        ids = [l.layer_id for l in self.barrel] + [d.layer_id for d in self.endcaps]
+        ids = [s.layer_id for s in self.surfaces]
         if len(set(ids)) != len(ids):
             raise ValueError("layer ids must be unique")
+
+    @property
+    def surfaces(self) -> tuple:
+        """Every sensitive surface: the barrel layers, then the endcap disks."""
+        return tuple(self.barrel) + tuple(self.endcaps)
 
     @property
     def num_layers(self) -> int:

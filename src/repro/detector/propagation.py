@@ -149,7 +149,7 @@ def _crossings(
     and ``(4, n)`` rows ``x, y, z, t``, grouped by particle and ordered by
     turning angle within a particle (barrel before disks on ties).
     """
-    surfaces = list(geometry.barrel) + list(geometry.endcaps)
+    surfaces = geometry.surfaces
     k = _kinematics(particles, geometry.solenoid_field_tesla)
     t = _turning_angles(k, geometry.barrel, geometry.endcaps)
     counts = np.count_nonzero(~np.isnan(t), axis=1)

@@ -270,7 +270,7 @@ class EventValidator(_Validator):
     @classmethod
     def for_geometry(cls, geometry, min_hits: int = 1) -> "EventValidator":
         """Validator whose layer-range rule knows the geometry's layers."""
-        layer_ids = [s.layer_id for s in list(geometry.barrel) + list(geometry.endcaps)]
+        layer_ids = [s.layer_id for s in geometry.surfaces]
         return cls(valid_layers=layer_ids, min_hits=min_hits)
 
     @classmethod

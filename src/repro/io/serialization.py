@@ -39,6 +39,8 @@ __all__ = [
     "atomic_savez",
     "atomic_write_bytes",
     "open_archive",
+    "pack_prefixed",
+    "unpack_prefixed",
     "clean_stale_tmp",
     "save_graphs",
     "load_graphs",
@@ -275,6 +277,18 @@ def open_archive(path: str, verify: bool = True):
                 "(the file is corrupt)"
             )
     return archive
+
+
+def pack_prefixed(out: Dict[str, np.ndarray], prefix: str, state: Mapping[str, np.ndarray]) -> None:
+    """Add ``state``'s arrays to the payload ``out`` as ``prefix/name``."""
+    for name, arr in state.items():
+        out[f"{prefix}/{name}"] = arr
+
+
+def unpack_prefixed(archive, prefix: str) -> Dict[str, np.ndarray]:
+    """The arrays :func:`pack_prefixed` stored under ``prefix``, by name."""
+    head = prefix + "/"
+    return {key[len(head):]: archive[key] for key in archive.files if key.startswith(head)}
 
 
 _FIELDS = ("edge_index", "x", "y", "edge_labels", "particle_ids")

@@ -90,42 +90,23 @@ def evaluate_tracking(
     """
     from ..detector import fit_event_tracks, pt_resolution
 
+    events = list(events)
     per_event: List[TrackingScore] = []
     truth_pt: List[float] = []
     was_matched: List[bool] = []
     residual_chunks: List[np.ndarray] = []
 
-    for event in events:
-        candidates = pipeline.reconstruct(event)
+    for event, candidates in zip(events, pipeline.reconstruct_many(events)):
         score = match_tracks(candidates, event.particle_ids, min_hits=min_hits)
         per_event.append(score)
 
         fits = fit_event_tracks(event, candidates, pipeline.geometry.solenoid_field_tesla)
         residual_chunks.append(pt_resolution(event, candidates, fits))
 
-        counts = np.bincount(event.particle_ids[event.particle_ids > 0]) if np.any(
-            event.particle_ids > 0
-        ) else np.zeros(1, dtype=np.int64)
-        reconstructable = set(np.flatnonzero(counts >= min_hits).tolist()) - {0}
-        matched = set()
-        for cand in candidates:
-            pids = event.particle_ids[np.asarray(cand, dtype=np.int64)]
-            pids = pids[pids > 0]
-            if pids.size == 0:
-                continue
-            values, c = np.unique(pids, return_counts=True)
-            best = int(values[np.argmax(c)])
-            if (
-                c.max() * 2 > len(cand)
-                and best in reconstructable
-                and c.max() * 2 > counts[best]
-            ):
-                matched.add(best)
-        pts = {p.particle_id: p.pt for p in event.particles}
-        for pid in reconstructable:
-            if pid in pts:
-                truth_pt.append(pts[pid])
-                was_matched.append(pid in matched)
+        for particle in event.particles:
+            if particle.particle_id in score.reconstructable:
+                truth_pt.append(particle.pt)
+                was_matched.append(particle.particle_id in score.matched)
 
     pt_eff = None
     if pt_edges is not None and truth_pt:

@@ -14,8 +14,8 @@ hits.  From the matching we report:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from dataclasses import dataclass, field
+from typing import FrozenSet, Sequence
 
 import numpy as np
 
@@ -26,11 +26,20 @@ __all__ = ["TrackingScore", "match_tracks"]
 class TrackingScore:
     """Summary of candidate-vs-truth matching for one event."""
 
-    num_reconstructable: int
+    #: ids of the reconstructable particles, and of those a candidate matched
+    reconstructable: FrozenSet[int] = field(repr=False)
+    matched: FrozenSet[int] = field(repr=False)
     num_candidates: int
-    num_matched: int
     num_fakes: int
     num_duplicates: int
+
+    @property
+    def num_reconstructable(self) -> int:
+        return len(self.reconstructable)
+
+    @property
+    def num_matched(self) -> int:
+        return len(self.matched)
 
     @property
     def efficiency(self) -> float:
@@ -74,8 +83,7 @@ def match_tracks(
     reconstructable = set(np.flatnonzero(pid_counts >= min_hits).tolist())
     reconstructable.discard(0)
 
-    matched_particles = set()
-    num_matched = 0
+    matched = set()
     num_fakes = 0
     num_duplicates = 0
     scored = 0
@@ -98,18 +106,17 @@ def match_tracks(
             and best in reconstructable
             and best_count * 2 > pid_counts[best]
         ):
-            if best in matched_particles:
+            if best in matched:
                 num_duplicates += 1
             else:
-                matched_particles.add(best)
-                num_matched += 1
+                matched.add(best)
         else:
             num_fakes += 1
 
     return TrackingScore(
-        num_reconstructable=len(reconstructable),
+        reconstructable=frozenset(reconstructable),
+        matched=frozenset(matched),
         num_candidates=scored,
-        num_matched=num_matched,
         num_fakes=num_fakes,
         num_duplicates=num_duplicates,
     )

@@ -47,6 +47,8 @@ from ..io.serialization import (
     CheckpointError,
     atomic_savez,
     open_archive,
+    pack_prefixed,
+    unpack_prefixed,
 )
 from ..metrics import EpochRecord, TrainingHistory
 from .config import GNNTrainConfig
@@ -238,25 +240,13 @@ def save_trainer_checkpoint(
         "meta_json": _text_entry(json.dumps(meta)),
         "config_json": _text_entry(json.dumps(dataclasses.asdict(config))),
     }
-    for name, arr in state.model_state.items():
-        payload[f"model/{name}"] = arr
-    for name, arr in state.optimizer_state.items():
-        payload[f"optim/{name}"] = arr
+    pack_prefixed(payload, "model", state.model_state)
+    pack_prefixed(payload, "optim", state.optimizer_state)
     if state.best_state is not None:
-        for name, arr in state.best_state.items():
-            payload[f"best/{name}"] = arr
+        pack_prefixed(payload, "best", state.best_state)
     atomic_savez(path, payload)
     if keep_last is not None and keep_last > 0:
         _retain_and_prune(path, state, keep_last)
-
-
-def _unpack_prefix(archive, prefix: str) -> Dict[str, np.ndarray]:
-    plen = len(prefix) + 1
-    return {
-        key[plen:]: archive[key]
-        for key in archive.files
-        if key.startswith(prefix + "/")
-    }
 
 
 def _check_config(
@@ -323,14 +313,14 @@ def load_trainer_checkpoint(
                 f"epochs; nothing to resume for an epoch budget of "
                 f"{config.epochs}"
             )
-        model_state = _unpack_prefix(archive, "model")
+        model_state = unpack_prefixed(archive, "model")
         if not model_state:
             raise CheckpointError(f"checkpoint {path!r} contains no model parameters")
-        best_state = _unpack_prefix(archive, "best") if meta.get("has_best_state") else None
+        best_state = unpack_prefixed(archive, "best") if meta.get("has_best_state") else None
         return TrainerState(
             epochs_done=int(meta["epochs_done"]),
             model_state=model_state,
-            optimizer_state=_unpack_prefix(archive, "optim"),
+            optimizer_state=unpack_prefixed(archive, "optim"),
             rng_state=meta["rng_state"],
             history=_history_from_jsonable(meta["history"]),
             governor_state=meta["governor"],

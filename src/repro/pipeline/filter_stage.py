@@ -7,7 +7,7 @@ keeping the truth-segment recall close to one.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,19 @@ from .config import PipelineConfig
 from .trainers import derive_pos_weight
 
 __all__ = ["FilterStage"]
+
+
+def score_cut(
+    graph: EventGraph, score: Callable[[EventGraph], np.ndarray], threshold: float
+) -> Tuple[EventGraph, np.ndarray, np.ndarray]:
+    """The one edge cut of the inference chain: ``(pruned, keep, scores)``
+    with ``keep = score(graph) >= threshold`` over the input edges.  A
+    graph without edges is returned as is, and ``score`` is not called."""
+    if graph.num_edges == 0:
+        return graph, np.zeros(0, dtype=bool), np.zeros(0)
+    scores = score(graph)
+    keep = scores >= threshold
+    return graph.edge_mask_subgraph(keep), keep, scores
 
 
 class FilterStage:
@@ -97,11 +110,7 @@ class FilterStage:
         return list(per_event(self._prune_one, graphs))
 
     def _prune_one(self, g: EventGraph) -> Tuple[EventGraph, np.ndarray, np.ndarray]:
-        if g.num_edges == 0:
-            return g, np.zeros(0, dtype=bool), np.zeros(0)
-        scores = self.net.predict_proba(g)
-        keep = scores >= self.config.filter_threshold
-        return g.edge_mask_subgraph(keep), keep, scores
+        return score_cut(g, self.net.predict_proba, self.config.filter_threshold)
 
     def segment_recall(self, graph: EventGraph, keep: np.ndarray) -> float:
         """Fraction of true edges surviving the filter."""

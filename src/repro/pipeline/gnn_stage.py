@@ -14,6 +14,7 @@ import numpy as np
 
 from ..graph import EventGraph
 from .config import PipelineConfig
+from .filter_stage import score_cut
 from .trainers import GNNTrainResult, train_gnn
 
 __all__ = ["GNNStage"]
@@ -53,8 +54,4 @@ class GNNStage:
         pre-threshold edge probabilities are over the input edges (the
         same triple :meth:`FilterStage.prune_many` yields per graph).
         """
-        if graph.num_edges == 0:
-            return graph, np.zeros(0, dtype=bool), np.zeros(0)
-        scores = self.model.predict_proba(graph)
-        keep = scores >= self.config.gnn.threshold
-        return graph.edge_mask_subgraph(keep), keep, scores
+        return score_cut(graph, self.model.predict_proba, self.config.gnn.threshold)

@@ -24,7 +24,13 @@ from typing import Dict
 import numpy as np
 
 from ..detector.geometry import DetectorGeometry
-from ..io.serialization import CheckpointError, atomic_savez, open_archive
+from ..io.serialization import (
+    CheckpointError,
+    atomic_savez,
+    open_archive,
+    pack_prefixed,
+    unpack_prefixed,
+)
 from .config import GNNTrainConfig, PipelineConfig
 from .embedding_stage import EmbeddingStage
 from .filter_stage import FilterStage
@@ -49,24 +55,10 @@ def _config_from_json(text: str) -> PipelineConfig:
     return PipelineConfig(gnn=gnn, **payload)
 
 
-def _pack(prefix: str, state: Dict[str, np.ndarray], out: Dict[str, np.ndarray]) -> None:
-    for name, arr in state.items():
-        out[f"{prefix}/{name}"] = arr
-
-
-def _unpack(prefix: str, archive) -> Dict[str, np.ndarray]:
-    plen = len(prefix) + 1
-    return {
-        key[plen:]: archive[key]
-        for key in archive.files
-        if key.startswith(prefix + "/")
-    }
-
-
 def _load_stage_state(net, prefix: str, archive, path: str) -> None:
     """Load one stage's weights, naming the archive on any mismatch."""
     try:
-        net.load_state_dict(_unpack(prefix, archive))
+        net.load_state_dict(unpack_prefixed(archive, prefix))
         net.eval()
     except (KeyError, ValueError) as exc:
         raise CheckpointError(
@@ -99,9 +91,9 @@ def save_pipeline(pipeline: ExaTrkXPipeline, path: str) -> None:
             _config_to_json(pipeline.config).encode("utf-8"), dtype=np.uint8
         )
     }
-    _pack("embedding", pipeline.embedding.net.state_dict(), payload)
-    _pack("filter", pipeline.filter.net.state_dict(), payload)
-    _pack("gnn", pipeline.gnn.model.state_dict(), payload)
+    pack_prefixed(payload, "embedding", pipeline.embedding.net.state_dict())
+    pack_prefixed(payload, "filter", pipeline.filter.net.state_dict())
+    pack_prefixed(payload, "gnn", pipeline.gnn.model.state_dict())
     # widths needed to rebuild the networks
     payload["meta"] = np.array(
         [

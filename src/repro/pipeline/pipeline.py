@@ -28,7 +28,7 @@ from ..obs import get_tracer
 from ._per_event import per_event
 from .config import PipelineConfig
 from .embedding_stage import EmbeddingStage
-from .filter_stage import FilterStage
+from .filter_stage import FilterStage, score_cut
 from .gnn_stage import GNNStage
 from .graph_construction import GraphConstructionStage
 from .track_building import build_tracks, build_tracks_walkthrough
@@ -292,7 +292,7 @@ class ExaTrkXPipeline:
                     graph, scores, min_hits=min_hits, min_score=min_score
                 )
             if pruned is None:
-                pruned = graph.edge_mask_subgraph(scores >= min_score)
+                pruned = score_cut(graph, lambda _: scores, min_score)[0]
             return build_tracks(pruned, min_hits=min_hits)
 
     def reconstruct_many(self, events: Sequence[Event]) -> List[List[np.ndarray]]:

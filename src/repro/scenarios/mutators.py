@@ -45,6 +45,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..detector import Event, merge_events
+from ..detector.events import _noise_hit
 
 __all__ = [
     "MutatorSpec",
@@ -85,29 +86,6 @@ class MutatorSpec:
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-def _surfaces(geometry) -> list:
-    return list(geometry.barrel) + list(geometry.endcaps)
-
-
-def _noise_hit(geometry, rng: np.random.Generator) -> Tuple[float, float, float, int]:
-    """Uniform fake hit on a random detector surface (mirrors
-    :meth:`repro.detector.EventSimulator._noise_hit`)."""
-    surfaces = _surfaces(geometry)
-    surf = surfaces[int(rng.integers(len(surfaces)))]
-    if hasattr(surf, "radius"):  # barrel layer
-        phi = rng.uniform(-np.pi, np.pi)
-        z = rng.uniform(-surf.half_length, surf.half_length)
-        return (
-            float(surf.radius * np.cos(phi)),
-            float(surf.radius * np.sin(phi)),
-            float(z),
-            surf.layer_id,
-        )
-    phi = rng.uniform(-np.pi, np.pi)
-    r = np.sqrt(rng.uniform(surf.r_inner**2, surf.r_outer**2))
-    return float(r * np.cos(phi)), float(r * np.sin(phi)), float(surf.z), surf.layer_id
-
-
 def _append_hits(
     event: Event,
     positions: np.ndarray,
@@ -167,7 +145,7 @@ def _build_noise_burst(mean_hits: float = 20.0) -> Mutator:
             if k == 0:
                 out.append(ev)
                 continue
-            hits = [_noise_hit(geometry, rng) for _ in range(k)]
+            hits = [_noise_hit(geometry.surfaces, rng) for _ in range(k)]
             pos = np.array([(x, y, z) for x, y, z, _ in hits], dtype=np.float64)
             layers = np.array([l for _, _, _, l in hits], dtype=np.int64)
             out.append(

@@ -8,6 +8,7 @@ import pytest
 from repro.faults import flip_bit, truncate_file
 from repro.graph import random_graph
 from repro.io import clean_stale_tmp
+from repro.obs import RunTelemetry, use_telemetry
 from repro.pipeline import (
     CheckpointCorruptError,
     CheckpointError,
@@ -85,10 +86,13 @@ class TestFallbackResume:
         config = _config(tmp_path)
         train_gnn(graphs, graphs[:1], config)
         flip_bit(config.checkpoint_path, byte_offset=256)
-        resumed = train_gnn(
-            graphs, graphs[:1],
-            config.replace(epochs=4, resume_from=config.checkpoint_path),
-        )
+        telemetry = RunTelemetry()
+        with use_telemetry(telemetry):
+            resumed = train_gnn(
+                graphs, graphs[:1],
+                config.replace(epochs=4, resume_from=config.checkpoint_path),
+            )
+        assert telemetry.metrics.to_dict()["counters"]["guard.resume.fallback"] == 1
         assert resumed.resume_fallback_path is not None
         assert resumed.resume_fallback_path != config.checkpoint_path
         assert resumed.resumed_epoch is not None

@@ -7,6 +7,7 @@ import pytest
 
 from repro.faults import FaultPlan, NumericFault
 from repro.graph import random_graph
+from repro.obs import RunTelemetry, use_telemetry
 from repro.guard import (
     DivergenceError,
     StabilityWatchdog,
@@ -95,11 +96,14 @@ def train_graphs():
 class TestWatchdogRollback:
     def test_nan_loss_rolls_back_and_recovers(self, tmp_path, train_graphs):
         plan = FaultPlan(numeric_faults=[NumericFault(at_step=20, target="loss")])
-        result = train_gnn(
-            train_graphs, train_graphs[:1], _faulted_config(tmp_path, "a"),
-            fault_plan=plan,
-        )
+        telemetry = RunTelemetry()
+        with use_telemetry(telemetry):
+            result = train_gnn(
+                train_graphs, train_graphs[:1], _faulted_config(tmp_path, "a"),
+                fault_plan=plan,
+            )
         assert result.watchdog_rollbacks == 1
+        assert telemetry.metrics.to_dict()["counters"]["guard.watchdog.rollbacks"] == 1
         losses = [r.train_loss for r in result.history.records]
         assert losses and all(np.isfinite(losses))
 

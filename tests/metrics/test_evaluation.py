@@ -60,3 +60,32 @@ class TestEvaluateTracking:
     def test_disable_pt_binning(self, fitted, small_events):
         ev = evaluate_tracking(fitted, small_events[4:5], pt_edges=None)
         assert ev.pt_efficiency is None
+
+
+class _OneCandidate:
+    """A pipeline stub whose only candidate is ``candidate`` on every event."""
+
+    def __init__(self, geometry, candidate):
+        self.geometry, self.candidate = geometry, candidate
+
+    def reconstruct_many(self, events):
+        return [[self.candidate] for _ in events]
+
+
+def test_short_candidate_is_unmatched_in_the_pt_curve_too(geometry, small_events):
+    """A candidate below ``min_hits`` is never scored, so it matches its
+    particle neither in ``efficiency`` nor in ``pt_efficiency``."""
+    event = small_events[0]
+    counts = np.bincount(event.particle_ids[event.particle_ids > 0])
+    pid = int(np.argmax(counts))
+    hits = np.flatnonzero(event.particle_ids == pid)
+    short = hits[: hits.size // 2 + 1]  # a double majority of the particle
+    min_hits = short.size + 1  # ... one hit short of being scored
+    assert min_hits <= hits.size  # the particle stays reconstructable
+    ev = evaluate_tracking(
+        _OneCandidate(geometry, short), [event], pt_edges=[0.0, 100.0], min_hits=min_hits
+    )
+    assert ev.per_event[0].num_candidates == 0
+    assert ev.efficiency == 0.0
+    assert int(ev.pt_efficiency.total.sum()) == ev.per_event[0].num_reconstructable > 0
+    assert int(ev.pt_efficiency.passed.sum()) == 0

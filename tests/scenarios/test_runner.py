@@ -64,6 +64,10 @@ class TestMatrix:
         assert "train_sigkill" in names  # SIGKILL chaos
         assert "store_bitflip" in names  # store corruption
         assert len(names) >= 6
+        assert matrix.get("hostile_mix_quarantine").floors.min_quarantined >= 1
+        assert matrix.get("breaker_recovery").floors.require_breaker_recovery
+        assert matrix.get("train_sigkill").train_chaos["kind"] == "sigkill"
+        assert matrix.get("store_bitflip").floors.require_store_corrupt_detected
 
     def test_full_matrix_extends_smoke(self):
         assert set(smoke_matrix().names()) < set(get_matrix("full").names())

@@ -84,6 +84,7 @@ class TestRunLoadgen:
         assert report.shed == 0
         assert report.completed == 10
         assert report.degraded == 0
+        assert report.queue_wait_p50_ms == 0.0  # an idle engine dispatches at once
 
     def test_tight_budget_degrades(self, serve_pipeline, serve_events):
         report = run_loadgen(

@@ -126,3 +126,27 @@ class TestTrainingParity:
         assert [r.train_loss for r in sync.history.records] == [
             r.train_loss for r in threaded.history.records
         ]
+
+    def test_sampled_steps_bit_identical_to_in_ram(self, sharded_store):
+        """One plan over mmap handles and one over RAM copies sample the
+        same batches, array for array, while the LRU evicts."""
+        from repro.data import EpochPlan, sample_step
+        from repro.sampling import BulkShadowSampler
+
+        sampler = BulkShadowSampler(depth=2, fanout=4)
+        with EventStore(sharded_store, budget_bytes=24 * 1024) as store:
+            plans = [
+                EpochPlan.build(gs, batch_size=16, k=2, rng=np.random.default_rng(0))
+                for gs in (store.handles(), store.load_split(None))
+            ]
+            assert len(plans[0]) == len(plans[1]) > 0
+            for streamed, resident in zip(plans[0].steps, plans[1].steps):
+                for sb, rb in zip(
+                    sample_step(sampler, streamed, ranks=(0,))[0],
+                    sample_step(sampler, resident, ranks=(0,))[0],
+                ):
+                    for field in ("node_parent", "edge_parent", "component_ids", "roots"):
+                        assert np.array_equal(getattr(sb, field), getattr(rb, field))
+                    for field in ("edge_index", "x", "y"):
+                        assert np.array_equal(getattr(sb.graph, field), getattr(rb.graph, field))
+            assert store.stats.unmaps > 0

@@ -7,8 +7,11 @@ by the simulator and by the proc workers alike; the LayerNorm arithmetic
 is spelled once in ``tensor/ops.py``; bulk ShaDow extraction has one path
 and no work estimate choosing between several; the
 ``sampler.sample_bulk`` span is opened in one place; one batched
-solver computes every helix-surface crossing; and every per-event loop of
-the inference traversal is one order-preserving map.
+solver computes every helix-surface crossing; every per-event loop of
+the inference traversal is one order-preserving map; one function draws a
+noise hit (simulator and scenario mutators alike); one helper pair writes
+and reads ``prefix/name`` archive entries; and one helper cuts edges at a
+score threshold.
 """
 
 import ast
@@ -108,3 +111,25 @@ def test_per_event_loops_go_through_one_map():
         assert "per_event" in _calls_in(package, module, qualname), qualname
     assert _count("pipeline", "def per_event(") == {"_per_event.py": 1}
     assert _count("pipeline", "ThreadPoolExecutor(") == {"_per_event.py": 1}
+
+
+def test_one_noise_hit_and_one_surface_list():
+    assert _count("detector", "def _noise_hit(") == {"events.py": 1}
+    assert _count("scenarios", "def _noise_hit(") == {}
+    assert _count("scenarios", "rng.uniform(") == {}
+    for package in ("detector", "guard", "scenarios"):
+        assert _count(package, "barrel) + list(") == {}, package
+
+
+def test_archive_prefixes_have_one_helper_pair():
+    assert _count("io", "def pack_prefixed(") == {"serialization.py": 1}
+    assert _count("io", "def unpack_prefixed(") == {"serialization.py": 1}
+    for needle in ("/{name}", 'startswith(prefix + "/")', "def _pack", "def _unpack"):
+        assert _count("pipeline", needle) == {}, needle
+
+
+def test_one_edge_cut():
+    assert _count("pipeline", "def score_cut(") == {"filter_stage.py": 1}
+    assert _count("pipeline", "edge_mask_subgraph(") == {"filter_stage.py": 1}
+    for needle in (">= self.config.filter_threshold", ">= self.config.gnn", ">= min_score"):
+        assert _count("pipeline", needle) == {}, needle

@@ -12,10 +12,7 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SUITES = [
-    "telemetry", "prefetch", "serve", "guard", "elastic",
-    "obs", "kernels", "store", "scenarios",
-]
+SUITES = ["elastic", "obs", "kernels", "store", "scenarios"]
 
 #: ``benchmarks/bench_<name>.py``: Table I, Figures 3–4, the §III-C/§III-D
 #: claims, the §I pileup and §III-B memory-skip claims, and serving (whose
