@@ -250,9 +250,10 @@ def kernels_suite(argv) -> None:
     perf-regression gate against the checked-in baseline (locks in the
     fused epoch-time win)."""
     parser = argparse.ArgumentParser(prog="validate.py kernels")
-    # Defaults mirror the Fig-3 bulk-ShaDow batch shapes (hidden 32 with
-    # the residual concat: e = f = 64), where the old path paid the most
-    # for gathers, concats, and np.add.at dispatch.  At module scale
+    # Defaults mirror the Fig-3 bulk-ShaDow batch shapes (hidden 32: the
+    # edge input is the residual pair (Yˡ, Y⁰), two (m, 32) halves, the
+    # vertex input the concat [Xˡ X⁰], f = 64), where the old path paid
+    # the most for gathers, concats, and np.add.at dispatch.  At module scale
     # (m ~ 10^5) the GEMMs dominate and the ratio shrinks toward 1.
     parser.add_argument("--edges", type=int, default=6_000)
     parser.add_argument("--nodes", type=int, default=1_500)
@@ -272,9 +273,14 @@ def kernels_suite(argv) -> None:
 
 
 def _edge_case(rng, m, n, e=64, f=64, h=32, dtype=np.float64):
+    """``(y, x, rows, cols, w1, w2)``; ``y`` is the residual pair: two
+    ``(m, e/2)`` halves, the call shape the IGNN hands the fused op."""
     from repro.tensor import Tensor
 
-    y = Tensor(rng.normal(size=(m, e)).astype(dtype), requires_grad=True)
+    y = tuple(
+        Tensor(np.ascontiguousarray(half), requires_grad=True)
+        for half in np.hsplit(rng.normal(size=(m, e)).astype(dtype), 2)
+    )
     x = Tensor(rng.normal(size=(n, f)).astype(dtype), requires_grad=True)
     rows = rng.integers(0, n, size=m)
     cols = rng.integers(0, n, size=m)
@@ -285,7 +291,7 @@ def _edge_case(rng, m, n, e=64, f=64, h=32, dtype=np.float64):
 
 def _params(tensors):
     y, x, _, _, w1, w2 = tensors
-    return y, x, w1, w2
+    return y + (x, w1, w2)
 
 
 def _fused_pass(y, x, rows, cols, w1, w2):
@@ -301,7 +307,8 @@ def _legacy_pass(y, x, rows, cols, w1, w2):
     """The pre-fusion message path, hand-rolled: fancy-index gathers, a
     materialised concat, ``np.add.at`` scatters, fresh temporaries for
     every intermediate — forward *and* backward (grad of sum())."""
-    yd, xd, W1, W2 = y.data, x.data, w1.data, w2.data
+    yd = np.concatenate([half.data for half in y], axis=1)
+    xd, W1, W2 = x.data, w1.data, w2.data
     e, f, h = yd.shape[1], xd.shape[1], W1.shape[1]
     n = xd.shape[0]
     # forward
@@ -322,11 +329,11 @@ def _legacy_pass(y, x, rows, cols, w1, w2):
     g_msg *= pre > 0
     g_cat = g_msg @ W1.T
     g_w1 = cat.T @ g_msg
-    g_y = g_cat[:, :e]
+    g_y = np.hsplit(g_cat[:, :e], len(y))
     g_x = np.array(g_agg[:, 2 * h :])
     np.add.at(g_x, rows, g_cat[:, e : e + f])
     np.add.at(g_x, cols, g_cat[:, e + f :])
-    return out, (g_y, g_x, g_w1, g_w2)
+    return out, (*g_y, g_x, g_w1, g_w2)
 
 
 def _check_speedup(rng, m: int, n: int, repeats: int) -> None:

@@ -7,6 +7,10 @@ events with large edge counts exceed GPU memory and the original
 Exa.TrkX pipeline *skips* them.  This module computes that footprint
 analytically so the full-graph trainer can make the same skip decision,
 and so the `abl-skip` bench can sweep device capacities.
+
+The terms price the *unfused* tape (an ``m × 6f`` message input per
+layer; the fused path builds neither it nor the ``(m, 2f)`` residual
+``[Yˡ Y⁰]``).  They stay: they decide the full-graph skip and the rescue.
 """
 
 from __future__ import annotations

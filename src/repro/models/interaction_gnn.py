@@ -11,7 +11,9 @@ Faithful to Algorithm 1:
 * node/edge encoders first lift raw features to the hidden width
   (``X⁰ ← φ(X)``, ``Y⁰ ← φ(Y)``);
 * every layer concatenates the current state with the layer-0 encoding
-  (the residual concatenation ``X' ← [Xˡ X⁰]``, ``Y' ← [Yˡ Y⁰]``);
+  (the residual concatenation ``X' ← [Xˡ X⁰]``, ``Y' ← [Yˡ Y⁰]``; the
+  fused path hands the message op the pair ``(Yˡ, Y⁰)`` instead of
+  building the ``(m, 2h)`` copy);
 * the message step is ``Yˡ⁺¹ ← φ([Y'  X'[A.rows]  X'[A.cols]])``;
 * aggregation is two segment sums, over sources and destinations
   (``M_src ← REDUCTION(Y, A.rows, +)``, ``M_dst ← REDUCTION(Y, A.cols, +)``);
@@ -86,7 +88,7 @@ class _IGNNLayer(Module):
     def __init__(self, config: IGNNConfig, rng) -> None:
         super().__init__()
         self.fused = config.fused
-        # Inputs: Y' (2h) ++ X'[rows] (2h) ++ X'[cols] (2h)
+        # Inputs: Y' (2h = Yˡ ++ Y⁰) ++ X'[rows] (2h) ++ X'[cols] (2h)
         self.edge_mlp = _mlp(config, 6 * config.hidden, rng)
         self._build_update(config, rng)
 
@@ -99,19 +101,21 @@ class _IGNNLayer(Module):
     ):
         """``(Xˡ⁺¹, Yˡ⁺¹)`` — or ``Yˡ⁺¹`` alone with ``update=False``, for
         a caller that will not read the vertex states again."""
-        x_res = ops.concat([x, x0], axis=1)  # X' ← [Xˡ X⁰]
-        y_res = ops.concat([y, y0], axis=1)  # Y' ← [Yˡ Y⁰]
+        # X' ← [Xˡ X⁰] (n rows): the one node summing MSG's and AGG's grads
+        x_res = ops.concat([x, x0], axis=1)
         if self.fused:
             # MSG: the first edge-MLP layer is fused with the endpoint
             # gathers (matmul-then-gather: n·f·h instead of m·f·h per
-            # endpoint block), then the MLP tail runs as usual.
+            # endpoint block), then the MLP tail runs as usual.  Y' is the
+            # pair (Yˡ, Y⁰), read in place: no (m, 2h) copy per block.
             y_next = self.edge_mlp.forward_tail(
                 ops.gather_concat_matmul(
-                    y_res, x_res, rows, cols, *self.edge_mlp.first_layer
+                    (y, y0), x_res, rows, cols, *self.edge_mlp.first_layer
                 )
             )
         else:
-            # Reference (unfused) path: gather → concat → matmul.
+            # Reference (unfused) path: Y' ← [Yˡ Y⁰], gather → concat → matmul.
+            y_res = ops.concat([y, y0], axis=1)
             msg_in = ops.concat(
                 [y_res, ops.gather_rows(x_res, rows), ops.gather_rows(x_res, cols)],
                 axis=1,

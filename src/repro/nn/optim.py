@@ -164,12 +164,13 @@ class Adam(Optimizer):
             m = self._m.get(id(p))
             v = self._v.get(id(p))
             if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            self._m[id(p)] = m
-            self._v[id(p)] = v
+                m = self._m[id(p)] = np.zeros_like(p.data)
+                v = self._v[id(p)] = np.zeros_like(p.data)
+            # in place: state_dict / load_state_dict copy the moments
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
             update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
             if self.weight_decay and self.decoupled:
                 update = update + self.weight_decay * p.data

@@ -18,7 +18,7 @@ Gradient formulas are checked against central finite differences in
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -507,7 +507,7 @@ def segment_mean(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tenso
 
 
 def gather_concat_matmul(
-    y: Tensor,
+    y: Union[Tensor, Sequence[Tensor]],
     x: Tensor,
     rows: np.ndarray,
     cols: np.ndarray,
@@ -530,7 +530,9 @@ def gather_concat_matmul(
     Parameters
     ----------
     y:
-        ``(m, e)`` per-edge features (``y_res`` in Algorithm 1).
+        ``(m, e)`` per-edge features (``y_res`` in Algorithm 1), or a tuple
+        of column blocks read in place of their concat (the IGNN's
+        ``(Yˡ, Y⁰)``), each against its own row block of ``W_y``, in order.
     x:
         ``(n, f)`` per-vertex features (``x_res``).
     rows, cols:
@@ -544,18 +546,23 @@ def gather_concat_matmul(
         Optional ``(gamma, beta, eps)``: the first layer's LayerNorm →
         ReLU, applied inside this node (see :func:`linear`).
     """
-    y, x, weight = astensor(y), astensor(x), astensor(weight)
+    ys = tuple(map(astensor, y)) if isinstance(y, (tuple, list)) else (astensor(y),)
+    x, weight = astensor(x), astensor(weight)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    e, f = y.shape[1], x.shape[1]
+    ends = np.cumsum([t.shape[1] for t in ys])
+    e, f = int(ends[-1]), x.shape[1]
     if weight.shape[0] != e + 2 * f:
         raise ValueError(
             f"weight rows {weight.shape[0]} != edge_dim + 2*node_dim = {e + 2 * f}"
         )
     w = weight.data
-    w_y, w_r, w_c = w[:e], w[e : e + f], w[e + f :]
+    w_ys = np.split(w[:e], ends[:-1])
+    w_r, w_c = w[e : e + f], w[e + f :]
 
-    out = y.data @ w_y
+    out = ys[0].data @ w_ys[0]
+    for t, w_t in zip(ys[1:], w_ys[1:]):
+        out += t.data @ w_t
     scratch = kernels.gather_rows_out(x.data @ w_r, rows)
     out += scratch
     out += kernels.gather_rows_out(x.data @ w_c, cols, out=scratch)
@@ -568,15 +575,16 @@ def gather_concat_matmul(
         g_r = kernels.scatter_add_rows(grad, rows, n)
         g_c = kernels.scatter_add_rows(grad, cols, n)
         g_w = np.empty_like(w)
-        g_w[:e] = y.data.T @ grad
+        for t, g_t in zip(ys, np.split(g_w[:e], ends[:-1])):
+            g_t[...] = t.data.T @ grad
         g_w[e : e + f] = x.data.T @ g_r
         g_w[e + f :] = x.data.T @ g_c
-        g_y = grad @ w_y.T
+        g_ys = tuple(grad @ w_t.T for w_t in w_ys)
         g_x = g_r @ w_r.T
         g_x += g_c @ w_c.T
-        return (g_y, g_x, g_w) + g_tail
+        return g_ys + (g_x, g_w) + g_tail
 
-    return Tensor.from_op(out, (y, x, weight) + tail, backward, op="gather_concat_matmul")
+    return Tensor.from_op(out, ys + (x, weight) + tail, backward, op="gather_concat_matmul")
 
 
 def scatter_mlp_input(

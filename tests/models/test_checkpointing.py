@@ -61,7 +61,15 @@ class TestExactness:
         """On the fused path no tensor has more than two gradient
         contributions, so the recomputation adds the same numbers in the
         same order: equal bits, not merely equal to tolerance."""
-        m1, m2 = make_pair(num_layers=3)
+        self.assert_bit_identical(graph, num_layers=3)
+
+    def test_gradients_bit_identical_to_plain_backprop_at_8_layers(self, graph):
+        """The paper's depth: ``Y⁰`` feeds every block's message op."""
+        self.assert_bit_identical(graph, num_layers=8)
+
+    @staticmethod
+    def assert_bit_identical(graph, num_layers):
+        m1, m2 = make_pair(num_layers=num_layers)
         loss_fn = BCEWithLogitsLoss(pos_weight=2.0)
         labels = graph.edge_labels.astype(np.float32)
         plain = loss_fn(m1(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols), labels)
@@ -69,7 +77,7 @@ class TestExactness:
         ck = loss_fn(m2(graph.x, graph.y, graph.rows, graph.cols, recompute=True), labels)
         ck.backward()
         assert ck.item() == plain.item()
-        dead = "layer2.node_mlp"  # X^L is never read: neither path runs it
+        dead = f"layer{num_layers - 1}.node_mlp"  # X^L is never read: neither path runs it
         for (name, p1), (_, p2) in zip(m1.named_parameters(), m2.named_parameters()):
             if name.startswith(dead):
                 assert p1.grad is None and p2.grad is None, name

@@ -71,7 +71,8 @@ class TestForwardParity:
 class TestTapeSize:
     def test_ex3_shaped_step_is_about_300_nodes(self, graph, tape_ops):
         """8 blocks x 2-layer MLPs: one node per MLP layer (the graph ops
-        carry their layer's LayerNorm → ReLU), two concats per block, and
+        carry their layer's LayerNorm → ReLU), one concat per block (the
+        vertex-side ``[Xˡ X⁰]``; the edge side hands the op the pair), and
         no vertex update in the last block."""
         model = InteractionGNN(IGNNConfig(
             node_features=6, edge_features=2, hidden=8, num_layers=8, mlp_layers=2,
@@ -83,11 +84,82 @@ class TestTapeSize:
         assert "layer_norm" not in ops_seen and "relu" not in ops_seen
         assert ops_seen.count("gather_concat_matmul") == 8
         assert ops_seen.count("scatter_mlp_input") == 7
-        assert len(ops_seen) <= 60  # 124 with three nodes per MLP layer
+        assert ops_seen.count("concat") == 8
+        assert len(ops_seen) <= 46  # 124 with three nodes per MLP layer
         assert tensors <= 320  # every tensor reachable, parameters included
         loss.backward()
         dead = [n for n, p in model.named_parameters() if p.grad is None]
         assert dead and all(n.startswith("layer7.node_mlp.") for n in dead)
+
+    @staticmethod
+    def reachable_shapes(root):
+        """Shapes of every array the tape keeps alive from ``root``: each
+        tensor's data and every array a backward closure captures (through
+        nested closures, tuples and lists)."""
+        seen, shapes, stack = set(), set(), [root]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                shapes.add(obj.shape)
+            elif isinstance(obj, Tensor):
+                stack.append(obj.data)
+                stack.extend(obj._parents)
+                stack.append(obj._backward)
+            elif isinstance(obj, (tuple, list)):
+                stack.extend(obj)
+            elif callable(obj):
+                for cell in getattr(obj, "__closure__", None) or ():
+                    try:
+                        stack.append(cell.cell_contents)
+                    except ValueError:  # a name bound later, or never
+                        pass
+        return shapes
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_no_edge_residual_copy_on_the_fused_path(self, graph, fused):
+        """The fused tape holds no ``(m, 2h)`` array: ``[Yˡ Y⁰]`` is read
+        in place.  The unfused reference still builds it (the walk finds it)."""
+        hidden = 64
+        model = InteractionGNN(IGNNConfig(
+            node_features=6, edge_features=2, hidden=hidden, num_layers=8,
+            mlp_layers=2, fused=fused,
+        ))
+        logits = model(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
+        loss = BCEWithLogitsLoss()(logits, graph.edge_labels.astype(np.float32))
+        shapes = self.reachable_shapes(loss)
+        assert graph.num_edges != graph.num_nodes
+        assert (graph.num_nodes, 2 * hidden) in shapes  # X' = [Xˡ X⁰] stays
+        assert ((graph.num_edges, 2 * hidden) in shapes) == (not fused)
+
+
+class TestFloat64Parity:
+    def test_eight_layer_network_fused_vs_unfused(self, graph):
+        """The kernel gate: in float64 the fused network is the unfused
+        reference to 1e-11, logits and every parameter gradient."""
+        fused, plain = make_pair(num_layers=8, hidden=16)
+        labels = graph.edge_labels.astype(np.float64)
+        results = []
+        for model in (fused, plain):
+            model.astype(np.float64)
+            logits = model(
+                Tensor(graph.x.astype(np.float64)), Tensor(graph.y.astype(np.float64)),
+                graph.rows, graph.cols,
+            )
+            BCEWithLogitsLoss(pos_weight=2.0)(logits, labels).backward()
+            grads = {n: p.grad for n, p in model.named_parameters()}
+            results.append((logits.data, grads))
+        (lf, gf), (lp, gp) = results
+        np.testing.assert_allclose(lf, lp, rtol=1e-11, atol=1e-11)
+        assert gf.keys() == gp.keys()
+        for name in gf:
+            if gf[name] is None:
+                assert gp[name] is None and name.startswith("layer7.node_mlp."), name
+                continue
+            np.testing.assert_allclose(gf[name], gp[name], rtol=1e-11, atol=1e-11,
+                                       err_msg=name)
 
 
 class TestTrainingParity:

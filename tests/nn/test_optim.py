@@ -169,6 +169,25 @@ class TestOptimizerStateDict:
             opt.step()
         np.testing.assert_array_equal(pb.data, pc.data)
 
+    def test_adam_step_leaves_the_loaded_state_unchanged(self):
+        """The moments update in place, so loading must copy: a step after
+        ``load_state_dict(state)`` does not write into ``state``."""
+        rng = np.random.default_rng(5)
+        p = Parameter(rng.standard_normal(4).astype(np.float32))
+        src = Adam([p], lr=1e-2)
+        p.grad = rng.standard_normal(4).astype(np.float32)
+        src.step()
+        state = src.state_dict()
+        before = {k: np.array(v, copy=True) for k, v in state.items()}
+        q = Parameter(p.data.copy())
+        opt = Adam([q], lr=1e-2)
+        opt.load_state_dict(state)
+        q.grad = rng.standard_normal(4).astype(np.float32)
+        opt.step()
+        assert state.keys() == before.keys()
+        for key, value in before.items():
+            np.testing.assert_array_equal(state[key], value, err_msg=key)
+
     def test_adam_state_dict_contents(self):
         p = make_param(1.0, 0.5)
         opt = Adam([p], lr=1e-3)

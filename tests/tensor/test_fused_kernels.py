@@ -556,6 +556,51 @@ class TestGatherConcatMatmul:
         with pytest.raises(ValueError):
             ops.gather_concat_matmul(y, x, rows, cols, bad_w, b)
 
+    def test_split_pair_matches_concat_float64(self, rng):
+        """``y = (Yˡ, Y⁰)`` against ``concat → op`` with the same weight:
+        the forward and every gradient, LayerNorm → ReLU included."""
+        ya, yb, x = t64(rng, 25, 4), t64(rng, 25, 4), t64(rng, 7, 3)
+        rows, cols = rng.integers(0, 7, size=25), rng.integers(0, 7, size=25)
+        w, b, gamma, beta = t64(rng, 14, 6), t64(rng, 6), t64(rng, 6), t64(rng, 6)
+        seed = rng.normal(size=(25, 6))
+        params = (ya, yb, x, w, b, gamma, beta)
+        results = []
+        for y in ((ya, yb), ops.concat([ya, yb], axis=1)):
+            for p in params:
+                p.grad = None
+            out = ops.gather_concat_matmul(y, x, rows, cols, w, b, (gamma, beta, 1e-5))
+            ops.sum(ops.mul(out, seed)).backward()
+            results.append([out.data] + [p.grad for p in params])
+        for split, cat in zip(*results):
+            np.testing.assert_allclose(split, cat, rtol=1e-11, atol=1e-11)
+
+    def test_single_tensor_form_bits(self, rng):
+        """One ``y`` keeps the original arithmetic bit for bit:
+        ``y@W_y + gather(x@W_r) + gather(x@W_c)`` and its gradients."""
+        m, n, e, f, h = 40, 9, 6, 5, 7
+        y, x, w = (
+            Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+            for s in ((m, e), (n, f), (e + 2 * f, h))
+        )
+        rows, cols = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+        seed = rng.normal(size=(m, h)).astype(np.float32)
+        out = ops.gather_concat_matmul(y, x, rows, cols, w)
+        out.backward(seed)
+        w_y, w_r, w_c = w.data[:e], w.data[e : e + f], w.data[e + f :]
+        ref = y.data @ w_y
+        ref += np.take(x.data @ w_r, rows, axis=0)
+        ref += np.take(x.data @ w_c, cols, axis=0)
+        np.testing.assert_array_equal(out.data, ref)
+        g_r = kernels.scatter_add_rows(seed, rows, n)
+        g_c = kernels.scatter_add_rows(seed, cols, n)
+        g_x = g_r @ w_r.T
+        g_x += g_c @ w_c.T
+        np.testing.assert_array_equal(y.grad, seed @ w_y.T)
+        np.testing.assert_array_equal(x.grad, g_x)
+        np.testing.assert_array_equal(
+            w.grad, np.concatenate([y.data.T @ seed, x.data.T @ g_r, x.data.T @ g_c])
+        )
+
     def test_row_stable_mode_deterministic(self, rng):
         """Same arrays, same shape → same bits: what per-event inference
         parity rests on now that no kernel is swapped in for it."""
