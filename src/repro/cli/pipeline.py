@@ -228,12 +228,16 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
+def _serve_shell(args, setup, serve_cfg, body, clock=None) -> int:
+    """The command shell ``serve`` and ``loadgen`` share: telemetry, the
+    ``/health`` exporter, the fitted pipeline, the served-event slice and
+    the hydration store around an engine that ``body(engine, events)``
+    drives.  The engine's with-block drains in-flight requests on any exit
+    path (ctrl-C included, → 130), and the store is closed on every one."""
     from ..obs import use_telemetry
     from ..serve import InferenceEngine
 
-    geometry, events, n_train, config = _setup(args)
-    serve_cfg = build_config(args, SERVE)
+    geometry, events, n_train, config = setup
     telemetry = make_telemetry(args, config=config, seed=args.seed)
     engine_ref = {}
     exporter = start_exporter(
@@ -245,46 +249,16 @@ def cmd_serve(args) -> int:
             if pipe is None:
                 return 2
             test_events = events[n_train + 1 :] or events[-1:]
-            stream = [e for _ in range(args.repeat) for e in test_events]
             store = _open_serve_store(args, pipe, test_events)
-            # The with-block drains in-flight requests on any exit path
-            # (including SIGTERM/ctrl-C), so no request is left hanging.
-            with InferenceEngine(pipe, serve_cfg, store=store) as engine:
-                engine_ref["engine"] = engine
-                requests = engine.process(stream)
-            if store is not None:
-                store.close()
-            done = [r for r in requests if r.status == "done"]
-            for r in done:
-                flags = "".join(
-                    [" cache-hit" if r.cache_hit else "", " DEGRADED" if r.degraded else ""]
-                )
-                print(
-                    f"event {r.event.event_id}: {len(r.tracks)} tracks  "
-                    f"({r.latency_ms:.2f} ms{flags})"
-                )
-            stats = engine.stats
-            print(
-                f"\nserved {stats.completed}/{stats.submitted} requests in "
-                f"{stats.batches} batches  (shed {stats.shed}, degraded "
-                f"{stats.degraded}, cache {stats.cache_hits} hit / "
-                f"{stats.cache_misses} miss)"
-            )
-            if stats.store_hydrated:
-                print(f"hydrated {stats.store_hydrated} event(s) from the store")
-            if stats.quarantined or stats.timed_out or stats.failed:
-                print(
-                    f"guardrails: quarantined {stats.quarantined}, "
-                    f"timed out {stats.timed_out}, failed {stats.failed}, "
-                    f"breaker-degraded {stats.breaker_degraded}"
-                )
-            if done:
-                lat = np.array([r.latency_ms for r in done])
-                print(
-                    f"latency ms: p50={np.percentile(lat, 50):.2f}  "
-                    f"p95={np.percentile(lat, 95):.2f}  "
-                    f"p99={np.percentile(lat, 99):.2f}"
-                )
+            try:
+                with InferenceEngine(
+                    pipe, serve_cfg, clock=clock, store=store
+                ) as engine:
+                    engine_ref["engine"] = engine
+                    body(engine, test_events)
+            finally:
+                if store is not None:
+                    store.close()
     except KeyboardInterrupt:
         print("\ninterrupted — engine drained, exiting", file=sys.stderr)
         flush_telemetry(telemetry, args)
@@ -295,10 +269,50 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def cmd_serve(args) -> int:
+    def body(engine, test_events) -> None:
+        requests = engine.process(
+            [e for _ in range(args.repeat) for e in test_events]
+        )
+        engine.close()  # drained: every batch is counted before the report
+        done = [r for r in requests if r.status == "done"]
+        for r in done:
+            flags = "".join(
+                [" cache-hit" if r.cache_hit else "", " DEGRADED" if r.degraded else ""]
+            )
+            print(
+                f"event {r.event.event_id}: {len(r.tracks)} tracks  "
+                f"({r.latency_ms:.2f} ms{flags})"
+            )
+        stats = engine.stats
+        print(
+            f"\nserved {stats.completed}/{stats.submitted} requests in "
+            f"{stats.batches} batches  (shed {stats.shed}, degraded "
+            f"{stats.degraded}, cache {stats.cache_hits} hit / "
+            f"{stats.cache_misses} miss)"
+        )
+        if stats.store_hydrated:
+            print(f"hydrated {stats.store_hydrated} event(s) from the store")
+        if stats.quarantined or stats.timed_out or stats.failed:
+            print(
+                f"guardrails: quarantined {stats.quarantined}, "
+                f"timed out {stats.timed_out}, failed {stats.failed}, "
+                f"breaker-degraded {stats.breaker_degraded}"
+            )
+        if done:
+            lat = np.array([r.latency_ms for r in done])
+            print(
+                f"latency ms: p50={np.percentile(lat, 50):.2f}  "
+                f"p95={np.percentile(lat, 95):.2f}  "
+                f"p99={np.percentile(lat, 99):.2f}"
+            )
+
+    return _serve_shell(args, _setup(args), build_config(args, SERVE), body)
+
+
 def cmd_loadgen(args) -> int:
     from ..faults import SimClock
-    from ..obs import use_telemetry
-    from ..serve import InferenceEngine, run_loadgen
+    from ..serve import run_loadgen
 
     geometry, events, n_train, config = _setup(args)
     if args.scenario:
@@ -321,41 +335,16 @@ def cmd_loadgen(args) -> int:
         )
     serve_cfg = build_config(args, LOADGEN_ENGINE)
     load_cfg = build_config(args, LOADGEN, seed=args.seed)
-    telemetry = make_telemetry(args, config=config, seed=args.seed)
-    engine_ref = {}
-    exporter = start_exporter(
-        telemetry, args, health_fn=lambda: _engine_health(engine_ref)
+
+    def body(engine, test_events) -> None:
+        for line in run_loadgen(engine, test_events, load_cfg).lines():
+            print(line)
+        if engine.stats.store_hydrated:
+            print(f"hydrated {engine.stats.store_hydrated} event(s) from the store")
+
+    return _serve_shell(
+        args, (geometry, events, n_train, config), serve_cfg, body, clock=SimClock()
     )
-    engine = None
-    try:
-        with use_telemetry(telemetry):
-            pipe = _obtain_pipeline(args, config, geometry, events, n_train)
-            if pipe is None:
-                return 2
-            test_events = events[n_train + 1 :] or events[-1:]
-            store = _open_serve_store(args, pipe, test_events)
-            engine = InferenceEngine(pipe, serve_cfg, clock=SimClock(), store=store)
-            engine_ref["engine"] = engine
-            report = run_loadgen(engine, test_events, load_cfg)
-            for line in report.lines():
-                print(line)
-            if engine.stats.store_hydrated:
-                print(
-                    f"hydrated {engine.stats.store_hydrated} event(s) "
-                    "from the store"
-                )
-            if store is not None:
-                store.close()
-    except KeyboardInterrupt:
-        if engine is not None:
-            engine.close()
-        print("\ninterrupted — engine drained, exiting", file=sys.stderr)
-        flush_telemetry(telemetry, args)
-        return 130
-    finally:
-        stop_exporter(exporter)
-    flush_telemetry(telemetry, args)
-    return 0
 
 
 COMMANDS = {

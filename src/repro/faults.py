@@ -41,6 +41,7 @@ Components
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TypeVar
@@ -128,7 +129,6 @@ class CommFault:
     rank: int = 0
     transient: bool = True
     times: int = 1
-    _fired: int = field(default=0, repr=False)
 
     def should_fire(self, call_index: int) -> bool:
         if self.transient:
@@ -320,8 +320,9 @@ class DiskFault:
 class FaultPlan:
     """A deterministic failure schedule shared by comm and I/O layers.
 
-    The plan keeps its own attempt counters, so the same plan object
-    must not be reused across training runs.
+    The plan keeps its own attempt counters (one per injection point,
+    advanced under one lock: concurrent callers draw distinct indices),
+    so the same plan object must not be reused across training runs.
     """
 
     comm_faults: List[CommFault] = field(default_factory=list)
@@ -330,11 +331,17 @@ class FaultPlan:
     stage_faults: List[StageFault] = field(default_factory=list)
     process_faults: List[ProcessFault] = field(default_factory=list)
     disk_faults: List[DiskFault] = field(default_factory=list)
-    _comm_calls: int = field(default=0, repr=False)
-    _io_writes: int = field(default=0, repr=False)
-    _numeric_steps: int = field(default=0, repr=False)
-    _stage_calls: Dict[str, int] = field(default_factory=dict, repr=False)
-    _disk_maps: int = field(default=0, repr=False)
+    _attempts: Dict[str, int] = field(default_factory=dict, repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def _next(self, point: str) -> int:
+        """This attempt's 0-based index at injection ``point``; advances it."""
+        with self._lock:
+            index = self._attempts.get(point, 0)
+            self._attempts[point] = index + 1
+        return index
 
     # -- collectives ---------------------------------------------------
     def before_collective(
@@ -355,8 +362,7 @@ class FaultPlan:
         exception-style ``comm_faults`` are considered.  Backends without
         one must reject plans carrying process faults at construction.
         """
-        index = self._comm_calls
-        self._comm_calls += 1
+        index = self._next("collective")
         if process_fault_executor is not None:
             for pfault in self.process_faults:
                 if pfault.should_fire(index) and pfault.rank in active_ranks:
@@ -377,8 +383,7 @@ class FaultPlan:
     # -- checkpoint I/O ------------------------------------------------
     def before_checkpoint_write(self, path: str) -> None:
         """Raise ``OSError`` if this checkpoint write is scheduled to fail."""
-        index = self._io_writes
-        self._io_writes += 1
+        index = self._next("checkpoint_write")
         for fault in self.io_faults:
             if fault.should_fire(index):
                 raise OSError(f"{fault.message} (write {index} of {path!r})")
@@ -390,8 +395,7 @@ class FaultPlan:
         Called by the trainer once per forward/backward execution; the
         first scheduled :class:`NumericFault` covering this index wins.
         """
-        index = self._numeric_steps
-        self._numeric_steps += 1
+        index = self._next("step")
         for fault in self.numeric_faults:
             if fault.should_fire(index):
                 return fault.target
@@ -405,8 +409,7 @@ class FaultPlan:
         fires; invocations skipped by an open circuit breaker never
         reach this call and therefore do not advance it.
         """
-        index = self._stage_calls.get(stage, 0)
-        self._stage_calls[stage] = index + 1
+        index = self._next(f"stage:{stage}")
         for fault in self.stage_faults:
             if fault.stage == stage and fault.should_fire(index):
                 raise StageError(
@@ -426,8 +429,7 @@ class FaultPlan:
         own integrity machinery is expected to detect the corruption and
         raise :class:`repro.store.StoreCorruptError`.
         """
-        index = self._disk_maps
-        self._disk_maps += 1
+        index = self._next("shard_map")
         for fault in self.disk_faults:
             if fault.should_fire(index):
                 fault.corrupt(path)

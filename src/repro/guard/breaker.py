@@ -27,7 +27,7 @@ The breaker is deliberately unaware of *what* it protects: callers
 report ``record_success`` / ``record_failure`` and ask ``allow()``.
 Time comes from an injectable clock (``now`` attribute, wall or
 :class:`repro.faults.SimClock`), so every transition is deterministic in
-tests.  All methods are thread-safe (the engine's worker pool shares one
+tests.  All methods are thread-safe (the engine's lane threads share one
 breaker).
 """
 

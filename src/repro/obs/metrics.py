@@ -8,7 +8,7 @@ and snapshots them to one JSON-serialisable dict.
 Thread safety
 -------------
 Instruments are updated from many threads at once: the threaded serving
-engine's worker pool, the prefetch loader's sampler threads, and each
+engine's lane threads, the prefetch loader's sampler threads, and each
 ``proc``-backend worker's heartbeat thread all write concurrently with
 the exporter thread reading (:mod:`repro.obs.exporter`).  Every
 read-modify-write therefore runs under a per-instrument lock, and the

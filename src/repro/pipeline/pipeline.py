@@ -169,9 +169,8 @@ class ExaTrkXPipeline:
                         self.config, self.geometry, self.embedding
                     )
 
-            with tracer.span("pipeline.graph_construction", category="pipeline"):
-                train_graphs = [self.construction.build(e) for e in train_events]
-                val_graphs = [self.construction.build(e) for e in val_events]
+            train_graphs = self.construct_many(train_events)
+            val_graphs = self.construct_many(val_events)
             effs = [
                 self.construction.edge_efficiency(e, g)
                 for e, g in zip(train_events, train_graphs)
@@ -181,13 +180,14 @@ class ExaTrkXPipeline:
             # Stage 3: filter
             with tracer.span("pipeline.filter", category="pipeline"):
                 self.filter.fit(train_graphs, rng)
-                pruned_train, recalls, kept = [], [], []
-                for g in train_graphs:
-                    pg, keep = self.filter.prune(g)
-                    pruned_train.append(pg)
-                    recalls.append(self.filter.segment_recall(g, keep))
-                    kept.append(keep.mean() if keep.size else 1.0)
-                pruned_val = [self.filter.prune(g)[0] for g in val_graphs]
+                pruned = self.filter.prune_many(train_graphs)
+                pruned_train = [pg for pg, _, _ in pruned]
+                recalls = [
+                    self.filter.segment_recall(g, keep)
+                    for g, (_, keep, _) in zip(train_graphs, pruned)
+                ]
+                kept = [keep.mean() if keep.size else 1.0 for _, keep, _ in pruned]
+                pruned_val = [pg for pg, _, _ in self.filter.prune_many(val_graphs)]
             self.report.filter_segment_recall = float(np.mean(recalls))
             self.report.filter_kept_fraction = float(np.mean(kept))
 

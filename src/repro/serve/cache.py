@@ -23,7 +23,7 @@ An entry (``CachedStages``) is the record
 plus, once a full-quality pass has produced them, the final tracks.
 
 The cache is a bounded LRU, safe for concurrent access from the serving
-worker pool; entries are frozen, graphs and tracks stored in them are
+engine's lanes; entries are frozen, graphs and tracks stored in them are
 treated as immutable by every consumer (pruning produces new graphs via
 ``edge_mask_subgraph``; the engine marks track arrays read-only), and an
 entry is filled by ``put``-ting its completed copy, so eviction drops

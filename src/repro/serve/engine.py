@@ -5,9 +5,9 @@ the serving-side counterpart.  An :class:`InferenceEngine` owns a fitted
 :class:`~repro.pipeline.ExaTrkXPipeline` and answers reconstruction
 requests through a bounded :class:`RequestQueue`:
 
-* a **dynamic micro-batcher** dispatches whenever a worker is idle: a
+* a **dynamic micro-batcher** dispatches whenever a lane is idle: a
   lone request leaves at once, and requests that arrive while every
-  worker is busy leave together, up to ``max_batch_events``, when one
+  lane is busy leave together, up to ``max_batch_events``, when one
   frees up.  A micro-batch shares a dispatch, in-batch dedup, the stage
   cache and admission — not compute — so no request waits for company;
 * a **keyed stage cache** (:class:`~repro.serve.cache.StageCache`)
@@ -57,9 +57,10 @@ their meaning (the upstream lookup); ``memo_hit`` / ``memo_hits`` /
 
 Time is read from an injectable clock (:class:`repro.faults.SimClock`
 compatible), so overload, shedding, and degraded-mode decisions are
-deterministic and injectable in tests; ``workers=0`` runs the engine
-synchronously (the caller pumps), ``workers>=1`` starts a background
-micro-batcher thread feeding a worker pool.
+deterministic and injectable in tests.  There is one dispatch step,
+:meth:`InferenceEngine.pump`: with ``workers=0`` the caller calls it,
+and ``workers=W>=1`` starts W lane threads that sleep on the queue's
+condition until a batch is due, then call it.
 
 Resilience (``docs/resilience.md``)
 -----------------------------------
@@ -96,7 +97,6 @@ import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -167,8 +167,8 @@ class ServeConfig:
         ``0`` — synchronous engine: the caller drives batching through
         :meth:`InferenceEngine.pump` / :meth:`~InferenceEngine.flush`
         (deterministic; what the tests and the load generator use).
-        ``>= 1`` — a background micro-batcher thread dispatches batches
-        to a pool of this many worker threads.
+        ``>= 1`` — this many lane threads, each running the same
+        :meth:`~InferenceEngine.pump` whenever a batch is due.
     latency_budget_ms:
         Per-request latency budget.  If the oldest request of a batch
         has already waited longer than this at dispatch, every request
@@ -570,17 +570,13 @@ class InferenceEngine:
         self.stats = ServeStats()
         self._stats_lock = threading.Lock()
         self._closed = False
-        self._in_flight = 0  # batches on the worker pool (under the queue lock)
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._batcher: Optional[threading.Thread] = None
-        if self.config.workers > 0:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.workers, thread_name_prefix="repro-serve"
-            )
-            self._batcher = threading.Thread(
-                target=self._batcher_loop, name="repro-serve-batcher", daemon=True
-            )
-            self._batcher.start()
+        self._in_flight = 0  # busy lanes: batches popped, not yet done (queue lock)
+        self._lanes = [
+            threading.Thread(target=self._lane, name=f"repro-serve-{i}", daemon=True)
+            for i in range(self.config.workers)
+        ]
+        for lane in self._lanes:
+            lane.start()
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "InferenceEngine":
@@ -594,24 +590,19 @@ class InferenceEngine:
         """Gracefully drain: every in-flight request reaches a terminal
         state (served, or failed with a typed error) — none ever hangs.
 
-        Queued requests are dispatched (batcher drain in threaded mode,
-        :meth:`flush` in synchronous mode), the worker pool is shut down
-        after its batches finish, and anything somehow left incomplete
-        is failed explicitly as a last resort.
+        Queued requests are dispatched (the lanes drain the queue before
+        they are joined, then :meth:`flush` takes what is left), and
+        anything somehow left incomplete is failed explicitly as a last
+        resort.
         """
         if self._closed:
             return
         self._closed = True
-        if self._batcher is not None:
-            with self.queue.not_empty:
-                self.queue.not_empty.notify_all()
-            self._batcher.join()
-            self._batcher = None
-        else:
-            self.flush()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        with self.queue.not_empty:
+            self.queue.not_empty.notify_all()
+        for lane in self._lanes:
+            lane.join()
+        self.flush()
         # backstop: a request still queued here slipped past the drain
         # (e.g. submitted concurrently with close); fail it rather than
         # leave its waiter blocked forever
@@ -695,34 +686,42 @@ class InferenceEngine:
         statement of the dispatch policy.
 
         A non-empty queue is due *now* (its oldest submit time) whenever
-        a worker is free: always for the synchronous engine, fewer
-        batches in flight than ``workers`` for the threaded one.
-        ``None`` when the queue is empty or every worker is busy, so a
-        batch only forms while the engine could not have served it.
+        a lane is free: always for the synchronous engine (the caller is
+        the lane), fewer busy lanes than ``workers`` for the threaded
+        one.  ``None`` when the queue is empty or every lane is busy, so
+        a batch only forms while the engine could not have served it.
         """
-        if self._executor is not None and self._in_flight >= self.config.workers:
+        if self._lanes and self._in_flight >= len(self._lanes):
             return None
         return self.queue.oldest_submit_time()
 
     def _pop_due(self) -> List[ServeRequest]:
         """The dispatch policy's one pop: the next batch if one is due at
-        the current clock time (see :meth:`next_due_time`), else ``[]``."""
+        the current clock time (see :meth:`next_due_time`), else ``[]``.
+        A popped batch holds a lane until :meth:`pump` finishes it."""
         with self.queue.not_empty:
             due = self.next_due_time()
             if due is None or due > self.clock.now:
                 return []
+            self._in_flight += 1
             return self.queue.pop_batch(self.config.max_batch_events)
 
-    # -- synchronous pumping (workers == 0) ----------------------------
+    # -- dispatch --------------------------------------------------------
     def pump(self) -> int:
         """Dispatch ONE batch if one is due; returns its size (0 if not).
 
-        Synchronous mode only, where the caller is the worker: whatever
-        is queued (up to ``max_batch_events``) is due.
+        The one dispatch step: the synchronous caller calls it, and so
+        does each lane thread of a threaded engine.
         """
         batch = self._pop_due()
-        if batch:
+        if not batch:
+            return 0
+        try:
             self._process_batch(batch)
+        finally:
+            with self.queue.not_empty:
+                self._in_flight -= 1
+                self.queue.not_empty.notify()
         return len(batch)
 
     def flush(self) -> int:
@@ -735,29 +734,19 @@ class InferenceEngine:
             self._process_batch(batch)
             total += len(batch)
 
-    # -- threaded micro-batcher (workers >= 1) -------------------------
-    def _batcher_loop(self) -> None:
-        assert self._executor is not None
+    def _lane(self) -> None:
+        """One of ``workers`` lane threads: sleep until a batch is due (an
+        offer, a finished batch and :meth:`close` each notify), then pump.
+        A closing engine's lanes drain the queue before they exit."""
         while True:
             with self.queue.not_empty:
-                # sleep until the policy says a batch is due; an offer, a
-                # batch completion and close() each notify.  A closing
-                # engine drains whatever is queued onto the pool's backlog
-                while not self._closed and self.next_due_time() is None:
-                    self.queue.not_empty.wait()
-                batch = self.queue.pop_batch(self.config.max_batch_events)
-                if not batch:
+                self.queue.not_empty.wait_for(
+                    lambda: self.next_due_time() is not None
+                    or (self._closed and not len(self.queue))
+                )
+                if self.next_due_time() is None:
                     return  # closed and drained
-                self._in_flight += 1
-            self._executor.submit(self._run_batch, batch)
-
-    def _run_batch(self, batch: List[ServeRequest]) -> None:
-        try:
-            self._process_batch(batch)
-        finally:
-            with self.queue.not_empty:
-                self._in_flight -= 1
-                self.queue.not_empty.notify()
+            self.pump()
 
     # -- batch execution ------------------------------------------------
     def _fail_requests(self, requests: List[ServeRequest], error: BaseException) -> None:

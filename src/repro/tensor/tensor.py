@@ -101,7 +101,7 @@ def default_dtype(dtype):
 # pipeline's inference paths run under `no_grad()` so that sampling-heavy
 # evaluation loops do not accumulate graph nodes.  The switch is a
 # per-thread nesting depth, not a process-wide boolean: the serving
-# engine's worker pool runs inference scopes concurrently, and a
+# engine's lane threads run inference scopes concurrently, and a
 # save/restore global would let out-of-order exits re-enable grad inside
 # another worker's scope or leave it disabled for the whole process.
 _GRAD_STATE = threading.local()

@@ -8,10 +8,11 @@ is spelled once in ``tensor/ops.py``; bulk ShaDow extraction has one path
 and no work estimate choosing between several; the
 ``sampler.sample_bulk`` span is opened in one place; one batched
 solver computes every helix-surface crossing; every per-event loop of
-the inference traversal is one order-preserving map; one function draws a
-noise hit (simulator and scenario mutators alike); one helper pair writes
-and reads ``prefix/name`` archive entries; and one helper cuts edges at a
-score threshold.
+the inference traversal is one order-preserving map, which ``fit``
+builds and prunes through too, and serving owns no pool of its own; one
+function draws a noise hit (simulator and scenario mutators alike); one
+helper pair writes and reads ``prefix/name`` archive entries; and one
+helper cuts edges at a score threshold.
 """
 
 import ast
@@ -87,15 +88,16 @@ def test_one_crossing_solver():
 
 
 def _calls_in(package, module, qualname):
-    """Names called inside ``Class.method`` of one module."""
+    """Names called inside ``Class.method`` of one module (``f(…)`` and
+    ``obj.f(…)`` alike)."""
     cls, method = qualname.split(".")
     tree = ast.parse(_read(package, module))
     (klass,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
     (fn,) = [n for n in klass.body if isinstance(n, ast.FunctionDef) and n.name == method]
     return {
-        node.func.id
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
         for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
     }
 
 
@@ -111,6 +113,18 @@ def test_per_event_loops_go_through_one_map():
         assert "per_event" in _calls_in(package, module, qualname), qualname
     assert _count("pipeline", "def per_event(") == {"_per_event.py": 1}
     assert _count("pipeline", "ThreadPoolExecutor(") == {"_per_event.py": 1}
+
+
+def test_fit_builds_and_prunes_through_the_inference_traversal():
+    calls = _calls_in("pipeline", "pipeline.py", "ExaTrkXPipeline.fit")
+    assert {"construct_many", "prune_many"} <= calls
+    assert not {"build", "prune"} & calls
+
+
+def test_serving_owns_no_pool():
+    # the engine's lanes are plain threads running pump(); the one pool
+    # is the per-event map's
+    assert _count("serve", "ThreadPoolExecutor(") == {}
 
 
 def test_one_noise_hit_and_one_surface_list():
