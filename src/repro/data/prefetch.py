@@ -5,9 +5,10 @@ and GNN compute; its bulk sampler (Eq. 1) shrinks the sampling term but
 the trainer still ran the two phases strictly sequentially, leaving the
 model idle while the ``Q^d A`` SpGEMMs run.  This module overlaps them:
 a :class:`PrefetchLoader` wraps any :class:`~repro.sampling.base.Sampler`
-and serves sampled bulk steps through a bounded queue fed by a
-background thread pool (the samplers are numpy/scipy-bound, and SpGEMM
-releases the GIL, so threads overlap genuinely with compute).
+and keeps a bounded number of sampled bulk steps in flight on the
+process's one thread pool (:func:`repro._per_event.submit`; the samplers
+are numpy/scipy-bound, and SpGEMM releases the GIL, so the pool's
+threads overlap genuinely with compute).
 
 Determinism contract
 --------------------
@@ -28,21 +29,22 @@ recomputed against the survivors from the same child seed, and what
 makes mid-epoch checkpoint/resume bit-exact: the loader's cursor (steps
 consumed) plus the epoch-start RNG state fully reconstruct the pipeline.
 
-``workers=0`` keeps today's synchronous behaviour exactly: every step is
-sampled inline on the calling thread at the moment it is requested —
-same child-seed scheme, no queue, no threads.
+``workers=0`` looks ahead zero steps: every step is sampled inline on
+the calling thread at the moment it is requested — same child-seed
+scheme, same loop, nothing in flight.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from time import perf_counter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .._per_event import settle, submit
 from ..graph import EventGraph, shard_batch
 from ..obs import get_metrics, get_tracer
 from ..sampling import SampledBatch, Sampler, epoch_batches, group_batches
@@ -170,9 +172,9 @@ class PrefetchLoader:
         step's group into one stacked pass, sequential samplers fall
         back to one call per batch — unchanged semantics either way.
     workers:
-        Background sampling threads.  ``0`` (default) disables the
-        pipeline: steps are sampled inline when requested, preserving
-        the classic synchronous trainer behaviour exactly.
+        Prefetch on (``>= 1``) or off (``0``, default: steps are sampled
+        inline when requested); the shared pool's size, not this number,
+        bounds how many samples run at once.
     depth:
         Bound on in-flight prefetched steps (the double-buffer depth).
         Larger values smooth variable step costs at the price of memory
@@ -242,70 +244,44 @@ class PrefetchLoader:
         if the live rank set changed while a step sat in the queue (an
         elastic eviction), the step is recomputed against the current
         ranks from its child seed — results therefore never depend on
-        prefetch timing.
+        prefetch timing.  Closing the iterator settles the queue: steps
+        not started are cancelled, running ones waited for.
         """
-        if self.workers == 0:
-            yield from self._iter_sync(plan, ranks_fn, start)
-        else:
-            yield from self._iter_prefetch(plan, ranks_fn, start)
-
-    # -- workers=0: classic synchronous path ---------------------------
-    def _iter_sync(self, plan, ranks_fn, start):
         tracer = get_tracer()
-        for step in plan.steps[start:]:
-            with tracer.span(
-                "data.prefetch.next", category="data", step=step.index, mode="sync"
-            ):
-                result, sample_s = self._sample(step, tuple(ranks_fn()))
-            self._record_step(stall_s=sample_s, sample_s=sample_s, queue_depth=0)
-            yield step, result
+        ahead, mode = (self.depth, "prefetch") if self.workers else (0, "sync")
+        todo = iter(plan.steps[start:])
+        queue: deque = deque()  # (step, ranks at submission, future), oldest first
 
-    # -- workers>0: bounded background pipeline ------------------------
-    def _iter_prefetch(self, plan, ranks_fn, start):
-        tracer = get_tracer()
-        executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-prefetch"
-        )
-        pending: deque = deque()  # (step, ranks_at_submit, future)
-        try:
-            def submit(i: int) -> None:
-                step = plan.steps[i]
+        def top_up() -> None:
+            for step in islice(todo, ahead - len(queue)):
                 ranks = tuple(ranks_fn())
-                pending.append((step, ranks, executor.submit(self._sample, step, ranks)))
+                queue.append((step, ranks, submit(self._sample, step, ranks)))
 
-            total = len(plan.steps)
-            next_up = min(start + self.depth, total)
-            for i in range(start, next_up):
-                submit(i)
-            while pending:
-                step, ranks, future = pending.popleft()
-                queue_depth = len(pending) + 1
+        try:
+            top_up()
+            while queue or (inline := next(todo, None)) is not None:
+                step, ranks, future = queue.popleft() if queue else (inline, None, None)
+                queue_depth = len(queue) + (future is not None)
                 t0 = perf_counter()
                 with tracer.span(
-                    "data.prefetch.next",
-                    category="data",
-                    step=step.index,
-                    mode="prefetch",
+                    "data.prefetch.next", category="data", step=step.index, mode=mode
                 ) as span:
-                    result, sample_s = future.result()
-                    stall_s = perf_counter() - t0
+                    result, sample_s = future.result() if future else (None, 0.0)
+                    stall_s = perf_counter() - t0 if future else 0.0
                     live = tuple(ranks_fn())
                     if live != ranks:
-                        # rank set changed while queued (elastic eviction):
-                        # recompute from the same child seed — bit-exact
-                        # with a run that never prefetched.
-                        self._record_recompute()
-                        span.set(recomputed=True)
-                        result, resample_s = self._sample(step, live)
-                        stall_s += resample_s
-                        sample_s += resample_s
+                        if future is not None:
+                            # rank set changed while queued (elastic eviction):
+                            # recompute from the same child seed — bit-exact
+                            # with a run that never prefetched.
+                            self._record_recompute()
+                            span.set(recomputed=True)
+                        result, inline_s = self._sample(step, live)
+                        stall_s += inline_s
+                        sample_s += inline_s
                     span.set(stall_s=stall_s, queue_depth=queue_depth)
-                if next_up < total:
-                    submit(next_up)
-                    next_up += 1
+                top_up()
                 self._record_step(stall_s, sample_s, queue_depth)
                 yield step, result
         finally:
-            for _, _, future in pending:
-                future.cancel()
-            executor.shutdown(wait=True)
+            settle(future for _, _, future in queue)

@@ -100,9 +100,9 @@ class GNNTrainConfig:
         the *same configuration*; training continues from the epoch after
         the checkpoint instead of starting over.
     prefetch_workers:
-        Background sampling threads (see :mod:`repro.data`).  ``0``
-        (default) samples synchronously on the trainer thread; any value
-        keeps batch contents bit-identical (the determinism contract of
+        Sampling prefetch on (``>= 1``, on the process's one thread pool,
+        see :mod:`repro.data`) or off (``0``, default: synchronous).  Either
+        way batch contents are bit-identical (the determinism contract of
         the prefetch pipeline), so it is a pure throughput knob and may
         differ between a checkpointing run and the run resuming it.
     prefetch_depth:
@@ -190,8 +190,8 @@ class GNNTrainConfig:
     # Async data pipeline (see docs/data_pipeline.md):
     prefetch_workers: int = knob(
         0,
-        "background sampling threads (0 = synchronous); batch contents "
-        "are bit-identical at any worker count",
+        "sample steps ahead on the shared thread pool (0 = synchronous); "
+        "batch contents are bit-identical either way",
     )
     prefetch_depth: int = knob(2, "bound on in-flight prefetched bulk steps")
     checkpoint_every_steps: Optional[int] = knob(

@@ -19,7 +19,7 @@ from ..detector.geometry import DetectorGeometry
 from ..models import EmbeddingConfig, EmbeddingNet, sample_training_pairs
 from ..nn import Adam, HingeEmbeddingLoss
 from ..tensor import Tensor, ops
-from ._per_event import per_event
+from .._per_event import per_event
 from .config import PipelineConfig
 
 __all__ = ["EmbeddingStage"]

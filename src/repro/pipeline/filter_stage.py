@@ -15,7 +15,7 @@ from ..graph import EventGraph
 from ..models import FilterConfig, FilterNet
 from ..nn import Adam, BCEWithLogitsLoss
 from ..tensor import Tensor
-from ._per_event import per_event
+from .._per_event import per_event
 from .config import PipelineConfig
 from .trainers import derive_pos_weight
 

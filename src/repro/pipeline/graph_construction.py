@@ -15,7 +15,7 @@ import numpy as np
 from ..detector import Event, edge_features, label_edges, segment_recall, vertex_features
 from ..detector.geometry import DetectorGeometry
 from ..graph import EventGraph, fixed_radius_graph
-from ._per_event import per_event
+from .._per_event import per_event
 from .config import PipelineConfig
 from .embedding_stage import EmbeddingStage
 

@@ -25,7 +25,7 @@ from ..graph import EventGraph
 from ..guard import EventValidator, Quarantine, QuarantineLog
 from ..metrics import TrackingScore, match_tracks
 from ..obs import get_tracer
-from ._per_event import per_event
+from .._per_event import per_event
 from .config import PipelineConfig
 from .embedding_stage import EmbeddingStage
 from .filter_stage import FilterStage, score_cut

@@ -473,9 +473,8 @@ def _train(
     factory = _model_factory(config, g0.num_node_features, g0.num_edge_features)
     models = replicate_model(factory, world)
     sampler, plan_epoch, label = _step_source(config, train_graphs, models[0].config)
-    # The communicator must exist before PrefetchLoader starts worker
-    # threads: the proc backend forks, and forking a multi-threaded
-    # process is unsafe (the child may inherit held locks).
+    # The proc backend forks here, maybe with the shared thread pool
+    # (repro._per_event) alive: register_at_fork gives the child a fresh one.
     comm = create_communicator(config.backend, world, fault_plan=fault_plan)
     clock = SimClock()
     ddp = DistributedDataParallel(
@@ -564,46 +563,47 @@ def _train(
                     plan, lambda: tuple(ddp.global_ranks), start=start_step
                 )
                 cursor = start_step  # plan steps consumed so far
-                while cursor < len(plan):
-                    with tracer.span("batch", category="train") as batch_span:
-                        with timers.scope("sampling"):
-                            step, rank_sampled = next(stepper)
-                        batch_span.set(group_size=len(step.batches))
-                        # one optimisation step per batch in the group
-                        for bi in range(len(step.batches)):
-                            with timers.scope("training"):
-                                for rank in ranks:
-                                    graph = rank_sampled[rank.grank][bi].graph
-                                    fault = (
-                                        fault_plan.numeric_fault_target()
-                                        if fault_plan is not None
-                                        else None
-                                    )
-                                    loss = rank.step(graph, loss_fn, step.recompute, fault)
-                                    _check_step(loss, rank.model, graph, watchdog)
-                                    if rank is ranks[0]:
-                                        losses.append(loss)
-                                # may evict permanently failed ranks (elastic
-                                # recovery) or retry transient comm faults
-                                with tracer.span("allreduce", category="train"):
-                                    ddp.synchronize_gradients()
-                                if len(ranks) != ddp.world_size:
-                                    live = ddp.global_ranks
-                                    ranks = [r for r in ranks if r.grank in live]
-                                for rank in ranks:
-                                    rank.optimizer.step()
-                            steps += 1
-                            checkpointed_steps += int(step.recompute)
-                    cursor += 1
-                    if every_steps is not None and cursor % every_steps == 0:
-                        checkpoint(epoch, cursor, epoch_rng_state)
-                    if steps >= max_steps:
-                        break
-                if cursor == len(plan):
-                    # exhaust the stepper so the loader releases its
-                    # prefetch threads before evaluation
-                    with timers.scope("sampling"):
-                        next(stepper, None)
+                try:
+                    while cursor < len(plan):
+                        with tracer.span("batch", category="train") as batch_span:
+                            with timers.scope("sampling"):
+                                step, rank_sampled = next(stepper)
+                            batch_span.set(group_size=len(step.batches))
+                            # one optimisation step per batch in the group
+                            for bi in range(len(step.batches)):
+                                with timers.scope("training"):
+                                    for rank in ranks:
+                                        graph = rank_sampled[rank.grank][bi].graph
+                                        fault = (
+                                            fault_plan.numeric_fault_target()
+                                            if fault_plan is not None
+                                            else None
+                                        )
+                                        loss = rank.step(graph, loss_fn, step.recompute, fault)
+                                        _check_step(loss, rank.model, graph, watchdog)
+                                        if rank is ranks[0]:
+                                            losses.append(loss)
+                                    # may evict permanently failed ranks (elastic
+                                    # recovery) or retry transient comm faults
+                                    with tracer.span("allreduce", category="train"):
+                                        ddp.synchronize_gradients()
+                                    if len(ranks) != ddp.world_size:
+                                        live = ddp.global_ranks
+                                        ranks = [r for r in ranks if r.grank in live]
+                                    for rank in ranks:
+                                        rank.optimizer.step()
+                                steps += 1
+                                checkpointed_steps += int(step.recompute)
+                        cursor += 1
+                        if every_steps is not None and cursor % every_steps == 0:
+                            checkpoint(epoch, cursor, epoch_rng_state)
+                        if steps >= max_steps:
+                            break
+                finally:
+                    # a raise keeps this frame in its traceback: releasing the
+                    # iterator (maybe a wrapper without close()) closes the
+                    # loader's generator now, settling its in-flight samples
+                    del stepper
             if cursor < len(plan):
                 # stopped mid-epoch: no epoch record — exactly the state a
                 # crash would leave, with the step checkpoint as resume point

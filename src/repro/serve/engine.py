@@ -27,7 +27,7 @@ Batched execution is bit-identical to looped
 same traversal: the engine calls the pipeline's ``upstream_many`` and
 ``finish_from_filtered`` — the two halves ``reconstruct_many`` composes —
 and in those a batch is an in-order map of the single-event stage call
-over every core (``repro.pipeline._per_event``, like this engine's GNN
+over every core (``repro._per_event``, like this engine's GNN
 + track loop): no forward sees two events and each item is the loop's
 call on any thread (pin BLAS to one), so results cannot depend on the
 batch.  The engine owns only serving policy (cache, store hydration,
@@ -113,7 +113,7 @@ from ..guard import (
 )
 from ..obs import get_metrics, get_tracer
 from ..pipeline import ExaTrkXPipeline
-from ..pipeline._per_event import per_event
+from .._per_event import per_event
 from ..pipeline.config import PRECISIONS, knob
 from .cache import CachedStages, StageCache, event_fingerprint
 

@@ -84,19 +84,35 @@ def forced_helpers():
     """``forced_helpers(n)``: a context in which the per-event map has
     ``n`` helper threads (a fresh pool, shut down on exit) whatever the
     core count — a test hook on a private constant, not a knob."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.pipeline import _per_event
+    from repro import _per_event
 
     @contextlib.contextmanager
     def force(n=3):
-        pool = ThreadPoolExecutor(max(n, 1), "repro-event")
         with mock.patch.object(_per_event, "_HELPERS", n), mock.patch.object(
-            _per_event, "_pool", pool
+            _per_event, "_pool"
         ):
+            _per_event._new_pool()
             try:
                 yield
             finally:
-                pool.shutdown()
+                _per_event._pool.shutdown()
 
     return force
+
+
+@pytest.fixture
+def prefetch_samples(monkeypatch):
+    """The futures of every prefetch sample submitted to the shared pool
+    during the test, in order; a sample is queued or running exactly while
+    its future is not done."""
+    from repro.data import prefetch
+
+    futures = []
+    submit = prefetch.submit
+
+    def recorded(fn, *args):
+        futures.append(submit(fn, *args))
+        return futures[-1]
+
+    monkeypatch.setattr(prefetch, "submit", recorded)
+    return futures

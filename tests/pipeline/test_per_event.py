@@ -15,10 +15,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro._per_event import per_event
+from repro.data import EpochPlan, PrefetchLoader
+from repro.graph import random_graph
 from repro.nn import Module
 from repro.obs import RunTelemetry, get_tracer, use_telemetry
 from repro.pipeline import FilterStage, PipelineConfig
-from repro.pipeline._per_event import per_event
+from repro.sampling import BulkShadowSampler
 from repro.tensor import default_dtype, get_default_dtype
 
 
@@ -106,6 +109,51 @@ def test_concurrent_maps_share_the_pool_and_finish(forced_helpers):
             thread.join(30)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[-i for i in range(10 * (k + 1))] for k in range(4)]
+
+
+def test_a_map_and_a_prefetched_epoch_share_one_helper(forced_helpers):
+    """One cell of the schedule fuzz: two users of one pool, each bit for
+    bit its solo run."""
+    graphs = [
+        random_graph(120, 480, rng=np.random.default_rng(i), true_fraction=0.3) for i in (1, 2)
+    ]
+    plan = EpochPlan.build(graphs, 16, 3, np.random.default_rng(0))
+    loader = PrefetchLoader(BulkShadowSampler(depth=2, fanout=3), workers=1)
+
+    def epoch():
+        return [
+            np.concatenate([a for s in sampled[rank] for a in (s.node_parent, s.edge_parent)])
+            for _, sampled in loader.iter_epoch(plan, lambda: (0, 1))
+            for rank in (0, 1)
+        ]
+
+    def item(seed):
+        time.sleep(0.002)  # leave the helper free between items now and then
+        a = np.random.default_rng(seed).standard_normal((64, 64))
+        return a @ a.T
+
+    def mapped():
+        return list(per_event(item, range(12)))
+
+    with forced_helpers(1):
+        solo = [_in_thread(epoch), _in_thread(mapped)]
+        both = [None, None]
+
+        def run(k, fn):
+            both[k] = fn()
+
+        threads = [
+            threading.Thread(target=run, args=(k, fn), daemon=True)
+            for k, fn in enumerate((epoch, mapped))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    assert not any(thread.is_alive() for thread in threads)
+    for alone, shared in zip(solo, both):
+        assert len(alone) == len(shared) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(alone, shared))
 
 
 def test_every_item_runs_once_under_frequent_thread_switches(forced_helpers):

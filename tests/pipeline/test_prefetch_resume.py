@@ -10,8 +10,6 @@ minibatch regimes and in full-graph mode alike (one loop serves both, so
 honoured everywhere).
 """
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -184,16 +182,17 @@ class TestPrefetchTelemetry:
 
 
     def test_prefetch_threads_released_before_each_evaluation(
-        self, tiny_dataset, monkeypatch
+        self, tiny_dataset, monkeypatch, prefetch_samples
     ):
-        """The loop exhausts the stepper at the end of every epoch, so the
-        loader's executor is shut down rather than left to the GC."""
-        alive = []
+        """The loop releases the stepper at the end of every epoch, so no
+        prefetch sample is queued or running on the shared pool when
+        evaluation starts."""
+        settled = []
         evaluate = trainers.evaluate_edge_classifier
 
         def spy(*args, **kwargs):
-            alive.append(
-                [t.name for t in threading.enumerate() if t.name.startswith("repro-prefetch")]
+            settled.append(
+                bool(prefetch_samples) and all(f.done() for f in prefetch_samples)
             )
             return evaluate(*args, **kwargs)
 
@@ -203,7 +202,7 @@ class TestPrefetchTelemetry:
             tiny_dataset.val,
             _config(prefetch_workers=2, **self.regime),
         )
-        assert alive == [[]] * SMALL["epochs"]
+        assert settled == [True] * SMALL["epochs"]
 
 
 class TestMaxStepsValidation:

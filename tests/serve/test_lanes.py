@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.pipeline import _per_event
+from repro import _per_event
 from repro.serve import InferenceEngine, ServeConfig
 
 

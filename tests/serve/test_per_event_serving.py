@@ -17,9 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import _per_event
 from repro.detector import Event
 from repro.obs import RunTelemetry, use_telemetry
-from repro.pipeline import _per_event, load_pipeline, save_pipeline
+from repro.pipeline import load_pipeline, save_pipeline
 from repro.serve import InferenceEngine, ServeConfig
 from repro.tensor import default_dtype
 

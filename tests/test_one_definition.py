@@ -9,7 +9,8 @@ and no work estimate choosing between several; the
 ``sampler.sample_bulk`` span is opened in one place; one batched
 solver computes every helix-surface crossing; every per-event loop of
 the inference traversal is one order-preserving map, which ``fit``
-builds and prunes through too, and serving owns no pool of its own; one
+builds and prunes through too, on the process's one thread pool, which
+sampling prefetch shares and serving does not duplicate; one
 function draws a noise hit (simulator and scenario mutators alike); one
 helper pair writes and reads ``prefix/name`` archive entries; and one
 helper cuts edges at a score threshold.
@@ -35,6 +36,18 @@ def _count(package, needle):
         if name.endswith(".py")
     }
     return {name: n for name, n in counts.items() if n}
+
+
+def _count_tree(needle):
+    """``{path under src/repro: occurrences}`` over every module."""
+    paths = [
+        os.path.relpath(os.path.join(root, name), SRC)
+        for root, _, names in os.walk(SRC)
+        for name in names
+        if name.endswith(".py")
+    ]
+    counts = {path: _read(path).count(needle) for path in paths}
+    return {path: n for path, n in counts.items() if n}
 
 
 def test_chunk_bounds_are_computed_in_one_function():
@@ -111,8 +124,9 @@ def test_per_event_loops_go_through_one_map():
         ("serve", "engine.py", "InferenceEngine._process_batch_inner"),
     ]:
         assert "per_event" in _calls_in(package, module, qualname), qualname
-    assert _count("pipeline", "def per_event(") == {"_per_event.py": 1}
-    assert _count("pipeline", "ThreadPoolExecutor(") == {"_per_event.py": 1}
+    assert _count_tree("def per_event(") == {"_per_event.py": 1}
+    # the process's one pool: prefetch samples go through its submit()
+    assert _count_tree("ThreadPoolExecutor(") == {"_per_event.py": 1}
 
 
 def test_fit_builds_and_prunes_through_the_inference_traversal():
