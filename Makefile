@@ -43,9 +43,8 @@ examples:
 docs:
 	python scripts/generate_api_docs.py > docs/api.md
 
-# Keep the checked-in telemetry baselines (tracked files) when clearing
-# regenerated benchmark outputs.
+# The result tables under benchmarks/results/ are tracked; only the
+# per-bench trace exports beside them (telemetry/) are regenerated output.
 clean:
-	rm -rf benchmarks/.bench_cache .pytest_cache .hypothesis
-	find benchmarks/results -type f ! -path "*/telemetry/baselines/*" -delete 2>/dev/null || true
+	rm -rf benchmarks/.bench_cache .pytest_cache .hypothesis benchmarks/results/telemetry
 	find . -name __pycache__ -type d -exec rm -rf {} +

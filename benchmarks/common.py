@@ -1,12 +1,12 @@
 """Shared infrastructure for the benchmark harness.
 
 One bench module per paper artefact (Table I, Figures 3–4, the §III-C /
-§III-D claims, the §I pileup and §III-B memory-skip claims) plus the
-serving bench whose telemetry baseline is checked in; they share the
-scaled-down dataset builders (cached on disk under ``.bench_cache``) and a
-report registry whose lines are flushed to both stdout and
+§III-D claims, the §I pileup and §III-B memory-skip claims); they share
+the scaled-down dataset builders (cached on disk under ``.bench_cache``)
+and a report registry whose lines are flushed to both stdout and
 ``benchmarks/results/<name>.txt`` so the regenerated tables survive
-pytest's output capture.
+pytest's output capture.  Timing is gated by the perf ledger
+(``benchmarks/suite``), not here.
 
 Scaling note (documented in EXPERIMENTS.md): the bench datasets keep the
 paper's *density* targets (edges per vertex ≈ 3.7 for Ex3, ≈ 21 for CTD)

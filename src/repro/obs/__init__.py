@@ -9,9 +9,7 @@
 * :mod:`repro.obs.summarize` — per-phase tables from exported traces
   (``repro telemetry summarize``);
 * :mod:`repro.obs.exporter` — live ``/metrics`` (Prometheus text) and
-  ``/health`` HTTP exposition (``--metrics-port``);
-* :mod:`repro.obs.regression` — checked-in phase-total baselines and
-  the ``repro telemetry diff`` perf-regression gate.
+  ``/health`` HTTP exposition (``--metrics-port``).
 
 See ``docs/observability.md`` for the exported schemas and how to
 reproduce the paper's Figure-3 breakdown from a trace.
@@ -31,14 +29,6 @@ from .telemetry import (
 )
 from .summarize import SpanRecord, load_trace, phase_totals, summarize_trace
 from .exporter import MetricsExporter, render_prometheus
-from .regression import (
-    BASELINE_SCHEMA,
-    diff_profiles,
-    load_baseline,
-    load_phase_totals,
-    record_baseline,
-    write_baseline,
-)
 
 __all__ = [
     "Span",
@@ -65,10 +55,4 @@ __all__ = [
     "summarize_trace",
     "MetricsExporter",
     "render_prometheus",
-    "BASELINE_SCHEMA",
-    "record_baseline",
-    "write_baseline",
-    "load_baseline",
-    "load_phase_totals",
-    "diff_profiles",
 ]

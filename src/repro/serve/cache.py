@@ -87,7 +87,8 @@ class StageCache:
         self._entries: "OrderedDict[str, CachedStages]" = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:  # never between a put's insert and its eviction
+            return len(self._entries)
 
     def get(self, key: str) -> Optional[CachedStages]:
         """Look up a fingerprint; refreshes recency on hit."""

@@ -1,6 +1,8 @@
 """Tracer: span nesting, export round-trips, and the null no-op guard."""
 
 import json
+import sys
+import threading
 import time
 
 import pytest
@@ -81,6 +83,56 @@ class TestNesting:
         assert event["name"] == "retry"
         assert event["parent"] == span.span_id
         assert event["attrs"] == {"rank": 2}
+
+    def test_nested_spans_on_many_threads(self):
+        """Eight threads each open a nested tree at once: every span is
+        recorded exactly once with a unique id, and a child's parent is
+        the span open on its own thread (same ``tid``, same worker)."""
+        tracer = Tracer()
+        workers, rounds = 8, 50
+        start, errors = threading.Barrier(workers), []
+
+        def worker(k):
+            try:
+                start.wait(timeout=30)
+                with tracer.span("outer", worker=k):
+                    for _ in range(rounds):
+                        with tracer.span("mid", worker=k):
+                            with tracer.span("leaf", worker=k):
+                                pass
+            except Exception as exc:  # surfaced below, on the main thread
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+
+        spans = tracer.spans
+        assert len(spans) == workers * (1 + 2 * rounds)
+        assert len({id(s) for s in spans}) == len(spans)
+        by_id = {s.span_id: s for s in spans}
+        assert len(by_id) == len(spans)
+        expected_parent = {"outer": None, "mid": "outer", "leaf": "mid"}
+        for span in spans:
+            if span.parent_id is None:
+                assert expected_parent[span.name] is None
+                continue
+            parent = by_id[span.parent_id]
+            assert parent.name == expected_parent[span.name]
+            assert parent.tid == span.tid
+            assert parent.attributes["worker"] == span.attributes["worker"]
+        lanes = {s.attributes["worker"]: s.tid for s in spans if s.name == "outer"}
+        assert len(lanes) == workers and len(set(lanes.values())) == workers
+        assert 0 not in lanes.values()  # the creating thread's lane stays unused
 
 
 class TestExport:

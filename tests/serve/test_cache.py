@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -91,3 +93,46 @@ class TestStageCache:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             StageCache(capacity=0)
+
+    def test_concurrent_get_put_keeps_capacity_and_counts(self):
+        """Eight threads race ``get`` / ``put`` over more keys than fit:
+        no observer ever sees more than ``capacity`` entries, a hit
+        returns the entry put under its key, and every ``get`` is counted
+        exactly once as a hit or a miss."""
+        cache = StageCache(capacity=4)
+        entries = {f"k{i}": _entry() for i in range(12)}
+        gets, sizes, errors = [], [], []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            n_gets, biggest = 0, 0
+            try:
+                for _ in range(400):
+                    key = f"k{rng.integers(len(entries))}"
+                    if rng.random() < 0.5:
+                        n_gets += 1
+                        found = cache.get(key)
+                        assert found is None or found is entries[key]
+                    else:
+                        cache.put(key, entries[key])
+                    biggest = max(biggest, len(cache))
+            except Exception as exc:  # surfaced below, on the main thread
+                errors.append(exc)
+            gets.append(n_gets)
+            sizes.append(biggest)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        assert max(sizes) <= cache.capacity
+        assert len(cache) == cache.capacity
+        assert sum(cache.stats()) == sum(gets) > 0

@@ -183,6 +183,19 @@ class TestStageCacheIntegration:
         assert engine.stats.cache_hits == 2
         assert engine.stats.cache_misses == 2
 
+    def test_replayed_stream_misses_once_per_distinct_event(
+        self, serve_pipeline, serve_events
+    ):
+        unique, replays = 4, 6
+        engine = make_engine(
+            serve_pipeline, SimClock(),
+            max_batch_events=unique, max_queue_events=unique * replays,
+        )
+        requests = engine.process(serve_events[:unique] * replays)
+        assert all(r.status == "done" for r in requests)
+        assert engine.stats.cache_misses == unique
+        assert engine.stats.cache_hits == (replays - 1) * unique
+
     def test_in_batch_duplicates_computed_once(self, serve_pipeline, serve_events):
         clock = SimClock()
         engine = make_engine(serve_pipeline, clock, max_batch_events=4)

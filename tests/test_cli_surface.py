@@ -99,11 +99,11 @@ def test_flag_surface_matches_snapshot(snapshot, parser):
 
 def test_flag_and_leaf_counts(snapshot, parser):
     surface = parser_surface(parser)
-    assert len(surface) == len(snapshot["parsers"]) == 16
+    assert len(surface) == len(snapshot["parsers"]) == 14
     options = [r for flags in surface.values() for r in flags.values() if r["option_strings"]]
     root = [a.option_strings for a in flag_actions(parser) if a.option_strings]
     assert root == [["--version"]]
-    assert len(options) + len(root) == 150  # plus 7 positionals
+    assert len(options) + len(root) == 146  # plus 4 positionals
 
 
 def test_every_config_backed_flag_has_help(parser):

@@ -15,12 +15,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUITES = ["elastic", "obs", "kernels", "store", "scenarios"]
 
 #: ``benchmarks/bench_<name>.py``: Table I, Figures 3–4, the §III-C/§III-D
-#: claims, the §I pileup and §III-B memory-skip claims, and serving (whose
-#: telemetry baseline is checked in)
+#: claims, and the §I pileup and §III-B memory-skip claims
 BENCHES = [
     "allreduce", "bulk_sampling", "fig3_epoch_time", "fig4_convergence",
-    "memory_skip", "pileup_scaling", "sampling_fraction", "serving",
-    "table1_datasets",
+    "memory_skip", "pileup_scaling", "sampling_fraction", "table1_datasets",
 ]
 
 
@@ -66,16 +64,17 @@ def test_no_per_suite_script_remains():
 
 
 @pytest.mark.skipif(shutil.which("make") is None, reason="make not installed")
-def test_make_clean_preserves_telemetry_baselines(tmp_path):
+def test_make_clean_keeps_result_tables_and_drops_trace_exports(tmp_path):
     shutil.copy(os.path.join(ROOT, "Makefile"), tmp_path / "Makefile")
-    baselines = tmp_path / "benchmarks" / "results" / "telemetry" / "baselines"
-    baselines.mkdir(parents=True)
-    (baselines / "bench.json").write_text("{}")
-    regenerated = tmp_path / "benchmarks" / "results" / "telemetry" / "run.trace.json"
-    regenerated.write_text("{}")
+    results = tmp_path / "benchmarks" / "results"
+    (results / "telemetry").mkdir(parents=True)
+    table = results / "fig3_epoch_time_ex3.txt"
+    table.write_text("tracked table\n")
+    export = results / "telemetry" / "run.trace.json"
+    export.write_text("{}")
     subprocess.run(["make", "clean"], cwd=tmp_path, check=True, capture_output=True)
-    assert (baselines / "bench.json").exists()
-    assert not regenerated.exists()
+    assert table.read_text() == "tracked table\n"
+    assert not export.exists()
 
 
 def test_benches_are_the_paper_artefacts_and_every_table_has_a_writer():
