@@ -243,7 +243,7 @@ def kernels_suite(argv) -> None:
     parser = argparse.ArgumentParser(prog="validate.py kernels")
     # Defaults mirror the Fig-3 bulk-ShaDow batch shapes (hidden 32: the
     # edge input is the residual pair (Yˡ, Y⁰), two (m, 32) halves, the
-    # vertex input the concat [Xˡ X⁰], f = 64), where the old path paid
+    # vertex input the pair (Xˡ, X⁰), two (n, 32) halves), where the old path paid
     # the most for gathers, concats, and np.add.at dispatch.  At module scale
     # (m ~ 10^5) the GEMMs dominate and the ratio shrinks toward 1.
     parser.add_argument("--edges", type=int, default=6_000)
@@ -255,15 +255,18 @@ def kernels_suite(argv) -> None:
 
 
 def _edge_case(rng, m, n, e=64, f=64, h=32, dtype=np.float64):
-    """``(y, x, rows, cols, w1, w2)``; ``y`` is the residual pair: two
-    ``(m, e/2)`` halves, the call shape the IGNN hands the fused op."""
+    """``(y, x, rows, cols, w1, w2)``; ``y`` and ``x`` are the residual
+    pairs: two ``(m, e/2)`` and two ``(n, f/2)`` halves, the call shape
+    the IGNN hands the fused ops."""
     from repro.tensor import Tensor
 
-    y = tuple(
-        Tensor(np.ascontiguousarray(half), requires_grad=True)
-        for half in np.hsplit(rng.normal(size=(m, e)).astype(dtype), 2)
+    y, x = (
+        tuple(
+            Tensor(np.ascontiguousarray(half), requires_grad=True)
+            for half in np.hsplit(rng.normal(size=shape).astype(dtype), 2)
+        )
+        for shape in ((m, e), (n, f))
     )
-    x = Tensor(rng.normal(size=(n, f)).astype(dtype), requires_grad=True)
     rows = rng.integers(0, n, size=m)
     cols = rng.integers(0, n, size=m)
     w1 = Tensor(rng.normal(size=(e + 2 * f, h)).astype(dtype), requires_grad=True)
@@ -273,7 +276,7 @@ def _edge_case(rng, m, n, e=64, f=64, h=32, dtype=np.float64):
 
 def _params(tensors):
     y, x, _, _, w1, w2 = tensors
-    return y + (x, w1, w2)
+    return y + x + (w1, w2)
 
 
 def _fused_pass(y, x, rows, cols, w1, w2):
@@ -290,7 +293,8 @@ def _legacy_pass(y, x, rows, cols, w1, w2):
     materialised concat, ``np.add.at`` scatters, fresh temporaries for
     every intermediate — forward *and* backward (grad of sum())."""
     yd = np.concatenate([half.data for half in y], axis=1)
-    xd, W1, W2 = x.data, w1.data, w2.data
+    xd = np.concatenate([half.data for half in x], axis=1)
+    W1, W2 = w1.data, w2.data
     e, f, h = yd.shape[1], xd.shape[1], W1.shape[1]
     n = xd.shape[0]
     # forward
@@ -315,7 +319,7 @@ def _legacy_pass(y, x, rows, cols, w1, w2):
     g_x = np.array(g_agg[:, 2 * h :])
     np.add.at(g_x, rows, g_cat[:, e : e + f])
     np.add.at(g_x, cols, g_cat[:, e + f :])
-    return out, (*g_y, g_x, g_w1, g_w2)
+    return out, (*g_y, *np.hsplit(g_x, len(x)), g_w1, g_w2)
 
 
 def _check_speedup(rng, m: int, n: int, repeats: int) -> None:

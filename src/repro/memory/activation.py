@@ -9,8 +9,9 @@ analytically so the full-graph trainer can make the same skip decision,
 and so the `abl-skip` bench can sweep device capacities.
 
 The terms price the *unfused* tape (an ``m × 6f`` message input per
-layer; the fused path builds neither it nor the ``(m, 2f)`` residual
-``[Yˡ Y⁰]``).  They stay: they decide the full-graph skip and the rescue.
+layer; the fused path builds neither it nor the residuals ``[Yˡ Y⁰]``
+and ``[Xˡ X⁰]``).  They stay: they decide the full-graph skip and the
+rescue.
 """
 
 from __future__ import annotations

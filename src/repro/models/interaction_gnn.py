@@ -101,20 +101,27 @@ class _IGNNLayer(Module):
     ):
         """``(Xˡ⁺¹, Yˡ⁺¹)`` — or ``Yˡ⁺¹`` alone with ``update=False``, for
         a caller that will not read the vertex states again."""
-        # X' ← [Xˡ X⁰] (n rows): the one node summing MSG's and AGG's grads
-        x_res = ops.concat([x, x0], axis=1)
         if self.fused:
+            # X' is the pair (Xˡ, X⁰), read in place by MSG and AGG.  Each
+            # half reaches both through one fan-in node, so a block hands
+            # X⁰ one gradient — what a recomputed block hands it.  X⁰'s
+            # node is recorded first so backward runs it second: in block
+            # 0, where Xˡ is X⁰, the Xˡ half is added first, as there.
+            x0_in = ops.fan_in(x0)
+            x_res = (ops.fan_in(x), x0_in)
             # MSG: the first edge-MLP layer is fused with the endpoint
             # gathers (matmul-then-gather: n·f·h instead of m·f·h per
             # endpoint block), then the MLP tail runs as usual.  Y' is the
-            # pair (Yˡ, Y⁰), read in place: no (m, 2h) copy per block.
+            # pair (Yˡ, Y⁰), read in place too.
             y_next = self.edge_mlp.forward_tail(
                 ops.gather_concat_matmul(
                     (y, y0), x_res, rows, cols, *self.edge_mlp.first_layer
                 )
             )
         else:
-            # Reference (unfused) path: Y' ← [Yˡ Y⁰], gather → concat → matmul.
+            # Reference (unfused) path: X' ← [Xˡ X⁰], Y' ← [Yˡ Y⁰],
+            # gather → concat → matmul.
+            x_res = ops.concat([x, x0], axis=1)
             y_res = ops.concat([y, y0], axis=1)
             msg_in = ops.concat(
                 [y_res, ops.gather_rows(x_res, rows), ops.gather_rows(x_res, cols)],

@@ -40,6 +40,7 @@ __all__ = [
     "transpose",
     "getitem",
     "concat",
+    "fan_in",
     "stack",
     "gather_rows",
     "segment_sum",
@@ -73,6 +74,30 @@ def _column_sum(grad: np.ndarray) -> np.ndarray:
     axis-0 reduce walks the rows one strided add at a time (~6x slower
     at IGNN shapes)."""
     return np.ones(grad.shape[0], dtype=grad.dtype) @ grad
+
+
+def _column_blocks(a) -> Tuple[Tensor, ...]:
+    """``a`` as a tuple of column blocks: one tensor, or a tuple/list of
+    tensors read in place of their concat."""
+    return tuple(map(astensor, a)) if isinstance(a, (tuple, list)) else (astensor(a),)
+
+
+def _row_blocks(w: np.ndarray, blocks: Sequence[Tensor]) -> list:
+    """Views of ``w`` split into one row block per column block."""
+    views, lo = [], 0
+    for t in blocks:
+        views.append(w[lo : lo + t.shape[1]])
+        lo += t.shape[1]
+    return views
+
+
+def _blocks_matmul(blocks: Sequence[Tensor], w_blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """``Σᵢ blocks[i] @ w_blocks[i]``: the product of the blocks' concat
+    with the stacked weight, without building the concat."""
+    out = blocks[0].data @ w_blocks[0]
+    for t, w_t in zip(blocks[1:], w_blocks[1:]):
+        out += t.data @ w_t
+    return out
 
 
 def _finish_layer(out: np.ndarray, bias: Optional[Tensor], norm, relu: bool = True):
@@ -406,6 +431,26 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor.from_op(out, tensors, backward, op="concat")
 
 
+def fan_in(a: Tensor) -> Tensor:
+    """``a`` itself — same array, no copy — as one tape node of its own.
+
+    The node's consumers' gradients meet in its staging slot, so they are
+    summed together before the total reaches ``a``: ``a`` receives one
+    contribution per fan-in, whatever else reads it.  The IGNN routes a
+    block's two uses of ``Xˡ`` and of ``X⁰`` through one each, the
+    association an :func:`checkpoint` block's input gets.  With nothing
+    to record (``no_grad``, or ``a`` needs no gradient) it returns ``a``.
+    """
+    a = astensor(a)
+    if not (a.requires_grad and is_grad_enabled()):
+        return a
+
+    def backward(grad: np.ndarray):
+        return (grad,)
+
+    return Tensor.from_op(a.data, (a,), backward, op="fan_in")
+
+
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack along a new axis; gradient unstacks."""
     tensors = [astensor(t) for t in tensors]
@@ -508,7 +553,7 @@ def segment_mean(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tenso
 
 def gather_concat_matmul(
     y: Union[Tensor, Sequence[Tensor]],
-    x: Tensor,
+    x: Union[Tensor, Sequence[Tensor]],
     rows: np.ndarray,
     cols: np.ndarray,
     weight: Tensor,
@@ -534,7 +579,9 @@ def gather_concat_matmul(
         of column blocks read in place of their concat (the IGNN's
         ``(Yˡ, Y⁰)``), each against its own row block of ``W_y``, in order.
     x:
-        ``(n, f)`` per-vertex features (``x_res``).
+        ``(n, f)`` per-vertex features (``x_res``), or a tuple of column
+        blocks (the IGNN's ``(Xˡ, X⁰)``), read in place like ``y``: each
+        against its own row block of ``W_r`` and of ``W_c``.
     rows, cols:
         ``(m,)`` edge endpoint indices into ``x``.
     weight:
@@ -546,52 +593,54 @@ def gather_concat_matmul(
         Optional ``(gamma, beta, eps)``: the first layer's LayerNorm →
         ReLU, applied inside this node (see :func:`linear`).
     """
-    ys = tuple(map(astensor, y)) if isinstance(y, (tuple, list)) else (astensor(y),)
-    x, weight = astensor(x), astensor(weight)
+    ys, xs, weight = _column_blocks(y), _column_blocks(x), astensor(weight)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    ends = np.cumsum([t.shape[1] for t in ys])
-    e, f = int(ends[-1]), x.shape[1]
+    e, f = (_py_sum(t.shape[1] for t in blocks) for blocks in (ys, xs))
     if weight.shape[0] != e + 2 * f:
         raise ValueError(
             f"weight rows {weight.shape[0]} != edge_dim + 2*node_dim = {e + 2 * f}"
         )
     w = weight.data
-    w_ys = np.split(w[:e], ends[:-1])
-    w_r, w_c = w[e : e + f], w[e + f :]
+    w_ys = _row_blocks(w[:e], ys)
+    w_rs, w_cs = _row_blocks(w[e : e + f], xs), _row_blocks(w[e + f :], xs)
 
-    out = ys[0].data @ w_ys[0]
-    for t, w_t in zip(ys[1:], w_ys[1:]):
-        out += t.data @ w_t
-    scratch = kernels.gather_rows_out(x.data @ w_r, rows)
+    out = _blocks_matmul(ys, w_ys)
+    scratch = kernels.gather_rows_out(_blocks_matmul(xs, w_rs), rows)
     out += scratch
-    out += kernels.gather_rows_out(x.data @ w_c, cols, out=scratch)
+    out += kernels.gather_rows_out(_blocks_matmul(xs, w_cs), cols, out=scratch)
     out, tail, pull = _finish_layer(out, bias, norm)
 
     def backward(grad: np.ndarray):
         grad, g_tail = pull(np.asarray(grad))
-        n = x.shape[0]
+        n = xs[0].shape[0]
         # Per-endpoint reductions of the output gradient (h columns).
         g_r = kernels.scatter_add_rows(grad, rows, n)
         g_c = kernels.scatter_add_rows(grad, cols, n)
         g_w = np.empty_like(w)
-        for t, g_t in zip(ys, np.split(g_w[:e], ends[:-1])):
+        for t, g_t in zip(ys, _row_blocks(g_w[:e], ys)):
             g_t[...] = t.data.T @ grad
-        g_w[e : e + f] = x.data.T @ g_r
-        g_w[e + f :] = x.data.T @ g_c
+        for g_blocks, g_end in ((g_w[e : e + f], g_r), (g_w[e + f :], g_c)):
+            for t, g_t in zip(xs, _row_blocks(g_blocks, xs)):
+                g_t[...] = t.data.T @ g_end
         g_ys = tuple(grad @ w_t.T for w_t in w_ys)
-        g_x = g_r @ w_r.T
-        g_x += g_c @ w_c.T
-        return g_ys + (g_x, g_w) + g_tail
+        g_xs = []
+        for w_r, w_c in zip(w_rs, w_cs):
+            g_x = g_r @ w_r.T
+            g_x += g_c @ w_c.T
+            g_xs.append(g_x)
+        return g_ys + tuple(g_xs) + (g_w,) + g_tail
 
-    return Tensor.from_op(out, ys + (x, weight) + tail, backward, op="gather_concat_matmul")
+    return Tensor.from_op(
+        out, ys + xs + (weight,) + tail, backward, op="gather_concat_matmul"
+    )
 
 
 def scatter_mlp_input(
     messages: Tensor,
     rows: np.ndarray,
     cols: np.ndarray,
-    x: Tensor,
+    x: Union[Tensor, Sequence[Tensor]],
     weight: Tensor,
     bias: Optional[Tensor] = None,
     num_segments: Optional[int] = None,
@@ -615,7 +664,9 @@ def scatter_mlp_input(
     rows, cols:
         ``(m,)`` edge endpoint indices.
     x:
-        ``(n, f)`` per-vertex features (``x_res``).
+        ``(n, f)`` per-vertex features (``x_res``), or a tuple of column
+        blocks read in place of their concat (the IGNN's ``(Xˡ, X⁰)``),
+        each against its own row block of ``W_x``.
     weight:
         ``(2h + f, k)`` first-layer weight, laid out ``[W_src; W_dst; W_x]``
         to match ``concat([m_src, m_dst, x])``.
@@ -626,25 +677,25 @@ def scatter_mlp_input(
     norm:
         Optional ``(gamma, beta, eps)``, as in :func:`gather_concat_matmul`.
     """
-    messages, x, weight = astensor(messages), astensor(x), astensor(weight)
+    messages, xs, weight = astensor(messages), _column_blocks(x), astensor(weight)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    h, f = messages.shape[1], x.shape[1]
-    n = x.shape[0] if num_segments is None else int(num_segments)
-    if x.shape[0] != n:
-        raise ValueError(f"x rows {x.shape[0]} != num_segments {n}")
+    h, f = messages.shape[1], _py_sum(t.shape[1] for t in xs)
+    n = xs[0].shape[0] if num_segments is None else int(num_segments)
+    if any(t.shape[0] != n for t in xs):
+        raise ValueError(f"x rows {xs[0].shape[0]} != num_segments {n}")
     if weight.shape[0] != 2 * h + f:
         raise ValueError(
             f"weight rows {weight.shape[0]} != 2*msg_dim + node_dim = {2 * h + f}"
         )
     w = weight.data
-    w_s, w_d, w_x = w[:h], w[h : 2 * h], w[2 * h :]
+    w_s, w_d, w_xs = w[:h], w[h : 2 * h], _row_blocks(w[2 * h :], xs)
 
     m_src = kernels.scatter_add_rows(messages.data, rows, n)
     m_dst = kernels.scatter_add_rows(messages.data, cols, n)
     out = m_src @ w_s
     out += m_dst @ w_d
-    out += x.data @ w_x
+    out += _blocks_matmul(xs, w_xs)
     out, tail, pull = _finish_layer(out, bias, norm)
 
     def backward(grad: np.ndarray):
@@ -652,14 +703,17 @@ def scatter_mlp_input(
         # (n, h) gradients w.r.t. m_src / m_dst, gathered to the edges
         g_msg = kernels.gather_rows_out(grad @ w_s.T, rows)
         g_msg += kernels.gather_rows_out(grad @ w_d.T, cols)
-        g_x = grad @ w_x.T
+        g_xs = tuple(grad @ w_x.T for w_x in w_xs)
         g_w = np.empty_like(w)
         g_w[:h] = m_src.T @ grad
         g_w[h : 2 * h] = m_dst.T @ grad
-        g_w[2 * h :] = x.data.T @ grad
-        return (g_msg, g_x, g_w) + g_tail
+        for t, g_t in zip(xs, _row_blocks(g_w[2 * h :], xs)):
+            g_t[...] = t.data.T @ grad
+        return (g_msg,) + g_xs + (g_w,) + g_tail
 
-    return Tensor.from_op(out, (messages, x, weight) + tail, backward, op="scatter_mlp_input")
+    return Tensor.from_op(
+        out, (messages,) + xs + (weight,) + tail, backward, op="scatter_mlp_input"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,14 @@ Design notes
   parameters); interior gradients live in a staging table for the duration
   of :meth:`Tensor.backward` and are freed as soon as they are consumed,
   which keeps the memory profile of an 8-layer IGNN backward pass bounded.
+* Backward consumes the graph it walks (PyTorch's default
+  ``retain_graph=False``): each node gives up its closure and parents as
+  soon as it is differentiated, so the arrays it saved die with their last
+  consumer instead of outliving the whole pass.  A second backward through
+  a consumed graph raises ``RuntimeError``; re-run the forward instead.
+* Nodes run newest first, so a tensor's gradient contributions are summed
+  in the reverse of the order its consumers were recorded — a fixed order,
+  whatever the graph's shape.
 * Shapes follow NumPy broadcasting; gradient closures un-broadcast by
   summing over the broadcast axes (see :func:`unbroadcast`).
 * ``float32`` is the default dtype (as in the paper's training runs); the
@@ -30,6 +38,9 @@ Only the operations the pipeline needs are implemented; they live in
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import itertools
 import threading
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -144,6 +155,41 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 
+# Recording order of tape nodes (`Tensor._seq`; leaves are 0).
+_RECORDED = itertools.count(1)
+
+
+@functools.lru_cache(maxsize=None)
+def _keep_freed_heap() -> None:
+    """Pin glibc's heap thresholds where its own heuristics peak.
+
+    `Tensor.backward` frees the tape in reverse allocation order, i.e. at
+    the top of the heap.  glibc's default trims a free heap top back to
+    the OS once it passes a small, adaptive threshold, so the next
+    backward temporaries fault those pages in again: a slower training
+    step for the same arithmetic (EXPERIMENTS.md, "Backward consumes the
+    tape it walks").  Fixing the mmap threshold at 32 MiB and the trim
+    threshold at 64 MiB (the adaptive maxima) keeps freed memory in the
+    heap for the next allocation, as a caching allocator would.  Runs
+    once per process, at its first backward; a no-op where the C library
+    has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+def _consumed(grad):
+    """The closure of a node an earlier :meth:`Tensor.backward` walked."""
+    raise RuntimeError(
+        "backward() reached a graph an earlier backward() already consumed; "
+        "run the forward again to record a new one"
+    )
+
+
 # Backward closure signature: output gradient -> one gradient per parent
 # (``None`` for parents that don't require grad).
 BackwardFn = Callable[[np.ndarray], Tuple[Optional[np.ndarray], ...]]
@@ -186,7 +232,7 @@ class Tensor:
         Accumulated gradient (same shape as ``data``) or ``None``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_seq")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -214,6 +260,7 @@ class Tensor:
         self._parents: Tuple[Tensor, ...] = ()
         self._backward: Optional[BackwardFn] = None
         self._op: str = ""
+        self._seq = 0
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -253,6 +300,7 @@ class Tensor:
             out._parents = parents
             out._backward = backward
             out._op = op
+            out._seq = next(_RECORDED)
         return out
 
     # ------------------------------------------------------------------
@@ -298,7 +346,16 @@ class Tensor:
     # backward
     # ------------------------------------------------------------------
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Run reverse-mode differentiation from this tensor.
+        """Run reverse-mode differentiation from this tensor, consuming
+        its graph.
+
+        Every node reachable from this tensor is differentiated once,
+        newest first, and released as it is reached: its closure and
+        parents are dropped, so what it saved is freed as soon as no
+        later node needs it.  Leaves (parameters) and the ``data`` of any
+        tensor the caller holds are untouched.  Calling ``backward()``
+        again on this tensor, or on a new tensor computed from any node of
+        the consumed graph, raises ``RuntimeError``: run the forward again.
 
         Parameters
         ----------
@@ -315,45 +372,52 @@ class Tensor:
         grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
             grad = grad.reshape(self.data.shape)
+        _keep_freed_heap()
 
-        # Iterative post-order DFS: recursion would overflow for deep
-        # (8-layer) IGNNs where each layer chains several MLPs.
-        topo: List[Tensor] = []
-        visited = set()
-        stack: List[Tuple[Tensor, bool]] = [(self, False)]
+        # Every node reachable through parents that require grad, in
+        # recording order: a node is recorded after its parents, so the
+        # reverse of that order is a topological order — and a fixed one,
+        # whatever the graph's shape, so a recomputed `ops.checkpoint`
+        # block sums its gradients in the plain tape's order.  An explicit
+        # stack: recursion would overflow for deep (8-layer) IGNNs.
+        seen = {id(self): self}
+        stack: List[Tensor] = [self]
         while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited and p.requires_grad:
-                    stack.append((p, False))
+            for p in stack.pop()._parents:
+                if p.requires_grad and id(p) not in seen:
+                    seen[id(p)] = p
+                    stack.append(p)
+        topo = sorted(seen.values(), key=lambda node: node._seq)
+        del seen  # `topo` is the pass's only hold on the nodes
 
-        # Propagate in reverse topological order.  Interior gradients are
-        # staged in `grads` and dropped once consumed; only leaves keep
-        # their accumulated gradient in `.grad`.
+        # Propagate in reverse topological order, consuming the graph:
+        # each node leaves `topo` and hands back its closure and parents
+        # as it is reached, so the arrays an op saved die once its last
+        # consumer is differentiated.  Interior gradients are staged in
+        # `grads` and dropped once consumed; only leaves keep their
+        # accumulated gradient in `.grad`.
         grads = {id(self): grad}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
+            fn, parents = node._backward, node._parents
+            if fn is not None:
+                node._backward, node._parents = _consumed, ()
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node._backward is None:
+            if fn is None:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
                 node.grad += node_grad
                 continue
-            parent_grads = node._backward(node_grad)
-            if len(parent_grads) != len(node._parents):
+            parent_grads = fn(node_grad)
+            del fn  # what only the closure saved dies here
+            if len(parent_grads) != len(parents):
                 raise RuntimeError(
                     f"op '{node._op}' returned {len(parent_grads)} gradients "
-                    f"for {len(node._parents)} parents"
+                    f"for {len(parents)} parents"
                 )
-            for parent, pgrad in zip(node._parents, parent_grads):
+            for parent, pgrad in zip(parents, parent_grads):
                 if pgrad is None or not parent.requires_grad:
                     continue
                 if pgrad.shape != parent.data.shape:
@@ -366,6 +430,7 @@ class Tensor:
                     grads[key] = grads[key] + pgrad
                 else:
                     grads[key] = pgrad
+            parent_grads = pgrad = None  # `grads` holds what is still needed
 
     # ------------------------------------------------------------------
     # operator sugar (implementations live in repro.tensor.ops)

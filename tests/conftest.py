@@ -16,6 +16,7 @@ from repro.detector import (
     make_dataset,
 )
 from repro.graph import disjoint_chains, random_graph
+from repro.tensor import Tensor
 
 
 @pytest.fixture
@@ -62,19 +63,51 @@ def chains_graph():
 @pytest.fixture(scope="session")
 def tape_ops():
     """``tape_ops(root) -> (sorted op names of the tape nodes reachable
-    from root, number of tensors reachable, leaves included)``."""
+    from root, number of tensors reachable, leaves included, bytes of the
+    floating-point buffers they keep alive)``.
+
+    The bytes walk each tensor's data and every array its backward
+    closure captures (through nested closures, tuples and lists), and
+    count each underlying buffer once, however many views reach it:
+    activations, saved statistics and parameters.  Index arrays are the
+    graph's, not the tape's, and are not counted."""
 
     def walk(root):
-        seen, stack, names = set(), [root], []
+        seen, stack, names = {}, [root], []
         while stack:
             node = stack.pop()
             if id(node) in seen:
                 continue
-            seen.add(id(node))
+            seen[id(node)] = node
             stack.extend(node._parents)
             if not node.is_leaf:
                 names.append(node._op)
-        return sorted(names), len(seen)
+        return sorted(names), len(seen), buffer_bytes(seen.values())
+
+    def buffer_bytes(tensors):
+        seen, buffers = set(), {}
+        stack = [t.data for t in tensors] + [t._backward for t in tensors]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                while isinstance(obj.base, np.ndarray):
+                    obj = obj.base
+                if np.issubdtype(obj.dtype, np.floating):
+                    buffers[id(obj)] = obj.nbytes
+            elif isinstance(obj, Tensor):
+                stack.append(obj.data)
+            elif isinstance(obj, (tuple, list)):
+                stack.extend(obj)
+            elif callable(obj):
+                for cell in getattr(obj, "__closure__", None) or ():
+                    try:
+                        stack.append(cell.cell_contents)
+                    except ValueError:  # a name bound later, or never
+                        pass
+        return sum(buffers.values())
 
     return walk
 

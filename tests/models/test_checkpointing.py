@@ -1,5 +1,7 @@
 """Gradient checkpointing: exactness vs ordinary backprop, memory model."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,23 @@ class TestExactness:
     def test_gradients_bit_identical_to_plain_backprop_at_8_layers(self, graph):
         """The paper's depth: ``Y⁰`` feeds every block's message op."""
         self.assert_bit_identical(graph, num_layers=8)
+
+    def test_recompute_releases_its_inner_graphs(self, graph, monkeypatch):
+        """Each block's recomputed graph is walked by a nested backward()
+        that consumes it, and the recomputed step still equals the plain
+        one bit for bit."""
+        inner = []
+        backward = Tensor.backward
+
+        def spy(root, grad=None):
+            backward(root, grad)
+            if grad is not None:  # an ops.checkpoint recomputation
+                inner.append((weakref.ref(root.data), root._parents))
+
+        monkeypatch.setattr(Tensor, "backward", spy)
+        self.assert_bit_identical(graph, num_layers=3)
+        assert len(inner) == 3  # one recomputation per block
+        assert all(parents == () and data() is None for data, parents in inner)
 
     @staticmethod
     def assert_bit_identical(graph, num_layers):

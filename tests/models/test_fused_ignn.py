@@ -1,6 +1,7 @@
 """Fused vs unfused IGNN message path: forward/grad/training parity."""
 
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from repro.models import (
     RecurrentInteractionGNN,
 )
 from repro.nn import Adam, BCEWithLogitsLoss
-from repro.tensor import Tensor, kernels
+from repro.models.interaction_gnn import _IGNNLayer
+from repro.tensor import Tensor, kernels, ops
 
 
 def make_pair(fused_cfg=True, **kw):
@@ -68,28 +70,64 @@ class TestForwardParity:
         np.testing.assert_allclose(lf.data, lp.data, rtol=2e-4, atol=2e-5)
 
 
+def _concat_residual_forward(self, x, y, x0, y0, rows, cols, update=True):
+    """The fused block as spelled before it read ``(Xˡ, X⁰)`` in place."""
+    x_res = ops.concat([x, x0], axis=1)
+    y_next = self.edge_mlp.forward_tail(
+        ops.gather_concat_matmul((y, y0), x_res, rows, cols, *self.edge_mlp.first_layer)
+    )
+    if not update:
+        return y_next
+    return self.update(x, x_res, y_next, rows, cols), y_next
+
+
 class TestTapeSize:
     def test_ex3_shaped_step_is_about_300_nodes(self, graph, tape_ops):
         """8 blocks x 2-layer MLPs: one node per MLP layer (the graph ops
-        carry their layer's LayerNorm → ReLU), one concat per block (the
-        vertex-side ``[Xˡ X⁰]``; the edge side hands the op the pair), and
-        no vertex update in the last block."""
+        carry their layer's LayerNorm → ReLU), two no-copy fan-in nodes
+        per block (the vertex-side ``(Xˡ, X⁰)``, read in place like the
+        edge side's pair), no concat, and no vertex update in the last
+        block."""
         model = InteractionGNN(IGNNConfig(
             node_features=6, edge_features=2, hidden=8, num_layers=8, mlp_layers=2,
         ))
         labels = graph.edge_labels.astype(np.float32)
         logits = model(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
         loss = BCEWithLogitsLoss()(logits, labels)
-        ops_seen, tensors = tape_ops(loss)
+        ops_seen, tensors, _ = tape_ops(loss)
         assert "layer_norm" not in ops_seen and "relu" not in ops_seen
         assert ops_seen.count("gather_concat_matmul") == 8
         assert ops_seen.count("scatter_mlp_input") == 7
-        assert ops_seen.count("concat") == 8
-        assert len(ops_seen) <= 46  # 124 with three nodes per MLP layer
-        assert tensors <= 320  # every tensor reachable, parameters included
+        assert ops_seen.count("fan_in") == 16 and "concat" not in ops_seen
+        assert len(ops_seen) <= 54  # 124 with three nodes per MLP layer
+        assert tensors <= 328  # every tensor reachable, parameters included
         loss.backward()
         dead = [n for n, p in model.named_parameters() if p.grad is None]
         assert dead and all(n.startswith("layer7.node_mlp.") for n in dead)
+
+    def test_the_vertex_residual_costs_the_tape_nothing(self, tape_ops):
+        """On an Ex3-shaped batch (n = 1 363, m ≈ 4 500, hidden 64 × 8
+        layers) the fused tape is exactly ``L · n · 2h · itemsize`` bytes
+        smaller than the same network with each block's ``[Xˡ X⁰]``
+        concatenated, the spelling the fused path had before it read the
+        pair in place."""
+        n, m, hidden, layers = 1363, 4510, 64, 8
+        g = random_graph(n, m, rng=np.random.default_rng(3), true_fraction=0.3)
+        model = InteractionGNN(IGNNConfig(
+            node_features=6, edge_features=2, hidden=hidden, num_layers=layers,
+            mlp_layers=2,
+        ))
+
+        def tape():
+            logits = model(Tensor(g.x), Tensor(g.y), g.rows, g.cols)
+            return tape_ops(BCEWithLogitsLoss()(logits, g.edge_labels.astype(np.float32)))
+
+        pair_ops, _, pair_bytes = tape()
+        with mock.patch.object(_IGNNLayer, "forward", _concat_residual_forward):
+            cat_ops, _, cat_bytes = tape()
+        assert g.num_nodes == n and g.num_edges > 3 * n
+        assert cat_ops.count("concat") == layers and "concat" not in pair_ops
+        assert cat_bytes - pair_bytes == layers * n * 2 * hidden * 4
 
     @staticmethod
     def reachable_shapes(root):
@@ -120,8 +158,9 @@ class TestTapeSize:
 
     @pytest.mark.parametrize("fused", [True, False])
     def test_no_edge_residual_copy_on_the_fused_path(self, graph, fused):
-        """The fused tape holds no ``(m, 2h)`` array: ``[Yˡ Y⁰]`` is read
-        in place.  The unfused reference still builds it (the walk finds it)."""
+        """The fused tape holds no ``(m, 2h)`` and no ``(n, 2h)`` array:
+        ``[Yˡ Y⁰]`` and ``[Xˡ X⁰]`` are read in place.  The unfused
+        reference still builds both (the walk finds them)."""
         hidden = 64
         model = InteractionGNN(IGNNConfig(
             node_features=6, edge_features=2, hidden=hidden, num_layers=8,
@@ -131,7 +170,7 @@ class TestTapeSize:
         loss = BCEWithLogitsLoss()(logits, graph.edge_labels.astype(np.float32))
         shapes = self.reachable_shapes(loss)
         assert graph.num_edges != graph.num_nodes
-        assert (graph.num_nodes, 2 * hidden) in shapes  # X' = [Xˡ X⁰] stays
+        assert ((graph.num_nodes, 2 * hidden) in shapes) == (not fused)
         assert ((graph.num_edges, 2 * hidden) in shapes) == (not fused)
 
 
@@ -217,9 +256,11 @@ class TestNoPerShapeState:
         assert len({(g.num_edges, g.num_nodes) for g in graphs}) == 40
         for g in graphs:
             logits = model(Tensor(g.x), Tensor(g.y), g.rows, g.cols)
-            loss_fn(logits, g.edge_labels.astype(np.float32)).backward()
-        assert len(kernels._PLAN_CACHE) > 0  # the last tape still holds its ids
-        del graphs, g, logits
+            loss = loss_fn(logits, g.edge_labels.astype(np.float32))
+            assert len(kernels._PLAN_CACHE) > 0  # the tape holds its ids ...
+            loss.backward()
+            assert len(kernels._PLAN_CACHE) == 0  # ... until backward consumes it
+        del graphs, g, logits, loss
         gc.collect()
         assert default_arena().pooled_bytes == 0
         assert len(kernels._PLAN_CACHE) == 0

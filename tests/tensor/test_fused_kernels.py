@@ -388,8 +388,8 @@ class TestLayerNorm:
 
         leaves = [Tensor(v.copy(), requires_grad=True) for v in (x, w, b)]
         out = ops.layer_norm(*leaves, eps=1e-5)
-        out.backward(seed)
         assert out._op == "layer_norm" and out._parents == tuple(leaves)
+        out.backward(seed)
         assert out.dtype == dtype and np.array_equal(out.data, ref_out)
         for leaf, ref in zip(leaves, ref_grads):
             assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, ref)
@@ -574,6 +574,27 @@ class TestGatherConcatMatmul:
         for split, cat in zip(*results):
             np.testing.assert_allclose(split, cat, rtol=1e-11, atol=1e-11)
 
+    def test_split_x_pair_matches_concat_float64(self, rng):
+        """``x = (Xˡ, X⁰)`` too, the IGNN's call: both pairs against
+        ``concat → op``, the forward and every gradient."""
+        ya, yb, xa, xb = t64(rng, 25, 4), t64(rng, 25, 4), t64(rng, 7, 3), t64(rng, 7, 3)
+        rows, cols = rng.integers(0, 7, size=25), rng.integers(0, 7, size=25)
+        w, b, gamma, beta = t64(rng, 20, 6), t64(rng, 6), t64(rng, 6), t64(rng, 6)
+        seed = rng.normal(size=(25, 6))
+        params = (ya, yb, xa, xb, w, b, gamma, beta)
+        results = []
+        for split in (True, False):
+            for p in params:
+                p.grad = None
+            y, x = ((ya, yb), (xa, xb)) if split else (
+                ops.concat([ya, yb], axis=1), ops.concat([xa, xb], axis=1)
+            )
+            out = ops.gather_concat_matmul(y, x, rows, cols, w, b, (gamma, beta, 1e-5))
+            ops.sum(ops.mul(out, seed)).backward()
+            results.append([out.data] + [p.grad for p in params])
+        for split, cat in zip(*results):
+            np.testing.assert_allclose(split, cat, rtol=1e-11, atol=1e-11)
+
     def test_single_tensor_form_bits(self, rng):
         """One ``y`` keeps the original arithmetic bit for bit:
         ``y@W_y + gather(x@W_r) + gather(x@W_c)`` and its gradients."""
@@ -651,6 +672,66 @@ class TestScatterMlpInput:
         with pytest.raises(ValueError):
             ops.scatter_mlp_input(msg, rows, cols, x, bad_w, b)
 
+    def test_split_pair_matches_concat_float64(self, rng):
+        """``x = (Xˡ, X⁰)`` against ``concat → op`` with the same weight:
+        the forward and every gradient, LayerNorm → ReLU included."""
+        msg, rows, cols, _, _, b = self.node_case(rng)
+        xa, xb = t64(rng, 7, 3), t64(rng, 7, 3)
+        w, gamma, beta = t64(rng, 2 * 6 + 6, 5), t64(rng, 5), t64(rng, 5)
+        seed = rng.normal(size=(7, 5))
+        params = (msg, xa, xb, w, b, gamma, beta)
+        results = []
+        for x in ((xa, xb), ops.concat([xa, xb], axis=1)):
+            for p in params:
+                p.grad = None
+            out = ops.scatter_mlp_input(msg, rows, cols, x, w, b, norm=(gamma, beta, 1e-5))
+            ops.sum(ops.mul(out, seed)).backward()
+            results.append([out.data] + [p.grad for p in params])
+        for split, cat in zip(*results):
+            np.testing.assert_allclose(split, cat, rtol=1e-11, atol=1e-11)
+
+    def test_single_tensor_form_bits(self, rng):
+        """One ``x`` keeps the original arithmetic bit for bit:
+        ``seg(msg)@W_s + seg(msg)@W_d + x@W_x`` and its gradients."""
+        m, n, h, f, k = 40, 9, 6, 5, 7
+        msg, x, w = (
+            Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+            for s in ((m, h), (n, f), (2 * h + f, k))
+        )
+        rows, cols = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+        seed = rng.normal(size=(n, k)).astype(np.float32)
+        out = ops.scatter_mlp_input(msg, rows, cols, x, w)
+        out.backward(seed)
+        w_s, w_d, w_x = w.data[:h], w.data[h : 2 * h], w.data[2 * h :]
+        m_src = kernels.scatter_add_rows(msg.data, rows, n)
+        m_dst = kernels.scatter_add_rows(msg.data, cols, n)
+        ref = m_src @ w_s
+        ref += m_dst @ w_d
+        ref += x.data @ w_x
+        np.testing.assert_array_equal(out.data, ref)
+        np.testing.assert_array_equal(x.grad, seed @ w_x.T)
+        np.testing.assert_array_equal(
+            w.grad, np.concatenate([m_src.T @ seed, m_dst.T @ seed, x.data.T @ seed])
+        )
+
+
+class TestFanIn:
+    def test_is_the_input_array_and_one_gradient_sum(self, rng):
+        """No copy forward; its consumers' gradients reach the input as
+        one sum, even when another consumer of the input was recorded
+        between them: ``a`` sees ``1 + (1e8 - 1e8)``; without the node it
+        would see ``(-1e8 + 1) + 1e8 = 0`` in float32."""
+        a = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
+        shared = ops.fan_in(a)
+        assert shared.data is a.data and shared._op == "fan_in"
+        first = ops.mul(shared, Tensor(np.float32([1e8])))
+        direct = ops.mul(a, Tensor(np.float32([1.0])))
+        last = ops.mul(shared, Tensor(np.float32([-1e8])))
+        ops.sum(ops.add(ops.add(first, direct), last)).backward()
+        assert a.grad.tolist() == [1.0]
+        with no_grad():
+            assert ops.fan_in(a).is_leaf
+
 
 # ----------------------------------------------------------------------
 # one MLP layer as one tape node: the LayerNorm → ReLU epilogue
@@ -692,14 +773,20 @@ class TestNormReluEpilogue:
         leaves = leaves + (gamma, beta)
         seed = rng.normal(size=op(*args).shape).astype(dtype)
 
-        def run(build):
+        def run(build, inspect=lambda out: None):
             for p in leaves:
                 p.grad = None
             out = build()
+            inspect(out)  # backward() consumes the node: look first
             out.backward(seed)
             return out, [p.grad.copy() for p in leaves]
 
-        fused, fused_grads = run(lambda: op(*args, norm=(gamma, beta, 1e-5)))
+        def one_node(fused):
+            # the layer is ONE node over the op's inputs and the norm's
+            assert fused._op == form and fused._parents[-2:] == (gamma, beta)
+            assert all(p.is_leaf for p in fused._parents)
+
+        fused, fused_grads = run(lambda: op(*args, norm=(gamma, beta, 1e-5)), one_node)
         ref, ref_grads = run(
             lambda: ops.relu(ops.layer_norm(op(*args), gamma, beta, eps=1e-5))
         )
@@ -708,9 +795,6 @@ class TestNormReluEpilogue:
         assert len(fused_grads) >= 5
         for g, r in zip(fused_grads, ref_grads):
             assert g.dtype == dtype and np.array_equal(g, r)
-        # the layer is ONE node over the op's inputs and the norm's
-        assert fused._op == form and fused._parents[-2:] == (gamma, beta)
-        assert all(p.is_leaf for p in fused._parents)
 
     @pytest.mark.parametrize("form", FORMS)
     def test_gradcheck(self, rng, form):

@@ -1,5 +1,7 @@
 """Tensor container semantics: construction, grads, no_grad, backward."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,77 @@ class TestBackward:
         ops.sum(h).backward()
         assert h.grad is None  # only leaves accumulate
         assert x.grad is not None
+
+
+def _saved(backward, name):
+    """The array a backward closure saved as ``name``, looked up through
+    the closures it nests (``linear`` → its layer tail's ``pull``)."""
+    cells = dict(zip(backward.__code__.co_freevars, backward.__closure__))
+    if name in cells:
+        return cells[name].cell_contents
+    return _saved(cells["pull"].cell_contents, name)
+
+
+class TestBackwardConsumesTheGraph:
+    """``backward()`` frees the graph as it walks it (PyTorch's default
+    ``retain_graph=False``): a node's saved arrays die once the node is
+    differentiated, and the graph cannot be walked a second time."""
+
+    @staticmethod
+    def layer(rng):
+        x, w, b, gamma, beta = (
+            Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+            for s in ((5, 4), (4, 3), (3,), (3,), (3,))
+        )
+        hidden = ops.linear(x, w, b, norm=(gamma, beta, 1e-5))
+        return (x, w, b, gamma, beta), hidden
+
+    def test_a_saved_activation_is_gone_when_backward_returns(self):
+        leaves, hidden = self.layer(np.random.default_rng(0))
+        loss = ops.sum(ops.tanh(hidden))
+        xhat = weakref.ref(_saved(hidden._backward, "xhat"))
+        del hidden
+        assert xhat() is not None  # the tape holds LayerNorm's xhat ...
+        loss.backward()
+        assert xhat() is None  # ... until backward has used it
+        assert all(p.grad is not None for p in leaves)
+
+    def test_tensors_the_caller_holds_keep_their_data(self):
+        leaves, hidden = self.layer(np.random.default_rng(1))
+        loss = ops.sum(ops.mul(hidden, hidden))
+        before = [t.data.copy() for t in leaves + (hidden, loss)]
+        loss.backward()
+        for t, data in zip(leaves + (hidden, loss), before):
+            assert np.array_equal(t.data, data)
+        assert not hidden.is_leaf and hidden.requires_grad and hidden.grad is None
+
+    def test_a_second_backward_through_a_consumed_graph_raises(self):
+        leaves, hidden = self.layer(np.random.default_rng(2))
+        loss = ops.sum(hidden)
+        loss.backward()
+        first = [p.grad.copy() for p in leaves]
+        with pytest.raises(RuntimeError, match="already consumed"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="already consumed"):
+            ops.sum(ops.mul(hidden, 2.0)).backward()  # a new root, a consumed interior
+        for p, g in zip(leaves, first):  # the refused walks added nothing
+            assert np.array_equal(p.grad, g)
+
+    @pytest.mark.parametrize("combine", ["c1+(c2+c3)", "(c3+c1)+c2", "(c2+c1)+c3"])
+    def test_contributions_are_summed_newest_consumer_first(self, combine):
+        """A tensor's gradient contributions are added in the reverse of
+        the order its consumers were recorded, whatever the graph's shape:
+        ``(g3 + g2) + g1``, which float32 tells apart from any other order."""
+        x = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
+        c1, c2, c3 = (ops.mul(x, Tensor(np.float32([k]))) for k in (1.0, -1e8, 1e8))
+        if combine == "c1+(c2+c3)":
+            total = ops.add(c1, ops.add(c2, c3))
+        elif combine == "(c3+c1)+c2":
+            total = ops.add(ops.add(c3, c1), c2)
+        else:
+            total = ops.add(ops.add(c2, c1), c3)
+        ops.sum(total).backward()
+        assert x.grad.tolist() == [1.0]  # (1e8 - 1e8) + 1, not (1 - 1e8) + 1e8 = 0
 
 
 class TestNoGrad:
