@@ -2,7 +2,10 @@
 and its two uses: an order-preserving per-event map, in which the caller
 and the helpers run a plain loop's calls, whose numpy, BLAS and
 ``cKDTree`` work releases the GIL (the bits are the loop's; pin BLAS),
-and :func:`submit`, which the sampling prefetch runs its steps through."""
+and :func:`submit`, which the sampling prefetch runs its steps through.
+The map comes in two halves, :func:`dispatch` and the call it returns,
+so the trainer can run its rank steps as lanes and collect them where
+they meet, in the all-reduce."""
 
 from __future__ import annotations
 
@@ -44,17 +47,17 @@ def settle(futures: Iterable[Future]) -> None:
         wait(running)
 
 
-def per_event(fn: Callable, *iterables) -> Iterator:
-    """``fn(*args)`` for each ``args`` of ``zip(*iterables)``, in order; an
-    item that raised re-raises at its position.  One item, one core, or a
-    call from a pool thread or from inside an item is a plain loop;
-    otherwise the helpers run under the caller's default dtype and open
-    tracer span."""
+def dispatch(fn: Callable, *iterables) -> Callable[[], Iterator]:
+    """The first half of :func:`per_event`: ``fn(*args)`` for each ``args``
+    of ``zip(*iterables)``, the helpers claiming items under the caller's
+    default dtype and open tracer span while the caller runs every item
+    none of them has claimed.  Returns the second half, which waits for
+    the helpers and yields the results in order; an item that raised
+    re-raises at its position.  One item, one core, or a call from a pool
+    thread or from inside an item is a plain loop on the caller."""
     items = list(zip(*iterables))
-    helpers = min(_HELPERS, len(items) - 1)
-    if helpers < 1 or getattr(_state, "inside", False):
-        yield from (fn(*args) for args in items)
-        return
+    nested = getattr(_state, "inside", False)
+    helpers = 0 if nested else min(_HELPERS, len(items) - 1)
     todo, done = iter(enumerate(items)), [None] * len(items)
     dtype, carried = get_default_dtype(), get_tracer().carry(fn)
 
@@ -68,10 +71,22 @@ def per_event(fn: Callable, *iterables) -> Iterator:
 
     futures = [submit(work) for _ in range(helpers)]
     _state.inside = True
-    work()
-    _state.inside = False
-    settle(futures)  # a helper that never started: not waited for
-    for result, error in done:
-        if error is not None:
-            raise error
-        yield result
+    try:
+        work()
+    finally:
+        _state.inside = nested
+
+    def collect() -> Iterator:
+        settle(futures)  # a helper that never started: not waited for
+        for result, error in done:
+            if error is not None:
+                raise error
+            yield result
+
+    return collect
+
+
+def per_event(fn: Callable, *iterables) -> Iterator:
+    """``fn(*args)`` for each ``args`` of ``zip(*iterables)``, in order, on
+    every core: :func:`dispatch` and the half it returns, back to back."""
+    yield from dispatch(fn, *iterables)()

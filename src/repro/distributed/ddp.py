@@ -11,9 +11,10 @@ strategies are provided:
 * ``"coalesced"`` — gradients stacked into a single flat buffer, one
   all-reduce per step (Section III-D).
 
-Because the ranks run in one process, wall-clock here measures algorithmic
-work; communication *time* comes from the α–β cost model accumulated in
-the communicator's stats.  Gradient math is bit-comparable to true DDP:
+The ranks' replicas live in one process (their steps run on the trainer's
+lanes, one thread each), so wall-clock here measures algorithmic work;
+communication *time* comes from the α–β cost model accumulated in the
+communicator's stats.  Gradient math is bit-comparable to true DDP:
 the property tests check that P-rank training equals single-rank training
 on the union batch.
 """
@@ -119,7 +120,7 @@ class DistributedDataParallel:
         return self.comm.ranks
 
     # ------------------------------------------------------------------
-    def synchronize_gradients(self) -> None:
+    def synchronize_gradients(self, arrive: Optional[Callable[[], None]] = None) -> None:
         """Average gradients across live ranks, in place.
 
         After this call every surviving replica's ``param.grad`` holds
@@ -127,7 +128,15 @@ class DistributedDataParallel:
         ``torch.nn.parallel.DDP`` backward.  Transient collective faults
         are retried with backoff; a permanent rank failure evicts the
         rank (see :meth:`drop_rank`) and re-synchronises the survivors.
+
+        ``arrive``, run once before the first collective and not on a
+        retry, is where the ranks meet: it waits for the rank steps still
+        running and judges them, so the wait for the slowest rank counts
+        as sync time, as a real all-reduce's does.  If it raises, no
+        gradient is reduced.
         """
+        if arrive is not None:
+            arrive()
         retries_left = self.retry_policy.max_retries
         stale_budget = len(self.global_ranks)
         need_resync = False

@@ -14,7 +14,7 @@ the samplers are built lazily and cached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +49,7 @@ class EventGraph:
     edge_labels: Optional[np.ndarray] = None
     particle_ids: Optional[np.ndarray] = None
     event_id: int = 0
-    _cache: Dict[str, sp.spmatrix] = field(default_factory=dict, repr=False, compare=False)
+    _cache: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.edge_index = np.ascontiguousarray(self.edge_index, dtype=np.int64)
@@ -94,13 +94,19 @@ class EventGraph:
 
     @property
     def rows(self) -> np.ndarray:
-        """Source vertex per edge (``A.rows`` in Algorithm 1)."""
-        return self.edge_index[0]
+        """Source vertex per edge (``A.rows`` in Algorithm 1): one cached
+        view, so the kernels' identity-keyed scatter plans hit on reuse."""
+        if "rows" not in self._cache:
+            self._cache["rows"] = self.edge_index[0]
+        return self._cache["rows"]
 
     @property
     def cols(self) -> np.ndarray:
-        """Destination vertex per edge (``A.cols`` in Algorithm 1)."""
-        return self.edge_index[1]
+        """Destination vertex per edge (``A.cols`` in Algorithm 1), cached
+        like :attr:`rows`."""
+        if "cols" not in self._cache:
+            self._cache["cols"] = self.edge_index[1]
+        return self._cache["cols"]
 
     # ------------------------------------------------------------------
     # sparse views

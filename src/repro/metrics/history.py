@@ -10,7 +10,14 @@ __all__ = ["EpochRecord", "TrainingHistory"]
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One epoch's metrics."""
+    """One epoch's metrics.
+
+    The three ``*_seconds`` timings are wall time on the training thread:
+    with P ranks, ``training_seconds`` covers the P rank steps running on
+    lanes and meeting in the all-reduce (not a sum over ranks), and
+    ``sampling_seconds`` the time the trainer waited for sampled steps.
+    ``comm_modeled_seconds`` is the α–β model's all-reduce charge.
+    """
 
     epoch: int
     train_loss: float

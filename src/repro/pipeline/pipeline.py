@@ -25,6 +25,7 @@ from ..graph import EventGraph
 from ..guard import EventValidator, Quarantine, QuarantineLog
 from ..metrics import TrackingScore, match_tracks
 from ..obs import get_tracer
+from ..tensor.tensor import _release_freed_heap
 from .._per_event import per_event
 from .config import PipelineConfig
 from .embedding_stage import EmbeddingStage
@@ -197,6 +198,7 @@ class ExaTrkXPipeline:
             final = self.gnn.result.history.final
             self.report.gnn_final_precision = final.val_precision
             self.report.gnn_final_recall = final.val_recall
+        _release_freed_heap()
         return self.report
 
     # ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._per_event import dispatch
 from ..data import EpochPlan, PlannedStep, PrefetchLoader
 from ..distributed import (
     CommStats,
@@ -294,9 +295,9 @@ class _Rank:
     """One DDP rank's replica and optimiser — the rank-local half of a step.
 
     :meth:`step` touches nothing but this rank's own model/optimiser and
-    its arguments (no communicator, loader, history or timer), so a
-    backend may run it anywhere: the sim backend is "P rank steps in one
-    process", followed by the driver's single all-reduce.
+    its arguments (no communicator, loader, history or timer), so
+    :func:`_train` runs a step's P rank steps on lanes (one thread each)
+    and meets them in its single all-reduce.
     """
 
     def __init__(self, grank: int, model: InteractionGNN, optimizer: Adam) -> None:
@@ -551,11 +552,11 @@ def _train(
             with timers.scope("epoch"):
                 plan, plan_skipped = plan_epoch(rng)
                 # Each live rank samples & trains its shard of every batch
-                # in a step's group.  Ranks execute sequentially here (one
-                # CPU), so measured sampling/training time is the *sum over
-                # ranks*; benches divide by P when projecting.  After an
-                # elastic rank eviction the loader re-shards queued steps
-                # over the survivors, so no shard is silently dropped.
+                # in a step's group.  The rank steps run on the per-event
+                # pool's lanes and meet in the all-reduce, so "training" is
+                # wall time at P lanes.  After an elastic rank eviction the
+                # loader re-shards queued steps over the survivors, so no
+                # shard is silently dropped.
                 # With prefetch workers the "sampling" scope measures only
                 # the trainer-thread *stall* — sampler work hidden behind
                 # training compute no longer shows up in epoch time.
@@ -572,21 +573,30 @@ def _train(
                             # one optimisation step per batch in the group
                             for bi in range(len(step.batches)):
                                 with timers.scope("training"):
-                                    for rank in ranks:
-                                        graph = rank_sampled[rank.grank][bi].graph
-                                        fault = (
-                                            fault_plan.numeric_fault_target()
-                                            if fault_plan is not None
-                                            else None
-                                        )
-                                        loss = rank.step(graph, loss_fn, step.recompute, fault)
-                                        _check_step(loss, rank.model, graph, watchdog)
-                                        if rank is ranks[0]:
-                                            losses.append(loss)
+                                    graphs = [rank_sampled[r.grank][bi].graph for r in ranks]
+                                    faults = [
+                                        fault_plan.numeric_fault_target()
+                                        if fault_plan is not None
+                                        else None
+                                        for _ in ranks
+                                    ]
+                                    settle = dispatch(
+                                        lambda rank, graph, fault: rank.step(
+                                            graph, loss_fn, step.recompute, fault
+                                        ),
+                                        ranks, graphs, faults,
+                                    )
+
+                                    def arrive() -> None:  # every rank judged before any reduce
+                                        for rank, graph, loss in zip(ranks, graphs, settle()):
+                                            _check_step(loss, rank.model, graph, watchdog)
+                                            if rank is ranks[0]:
+                                                losses.append(loss)
+
                                     # may evict permanently failed ranks (elastic
                                     # recovery) or retry transient comm faults
                                     with tracer.span("allreduce", category="train"):
-                                        ddp.synchronize_gradients()
+                                        ddp.synchronize_gradients(arrive)
                                     if len(ranks) != ddp.world_size:
                                         live = ddp.global_ranks
                                         ranks = [r for r in ranks if r.grank in live]

@@ -182,6 +182,19 @@ def _keep_freed_heap() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+def _release_freed_heap() -> None:
+    """Give the heap's free pages back to the OS now (glibc's
+    ``malloc_trim(0)``), whatever :func:`_keep_freed_heap` pinned.  Called
+    where a phase that trained ends (``ExaTrkXPipeline.fit``), so what
+    runs next — serving — does not inherit the heap it kept; a no-op
+    where the C library has no ``malloc_trim``."""
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    malloc_trim(0)
+
+
 def _consumed(grad):
     """The closure of a node an earlier :meth:`Tensor.backward` walked."""
     raise RuntimeError(

@@ -1,9 +1,14 @@
 """EventGraph container validation and views."""
 
+import gc
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.graph import EventGraph, random_graph
+from repro.models import IGNNConfig, InteractionGNN
+from repro.tensor import kernels
 
 
 def tiny_graph():
@@ -70,6 +75,34 @@ class TestViews:
         g = tiny_graph()
         assert np.array_equal(g.rows, [0, 1, 2])
         assert np.array_equal(g.cols, [1, 2, 3])
+
+    def test_rows_cols_are_cached_views(self):
+        g = tiny_graph()
+        assert g.rows is g.rows and g.cols is g.cols
+        assert g.rows.base is g.edge_index and g.cols.base is g.edge_index
+
+    def test_forwards_of_one_graph_build_two_plans_that_die_with_it(self):
+        """The kernels' scatter plans are keyed by index-array identity:
+        with cached views, every forward after the first hits."""
+        model = InteractionGNN(IGNNConfig(
+            node_features=6, edge_features=2, hidden=8, num_layers=2, mlp_layers=2, seed=0,
+        ))
+        g = random_graph(400, 1600, rng=np.random.default_rng(0), true_fraction=0.3)
+        kernels.clear_plan_cache()
+        built = []
+        init = kernels.ScatterPlan.__init__
+
+        def spy(plan, index):
+            built.append(index)
+            init(plan, index)
+
+        with mock.patch.object(kernels.ScatterPlan, "__init__", spy):
+            first, *rest = [model.logits(g).data for _ in range(3)]
+        assert len(built) == 2 and {id(i) for i in built} == {id(g.rows), id(g.cols)}
+        assert all(np.array_equal(first, other) for other in rest)  # same bits every call
+        del g, built
+        gc.collect()
+        assert len(kernels._PLAN_CACHE) == 0
 
     def test_csr_is_cached(self):
         g = tiny_graph()

@@ -249,18 +249,17 @@ class TestNoPerShapeState:
             node_features=6, edge_features=2, hidden=8, num_layers=2, mlp_layers=2, seed=0,
         ))
         loss_fn = BCEWithLogitsLoss()
-        graphs = [
-            random_graph(20 + k, 60 + 3 * k, rng=np.random.default_rng(k), true_fraction=0.4)
-            for k in range(40)
-        ]
-        assert len({(g.num_edges, g.num_nodes) for g in graphs}) == 40
-        for g in graphs:
+        shapes = set()
+        for k in range(40):
+            g = random_graph(20 + k, 60 + 3 * k, rng=np.random.default_rng(k), true_fraction=0.4)
+            shapes.add((g.num_edges, g.num_nodes))
             logits = model(Tensor(g.x), Tensor(g.y), g.rows, g.cols)
             loss = loss_fn(logits, g.edge_labels.astype(np.float32))
-            assert len(kernels._PLAN_CACHE) > 0  # the tape holds its ids ...
             loss.backward()
-            assert len(kernels._PLAN_CACHE) == 0  # ... until backward consumes it
-        del graphs, g, logits, loss
+            assert len(kernels._PLAN_CACHE) == 2  # the graph's ids hold its two plans ...
+            del g, logits, loss
+            assert len(kernels._PLAN_CACHE) == 0  # ... until the graph dies
+        assert len(shapes) == 40
         gc.collect()
         assert default_arena().pooled_bytes == 0
         assert len(kernels._PLAN_CACHE) == 0
