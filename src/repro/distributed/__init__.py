@@ -28,19 +28,6 @@ from .algorithms import (
     tree_allreduce,
     tree_time,
 )
-from .bucketing import (
-    Bucket,
-    BucketedSynchronizer,
-    overlapped_sync_time,
-    partition_buckets,
-)
-from .partitioned_gnn import HaloStats, PartitionedIGNNForward, VertexPartition
-from .compression import (
-    CompressedSynchronizer,
-    TopKCompressor,
-    compressed_bytes,
-    compression_speedup,
-)
 
 __all__ = [
     "CommBackend",
@@ -69,15 +56,4 @@ __all__ = [
     "halving_doubling_time",
     "tree_allreduce",
     "tree_time",
-    "Bucket",
-    "BucketedSynchronizer",
-    "partition_buckets",
-    "overlapped_sync_time",
-    "HaloStats",
-    "VertexPartition",
-    "PartitionedIGNNForward",
-    "TopKCompressor",
-    "CompressedSynchronizer",
-    "compressed_bytes",
-    "compression_speedup",
 ]

@@ -7,17 +7,20 @@ binary truth label — 1 if both endpoints were produced by the same
 particle on adjacent layers (a true track segment), else 0.
 
 The adjacency is stored in COO form (``edge_index`` of shape ``(2, m)``),
-matching Algorithm 1's ``A.rows`` / ``A.cols`` notation; CSR/CSC views for
-the samplers are built lazily and cached.
+matching Algorithm 1's ``A.rows`` / ``A.cols`` notation; CSR views for
+the samplers and the scatter plans of the GNN's aggregation are built
+lazily and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+
+from ..tensor.kernels import ScatterPlan
 
 __all__ = ["EventGraph"]
 
@@ -94,19 +97,23 @@ class EventGraph:
 
     @property
     def rows(self) -> np.ndarray:
-        """Source vertex per edge (``A.rows`` in Algorithm 1): one cached
-        view, so the kernels' identity-keyed scatter plans hit on reuse."""
-        if "rows" not in self._cache:
-            self._cache["rows"] = self.edge_index[0]
-        return self._cache["rows"]
+        """Source vertex per edge (``A.rows`` in Algorithm 1), a view of
+        ``edge_index``; the GNN aggregates over it through :attr:`plans`."""
+        return self.edge_index[0]
 
     @property
     def cols(self) -> np.ndarray:
-        """Destination vertex per edge (``A.cols`` in Algorithm 1), cached
-        like :attr:`rows`."""
-        if "cols" not in self._cache:
-            self._cache["cols"] = self.edge_index[1]
-        return self._cache["cols"]
+        """Destination vertex per edge (``A.cols`` in Algorithm 1)."""
+        return self.edge_index[1]
+
+    @property
+    def plans(self) -> Tuple[ScatterPlan, ScatterPlan]:
+        """The scatter plans of :attr:`rows` and :attr:`cols` — the
+        incidence operators ``REDUCTION(Y, A.rows, +)`` multiplies by —
+        built once, on first use, and dropped with the graph."""
+        if "plans" not in self._cache:
+            self._cache["plans"] = (ScatterPlan(self.rows), ScatterPlan(self.cols))
+        return self._cache["plans"]
 
     # ------------------------------------------------------------------
     # sparse views

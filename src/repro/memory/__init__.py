@@ -4,8 +4,8 @@ Two unrelated-but-cohabiting concerns:
 
 * :mod:`repro.memory.activation` — the GPU activation-memory *model*
   driving full-graph skip decisions (paper Section 4);
-* :mod:`repro.memory.arena` — the real buffer-pool arena recycling the
-  engine's per-step gradient and scratch buffers.
+* :mod:`repro.memory.arena` — a buffer-pool arena that no library code
+  allocates through; kept for the ledger's ``memory.arena_*`` rows.
 """
 
 from .activation import ActivationMemoryModel

@@ -1,18 +1,17 @@
 """Buffer-pool arena for per-step scratch and gradient arrays.
 
 Every training step of the IGNN allocates the same set of large arrays:
-the ``(m, f)`` gathered-message buffers, the ``(n, f)`` scatter outputs
-of ``gather_rows``/``segment_sum`` backward, and the sorted-value
-scratch of the fused scatter kernels.  NumPy hands each of these back to
-the OS allocator as soon as the autograd staging table drops them, so a
-steady-state epoch spends a measurable fraction of its time in
-``malloc``/page-faulting memory it freed microseconds earlier.
+the ``(m, f)`` message buffers and the ``(n, f)`` scatter outputs of the
+graph ops' backward.  NumPy hands each of these back to the OS allocator
+as soon as the autograd engine drops them.
 
-:class:`BufferArena` recycles those buffers: the fused kernels in
-:mod:`repro.tensor.kernels` allocate through :meth:`BufferArena.take`,
-and the autograd engine returns dead gradient buffers through
-:meth:`BufferArena.reclaim` once they have been consumed (see
-``Tensor.backward``).  Safety rules:
+:class:`BufferArena` can recycle such buffers: :meth:`BufferArena.take`
+issues one and :meth:`BufferArena.reclaim` pools it again.  Nothing in
+the library calls it: the kernels in :mod:`repro.tensor.kernels` and
+``Tensor.backward`` allocate with plain numpy, so the process-global
+arena stays empty.  The module is kept for the ledger's
+``memory.arena_*`` rows, which read :func:`default_arena`, and goes
+when they do.  Safety rules:
 
 * only arrays issued by :meth:`take` are ever pooled — ``reclaim`` of a
   foreign array (a view, a closure pass-through, user data) is a no-op;
@@ -20,10 +19,9 @@ and the autograd engine returns dead gradient buffers through
   the Python allocator can never alias a pooled buffer;
 * a buffer is reclaimed at most once (the registry entry is popped).
 
-The arena is process-global (``default_arena``) and lock-protected: the
-serving engine's worker threads share it.  ``set_arena_enabled(False)``
-turns every ``take`` into a plain allocation — the escape hatch used by
-the parity suites to prove pooling never changes results.
+The arena is process-global (``default_arena``) and lock-protected.
+``set_arena_enabled(False)`` turns every ``take`` into a plain
+allocation.
 """
 
 from __future__ import annotations
@@ -167,9 +165,8 @@ class BufferArena:
             self.stats.reclaimed += 1
             return True
 
-    # `give` is the explicit-scratch spelling of the same operation: the
-    # fused kernels take() a sort buffer, use it, and give() it back
-    # before returning.
+    # `give` is the explicit-scratch spelling of the same operation: a
+    # caller take()s a buffer, uses it, and give()s it back.
     give = reclaim
 
     # ------------------------------------------------------------------
@@ -200,7 +197,7 @@ _ENABLED = True
 
 
 def default_arena() -> BufferArena:
-    """The process-global arena shared by the fused kernels."""
+    """The process-global arena (no library code allocates through it)."""
     return _DEFAULT_ARENA
 
 

@@ -16,18 +16,19 @@ __all__ = ["EdgeClassifier"]
 
 
 class EdgeClassifier(Module):
-    """A network whose ``forward(x, y, rows, cols)`` returns edge logits."""
+    """A network whose ``forward(x, y, rows, cols)`` returns edge logits;
+    ``rows`` / ``cols`` are index arrays or their scatter plans."""
 
     def logits(self, graph, **forward_kwargs) -> Tensor:
         """``forward`` on an :class:`repro.graph.EventGraph`: the one
         input boundary — ``x`` / ``y`` cast to the parameter dtype and
-        wrapped, then ``rows`` / ``cols``."""
+        wrapped, then the graph's own scatter plans of ``rows`` / ``cols``
+        (:attr:`repro.graph.EventGraph.plans`), built once per graph."""
         dt = next(self.parameters()).data.dtype
         return self.forward(
             Tensor(graph.x.astype(dt, copy=False)),
             Tensor(graph.y.astype(dt, copy=False)),
-            graph.rows,
-            graph.cols,
+            *graph.plans,
             **forward_kwargs,
         )
 

@@ -48,10 +48,9 @@ class FilterNet(EdgeClassifier):
             rng=rng,
         )
 
-    def forward(
-        self, x: Tensor, y: Tensor, rows: np.ndarray, cols: np.ndarray
-    ) -> Tensor:
-        """Return ``(m,)`` edge logits."""
+    def forward(self, x: Tensor, y: Tensor, rows, cols) -> Tensor:
+        """Return ``(m,)`` edge logits; ``rows`` / ``cols`` are index
+        arrays or their :class:`~repro.tensor.kernels.ScatterPlan` values."""
         x = x if isinstance(x, Tensor) else Tensor(x)
         y = y if isinstance(y, Tensor) else Tensor(y)
         feats = ops.concat(

@@ -37,6 +37,7 @@ import numpy as np
 
 from ..nn import MLP, Module
 from ..tensor import Tensor, ops
+from ..tensor.kernels import ScatterPlan
 from .edge_classifier import EdgeClassifier
 
 __all__ = ["IGNNConfig", "InteractionGNN"]
@@ -184,8 +185,8 @@ class InteractionGNN(EdgeClassifier):
         self,
         x: Tensor,
         y: Tensor,
-        rows: np.ndarray,
-        cols: np.ndarray,
+        rows,
+        cols,
         recompute: bool = False,
     ) -> Tensor:
         """Run edge classification.
@@ -197,7 +198,11 @@ class InteractionGNN(EdgeClassifier):
         y:
             ``(m, f_e)`` edge features.
         rows, cols:
-            ``(m,)`` COO adjacency (``A.rows`` / ``A.cols``).
+            ``(m,)`` COO adjacency (``A.rows`` / ``A.cols``): index arrays
+            or their :class:`~repro.tensor.kernels.ScatterPlan` values (an
+            :class:`~repro.graph.EventGraph` holds its own, and
+            :meth:`logits` passes them).  Arrays get one plan each for the
+            whole forward and backward.
         recompute:
             Keep only each block's boundary states ``(Xˡ, Yˡ)`` and
             recompute its interior during backward
@@ -211,7 +216,8 @@ class InteractionGNN(EdgeClassifier):
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         y = y if isinstance(y, Tensor) else Tensor(y)
-        if y.shape[0] != len(rows) or len(rows) != len(cols):
+        rows, cols = ScatterPlan.of(rows), ScatterPlan.of(cols)
+        if y.shape[0] != rows.length or rows.length != cols.length:
             raise ValueError("edge feature rows must match adjacency length")
         x0 = self.node_encoder(x)
         y0 = self.edge_encoder(y)

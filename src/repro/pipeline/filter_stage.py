@@ -73,7 +73,7 @@ class FilterStage:
                 if g.num_edges == 0:
                     continue
                 optimizer.zero_grad()
-                logits = net(Tensor(g.x), Tensor(g.y), g.rows, g.cols)
+                logits = net(Tensor(g.x), Tensor(g.y), *g.plans)
                 loss = loss_fn(logits, g.edge_labels.astype(np.float32))
                 loss.backward()
                 optimizer.step()

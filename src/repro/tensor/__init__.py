@@ -8,7 +8,7 @@ Public surface::
 full op set — including the graph primitives ``gather_rows`` and
 ``segment_sum`` used by the Interaction GNN, and their fused variants
 ``gather_concat_matmul`` / ``scatter_mlp_input`` — lives in
-:mod:`repro.tensor.ops`, with the underlying sorted-scatter kernels in
+:mod:`repro.tensor.ops`, with the underlying sparse scatter kernels in
 :mod:`repro.tensor.kernels`.
 """
 

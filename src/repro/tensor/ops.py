@@ -68,6 +68,17 @@ __all__ = [
 
 _py_sum = sum  # keep a handle on the builtin before we shadow it
 
+#: an index array, or the scatter plan its owner holds for it
+IndexOrPlan = Union[kernels.ScatterPlan, np.ndarray]
+
+
+def _segment_plan(segment_ids: IndexOrPlan, a: Tensor) -> kernels.ScatterPlan:
+    """The plan of ``segment_ids``, checked to index every row of ``a``."""
+    plan = kernels.ScatterPlan.of(segment_ids)
+    if plan.length != a.shape[0]:
+        raise ValueError(f"segment_ids length {plan.length} != rows {a.shape[0]}")
+    return plan
+
 
 def _column_sum(grad: np.ndarray) -> np.ndarray:
     """``grad.sum(axis=0)`` of a 2-D gradient as a BLAS gemv: numpy's
@@ -395,11 +406,12 @@ def getitem(a: Tensor, idx) -> Tensor:
             and idx.ndim == 1
             and np.issubdtype(idx.dtype, np.integer)
             and a.ndim >= 1
-            and kernels.scatter_plan(idx).lo >= 0
         ):
-            # Row gather: use the segment-reduce kernel instead of the
-            # per-row ufunc dispatch of ``np.add.at``.
-            return (kernels.scatter_add_rows(np.asarray(grad), idx, a.shape[0]),)
+            plan = kernels.ScatterPlan(idx)
+            if plan.lo >= 0:
+                # Row gather: use the segment-reduce kernel instead of the
+                # per-row ufunc dispatch of ``np.add.at``.
+                return (kernels.scatter_add_rows(np.asarray(grad), plan, a.shape[0]),)
         g = np.zeros_like(a.data)
         np.add.at(g, idx, grad)
         return (g,)
@@ -466,7 +478,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # ----------------------------------------------------------------------
 # graph ops — the MSG / AGG primitives of Algorithm 1
 # ----------------------------------------------------------------------
-def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
+def gather_rows(a: Tensor, index: IndexOrPlan) -> Tensor:
     """Row gather ``a[index]`` (``X[A.rows]`` in Algorithm 1).
 
     Parameters
@@ -474,25 +486,25 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     a:
         ``(n, f)`` feature matrix.
     index:
-        Integer array of row indices, one per edge.  Indices may repeat; the
-        gradient scatter-adds duplicate rows.
+        Integer array of row indices, one per edge, or its
+        :class:`~repro.tensor.kernels.ScatterPlan`.  Indices may repeat;
+        the gradient scatter-adds duplicate rows.
     """
     a = astensor(a)
-    index = np.asarray(index, dtype=np.int64)
-    out = a.data[index]
+    plan = kernels.ScatterPlan.of(index)
+    out = a.data[plan.index]
 
     def backward(grad: np.ndarray):
-        plan = kernels.scatter_plan(index)
         if plan.lo < 0:  # Python-style negative ids: numpy wrap semantics
             g = np.zeros_like(a.data)
-            np.add.at(g, index, grad)
+            np.add.at(g, plan.index, grad)
             return (g,)
-        return (kernels.scatter_add_rows(np.asarray(grad), index, a.shape[0], plan=plan),)
+        return (kernels.scatter_add_rows(np.asarray(grad), plan, a.shape[0]),)
 
     return Tensor.from_op(out, (a,), backward, op="gather_rows")
 
 
-def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_sum(a: Tensor, segment_ids: IndexOrPlan, num_segments: int) -> Tensor:
     """Sum rows of ``a`` into ``num_segments`` buckets by ``segment_ids``.
 
     This is the ``REDUCTION(Y, A.rows, +)`` aggregation of Algorithm 1: each
@@ -504,41 +516,33 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     a:
         ``(m, f)`` per-edge message matrix.
     segment_ids:
-        ``(m,)`` vertex index per edge.
+        ``(m,)`` vertex index per edge, or its
+        :class:`~repro.tensor.kernels.ScatterPlan`.
     num_segments:
         Number of output rows (vertex count).
     """
     a = astensor(a)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if segment_ids.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"segment_ids length {segment_ids.shape[0]} != rows {a.shape[0]}"
-        )
-    out = kernels.scatter_add_rows(a.data, segment_ids, num_segments)
+    plan = _segment_plan(segment_ids, a)
+    out = kernels.scatter_add_rows(a.data, plan, num_segments)
 
     def backward(grad: np.ndarray):
-        return (kernels.gather_rows_out(np.asarray(grad), segment_ids),)
+        return (kernels.gather_rows_out(np.asarray(grad), plan),)
 
     return Tensor.from_op(out, (a,), backward, op="segment_sum")
 
 
-def segment_mean(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_mean(a: Tensor, segment_ids: IndexOrPlan, num_segments: int) -> Tensor:
     """Mean-aggregate rows per segment; empty segments yield zero rows.
 
-    Fused: the per-segment counts come from the cached scatter plan of
-    ``segment_ids`` and the division happens in place on the freshly
-    reduced sums — no dense ``(n, 1)`` divisor array and no extra
-    autograd node for the division.
+    Fused: the per-segment counts come from the incidence operator of
+    ``segment_ids`` (an index array or its plan) and the division happens
+    in place on the freshly reduced sums — no dense ``(n, 1)`` divisor
+    array and no extra autograd node for the division.
     """
     a = astensor(a)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if segment_ids.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"segment_ids length {segment_ids.shape[0]} != rows {a.shape[0]}"
-        )
-    plan = kernels.scatter_plan(segment_ids)
-    out = kernels.scatter_add_rows(a.data, segment_ids, num_segments, plan=plan)
-    counts = np.diff(plan.operator(segment_ids, num_segments, a.dtype).indptr)
+    plan = _segment_plan(segment_ids, a)
+    out = kernels.scatter_add_rows(a.data, plan, num_segments)
+    counts = np.diff(plan.operator(num_segments, a.dtype).indptr)
     # Empty segments keep a zero row: 0 / max(0, 1) == 0.
     safe = np.maximum(counts, 1).astype(a.dtype)
     safe_col = safe.reshape((num_segments,) + (1,) * (a.ndim - 1))
@@ -546,7 +550,7 @@ def segment_mean(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tenso
 
     def backward(grad: np.ndarray):
         scaled = np.asarray(grad) / safe_col
-        return (kernels.gather_rows_out(scaled, segment_ids),)
+        return (kernels.gather_rows_out(scaled, plan),)
 
     return Tensor.from_op(out, (a,), backward, op="segment_mean")
 
@@ -554,8 +558,8 @@ def segment_mean(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tenso
 def gather_concat_matmul(
     y: Union[Tensor, Sequence[Tensor]],
     x: Union[Tensor, Sequence[Tensor]],
-    rows: np.ndarray,
-    cols: np.ndarray,
+    rows: IndexOrPlan,
+    cols: IndexOrPlan,
     weight: Tensor,
     bias: Optional[Tensor] = None,
     norm=None,
@@ -583,7 +587,8 @@ def gather_concat_matmul(
         blocks (the IGNN's ``(Xˡ, X⁰)``), read in place like ``y``: each
         against its own row block of ``W_r`` and of ``W_c``.
     rows, cols:
-        ``(m,)`` edge endpoint indices into ``x``.
+        ``(m,)`` edge endpoint indices into ``x``, or their
+        :class:`~repro.tensor.kernels.ScatterPlan` values.
     weight:
         ``(e + 2f, h)`` first-layer weight, laid out ``[W_y; W_r; W_c]``
         to match the ``concat([y, x[rows], x[cols]])`` column order.
@@ -594,8 +599,7 @@ def gather_concat_matmul(
         ReLU, applied inside this node (see :func:`linear`).
     """
     ys, xs, weight = _column_blocks(y), _column_blocks(x), astensor(weight)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    rows, cols = kernels.ScatterPlan.of(rows), kernels.ScatterPlan.of(cols)
     e, f = (_py_sum(t.shape[1] for t in blocks) for blocks in (ys, xs))
     if weight.shape[0] != e + 2 * f:
         raise ValueError(
@@ -638,8 +642,8 @@ def gather_concat_matmul(
 
 def scatter_mlp_input(
     messages: Tensor,
-    rows: np.ndarray,
-    cols: np.ndarray,
+    rows: IndexOrPlan,
+    cols: IndexOrPlan,
     x: Union[Tensor, Sequence[Tensor]],
     weight: Tensor,
     bias: Optional[Tensor] = None,
@@ -662,7 +666,8 @@ def scatter_mlp_input(
     messages:
         ``(m, h)`` per-edge messages (edge-MLP output).
     rows, cols:
-        ``(m,)`` edge endpoint indices.
+        ``(m,)`` edge endpoint indices, or their
+        :class:`~repro.tensor.kernels.ScatterPlan` values.
     x:
         ``(n, f)`` per-vertex features (``x_res``), or a tuple of column
         blocks read in place of their concat (the IGNN's ``(Xˡ, X⁰)``),
@@ -678,8 +683,7 @@ def scatter_mlp_input(
         Optional ``(gamma, beta, eps)``, as in :func:`gather_concat_matmul`.
     """
     messages, xs, weight = astensor(messages), _column_blocks(x), astensor(weight)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    rows, cols = kernels.ScatterPlan.of(rows), kernels.ScatterPlan.of(cols)
     h, f = messages.shape[1], _py_sum(t.shape[1] for t in xs)
     n = xs[0].shape[0] if num_segments is None else int(num_segments)
     if any(t.shape[0] != n for t in xs):

@@ -1,4 +1,4 @@
-"""Alternative all-reduce algorithms and bucketed gradient sync."""
+"""Alternative all-reduce algorithms and their cost models."""
 
 import numpy as np
 import pytest
@@ -8,20 +8,12 @@ from hypothesis.extra import numpy as hnp
 
 from repro.distributed import (
     NVLINK_A100,
-    BucketedSynchronizer,
-    DistributedDataParallel,
-    SimCommunicator,
     halving_doubling_allreduce,
     halving_doubling_time,
-    overlapped_sync_time,
-    partition_buckets,
-    replicate_model,
     tree_allreduce,
     tree_time,
 )
 from repro.models import IGNNConfig, InteractionGNN
-from repro.nn import MLP, BCEWithLogitsLoss
-from repro.tensor import Tensor
 
 finite = st.floats(-100, 100, allow_nan=False, width=32)
 
@@ -117,116 +109,3 @@ class TestAlgorithmCostModels:
                 assert per_param["hd"] < per_param["ring"]
             if p == 2:
                 assert coalesced["ring"] < coalesced["tree"]
-
-
-class TestPartitionBuckets:
-    def test_greedy_packing(self):
-        buckets = partition_buckets([10, 10, 10, 10], bucket_bytes=25)
-        assert [b.param_indices for b in buckets] == [(0, 1), (2, 3)]
-
-    def test_oversized_tensor_gets_own_bucket(self):
-        buckets = partition_buckets([100, 5, 5], bucket_bytes=10)
-        assert buckets[0].param_indices == (0,)
-
-    def test_every_param_exactly_once(self):
-        sizes = [7, 3, 12, 1, 9, 30, 2]
-        buckets = partition_buckets(sizes, 16)
-        flat = [i for b in buckets for i in b.param_indices]
-        assert flat == list(range(len(sizes)))
-
-    def test_bytes_accounting(self):
-        buckets = partition_buckets([4, 4, 4], 8)
-        assert [b.nbytes for b in buckets] == [8, 4]
-
-    def test_invalid_bucket_size(self):
-        with pytest.raises(ValueError):
-            partition_buckets([4], 0)
-
-
-class TestBucketedSynchronizer:
-    def _train_pair(self, bucket_bytes):
-        def factory():
-            return MLP(8, 16, out_features=1, num_layers=2, rng=np.random.default_rng(42))
-
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(16, 8)).astype(np.float32)
-        Y = (rng.random(16) > 0.5).astype(np.float32)
-        loss_fn = BCEWithLogitsLoss()
-
-        world = 4
-        models_a = replicate_model(factory, world)
-        models_b = replicate_model(factory, world)
-        comm_a, comm_b = SimCommunicator(world), SimCommunicator(world)
-        coal = DistributedDataParallel(models_a, comm_a, strategy="coalesced")
-        buck = BucketedSynchronizer(models_b, comm_b, bucket_bytes=bucket_bytes)
-        shards = np.array_split(np.arange(16), world)
-        for models in (models_a, models_b):
-            for m, sh in zip(models, shards):
-                m.zero_grad()
-                loss_fn(m(Tensor(X[sh])).reshape(-1), Y[sh]).backward()
-        coal.synchronize_gradients()
-        buck.synchronize_gradients()
-        return models_a, models_b, comm_a, comm_b
-
-    @pytest.mark.parametrize("bucket_bytes", [64, 1024, 10**9])
-    def test_gradients_match_coalesced(self, bucket_bytes):
-        models_a, models_b, _, _ = self._train_pair(bucket_bytes)
-        for (n1, p1), (n2, p2) in zip(
-            models_a[0].named_parameters(), models_b[0].named_parameters()
-        ):
-            assert np.allclose(p1.grad, p2.grad, atol=1e-6), n1
-
-    def test_call_count_between_extremes(self):
-        _, _, comm_coal, comm_buck = self._train_pair(bucket_bytes=300)
-        assert comm_coal.stats.num_allreduce_calls == 1
-        assert comm_buck.stats.num_allreduce_calls > 1
-
-    def test_world_size_checked(self):
-        def factory():
-            return MLP(4, 4, rng=np.random.default_rng(0))
-
-        with pytest.raises(ValueError):
-            BucketedSynchronizer(replicate_model(factory, 2), SimCommunicator(3))
-
-
-class TestOverlapModel:
-    SIZES = [64 * 64 * 4] * 40
-
-    def test_giant_bucket_exposes_everything(self):
-        """One bucket cannot overlap: exposed time = full all-reduce."""
-        exposed = overlapped_sync_time(self.SIZES, 10**12, 4, 1.0, NVLINK_A100)
-        assert exposed == pytest.approx(
-            NVLINK_A100.allreduce_time(sum(self.SIZES), 4), rel=1e-6
-        )
-
-    def test_moderate_buckets_hide_communication(self):
-        """With buckets, earlier reduces overlap later backward compute."""
-        giant = overlapped_sync_time(self.SIZES, 10**12, 4, 1.0, NVLINK_A100)
-        bucketed = overlapped_sync_time(self.SIZES, 64 * 64 * 4 * 8, 4, 1.0, NVLINK_A100)
-        assert bucketed < giant
-
-    def test_tiny_buckets_pay_latency(self):
-        """Per-parameter buckets can be worse than one moderate bucket when
-        backward is short (little to overlap) and α dominates."""
-        tiny = overlapped_sync_time(self.SIZES, 1, 8, 0.0, NVLINK_A100)
-        moderate = overlapped_sync_time(self.SIZES, 64 * 64 * 4 * 8, 8, 0.0, NVLINK_A100)
-        assert moderate < tiny
-
-    def test_a_moderate_bucket_beats_both_extremes_at_paper_scale(self):
-        """Paper-scale gradients, P=4, a 5 ms backward: some moderate
-        bucket exposes no more than one coalesced call and less than
-        per-tensor buckets."""
-        sizes = paper_scale_gradient_sizes()
-        exposed = {
-            b: overlapped_sync_time(sizes, b, 4, 5e-3, NVLINK_A100)
-            for b in (1, 4 * 1024, 32 * 1024, 256 * 1024, 2**40)
-        }
-        best_moderate = min(exposed[b] for b in (4 * 1024, 32 * 1024, 256 * 1024))
-        assert best_moderate <= exposed[2**40] + 1e-12
-        assert best_moderate < exposed[1]
-
-    def test_zero_backward_equals_unoverlapped_sum(self):
-        sizes = [100, 100]
-        exposed = overlapped_sync_time(sizes, 100, 4, 0.0, NVLINK_A100)
-        expected = sum(NVLINK_A100.allreduce_time(s, 4) for s in sizes)
-        assert exposed == pytest.approx(expected, rel=1e-9)

@@ -1,13 +1,19 @@
 """EventGraph container validation and views."""
 
+import contextlib
 import gc
+import sys
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro import _per_event
 from repro.graph import EventGraph, random_graph
 from repro.models import IGNNConfig, InteractionGNN
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.filter_stage import FilterStage
 from repro.tensor import kernels
 
 
@@ -18,6 +24,20 @@ def tiny_graph():
         y=np.zeros((3, 2), dtype=np.float32),
         edge_labels=np.array([1, 0, 1], dtype=np.int8),
     )
+
+
+@contextlib.contextmanager
+def plan_spy():
+    """The list of every :class:`ScatterPlan` built inside the block."""
+    built = []
+    init = kernels.ScatterPlan.__init__
+
+    def spy(plan, index):
+        built.append(plan)
+        init(plan, index)
+
+    with mock.patch.object(kernels.ScatterPlan, "__init__", spy):
+        yield built
 
 
 class TestValidation:
@@ -76,33 +96,52 @@ class TestViews:
         assert np.array_equal(g.rows, [0, 1, 2])
         assert np.array_equal(g.cols, [1, 2, 3])
 
-    def test_rows_cols_are_cached_views(self):
-        g = tiny_graph()
-        assert g.rows is g.rows and g.cols is g.cols
-        assert g.rows.base is g.edge_index and g.cols.base is g.edge_index
-
     def test_forwards_of_one_graph_build_two_plans_that_die_with_it(self):
-        """The kernels' scatter plans are keyed by index-array identity:
-        with cached views, every forward after the first hits."""
+        """The graph owns the scatter plans of its ``rows`` / ``cols``:
+        every forward after the first reuses them, and they go with it."""
         model = InteractionGNN(IGNNConfig(
             node_features=6, edge_features=2, hidden=8, num_layers=2, mlp_layers=2, seed=0,
         ))
         g = random_graph(400, 1600, rng=np.random.default_rng(0), true_fraction=0.3)
-        kernels.clear_plan_cache()
-        built = []
-        init = kernels.ScatterPlan.__init__
-
-        def spy(plan, index):
-            built.append(index)
-            init(plan, index)
-
-        with mock.patch.object(kernels.ScatterPlan, "__init__", spy):
+        with plan_spy() as built:
             first, *rest = [model.logits(g).data for _ in range(3)]
-        assert len(built) == 2 and {id(i) for i in built} == {id(g.rows), id(g.cols)}
+        assert len(built) == 2 and built == list(g.plans)
         assert all(np.array_equal(first, other) for other in rest)  # same bits every call
+        refs = [weakref.ref(plan) for plan in g.plans]
         del g, built
         gc.collect()
-        assert len(kernels._PLAN_CACHE) == 0
+        assert all(ref() is None for ref in refs)
+
+    def test_filter_fit_builds_two_plans_per_graph(self):
+        graphs = [
+            random_graph(60 + k, 200, rng=np.random.default_rng(k), true_fraction=0.3)
+            for k in range(3)
+        ]
+        stage = FilterStage(PipelineConfig(filter_epochs=3, filter_hidden=8, mlp_layers=2))
+        with plan_spy() as built:
+            stage.fit(graphs, np.random.default_rng(0))
+        assert len(stage.losses) == 3
+        assert built == [plan for g in graphs for plan in g.plans]
+
+    def test_lanes_scoring_one_graph_share_its_plans(self, forced_helpers):
+        """Lanes race to build one graph's plans and operators; each lane
+        scores the graph with the bits a lone call gets."""
+        model = InteractionGNN(IGNNConfig(
+            node_features=6, edge_features=2, hidden=8, num_layers=2, mlp_layers=2, seed=0,
+        ))
+        g = random_graph(300, 1200, rng=np.random.default_rng(1), true_fraction=0.3)
+        expect = model.predict_proba(random_graph(
+            300, 1200, rng=np.random.default_rng(1), true_fraction=0.3
+        ))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with forced_helpers(3):
+                scored = list(_per_event.per_event(model.predict_proba, [g] * 12))
+        finally:
+            sys.setswitchinterval(previous)
+        assert all(np.array_equal(probs, expect) for probs in scored)
+        assert "plans" in g._cache
 
     def test_csr_is_cached(self):
         g = tiny_graph()

@@ -1,6 +1,7 @@
 """Fused vs unfused IGNN message path: forward/grad/training parity."""
 
 import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from repro.models import (
 )
 from repro.nn import Adam, BCEWithLogitsLoss
 from repro.models.interaction_gnn import _IGNNLayer
-from repro.tensor import Tensor, kernels, ops
+from repro.tensor import Tensor, ops
 
 
 def make_pair(fused_cfg=True, **kw):
@@ -242,8 +243,8 @@ class TestPrecisionCast:
 class TestNoPerShapeState:
     def test_memory_does_not_grow_with_the_shapes_seen(self):
         """ShaDow batches have a new (m, n) every step: nothing under the
-        kernels may keep a buffer set or a plan per subgraph shape."""
-        kernels.clear_plan_cache()
+        kernels may keep a buffer set or a plan per subgraph shape — a
+        step's plans are its graph's, and die with it."""
         default_arena().clear()
         model = InteractionGNN(IGNNConfig(
             node_features=6, edge_features=2, hidden=8, num_layers=2, mlp_layers=2, seed=0,
@@ -253,13 +254,12 @@ class TestNoPerShapeState:
         for k in range(40):
             g = random_graph(20 + k, 60 + 3 * k, rng=np.random.default_rng(k), true_fraction=0.4)
             shapes.add((g.num_edges, g.num_nodes))
-            logits = model(Tensor(g.x), Tensor(g.y), g.rows, g.cols)
+            logits = model.logits(g)
             loss = loss_fn(logits, g.edge_labels.astype(np.float32))
             loss.backward()
-            assert len(kernels._PLAN_CACHE) == 2  # the graph's ids hold its two plans ...
+            refs = [weakref.ref(plan) for plan in g.plans]
             del g, logits, loss
-            assert len(kernels._PLAN_CACHE) == 0  # ... until the graph dies
+            assert all(ref() is None for ref in refs)
         assert len(shapes) == 40
         gc.collect()
         assert default_arena().pooled_bytes == 0
-        assert len(kernels._PLAN_CACHE) == 0

@@ -6,11 +6,6 @@ ones carry an explicit tolerance, and the kernels' contract (ids, dtypes,
 strides, determinism) is stated as hypothesis properties.
 """
 
-import gc
-import sys
-import threading
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,130 +31,51 @@ class TestScatterPlan:
     def test_presorted_skips_sort(self):
         # CSR-ordered ids: the operator's column order is the identity
         idx = np.array([0, 0, 1, 3, 3, 3], dtype=np.int64)
-        op = kernels.scatter_plan(idx).operator(idx, 4, np.float64)
+        op = kernels.ScatterPlan(idx).operator(4, np.float64)
         np.testing.assert_array_equal(op.indices, np.arange(6))
         np.testing.assert_array_equal(op.indptr, [0, 2, 3, 3, 6])
 
     def test_unsorted_stable_order(self):
         idx = np.array([2, 0, 2, 1, 0], dtype=np.int64)
-        op = kernels.scatter_plan(idx).operator(idx, 3, np.float64)
+        op = kernels.ScatterPlan(idx).operator(3, np.float64)
         # a segment's rows appear in original edge order
         np.testing.assert_array_equal(op.indices, [1, 4, 3, 0, 2])
         np.testing.assert_array_equal(op.indptr, [0, 2, 3, 5])
         assert op.shape == (3, 5) and op.has_canonical_format
 
     def test_empty(self):
-        plan = kernels.scatter_plan(np.empty(0, dtype=np.int64))
+        plan = kernels.ScatterPlan(np.empty(0, dtype=np.int64))
         assert plan.length == 0 and (plan.lo, plan.hi) == (0, -1)
+        assert plan.operator(3, np.float32).shape == (3, 0)
 
     def test_counts_includes_empty_segments(self):
         idx = np.array([0, 0, 3], dtype=np.int64)
-        op = kernels.scatter_plan(idx).operator(idx, 5, np.float32)
+        op = kernels.ScatterPlan(idx).operator(5, np.float32)
         np.testing.assert_array_equal(np.diff(op.indptr), [2, 0, 0, 1, 0])
 
     def test_records_bounds(self):
         idx = np.array([4, 2, 7], dtype=np.int64)
-        plan = kernels.scatter_plan(idx)
+        plan = kernels.ScatterPlan(idx)
         assert (plan.lo, plan.hi, plan.length) == (2, 7, 3)
+        assert plan.index is idx  # an int64 array is held, not copied
         plan.check(8)
         with pytest.raises(IndexError, match="7.*7 segments"):
             plan.check(7)
 
     def test_operator_per_num_segments_and_dtype(self):
-        # the plan is cached per index array, the operator's shape and
-        # data dtype are not part of that key
+        # one plan per index array; it keeps one operator per shape and
+        # data dtype
         idx = np.array([1, 0, 1], dtype=np.int64)
-        plan = kernels.scatter_plan(idx)
-        a = plan.operator(idx, 2, np.float32)
-        assert plan.operator(idx, 2, np.float32) is a
-        assert plan.operator(idx, 5, np.float32).shape == (5, 3)
-        assert plan.operator(idx, 2, np.float64).dtype == np.float64
+        plan = kernels.ScatterPlan(idx)
+        a = plan.operator(2, np.float32)
+        assert plan.operator(2, np.float32) is a
+        assert plan.operator(5, np.float32).shape == (5, 3)
+        assert plan.operator(2, np.float64).dtype == np.float64
         assert a.dtype == np.float32
-
-    def test_cache_hit_same_array(self):
-        idx = np.array([1, 0, 1], dtype=np.int64)
-        assert kernels.scatter_plan(idx) is kernels.scatter_plan(idx)
-
-    def test_cache_distinguishes_equal_arrays(self):
-        a = np.array([1, 0], dtype=np.int64)
-        b = np.array([1, 0], dtype=np.int64)
-        # equal contents, distinct identity: plans may differ as objects
-        pa, pb = kernels.scatter_plan(a), kernels.scatter_plan(b)
-        assert (pa.lo, pa.hi, pa.length) == (pb.lo, pb.hi, pb.length)
-
-    def test_cache_drops_plans_of_dead_arrays(self):
-        kernels.clear_plan_cache()
-        arrays = [np.arange(k + 1) for k in range(300)]
-        for arr in arrays:
-            kernels.scatter_add_rows(np.ones((arr.size, 2)), arr, arr.size)
-        live = np.array([0, 2, 1], dtype=np.int64)
-        live_plan = kernels.scatter_plan(live)
-        assert len(kernels._PLAN_CACHE) == kernels._PLAN_CACHE_MAX
-        del arrays, arr
-        gc.collect()
-        assert list(kernels._PLAN_CACHE) == [id(live)]
-        assert kernels.scatter_plan(live) is live_plan
-        del live
-        gc.collect()
-        assert not kernels._PLAN_CACHE
-
-    def test_dead_weakref_does_not_evict_the_ids_new_owner(self):
-        # id() reuse: the callback of the dead array's weakref must leave
-        # an entry alone that no longer holds that weakref
-        kernels.clear_plan_cache()
-        old = np.array([0, 1], dtype=np.int64)
-        kernels.scatter_plan(old)
-        key = id(old)
-        stale_ref = kernels._PLAN_CACHE[key][0]
-        new = np.array([1, 0], dtype=np.int64)
-        new_entry = (weakref.ref(new), kernels.ScatterPlan(new))
-        kernels._PLAN_CACHE[key] = new_entry  # as if `new` got the old id
-        kernels._drop_dead_plan(stale_ref, key)
-        assert kernels._PLAN_CACHE[key] is new_entry
-        kernels.clear_plan_cache()
-
-
-    def test_concurrent_plans_and_evictions(self):
-        """More threads than cores share one index array (racing to build
-        its plan and operator) while each churns short-lived arrays whose
-        weakref callbacks evict under the others' feet."""
-        shared = np.random.default_rng(0).integers(0, 50, size=600)
-        values = np.random.default_rng(1).normal(size=(600, 4))
-        expect = add_at(values, shared, 50)
-        errors = []
-
-        def worker(seed):
-            rng = np.random.default_rng(seed)
-            try:
-                for _ in range(150):
-                    np.testing.assert_array_equal(
-                        kernels.scatter_add_rows(values, shared, 50), expect
-                    )
-                    ids = rng.integers(0, 9, size=30)  # dies at the next turn
-                    got = kernels.scatter_add_rows(values[:30], ids, 9)
-                    np.testing.assert_allclose(got, add_at(values[:30], ids, 9))
-            except Exception as exc:  # surfaced below, on the main thread
-                errors.append(exc)
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            kernels.clear_plan_cache()
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors, errors[0]
-        gc.collect()
-        assert list(kernels._PLAN_CACHE) == [id(shared)]
 
 
 # ----------------------------------------------------------------------
-# scatter_add_rows / scatter_add_1d vs np.add.at
+# scatter_add_rows vs np.add.at
 # ----------------------------------------------------------------------
 class TestScatterAddParity:
     @pytest.mark.parametrize("sort", [True, False])
@@ -194,24 +110,6 @@ class TestScatterAddParity:
         out = kernels.scatter_add_rows(np.empty((0, 4)), np.empty(0, np.int64), 3)
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
-    def test_out_is_overwritten(self, rng):
-        idx = np.array([0, 0, 1], dtype=np.int64)
-        vals = rng.normal(size=(3, 2))
-        out = np.full((2, 2), 99.0)
-        kernels.scatter_add_rows(vals, idx, 2, out=out)
-        ref = np.zeros((2, 2))
-        np.add.at(ref, idx, vals)
-        np.testing.assert_allclose(out, ref)
-
-    def test_accumulate_adds_onto_out(self, rng):
-        idx = np.array([1, 1, 3], dtype=np.int64)
-        vals = rng.normal(size=(3, 2))
-        out = np.ones((4, 2))
-        kernels.scatter_add_rows(vals, idx, 4, out=out, accumulate=True)
-        ref = np.ones((4, 2))
-        np.add.at(ref, idx, vals)
-        np.testing.assert_allclose(out, ref)
-
     def test_1d_payload_uses_bincount(self, rng):
         idx = rng.integers(0, 6, size=50)
         vals = rng.normal(size=50)
@@ -221,7 +119,7 @@ class TestScatterAddParity:
 
     def test_1d_out_of_bounds_raises(self):
         with pytest.raises(IndexError):
-            kernels.scatter_add_1d(np.ones(3), np.array([0, 1, 5]), 4)
+            kernels.scatter_add_rows(np.ones(3), np.array([0, 1, 5]), 4)
 
     @pytest.mark.parametrize("payload", [np.ones((4, 2)), np.ones(4)], ids=["2d", "1d"])
     @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "num_segments"])
@@ -230,10 +128,8 @@ class TestScatterAddParity:
         idx = np.array([0, 1, bad, 1], dtype=np.int64)
         with pytest.raises(IndexError, match=rf"index {bad} is out of bounds for 3 segments"):
             kernels.scatter_add_rows(payload, idx, 3)
-        out = np.full((3,) + payload.shape[1:], 7.0)
-        with pytest.raises(IndexError):
-            kernels.scatter_add_rows(payload, idx, 3, out=out, accumulate=True)
-        np.testing.assert_array_equal(out, 7.0)  # rejected before any write
+        with pytest.raises(IndexError, match=rf"index {bad} is out of bounds for 3 segments"):
+            kernels.scatter_add_rows(payload, kernels.ScatterPlan(idx), 3)
 
     def test_empty_index_1d(self):
         out = kernels.scatter_add_rows(np.empty(0), np.empty(0, np.int64), 3)
@@ -246,9 +142,10 @@ class TestScatterAddParity:
                 kernels.gather_rows_out(values, np.array([0, bad], dtype=np.int64))
 
     def test_wrong_out_shape_raises(self):
+        # gather_rows_out is the one kernel that writes into a caller's out=
         with pytest.raises(ValueError):
-            kernels.scatter_add_rows(
-                np.ones((3, 2)), np.zeros(3, np.int64), 4, out=np.zeros((4, 3))
+            kernels.gather_rows_out(
+                np.ones((4, 2)), np.zeros(3, np.int64), out=np.zeros((4, 3))
             )
 
     def test_arena_disabled_same_result(self, rng):
@@ -300,14 +197,23 @@ class TestKernelProperties:
         out = kernels.scatter_add_rows(values, ids, n)
         assert out.dtype == values.dtype  # scipy upcasts unless data matches
         np.testing.assert_allclose(out, ref, **tol)
-        # same arrays, same shape -> same bits
+        # same arrays, same shape -> same bits, from the array or its plan
         np.testing.assert_array_equal(kernels.scatter_add_rows(values, ids, n), out)
-        # out= overwrites, accumulate=True adds
-        dest = np.full_like(ref, 3.0)
-        assert kernels.scatter_add_rows(values, ids, n, out=dest) is dest
-        np.testing.assert_array_equal(dest, out)
-        kernels.scatter_add_rows(values, ids, n, out=dest, accumulate=True)
-        np.testing.assert_allclose(dest, 2 * ref, **tol)
+        plan = kernels.ScatterPlan(ids)
+        np.testing.assert_array_equal(kernels.scatter_add_rows(values, plan, n), out)
+
+    @given(scatter_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_operator_is_the_stable_argsort_csr(self, case):
+        # the linear COO->CSR pass builds the operator a stable argsort +
+        # bincount + cumsum build gives, sorted ids or not, empty or not
+        values, ids, n = case
+        op = kernels.ScatterPlan(ids).operator(n, values.dtype)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
+        np.testing.assert_array_equal(op.indptr, indptr)
+        np.testing.assert_array_equal(op.indices, np.argsort(ids, kind="stable"))
+        assert op.dtype == values.dtype and op.has_canonical_format
 
     @given(scatter_cases())
     @settings(max_examples=40, deadline=None)
@@ -327,7 +233,7 @@ class TestKernelProperties:
         table = np.random.default_rng(0).normal(size=(n, grads.shape[1])).astype(grads.dtype)
         np.testing.assert_array_equal(kernels.gather_rows_out(table, ids), table[ids])
         dest = np.empty_like(grads)
-        assert kernels.gather_rows_out(table, ids, out=dest) is dest
+        assert kernels.gather_rows_out(table, kernels.ScatterPlan(ids), out=dest) is dest
         np.testing.assert_array_equal(dest, table[ids])
 
 
@@ -430,7 +336,46 @@ class TestLayerNorm:
 # ----------------------------------------------------------------------
 # autograd ops on the kernels
 # ----------------------------------------------------------------------
+#: each graph op on ``(tensors, rows, cols, n)``: rows / cols are index
+#: arrays or their plans
+GRAPH_OPS = {
+    "gather_rows": lambda t, rows, cols, n: ops.gather_rows(t["x"], rows),
+    "segment_sum": lambda t, rows, cols, n: ops.segment_sum(t["msg"], cols, n),
+    "segment_mean": lambda t, rows, cols, n: ops.segment_mean(t["msg"], rows, n),
+    "gather_concat_matmul": lambda t, rows, cols, n: ops.gather_concat_matmul(
+        t["y"], t["x"], rows, cols, t["w"], t["b"]
+    ),
+    "scatter_mlp_input": lambda t, rows, cols, n: ops.scatter_mlp_input(
+        t["msg"], rows, cols, t["x"], t["w"], t["b"]
+    ),
+}
+
+
 class TestSegmentOps:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(GRAPH_OPS))
+    def test_plan_or_array_same_bits(self, name, dtype):
+        def run(as_plan):
+            rng = np.random.default_rng(3)
+            n, m, h = 9, 40, 5
+            rows, cols = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+            if as_plan:
+                rows, cols = kernels.ScatterPlan(rows), kernels.ScatterPlan(cols)
+            shapes = {"x": (n, h), "y": (m, h), "msg": (m, h), "w": (3 * h, h), "b": (h,)}
+            t = {
+                k: Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                for k, shape in shapes.items()
+            }
+            out = GRAPH_OPS[name](t, rows, cols, n)
+            ops.sum(ops.mul(out, out)).backward()
+            return [out.data] + [p.grad for p in t.values() if p.grad is not None]
+
+        from_arrays, from_plans = run(False), run(True)
+        assert len(from_arrays) == len(from_plans) > 1
+        for a, b in zip(from_arrays, from_plans):
+            assert a.dtype == dtype
+            np.testing.assert_array_equal(a, b)
+
     def test_segment_sum_forward_parity(self, rng):
         idx = rng.integers(0, 9, size=40)
         a = Tensor(rng.normal(size=(40, 4)))

@@ -1,0 +1,84 @@
+"""The modules no CLI path reaches are exactly the listed ones.
+
+The walk reads ``import`` statements in the AST and imports nothing.  It
+starts at every module of ``repro/cli/`` and follows each import to the
+module that defines the imported name: ``from ..tensor import Tensor``
+reaches ``repro/tensor/tensor.py`` through the package's re-export, but
+reaching a package does not reach everything its ``__init__``
+re-exports.  Whatever stays unreached must be in
+``tests/data/orphans.json`` with a reason, and everything listed there
+must still be unreached: deleting an orphan updates the list, and a new
+module that no CLI path imports fails here.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ORPHANS = Path(__file__).with_name("data") / "orphans.json"
+
+
+def _modules():
+    """``{dotted name: (AST, is package)}`` for every module of ``repro``."""
+    out = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        package = parts[-1] == "__init__"
+        out[".".join(parts[:-1] if package else parts)] = (ast.parse(path.read_text()), package)
+    return out
+
+
+MODULES = _modules()
+
+
+def _source(node: ast.ImportFrom, module: str) -> str:
+    """The absolute name of the module a ``from ... import`` reads."""
+    if not node.level:
+        return node.module
+    package = module if MODULES[module][1] else module.rpartition(".")[0]
+    base = package.split(".")[: len(package.split(".")) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _target(source: str, name: str) -> str:
+    """The module ``from source import name`` reaches."""
+    if f"{source}.{name}" in MODULES:
+        return f"{source}.{name}"
+    tree, package = MODULES[source]
+    if package:  # read the name through the package's re-export
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name:
+                        return _target(_source(node, source), alias.name)
+    return source
+
+
+def _imports(module: str):
+    for node in ast.walk(MODULES[module][0]):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name in MODULES)
+        elif isinstance(node, ast.ImportFrom):
+            source = _source(node, module)
+            if source in MODULES:
+                yield from (_target(source, a.name) for a in node.names)
+
+
+def unreachable():
+    """Non-package modules no import path from ``repro.cli`` reaches."""
+    todo = [m for m in MODULES if m == "repro.cli" or m.startswith("repro.cli.")]
+    seen = set()
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            if module == "repro.cli" or not MODULES[module][1]:
+                todo.extend(_imports(module))
+    return sorted(m for m in MODULES if m not in seen and not MODULES[m][1])
+
+
+def test_unreached_modules_are_the_listed_orphans():
+    listed = json.loads(ORPHANS.read_text())
+    assert unreachable() == sorted(listed)
+    assert all(reason.strip() for reason in listed.values())
