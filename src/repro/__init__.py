@@ -10,7 +10,7 @@ The package implements, from scratch on NumPy/SciPy:
   (stands in for the gated CTD / Ex3 datasets);
 * :mod:`repro.models` — the Interaction GNN (Algorithm 1) and stage MLPs;
 * :mod:`repro.sampling` — ShaDow (Algorithm 2) and matrix-based bulk
-  sampling (Figure 2), plus node-wise and layer-wise samplers;
+  sampling (Figure 2);
 * :mod:`repro.distributed` — simulated multi-GPU DDP with ring all-reduce,
   coalesced gradient buffers, and an α–β communication cost model;
 * :mod:`repro.memory` — GPU activation-memory model driving full-graph

@@ -22,8 +22,6 @@ import functools
 import typing
 from typing import Callable, NamedTuple, Optional, Tuple
 
-from ..pipeline.config import PAPER_MODES
-
 __all__ = ["Parser", "Recipe", "add_config_flags", "build_config"]
 
 
@@ -31,7 +29,6 @@ class Alias(NamedTuple):
     """How a flag departs from ``--<field-name>`` in the field's own units."""
 
     option: Optional[str] = None
-    choices: Optional[tuple] = None  # offer a subset of the field's choices
     scale: Optional[float] = None  # field value = flag value * scale
 
 
@@ -42,7 +39,6 @@ ALIASES = {
     "max_batch_events": Alias("--max-batch"),
     "max_queue_events": Alias("--max-queue"),
     "num_requests": Alias("--requests"),
-    "mode": Alias(choices=PAPER_MODES),
     "sim_service_time_s": Alias("--service-time-ms", scale=1e-3),
 }
 
@@ -93,7 +89,7 @@ def _flag(recipe: Recipe, name: str) -> _Flag:
         to_field = lambda typed: alias.scale * typed  # noqa: E731
     if default is not None:
         help += f" (default: {default})"
-    kwargs = dict(help=help, choices=alias.choices or field.metadata.get("choices"))
+    kwargs = dict(help=help, choices=field.metadata.get("choices"))
     if kind is not str:
         kwargs.update(type=kind, metavar="N" if kind is int else "X")
     return _Flag(option, kwargs, default, to_field)

@@ -117,8 +117,7 @@ def star_graph(
 ) -> EventGraph:
     """Hub vertex 0 connected to ``num_leaves`` leaves.
 
-    The worst case for node-wise sampling (hub degree = n-1) and a good
-    probe for fanout capping.
+    One vertex of degree n-1: a probe for fanout capping.
     """
     if num_leaves < 1:
         raise ValueError("need >= 1 leaf")

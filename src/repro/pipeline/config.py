@@ -12,16 +12,13 @@ __all__ = [
     "GNNTrainConfig",
     "PipelineConfig",
     "knob",
-    "PAPER_MODES",
     "TRAIN_MODES",
     "PRECISIONS",
     "TRACK_BUILDERS",
 ]
 
-#: The paper's comparison (full vs shadow vs bulk) — what ``repro train
-#: --mode`` offers; the sampler-family ablation modes are library-only.
-PAPER_MODES = ("full", "shadow", "bulk")
-TRAIN_MODES = PAPER_MODES + ("nodewise", "saint")
+#: The paper's comparison: full graph vs sequential vs bulk ShaDow.
+TRAIN_MODES = ("full", "shadow", "bulk")
 PRECISIONS = ("float32", "float64")
 SCHEDULERS = (None, "cosine", "step")
 CONSTRUCTIONS = ("metric_learning", "module_map")
@@ -58,12 +55,7 @@ class GNNTrainConfig:
         ``"full"`` — full-graph training with memory-based skipping (the
         original Exa.TrkX behaviour);
         ``"shadow"`` — minibatch + sequential ShaDow (the PyG baseline);
-        ``"bulk"`` — minibatch + matrix-based bulk ShaDow (ours);
-        ``"nodewise"`` — minibatch + bulk node-wise (GraphSAGE-family)
-        sampling;
-        ``"saint"`` — minibatch + GraphSAINT random-walk sampling.
-        The last two exist for the sampler-family convergence ablation;
-        the paper's comparison is full vs shadow vs bulk.
+        ``"bulk"`` — minibatch + matrix-based bulk ShaDow (ours).
     bulk_k:
         Minibatches sampled per bulk step (``k`` in Figure 3); ignored for
         other modes.

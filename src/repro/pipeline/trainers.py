@@ -435,21 +435,10 @@ def _step_source(
     if config.mode == "shadow":
         sampler = ShadowSampler(depth=config.depth, fanout=config.fanout)
         label = f"shadow-seq (P={world})"
-    elif config.mode == "bulk":
+    else:  # bulk
         sampler = BulkShadowSampler(depth=config.depth, fanout=config.fanout)
         k = config.bulk_k
         label = f"shadow-bulk k={config.bulk_k} (P={world})"
-    elif config.mode == "nodewise":
-        from ..sampling import BulkNodeWiseSampler
-
-        sampler = BulkNodeWiseSampler([config.fanout] * config.depth)
-        k = config.bulk_k
-        label = f"nodewise-bulk k={config.bulk_k} (P={world})"
-    else:  # saint
-        from ..sampling import SaintRWSampler
-
-        sampler = SaintRWSampler(walk_length=config.depth)
-        label = f"saint-rw (P={world})"
     return (
         sampler,
         lambda rng: (EpochPlan.build(graphs, config.batch_size, k, rng), 0),

@@ -3,19 +3,15 @@
 * :class:`ShadowSampler` — sequential ShaDow (Algorithm 2), the paper's
   "PyG implementation" baseline;
 * :class:`BulkShadowSampler` — matrix-based bulk ShaDow (Figure 2,
-  Eq. 1), the paper's contribution;
-* :class:`NodeWiseSampler` / :class:`LayerWiseSampler` — the other two
-  families of the sampling taxonomy, for ablations.
+  Eq. 1), the paper's contribution.
+
+The whole-graph step of full-graph training (``mode="full"``) is the
+third regime; it samples nothing and lives with the trainer.
 """
 
 from .base import SampledBatch, Sampler, stack_components
 from .shadow import ShadowSampler
 from .bulk import BulkShadowSampler, sample_rows_csr
-from .nodewise import NodeWiseSampler
-from .bulk_nodewise import BulkNodeWiseSampler
-from .layerwise import LayerWiseSampler
-from .bulk_layerwise import BulkLayerWiseSampler
-from .saint import SaintRWSampler
 from .batching import epoch_batches, group_batches, iter_vertex_batches
 
 __all__ = [
@@ -25,11 +21,6 @@ __all__ = [
     "ShadowSampler",
     "BulkShadowSampler",
     "sample_rows_csr",
-    "NodeWiseSampler",
-    "BulkNodeWiseSampler",
-    "LayerWiseSampler",
-    "BulkLayerWiseSampler",
-    "SaintRWSampler",
     "iter_vertex_batches",
     "epoch_batches",
     "group_batches",

@@ -37,10 +37,10 @@ class SampledBatch:
         through this).
     component_ids:
         ``(k,)`` which batch vertex's component each sampled vertex
-        belongs to (``None`` for non-ShaDow samplers).
+        belongs to (``None`` for the whole-graph step).
     roots:
         ``(b,)`` compact vertex id of each batch vertex within
-        ``graph`` (``None`` when roots are not tracked).
+        ``graph`` (``None`` for the whole-graph step).
     """
 
     graph: EventGraph

@@ -32,6 +32,10 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             GNNTrainConfig(mode="nope")
+        # only the paper's three regimes: no node-wise or SAINT training
+        for retired in ("nodewise", "saint"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                GNNTrainConfig(mode=retired)
         with pytest.raises(ValueError):
             GNNTrainConfig(allreduce="tree")
         with pytest.raises(ValueError):
@@ -62,8 +66,6 @@ class TestRegimes:
             ("full", {}),
             ("shadow", {}),
             ("bulk", {"bulk_k": 2}),
-            ("nodewise", {"bulk_k": 2}),
-            ("saint", {}),
         ],
     )
     def test_trains_and_records_history(self, splits, mode, extra):

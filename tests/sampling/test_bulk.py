@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from repro.graph import chain_graph, random_graph
 from repro.sampling import (
-    BulkLayerWiseSampler,
-    BulkNodeWiseSampler,
     BulkShadowSampler,
     ShadowSampler,
     sample_rows_csr,
@@ -235,10 +233,8 @@ class TestSampleBulkSpan:
         [
             (lambda: BulkShadowSampler(2, 3), {"depth": 2, "fanout": 3}),
             (lambda: ShadowSampler(2, 3), {}),
-            (lambda: BulkNodeWiseSampler([3, 2]), {}),
-            (lambda: BulkLayerWiseSampler(4, 2), {}),
         ],
-        ids=["bulk_shadow", "sequential_default", "bulk_nodewise", "bulk_layerwise"],
+        ids=["bulk_shadow", "sequential_default"],
     )
     def test_one_span_with_identity_and_totals(self, make, own):
         from repro.obs import RunTelemetry, use_telemetry
