@@ -1,4 +1,4 @@
-"""Dataset IO: npz serialisation, splits, and TrackML-format interop."""
+"""Dataset IO: npz serialisation and atomic, checksummed archives."""
 
 from .serialization import (
     CheckpointCorruptError,
@@ -11,8 +11,6 @@ from .serialization import (
     open_archive,
     save_graphs,
 )
-from .splits import split_graphs
-from .trackml import export_trackml, import_trackml, iter_trackml_hits
 
 __all__ = [
     "CheckpointError",
@@ -24,8 +22,4 @@ __all__ = [
     "clean_stale_tmp",
     "save_graphs",
     "load_graphs",
-    "split_graphs",
-    "export_trackml",
-    "import_trackml",
-    "iter_trackml_hits",
 ]

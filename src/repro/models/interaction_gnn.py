@@ -20,11 +20,9 @@ Faithful to Algorithm 1:
 * the vertex update is ``Xˡ⁺¹ ← φ([M_src  M_dst  X'])``.
 
 The network is encoders + a list of blocks + a scoring head, and
-:meth:`InteractionGNN.forward` is the only traversal of that list.  Here
-each block holds *distinct* MLPs (the paper: "While each MLP is distinct,
-superscripts are omitted"); the variants in
-:mod:`repro.models.recurrent_ignn` and :mod:`repro.models.gru_ignn` are
-subclasses that only choose other blocks.
+:meth:`InteractionGNN.forward` is the only traversal of that list.  Each
+block holds *distinct* MLPs (the paper: "While each MLP is distinct,
+superscripts are omitted").
 """
 
 from __future__ import annotations
@@ -91,9 +89,6 @@ class _IGNNLayer(Module):
         self.fused = config.fused
         # Inputs: Y' (2h = Yˡ ++ Y⁰) ++ X'[rows] (2h) ++ X'[cols] (2h)
         self.edge_mlp = _mlp(config, 6 * config.hidden, rng)
-        self._build_update(config, rng)
-
-    def _build_update(self, config: IGNNConfig, rng) -> None:
         # Inputs: M_src (h) ++ M_dst (h) ++ X' (2h)
         self.node_mlp = _mlp(config, 4 * config.hidden, rng)
 
@@ -167,19 +162,15 @@ class InteractionGNN(EdgeClassifier):
         rng = np.random.default_rng(config.seed)
         self.node_encoder = _mlp(config, config.node_features, rng)
         self.edge_encoder = _mlp(config, config.edge_features, rng)
-        #: the message-passing iterations, in application order (an entry
-        #: may repeat: that is weight sharing)
-        self.blocks: List[_IGNNLayer] = self._build_blocks(config, rng)
-        self.output_mlp = _mlp(config, config.hidden, rng, logits=True)
-
-    def _build_blocks(self, config: IGNNConfig, rng) -> List[_IGNNLayer]:
-        """Register and return the blocks: here ``num_layers`` distinct
-        ones, named ``layer0`` … (names and RNG draw order are frozen —
-        they fix the weights and the coalesced flatten order)."""
-        blocks = [_IGNNLayer(config, rng) for _ in range(config.num_layers)]
-        for l, block in enumerate(blocks):
+        #: the message-passing iterations, in application order, named
+        #: ``layer0`` … (names and RNG draw order are frozen — they fix the
+        #: weights and the coalesced flatten order)
+        self.blocks: List[_IGNNLayer] = [
+            _IGNNLayer(config, rng) for _ in range(config.num_layers)
+        ]
+        for l, block in enumerate(self.blocks):
             self.register_module(f"layer{l}", block)
-        return blocks
+        self.output_mlp = _mlp(config, config.hidden, rng, logits=True)
 
     def forward(
         self,

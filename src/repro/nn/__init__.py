@@ -8,7 +8,6 @@ Exa.TrkX pipeline stages.
 from .module import Module, Parameter
 from .linear import Dropout, Identity, LayerNorm, Linear, ReLU, Sequential, Tanh
 from .mlp import MLP
-from .gru import GRUCell
 from .optim import SGD, Adam, Optimizer
 from .schedulers import CosineAnnealingLR, LRScheduler, StepLR, WarmupLR
 from .losses import BCEWithLogitsLoss, HingeEmbeddingLoss, MSELoss, get_loss
@@ -25,7 +24,6 @@ __all__ = [
     "Identity",
     "Dropout",
     "MLP",
-    "GRUCell",
     "Optimizer",
     "SGD",
     "Adam",

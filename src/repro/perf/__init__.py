@@ -1,9 +1,8 @@
-"""Timing utilities: stage timers and epoch breakdowns."""
+"""Timing utilities: stage timers, epoch breakdowns and scaling fits."""
 
 from .timer import StageTimer, Timer
 from .breakdown import EpochBreakdown, project_epoch_time
 from .scaling import ScalingCurve, amdahl_time, fit_amdahl
-from .profile import HotSpot, ProfileReport, by_op, profiled
 
 __all__ = [
     "Timer",
@@ -13,8 +12,4 @@ __all__ = [
     "ScalingCurve",
     "amdahl_time",
     "fit_amdahl",
-    "HotSpot",
-    "ProfileReport",
-    "profiled",
-    "by_op",
 ]

@@ -1,12 +1,11 @@
-"""Serialization round-trips (property-based) and split helpers."""
+"""Serialization round-trips (property-based)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import random_graph
-from repro.io import load_graphs, save_graphs, split_graphs
+from repro.io import load_graphs, save_graphs
 
 
 class TestSerialization:
@@ -59,34 +58,3 @@ class TestSerialization:
         save_graphs([random_graph(5, 8, rng=np.random.default_rng(0))], path)
         assert len(load_graphs(path)) == 1
 
-
-class TestSplits:
-    def make_graphs(self, n=10):
-        rng = np.random.default_rng(0)
-        return [random_graph(5, 8, rng=rng, event_id=i) for i in range(n)]
-
-    def test_sizes(self):
-        tr, va, te = split_graphs(self.make_graphs(), 8, 1, 1)
-        assert (len(tr), len(va), len(te)) == (8, 1, 1)
-
-    def test_80_10_10_paper_split(self):
-        """The paper's 80/10/10 split applies cleanly to 100 graphs."""
-        tr, va, te = split_graphs(self.make_graphs(100), 80, 10, 10)
-        ids = [g.event_id for g in tr + va + te]
-        assert len(set(ids)) == 100
-
-    def test_no_shuffle_preserves_order(self):
-        tr, _, _ = split_graphs(self.make_graphs(), 5, 2, 2)
-        assert [g.event_id for g in tr] == [0, 1, 2, 3, 4]
-
-    def test_shuffle_with_rng(self):
-        graphs = self.make_graphs(20)
-        tr1, _, _ = split_graphs(graphs, 10, 5, 5, rng=np.random.default_rng(1))
-        tr2, _, _ = split_graphs(graphs, 10, 5, 5, rng=np.random.default_rng(1))
-        assert [g.event_id for g in tr1] == [g.event_id for g in tr2]
-        tr3, _, _ = split_graphs(graphs, 10, 5, 5, rng=np.random.default_rng(2))
-        assert [g.event_id for g in tr1] != [g.event_id for g in tr3]
-
-    def test_oversized_request_rejected(self):
-        with pytest.raises(ValueError):
-            split_graphs(self.make_graphs(5), 4, 1, 1)

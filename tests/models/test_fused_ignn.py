@@ -9,12 +9,7 @@ import pytest
 
 from repro.graph import random_graph
 from repro.memory import default_arena
-from repro.models import (
-    GRUInteractionGNN,
-    IGNNConfig,
-    InteractionGNN,
-    RecurrentInteractionGNN,
-)
+from repro.models import IGNNConfig, InteractionGNN
 from repro.nn import Adam, BCEWithLogitsLoss
 from repro.models.interaction_gnn import _IGNNLayer
 from repro.tensor import Tensor, ops
@@ -48,27 +43,6 @@ class TestForwardParity:
             fused.predict_proba(graph), plain.predict_proba(graph),
             rtol=2e-4, atol=2e-5,
         )
-
-    def test_gru_variant_agrees(self, graph):
-        base = dict(node_features=6, edge_features=2, hidden=8,
-                    num_layers=3, mlp_layers=2, seed=0)
-        fused = GRUInteractionGNN(IGNNConfig(**base, fused=True))
-        plain = GRUInteractionGNN(IGNNConfig(**base, fused=False))
-        plain.load_state_dict(fused.state_dict())
-        lf = fused(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
-        lp = plain(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
-        np.testing.assert_allclose(lf.data, lp.data, rtol=2e-4, atol=2e-5)
-
-    def test_recurrent_variant_agrees(self, graph):
-        base = dict(node_features=6, edge_features=2, hidden=8,
-                    num_layers=3, mlp_layers=2, seed=0)
-        fused = RecurrentInteractionGNN(IGNNConfig(**base, fused=True))
-        plain = RecurrentInteractionGNN(IGNNConfig(**base, fused=False))
-        plain.load_state_dict(fused.state_dict())
-        assert fused.shared_layer.fused and not plain.shared_layer.fused
-        lf = fused(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
-        lp = plain(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
-        np.testing.assert_allclose(lf.data, lp.data, rtol=2e-4, atol=2e-5)
 
 
 def _concat_residual_forward(self, x, y, x0, y0, rows, cols, update=True):

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import random_graph
-from repro.distributed import NVLINK_A100
-from repro.models import (
-    GRUInteractionGNN,
-    IGNNConfig,
-    InteractionGNN,
-    RecurrentInteractionGNN,
-)
+from repro.models import IGNNConfig, InteractionGNN
 from repro.nn import Adam, BCEWithLogitsLoss
 from repro.tensor import Tensor, gradcheck, no_grad, ops
 
@@ -33,26 +27,12 @@ class TestShapes:
         assert out.shape == (graph.num_edges,)
 
     def test_distinct_mlps_per_layer(self):
-        """The paper: 'each MLP is distinct' — parameter count grows
-        linearly with layers (unlike the recurrent variant)."""
-        p2 = InteractionGNN(small_config(num_layers=2)).num_parameters()
-        p4 = InteractionGNN(small_config(num_layers=4)).num_parameters()
-        rec2 = RecurrentInteractionGNN(small_config(num_layers=2)).num_parameters()
-        rec4 = RecurrentInteractionGNN(small_config(num_layers=4)).num_parameters()
-        assert p4 > p2
-        assert rec2 == rec4  # weight sharing
-
-    def test_weight_sharing_cuts_parameters_and_sync_cost(self):
-        """At L=4 both weight-shared variants keep under half the distinct
-        stack's parameters, so a coalesced gradient sync sends less."""
-        cfg = small_config(hidden=16, num_layers=4)
-        distinct = InteractionGNN(cfg).num_parameters()
-        for variant in (RecurrentInteractionGNN, GRUInteractionGNN):
-            shared = variant(cfg).num_parameters()
-            assert shared < 0.5 * distinct, variant.__name__
-            assert NVLINK_A100.allreduce_time(4 * shared, 4) < NVLINK_A100.allreduce_time(
-                4 * distinct, 4
-            )
+        """The paper: 'each MLP is distinct' — every layer adds the same
+        positive number of parameters."""
+        p2, p3, p4 = (
+            InteractionGNN(small_config(num_layers=l)).num_parameters() for l in (2, 3, 4)
+        )
+        assert p4 - p3 == p3 - p2 > 0
 
     def test_mismatched_edges_rejected(self, graph):
         model = InteractionGNN(small_config())
@@ -175,75 +155,3 @@ class TestTraining:
         proba = model.predict_proba(graph)
         assert proba.shape == (graph.num_edges,)
         assert np.all((proba >= 0) & (proba <= 1))
-
-    def test_recurrent_variant_trains(self, graph):
-        model = RecurrentInteractionGNN(small_config(hidden=16))
-        opt = Adam(model.parameters(), lr=3e-3)
-        loss_fn = BCEWithLogitsLoss()
-        labels = graph.edge_labels.astype(np.float32)
-        first = last = None
-        for i in range(20):
-            opt.zero_grad()
-            logits = model(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
-            loss = loss_fn(logits, labels)
-            loss.backward()
-            opt.step()
-            if i == 0:
-                first = loss.item()
-            last = loss.item()
-        assert last < first
-
-
-class TestRecurrentVariantIsTheSameModel:
-    """RecurrentInteractionGNN is InteractionGNN over one repeated block:
-    it inherits the traversal, the fused/unfused choice, the recompute
-    flag and the inference path."""
-
-    def test_blocks_are_one_shared_layer(self):
-        model = RecurrentInteractionGNN(small_config(num_layers=4))
-        assert len(model.blocks) == 4
-        assert all(b is model.shared_layer for b in model.blocks)
-        assert type(model).forward is InteractionGNN.forward
-        assert {n.split(".")[0] for n, _ in model.named_parameters()} == {
-            "node_encoder", "edge_encoder", "shared_layer", "output_mlp",
-        }
-
-    def test_honours_the_fused_flag(self, graph, monkeypatch):
-        """The shared layer used to be built fused whatever the config."""
-        assert RecurrentInteractionGNN(small_config(fused=False)).shared_layer.fused is False
-
-        def fused_kernel_called(*a, **k):
-            raise AssertionError("fused kernel reached with fused=False")
-
-        monkeypatch.setattr(ops, "gather_concat_matmul", fused_kernel_called)
-        monkeypatch.setattr(ops, "scatter_mlp_input", fused_kernel_called)
-        model = RecurrentInteractionGNN(small_config(fused=False))
-        out = model(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
-        assert out.shape == (graph.num_edges,)
-
-    def test_predict_proba_keeps_mode_and_casts_dtype(self, graph):
-        model = RecurrentInteractionGNN(small_config()).eval()
-        model.predict_proba(graph)
-        assert not model.training  # was forced back to train()
-        model.train().astype(np.float64)
-        proba = model.predict_proba(graph)  # float32 graph, float64 net
-        assert model.training
-        assert proba.dtype == np.float64
-        assert all(p.data.dtype == np.float64 for p in model.parameters())
-
-    def test_mismatched_edges_rejected(self, graph):
-        model = RecurrentInteractionGNN(small_config())
-        with pytest.raises(ValueError):
-            model(Tensor(graph.x), Tensor(graph.y), graph.rows[:-1], graph.cols)
-
-    def test_recompute_matches_plain_backprop(self, graph):
-        grads = {}
-        for recompute in (False, True):
-            model = RecurrentInteractionGNN(small_config(num_layers=3))
-            logits = model(
-                Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols, recompute=recompute
-            )
-            BCEWithLogitsLoss()(logits, graph.edge_labels.astype(np.float32)).backward()
-            grads[recompute] = {n: p.grad for n, p in model.named_parameters()}
-        for name, plain in grads[False].items():
-            np.testing.assert_allclose(grads[True][name], plain, rtol=1e-4, atol=1e-6)

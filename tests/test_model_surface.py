@@ -47,15 +47,20 @@ def test_models_call_backward_once_and_sweep_nowhere():
 
 
 def test_one_class_defines_the_ignn_forward():
-    from repro.models import (
-        GRUInteractionGNN,
-        InteractionGNN,
-        RecurrentInteractionGNN,
-    )
+    import importlib
+    import pkgutil
 
-    for variant in (RecurrentInteractionGNN, GRUInteractionGNN):
-        assert issubclass(variant, InteractionGNN)
-        assert {"forward", "predict_proba", "__init__"}.isdisjoint(vars(variant))
+    import repro.models
+    from repro.models import InteractionGNN
+
+    # no module of the package subclasses it: one IGNN, one traversal
+    ignns = {
+        cls
+        for info in pkgutil.iter_modules(repro.models.__path__)
+        for cls in vars(importlib.import_module(f"repro.models.{info.name}")).values()
+        if isinstance(cls, type) and issubclass(cls, InteractionGNN)
+    }
+    assert ignns == {InteractionGNN}
 
 
 def test_rank_step_takes_plain_data():
@@ -104,6 +109,7 @@ def test_edge_classifiers_have_one_input_boundary(monkeypatch):
     direct = model.logits(g, recompute=True)
     probs = model.predict_proba(g)
     assert seen == [(np.float64, np.float64, True), (np.float64, np.float64, False)]
+    assert g.x.dtype == np.float32 and probs.dtype == np.float64
     assert np.array_equal(probs, 1.0 / (1.0 + np.exp(-np.clip(direct.numpy(), -60, 60))))
 
 

@@ -9,13 +9,21 @@ re-exports.  Whatever stays unreached must be in
 ``tests/data/orphans.json`` with a reason, and everything listed there
 must still be unreached: deleting an orphan updates the list, and a new
 module that no CLI path imports fails here.
+
+No CLI path imports the examples, scripts or benches either, so a second
+test reads their ``from repro... import name`` statements and checks that
+each name still resolves.  It imports the ``repro`` module named, never
+the file that names it, so deleting an export an example uses fails here
+rather than in the next run of that example.
 """
 
 import ast
+import importlib
 import json
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 ORPHANS = Path(__file__).with_name("data") / "orphans.json"
 
 
@@ -82,3 +90,25 @@ def test_unreached_modules_are_the_listed_orphans():
     listed = json.loads(ORPHANS.read_text())
     assert unreachable() == sorted(listed)
     assert all(reason.strip() for reason in listed.values())
+
+
+def _repro_imports():
+    """``(file, module, name)`` for every ``from repro... import name`` in
+    the examples, scripts and benches, read from the AST."""
+    files = [*ROOT.glob("examples/*.py"), *ROOT.glob("scripts/*.py"),
+             *ROOT.glob("benchmarks/**/*.py")]
+    for path in sorted(files):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and not node.level and (
+                node.module == "repro" or node.module.startswith("repro.")
+            ):
+                for alias in node.names:
+                    yield path.relative_to(ROOT), node.module, alias.name
+
+
+def test_names_the_examples_scripts_and_benches_import_exist():
+    imports = list(_repro_imports())
+    assert imports
+    missing = [f"{path}: from {module} import {name}" for path, module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing
