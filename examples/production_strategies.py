@@ -1,13 +1,11 @@
-"""Production-pipeline strategies: module map, walkthrough, persistence.
+"""Production-pipeline strategies: track builder and persistence.
 
-The paper evaluates one configuration (metric learning + connected
-components); production pipelines expose strategy switches.  This script
-fits four pipeline variants on the same simulated events and compares
-their tracking scores on a held-out pileup event, then round-trips the
-best metric-learning variant through save/load:
-
-* construction: metric learning vs module map;
-* track building: connected components vs score-guided walkthrough.
+The paper builds tracks with connected components on the GNN-pruned
+graph; production pipelines also offer a score-guided walkthrough.  This
+script fits both variants (metric-learning construction in each) on the
+same simulated events, compares their tracking scores on a held-out
+pileup event, then round-trips the walkthrough variant through
+save/load, the deployment path: inference from a file, no retraining.
 
     python examples/production_strategies.py
 """
@@ -49,14 +47,6 @@ def main() -> None:
         "metric + walkthrough": PipelineConfig(
             embedding_dim=6, embedding_epochs=18, filter_epochs=18,
             frnn_radius=0.3, gnn=gnn, track_builder="walkthrough",
-        ),
-        "module map + CC": PipelineConfig(
-            construction="module_map", filter_epochs=18, gnn=gnn,
-            track_builder="cc",
-        ),
-        "module map + walkthrough": PipelineConfig(
-            construction="module_map", filter_epochs=18, gnn=gnn,
-            track_builder="walkthrough",
         ),
     }
 

@@ -18,7 +18,6 @@ from .builders import (
     segment_recall,
 )
 from .fitting import HelixFit, fit_event_tracks, fit_helix, pt_resolution
-from .module_map import ModuleMap, ModuleMapConfig
 from .display import event_display_svg
 from .pileup import generate_pileup_event, merge_events
 from .datasets import (
@@ -46,8 +45,6 @@ __all__ = [
     "feature_dims",
     "vertex_features",
     "edge_features",
-    "ModuleMap",
-    "ModuleMapConfig",
     "event_display_svg",
     "merge_events",
     "generate_pileup_event",

@@ -21,7 +21,7 @@ __all__ = [
 TRAIN_MODES = ("full", "shadow", "bulk")
 PRECISIONS = ("float32", "float64")
 SCHEDULERS = (None, "cosine", "step")
-CONSTRUCTIONS = ("metric_learning", "module_map")
+CONSTRUCTIONS = ("metric_learning",)
 TRACK_BUILDERS = ("cc", "walkthrough")
 
 
@@ -298,8 +298,8 @@ class PipelineConfig:
     threshold is the 0.5 classification point.
     """
 
-    # Stage 1–2 strategy: "metric_learning" (embedding MLP + FRNN) or
-    # "module_map" (data-driven detector-element connectivity).
+    # Stage 1–2 strategy: "metric_learning" (embedding MLP + FRNN), the
+    # only one; the field goes once no caller passes it.
     construction: str = "metric_learning"
     embedding_dim: int = 8
     embedding_hidden: int = 64
@@ -327,9 +327,6 @@ class PipelineConfig:
     # "walkthrough" (score-ordered with degree constraints).
     track_builder: str = "cc"
     seed: int = 0
-    # module-map strategy knobs (used when construction == "module_map")
-    module_map_phi_sectors: int = 16
-    module_map_z_sectors: int = 8
     # Guardrails: validate raw events at fit() ingestion, quarantining
     # malformed ones (see repro.guard.validation / docs/resilience.md).
     validate_inputs: bool = False

@@ -32,10 +32,6 @@ from ..io.serialization import (
     unpack_prefixed,
 )
 from .config import GNNTrainConfig, PipelineConfig
-from .embedding_stage import EmbeddingStage
-from .filter_stage import FilterStage
-from .gnn_stage import GNNStage
-from .graph_construction import GraphConstructionStage
 from .pipeline import ExaTrkXPipeline
 from .trainers import GNNTrainResult, _model_factory
 
@@ -49,8 +45,15 @@ def _config_to_json(config: PipelineConfig) -> str:
     return json.dumps(payload)
 
 
+# Fields of archives written before the module map left; no saved pipeline
+# used them (only a module-map pipeline did, and it could not be saved).
+_RETIRED_FIELDS = ("module_map_phi_sectors", "module_map_z_sectors")
+
+
 def _config_from_json(text: str) -> PipelineConfig:
     payload = json.loads(text)
+    for name in _RETIRED_FIELDS:
+        payload.pop(name, None)
     gnn = GNNTrainConfig(**payload.pop("gnn"))
     return PipelineConfig(gnn=gnn, **payload)
 
@@ -75,11 +78,6 @@ def save_pipeline(pipeline: ExaTrkXPipeline, path: str) -> None:
     RuntimeError
         If any stage has not been fitted.
     """
-    if pipeline.config.construction != "metric_learning":
-        raise NotImplementedError(
-            "persistence currently supports the metric_learning construction "
-            "strategy (the module map holds set-valued state, not tensors)"
-        )
     if (
         pipeline.embedding.net is None
         or pipeline.filter.net is None
@@ -120,14 +118,16 @@ def load_pipeline(path: str, geometry: DetectorGeometry) -> ExaTrkXPipeline:
     ------
     CheckpointError
         If the archive is missing, truncated, bit-flipped (checksum
-        mismatch), or structurally incomplete — never a raw
-        ``zipfile.BadZipFile`` / ``KeyError``.
+        mismatch), structurally incomplete, or holds a config field this
+        version does not know — never a raw ``zipfile.BadZipFile`` /
+        ``KeyError`` / ``TypeError``.
     """
     with open_archive(path) as archive:
         try:
             config = _config_from_json(bytes(archive["config_json"]).decode("utf-8"))
             meta = archive["meta"]
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
+            # TypeError: a config field this version does not have
             raise CheckpointError(
                 f"pipeline archive {path!r} is missing or has a malformed "
                 f"config/meta entry: {exc}"
@@ -144,9 +144,6 @@ def load_pipeline(path: str, geometry: DetectorGeometry) -> ExaTrkXPipeline:
         emb_net = pipeline.embedding.build_net(emb_nf)
         _load_stage_state(emb_net, "embedding", archive, path)
         pipeline.embedding.net = emb_net
-        pipeline.construction = GraphConstructionStage(
-            config, geometry, pipeline.embedding
-        )
 
         fil_net = pipeline.filter.build_net(fil_nf, fil_ef)
         _load_stage_state(fil_net, "filter", archive, path)

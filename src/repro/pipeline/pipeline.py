@@ -37,24 +37,6 @@ from .track_building import build_tracks, build_tracks_walkthrough
 __all__ = ["PipelineReport", "UpstreamStages", "ExaTrkXPipeline"]
 
 
-class _ModuleMapConstruction:
-    """Adapter giving :class:`repro.detector.ModuleMap` the construction-
-    stage interface (``build`` / ``build_many`` / ``edge_efficiency``)
-    the pipeline expects."""
-
-    def __init__(self, module_map) -> None:
-        self.module_map = module_map
-
-    def build(self, event: Event):
-        return self.module_map.build(event)
-
-    def build_many(self, events: Sequence[Event]):
-        return list(per_event(self.build, events))
-
-    def edge_efficiency(self, event: Event, graph=None) -> float:
-        return self.module_map.edge_efficiency(event, graph)
-
-
 @dataclass
 class PipelineReport:
     """Diagnostics collected while fitting the pipeline."""
@@ -100,7 +82,7 @@ class ExaTrkXPipeline:
         self.config = config
         self.geometry = geometry
         self.embedding = EmbeddingStage(config, geometry)
-        self.construction: Optional[GraphConstructionStage] = None
+        self.construction = GraphConstructionStage(config, geometry, self.embedding)
         self.filter = FilterStage(config)
         self.gnn = GNNStage(config)
         self.report = PipelineReport()
@@ -147,28 +129,9 @@ class ExaTrkXPipeline:
         with tracer.span(
             "pipeline.fit", category="pipeline", events=len(train_events)
         ):
-            # Stages 1–2: candidate-graph construction strategy
-            with tracer.span(
-                "pipeline.embedding", category="pipeline",
-                strategy=self.config.construction,
-            ):
-                if self.config.construction == "module_map":
-                    from ..detector import ModuleMap, ModuleMapConfig
-
-                    mm = ModuleMap(
-                        self.geometry,
-                        ModuleMapConfig(
-                            num_phi_sectors=self.config.module_map_phi_sectors,
-                            num_z_sectors=self.config.module_map_z_sectors,
-                            feature_scheme=self.config.feature_scheme,
-                        ),
-                    ).fit(train_events)
-                    self.construction = _ModuleMapConstruction(mm)
-                else:
-                    self.embedding.fit(train_events, rng)
-                    self.construction = GraphConstructionStage(
-                        self.config, self.geometry, self.embedding
-                    )
+            # Stages 1–2: embedding, then FRNN construction in its space
+            with tracer.span("pipeline.embedding", category="pipeline"):
+                self.embedding.fit(train_events, rng)
 
             train_graphs = self.construct_many(train_events)
             val_graphs = self.construct_many(val_events)
@@ -224,7 +187,7 @@ class ExaTrkXPipeline:
     ) -> List[EventGraph]:
         """Stages 1–2 for several events: per event, the embedding
         forward, then the FRNN search / labelling."""
-        if self.construction is None:
+        if self.embedding.net is None:
             raise RuntimeError("pipeline not fitted")
         with get_tracer().span(
             span, category=span.split(".")[0], events=len(events)

@@ -507,7 +507,7 @@ class InferenceEngine:
         fault_plan: Optional[FaultPlan] = None,
         store=None,
     ) -> None:
-        if pipeline.construction is None:
+        if pipeline.embedding.net is None:
             raise RuntimeError("pipeline not fitted")
         self.pipeline = pipeline
         self.store = store

@@ -1,6 +1,7 @@
 """Pipeline save/load round-trip and multi-seed sweeps."""
 
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -147,6 +148,49 @@ class TestPersistenceDurability:
         payload["meta"] = payload["meta"][:3]
         atomic_savez(path, payload)
         with pytest.raises(CheckpointError, match="meta"):
+            load_pipeline(path, geometry)
+
+    @staticmethod
+    def _edit_config(path, edit):
+        """Rewrite the archive's stored config through ``edit(dict)``."""
+        with np.load(path) as archive:
+            payload = {k: archive[k] for k in archive.files}
+        config = json.loads(bytes(payload["config_json"]).decode("utf-8"))
+        edit(config)
+        payload["config_json"] = np.frombuffer(
+            json.dumps(config).encode("utf-8"), dtype=np.uint8
+        )
+        atomic_savez(path, payload)
+
+    def test_retired_module_map_fields_still_load(
+        self, fitted, geometry, small_events, tmp_path
+    ):
+        """Archives written while the config had the module-map knobs load
+        and reconstruct the same tracks."""
+        path = str(tmp_path / "pipe.npz")
+        save_pipeline(fitted, path)
+        self._edit_config(
+            path,
+            lambda c: c.update(module_map_phi_sectors=16, module_map_z_sectors=8),
+        )
+        loaded = load_pipeline(path, geometry)
+        assert loaded.config == fitted.config
+        before = fitted.reconstruct(small_events[5])
+        after = loaded.reconstruct(small_events[5])
+        assert len(before) == len(after)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    @pytest.mark.parametrize("section", ["pipeline", "gnn"])
+    def test_unknown_config_field_raises_checkpoint_error(
+        self, fitted, geometry, tmp_path, section
+    ):
+        path = str(tmp_path / "pipe.npz")
+        save_pipeline(fitted, path)
+        self._edit_config(
+            path,
+            lambda c: (c if section == "pipeline" else c["gnn"]).update(bogus=1),
+        )
+        with pytest.raises(CheckpointError, match=r"pipe\.npz.*bogus"):
             load_pipeline(path, geometry)
 
 

@@ -78,8 +78,21 @@ class TestGraphConstruction:
 
     def test_edge_efficiency_reasonable(self, config, geometry, fitted_embedding, small_events):
         stage = GraphConstructionStage(config, geometry, fitted_embedding)
-        eff = stage.edge_efficiency(small_events[4])
+        event = small_events[4]
+        eff = stage.edge_efficiency(event)
         assert eff > 0.5  # trained embedding must capture most segments
+        # ``fit`` passes each training graph in: the graph given is the one
+        # scored, the event is not built a second time
+        graph = stage.build(event)
+        empty = graph.edge_mask_subgraph(np.zeros(graph.num_edges, dtype=bool))
+        assert stage.edge_efficiency(event, graph) == eff
+        assert stage.edge_efficiency(event, empty) == 0.0
+
+    def test_config_accepts_only_metric_learning(self):
+        assert PipelineConfig().construction == "metric_learning"
+        for retired in ("module_map", "random_edges"):
+            with pytest.raises(ValueError, match="unknown construction strategy"):
+                PipelineConfig(construction=retired)
 
 
 class TestFilterStage:

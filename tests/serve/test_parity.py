@@ -16,19 +16,12 @@ import pytest
 
 from repro.detector import EventSimulator, ParticleGun
 from repro.faults import SimClock
-from repro.pipeline import ExaTrkXPipeline, GNNTrainConfig, PipelineConfig
 from repro.pipeline.config import TRACK_BUILDERS
 from repro.serve import InferenceEngine, ServeConfig
 from repro.store import EventStore, ingest_construction
 
 from .conftest import assert_tracks_equal as _assert_tracks_equal
 from .conftest import track_builder
-
-TINY_GNN = GNNTrainConfig(
-    mode="bulk", epochs=2, batch_size=64, hidden=8, num_layers=2,
-    mlp_layers=2, depth=2, fanout=4, bulk_k=4,
-)
-
 
 class TestBatchedSequentialParity:
     def test_cc_builder_bit_identical(self, serve_pipeline, serve_events):
@@ -162,23 +155,6 @@ def test_every_serving_mode_equals_reconstruct(
         _assert_tracks_equal(seq, batched, "reconstruct_many")
         _assert_tracks_equal(seq, a.tracks, "engine")
         _assert_tracks_equal(seq, b.tracks, "engine replay")
-
-
-def test_module_map_pipeline_served_equals_its_reconstruct(
-    geometry, small_events, serve_events
-):
-    pipe = ExaTrkXPipeline(
-        PipelineConfig(construction="module_map", filter_epochs=4, gnn=TINY_GNN),
-        geometry,
-    )
-    pipe.fit(small_events[:4], small_events[4:5])
-    sequential = [pipe.reconstruct(e) for e in serve_events]
-    assert any(sequential)
-    with InferenceEngine(pipe, ServeConfig(max_batch_events=3)) as engine:
-        requests = engine.process(serve_events)
-    for seq, req in zip(sequential, requests):
-        assert req.status == "done"
-        _assert_tracks_equal(seq, req.tracks)
 
 
 @pytest.mark.parametrize("builder", TRACK_BUILDERS)

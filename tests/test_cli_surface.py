@@ -122,7 +122,7 @@ def test_help_renders_for_every_leaf(parser):
 def test_config_dataclass_fields_unchanged(snapshot):
     fields = json.loads(json.dumps(config_surface()))
     assert fields == snapshot["configs"]
-    assert [len(fields[c.__name__]) for c in CONFIGS] == [38, 25, 15, 4]
+    assert [len(fields[c.__name__]) for c in CONFIGS] == [38, 23, 15, 4]
 
 
 if __name__ == "__main__":

@@ -118,7 +118,6 @@ def test_per_event_loops_go_through_one_map():
     for package, module, qualname in [
         ("pipeline", "embedding_stage.py", "EmbeddingStage.embed_many"),
         ("pipeline", "graph_construction.py", "GraphConstructionStage.build_many"),
-        ("pipeline", "pipeline.py", "_ModuleMapConstruction.build_many"),
         ("pipeline", "filter_stage.py", "FilterStage.prune_many"),
         ("pipeline", "pipeline.py", "ExaTrkXPipeline.reconstruct_many"),
         ("serve", "engine.py", "InferenceEngine._process_batch_inner"),

@@ -14,13 +14,21 @@ No CLI path imports the examples, scripts or benches either, so a second
 test reads their ``from repro... import name`` statements and checks that
 each name still resolves.  It imports the ``repro`` module named, never
 the file that names it, so deleting an export an example uses fails here
-rather than in the next run of that example.
+rather than in the next run of that example.  A third reads their config
+calls (``PipelineConfig(...)`` and the other CLI-backing dataclasses):
+every keyword must name a field, and the constant-valued keywords must
+construct a config that validates, so retiring a field or a choice fails
+here and not in a run of the bench that still passes it.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 from pathlib import Path
+
+from repro.pipeline import GNNTrainConfig, PipelineConfig
+from repro.serve import LoadGenConfig, ServeConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -92,13 +100,18 @@ def test_unreached_modules_are_the_listed_orphans():
     assert all(reason.strip() for reason in listed.values())
 
 
+def _scripts():
+    """``(path, AST)`` of the examples, scripts and benches."""
+    files = [*ROOT.glob("examples/*.py"), *ROOT.glob("scripts/*.py"),
+             *ROOT.glob("benchmarks/**/*.py")]
+    return [(path, ast.parse(path.read_text())) for path in sorted(files)]
+
+
 def _repro_imports():
     """``(file, module, name)`` for every ``from repro... import name`` in
     the examples, scripts and benches, read from the AST."""
-    files = [*ROOT.glob("examples/*.py"), *ROOT.glob("scripts/*.py"),
-             *ROOT.glob("benchmarks/**/*.py")]
-    for path in sorted(files):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree in _scripts():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and not node.level and (
                 node.module == "repro" or node.module.startswith("repro.")
             ):
@@ -112,3 +125,36 @@ def test_names_the_examples_scripts_and_benches_import_exist():
     missing = [f"{path}: from {module} import {name}" for path, module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+def test_config_calls_in_the_examples_scripts_and_benches_validate():
+    configs = {cls.__name__: cls
+               for cls in (GNNTrainConfig, PipelineConfig, ServeConfig, LoadGenConfig)}
+    calls, bad = 0, []
+    for path, tree in _scripts():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            cls = configs.get(getattr(node.func, "id", getattr(node.func, "attr", None)))
+            if cls is None:
+                continue
+            calls += 1
+            where = f"{path.relative_to(ROOT)}:{node.lineno}"
+            fields = {f.name for f in dataclasses.fields(cls)}
+            constants = {}
+            for kw in node.keywords:
+                if kw.arg is None:  # a **mapping: its keys are not in the AST
+                    continue
+                if kw.arg not in fields:
+                    bad.append(f"{where}: {cls.__name__} has no field {kw.arg!r}")
+                    continue
+                try:
+                    constants[kw.arg] = ast.literal_eval(kw.value)
+                except ValueError:  # not a constant: only its name is checked
+                    pass
+            try:
+                cls(**constants)
+            except (TypeError, ValueError) as exc:
+                bad.append(f"{where}: {exc}")
+    assert calls
+    assert not bad
