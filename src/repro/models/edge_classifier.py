@@ -23,13 +23,24 @@ class EdgeClassifier(Module):
         """``forward`` on an :class:`repro.graph.EventGraph`: the one
         input boundary — ``x`` / ``y`` cast to the parameter dtype and
         wrapped, then the graph's own scatter plans of ``rows`` / ``cols``
-        (:attr:`repro.graph.EventGraph.plans`), built once per graph."""
+        (:attr:`repro.graph.EventGraph.plans`), built once per graph.
+
+        ``graph`` may also be a tuple of graphs, the parts of one disjoint
+        union: ``forward`` then gets one tuple per input, an entry per
+        part, and returns the parts' logits in order (a network that
+        takes parts, as :class:`~repro.models.InteractionGNN` does)."""
         dt = next(self.parameters()).data.dtype
-        return self.forward(
+        if isinstance(graph, tuple):
+            inputs = zip(*(self._inputs(part, dt) for part in graph))
+            return self.forward(*inputs, **forward_kwargs)
+        return self.forward(*self._inputs(graph, dt), **forward_kwargs)
+
+    @staticmethod
+    def _inputs(graph, dt) -> tuple:
+        return (
             Tensor(graph.x.astype(dt, copy=False)),
             Tensor(graph.y.astype(dt, copy=False)),
             *graph.plans,
-            **forward_kwargs,
         )
 
     def predict_proba(self, graph) -> np.ndarray:

@@ -33,6 +33,7 @@ from typing import List
 
 import numpy as np
 
+from .._per_event import per_event
 from ..nn import MLP, Module
 from ..tensor import Tensor, ops
 from ..tensor.kernels import ScatterPlan
@@ -200,11 +201,30 @@ class InteractionGNN(EdgeClassifier):
             (:func:`repro.tensor.ops.checkpoint`): same logits, same
             gradients, ``O(L·(n+m)·f)`` stored instead of ``O(L·m·6f)``.
 
+        A graph that is a disjoint union of parts (no edge joins two parts)
+        may come as per-part tuples: ``x``, ``y``, ``rows`` and ``cols``
+        each hold one entry per part, each part's ids local to it.  The
+        traversal then runs once per part, as lanes on the per-event pool
+        (:func:`repro._per_event.per_event`), and returns when every part
+        has; the logits are the parts' in order, as one
+        :func:`repro.tensor.ops.parts` node whose backward runs the parts'
+        tapes as lanes too.  Each part's logits are the whole graph's
+        logits on its rows, up to BLAS blocking in the last bits.  Not
+        with ``recompute``.
+
         Returns
         -------
         Tensor
             ``(m,)`` edge logits.
         """
+        if isinstance(x, tuple):
+            if recompute:
+                raise ValueError("a forward over parts does not recompute")
+            return ops.parts(per_event(self._traverse, x, y, rows, cols), per_event)
+        return self._traverse(x, y, rows, cols, recompute)
+
+    def _traverse(self, x, y, rows, cols, recompute: bool = False) -> Tensor:
+        """The one traversal of encoders, blocks and head on one graph."""
         x = x if isinstance(x, Tensor) else Tensor(x)
         y = y if isinstance(y, Tensor) else Tensor(y)
         rows, cols = ScatterPlan.of(rows), ScatterPlan.of(cols)

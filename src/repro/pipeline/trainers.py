@@ -291,13 +291,49 @@ def _model_factory(
     return lambda: InteractionGNN(ignn_config).astype(dtype)
 
 
+#: Least work (edges × ``hidden``) at which a one-rank step trains its
+#: batch as two component lanes (:func:`_cut`).  Below it the lanes'
+#: hand-offs cost more than the second core saves; EXPERIMENTS.md
+#: ("Component lanes at P = 1") has the probe that set it.  A constant,
+#: not a knob: whether a step splits is a function of its batch alone.
+_SPLIT_WORK = 120_000
+
+
+def _cut(batch: SampledBatch, hidden: int) -> Optional[Tuple[EventGraph, EventGraph]]:
+    """A ShaDow batch's graph as two parts, or ``None`` to train it whole.
+
+    The batch is a disjoint union of per-root components, each on a
+    contiguous range of vertices and of edges (both samplers build it so).
+    The cut falls at the component boundary nearest half the edges: the
+    parts are views of the batch's features, and only the second part's
+    ``edge_index`` is rebased.  A batch of one component, or of less work
+    than :data:`_SPLIT_WORK`, stays whole.
+    """
+    graph, comp = batch.graph, batch.component_ids
+    m = graph.num_edges
+    if m * hidden < _SPLIT_WORK or batch.num_components < 2:
+        return None
+    edge_comp = comp[graph.rows]  # sorted: edges are grouped by component
+    starts = np.searchsorted(edge_comp, np.arange(1, batch.num_components))
+    e = int(starts[np.argmin(np.abs(2 * starts - m))])
+    if not 0 < e < m:
+        return None  # every edge in one component (the others are bare roots)
+    v = int(np.searchsorted(comp, edge_comp[e]))
+    return (
+        EventGraph(graph.edge_index[:, :e], graph.x[:v], graph.y[:e], event_id=graph.event_id),
+        EventGraph(graph.edge_index[:, e:] - v, graph.x[v:], graph.y[e:], event_id=graph.event_id),
+    )
+
+
 class _Rank:
     """One DDP rank's replica and optimiser — the rank-local half of a step.
 
     :meth:`step` touches nothing but this rank's own model/optimiser and
     its arguments (no communicator, loader, history or timer), so
     :func:`_train` runs a step's P rank steps on lanes (one thread each)
-    and meets them in its single all-reduce.
+    and meets them in its single all-reduce.  At P = 1 a large batch
+    comes cut in two (:func:`_cut`), and the step runs the parts as two
+    lanes of its own that meet in its one loss.
     """
 
     def __init__(self, grank: int, model: InteractionGNN, optimizer: Adam) -> None:
@@ -311,9 +347,20 @@ class _Rank:
         loss_fn: BCEWithLogitsLoss,
         recompute: bool = False,
         fault: Optional[str] = None,
+        parts: Optional[Tuple[EventGraph, ...]] = None,
     ) -> float:
         """Zero the gradients, then one forward/backward on a (sub)graph;
         returns the loss value.  Plain data in, plain data out.
+
+        ``parts`` is ``graph`` cut into disjoint parts (:func:`_cut`): the
+        forward then runs one traversal per part as lanes on the
+        per-event pool and returns once both have, one loss is taken on
+        the parts' logits in order (``graph``'s edge order), and the one
+        ``backward`` runs the parts' tapes as lanes again, adding their
+        parameter gradients part by part on this thread
+        (:func:`repro.tensor.ops.parts`).  So the trained bits are the
+        same whatever the lanes' schedule, and equal to a plain loop over
+        the same parts.
 
         ``recompute`` runs the same pass under block-boundary activation
         checkpointing (``InteractionGNN.forward(recompute=True)`` — same
@@ -329,7 +376,7 @@ class _Rank:
         self.optimizer.zero_grad()
         tracer = get_tracer()
         with tracer.span("forward", category="train", edges=graph.num_edges):
-            logits = model.logits(graph, recompute=recompute)
+            logits = model.logits(graph if parts is None else parts, recompute=recompute)
             loss = loss_fn(logits, graph.edge_labels.astype(np.float32))
         loss_value = float("nan") if fault == "loss" else loss.item()
         if np.isfinite(loss_value):
@@ -526,6 +573,9 @@ def _train(
                 )
             )
 
+        # at one rank the second core is idle: large ShaDow batches train
+        # as two component lanes (ranks fill the cores at P >= 2)
+        may_cut = world == 1 and config.mode in ("shadow", "bulk")
         every, every_steps = config.checkpoint_every, config.checkpoint_every_steps
         max_steps = config.max_steps if config.max_steps is not None else float("inf")
         for epoch in range(start_epoch, config.epochs):
@@ -562,7 +612,14 @@ def _train(
                             # one optimisation step per batch in the group
                             for bi in range(len(step.batches)):
                                 with timers.scope("training"):
-                                    graphs = [rank_sampled[r.grank][bi].graph for r in ranks]
+                                    batches = [rank_sampled[r.grank][bi] for r in ranks]
+                                    graphs = [b.graph for b in batches]
+                                    parts = [
+                                        _cut(b, config.hidden)
+                                        if may_cut and not step.recompute
+                                        else None
+                                        for b in batches
+                                    ]
                                     faults = [
                                         fault_plan.numeric_fault_target()
                                         if fault_plan is not None
@@ -570,10 +627,10 @@ def _train(
                                         for _ in ranks
                                     ]
                                     settle = dispatch(
-                                        lambda rank, graph, fault: rank.step(
-                                            graph, loss_fn, step.recompute, fault
+                                        lambda rank, graph, fault, cut: rank.step(
+                                            graph, loss_fn, step.recompute, fault, cut
                                         ),
-                                        ranks, graphs, faults,
+                                        ranks, graphs, faults, parts,
                                     )
 
                                     def arrive() -> None:  # every rank judged before any reduce

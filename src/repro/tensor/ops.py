@@ -59,6 +59,7 @@ __all__ = [
     "dropout",
     "layer_norm",
     "checkpoint",
+    "parts",
     "softmax",
     "squared_distance",
     "bce_with_logits",
@@ -897,6 +898,44 @@ def checkpoint(fn: Callable[..., object], *inputs: Tensor):
         return unpack(0, outs.shape)
     offsets = np.cumsum([0] + [o.size for o in outs])
     return tuple(unpack(int(lo), o.shape) for lo, o in zip(offsets, outs))
+
+
+def parts(outs: Sequence[Tensor], lanes: Callable) -> Tensor:
+    """The outputs of independent passes, concatenated along axis 0 as one
+    tape node whose backward walks each pass's own tape.
+
+    ``outs`` share leaves (the parameters) but no interior node.  The
+    backward seeds each output with its rows of the gradient and runs one
+    nested :meth:`Tensor.backward` per output through ``lanes`` (``map``,
+    or an order-preserving parallel map such as
+    :func:`repro._per_event.per_event`), each staging its leaf gradients
+    in a dict of its own.  It then adds them into ``.grad`` output by
+    output, in order: no two walks write one ``.grad``, and the sums are
+    the same whatever ``lanes`` ran them on.  The outputs are not the
+    node's parents, so the outer walk never reaches their tapes; as in
+    :func:`checkpoint`, the node records itself.
+    """
+    outs = [astensor(o) for o in outs]
+    bounds = np.cumsum([0] + [o.shape[0] for o in outs])
+
+    def backward(grad: np.ndarray):
+        def walk(out: Tensor, lo: int, hi: int) -> dict:
+            staged: dict = {}
+            if out.requires_grad:
+                out.backward(grad[lo:hi], into=staged)
+            return staged
+
+        for staged in lanes(walk, outs, bounds[:-1], bounds[1:]):
+            for leaf, g in staged.items():
+                if leaf.grad is None:
+                    leaf.grad = np.zeros_like(leaf.data)
+                leaf.grad += g
+        return ()
+
+    return Tensor.from_op(
+        np.concatenate([o.data for o in outs]), (), backward, op="parts",
+        always=any(o.requires_grad for o in outs),
+    )
 
 
 # ----------------------------------------------------------------------

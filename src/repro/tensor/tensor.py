@@ -17,6 +17,9 @@ Design notes
   parameters); interior gradients live in a staging table for the duration
   of :meth:`Tensor.backward` and are freed as soon as they are consumed,
   which keeps the memory profile of an 8-layer IGNN backward pass bounded.
+  A nested walk may stage its leaf gradients in a dict instead
+  (``backward(seed, into=...)``), for an op that walks independent
+  sub-tapes side by side (:func:`repro.tensor.ops.parts`).
 * Backward consumes the graph it walks (PyTorch's default
   ``retain_graph=False``): each node gives up its closure and parents as
   soon as it is differentiated, so the arrays it saved die with their last
@@ -358,7 +361,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # backward
     # ------------------------------------------------------------------
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
+    def backward(self, grad: Optional[np.ndarray] = None, into: Optional[dict] = None) -> None:
         """Run reverse-mode differentiation from this tensor, consuming
         its graph.
 
@@ -375,6 +378,12 @@ class Tensor:
         grad:
             Seed gradient.  Defaults to 1.0 for scalar outputs (the loss);
             non-scalar outputs require an explicit seed.
+        into:
+            If given, each leaf's gradient from this pass is stored here
+            (``{leaf: array}``) and no ``.grad`` is touched: a walk that
+            may run beside another over shared leaves stages its leaf
+            gradients, and its caller adds them in a fixed order
+            (:func:`repro.tensor.ops.parts`).
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -419,6 +428,9 @@ class Tensor:
             if node_grad is None:
                 continue
             if fn is None:
+                if into is not None:
+                    into[node] = node_grad
+                    continue
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
                 node.grad += node_grad

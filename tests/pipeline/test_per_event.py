@@ -91,6 +91,38 @@ def test_a_map_inside_an_item_runs_as_a_plain_loop(forced_helpers):
         assert _in_thread(lambda: list(per_event(outer, range(2)))) == [[0, 1, 2, 3]] * 2
 
 
+@pytest.mark.parametrize("outer_items", [1, 2])
+def test_a_map_nested_in_a_one_item_map_may_use_the_idle_helper(forced_helpers, outer_items):
+    """A one-item map claims no helper, so its item's map may; a map that
+    claimed one runs its items' maps as plain loops, even beside an idle
+    helper.  The bits are the loop's either way."""
+    lone = outer_items == 1
+    barrier = threading.Barrier(2, timeout=10)  # lone: neither inner item finishes alone
+
+    def inner_item(j):
+        if lone:
+            barrier.wait()
+        a = np.random.default_rng(j).standard_normal((64, 64))
+        return a @ a.T, threading.get_ident()
+
+    def outer(i):
+        inner = list(per_event(inner_item, range(2)))
+        return [a for a, _ in inner], {ident for _, ident in inner}
+
+    def run():
+        return _in_thread(lambda: list(per_event(outer, range(outer_items))))
+
+    with forced_helpers(2):  # two outer items claim one helper; one stays idle
+        got = run()
+    with forced_helpers(0):
+        barrier = threading.Barrier(1)  # the loop: one thread
+        loop = [a for a, _ in run()]
+    assert [len(idents) for _, idents in got] == ([2] if lone else [1, 1])
+    assert all(
+        np.array_equal(a, b) for (mine, _), theirs in zip(got, loop) for a, b in zip(mine, theirs)
+    )
+
+
 def test_concurrent_maps_share_the_pool_and_finish(forced_helpers):
     def fn(i):
         time.sleep(0.001)

@@ -67,7 +67,7 @@ def test_rank_step_takes_plain_data():
     from repro.pipeline.trainers import _Rank
 
     assert list(inspect.signature(_Rank.step).parameters) == [
-        "self", "graph", "loss_fn", "recompute", "fault",
+        "self", "graph", "loss_fn", "recompute", "fault", "parts",
     ]
     tree = ast.parse(textwrap.dedent(inspect.getsource(_Rank.step)))
     # no fork on recompute: the flag is only ever passed on to the model
