@@ -129,7 +129,7 @@ def _fig3_panel(name: str, dataset, process_counts, benchmark=None) -> List[str]
         comm_base = steps * NVLINK_A100.allreduce_sequence_time(sizes, p)
         b = project_epoch_time(
             EpochBreakdown(
-                base.timers.total("sampling"), base.timers.total("training"), 0.0
+                base.stage_seconds["sampling"], base.stage_seconds["training"], 0.0
             ),
             p,
             comm_base,
@@ -138,7 +138,7 @@ def _fig3_panel(name: str, dataset, process_counts, benchmark=None) -> List[str]
         sample_ours = _sampling_time_at(train, "bulk", BULK_K_BASE * p, 1)
         comm_ours = steps * NVLINK_A100.coalesced_time(sizes, p)
         o = project_epoch_time(
-            EpochBreakdown(sample_ours, ours.timers.total("training"), 0.0),
+            EpochBreakdown(sample_ours, ours.stage_seconds["training"], 0.0),
             p,
             comm_ours,
         )

@@ -18,8 +18,8 @@ from repro.pipeline import GNNTrainConfig, train_gnn
 
 
 def _fraction(result):
-    s = result.timers.total("sampling")
-    t = result.timers.total("training")
+    s = result.stage_seconds["sampling"]
+    t = result.stage_seconds["training"]
     return s / (s + t)
 
 
@@ -54,7 +54,7 @@ def test_sampling_fraction(ex3_bench, benchmark):
             "Sampling share of GNN epoch time (Ex3-like, d=3, s=6)",
             f"sequential ShaDow (baseline): {100 * f_base:5.1f}%  (paper: ~50%)",
             f"matrix-based bulk (ours):     {100 * f_ours:5.1f}%",
-            f"sampling-time reduction: {base.timers.total('sampling') / ours.timers.total('sampling'):.1f}x",
+            f"sampling-time reduction: {base.stage_seconds['sampling'] / ours.stage_seconds['sampling']:.1f}x",
         ],
     )
 
@@ -62,4 +62,4 @@ def test_sampling_fraction(ex3_bench, benchmark):
     assert f_base > 0.2
     # ...and the bulk sampler reduces both the share and the absolute time
     assert f_ours < f_base
-    assert ours.timers.total("sampling") < 0.5 * base.timers.total("sampling")
+    assert ours.stage_seconds["sampling"] < 0.5 * base.stage_seconds["sampling"]

@@ -77,7 +77,8 @@ def _flag(recipe: Recipe, name: str) -> _Flag:
     kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
     option = alias.option or "--" + recipe.prefix + name.replace("_", "-")
     if kind is bool:
-        # a switch flips the recipe's value: --watchdog, --no-fused-kernels
+        # a switch flips the recipe's value: --watchdog for a False field
+        # `watchdog`, --no-x for a True field `x`
         if value:
             option, help = "--no-" + option[2:], "turn off: " + help
         return _Flag(

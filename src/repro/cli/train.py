@@ -26,7 +26,7 @@ TRAIN = Recipe(
     flags=(
         "mode", "epochs", "batch_size", "hidden", "num_layers", "depth",
         "fanout", "bulk_k", "world_size", "allreduce", "backend", "seed",
-        "precision", "fused_kernels", "checkpoint_every", "checkpoint_path",
+        "precision", "checkpoint_every", "checkpoint_path",
         "resume_from", "prefetch_workers", "prefetch_depth", "validate_inputs",
         "keep_last", "watchdog", "watchdog_window", "watchdog_spike_factor",
         "watchdog_max_rollbacks", "watchdog_lr_backoff",

@@ -21,13 +21,6 @@ from .supervisor import (
 )
 from .coalesce import FlatSpec, flatten_arrays, gradient_arrays, unflatten_array
 from .ddp import ALLREDUCE_STRATEGIES, DistributedDataParallel, replicate_model
-from .algorithms import (
-    ALLREDUCE_ALGORITHMS,
-    halving_doubling_allreduce,
-    halving_doubling_time,
-    tree_allreduce,
-    tree_time,
-)
 
 __all__ = [
     "CommBackend",
@@ -51,9 +44,4 @@ __all__ = [
     "gradient_arrays",
     "DistributedDataParallel",
     "replicate_model",
-    "ALLREDUCE_ALGORITHMS",
-    "halving_doubling_allreduce",
-    "halving_doubling_time",
-    "tree_allreduce",
-    "tree_time",
 ]

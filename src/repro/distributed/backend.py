@@ -121,7 +121,6 @@ class CommBackend(abc.ABC):
         self,
         world_size: int,
         cost_model: CommCostModel = NVLINK_A100,
-        algorithm: str = "ring",
         fault_plan=None,
     ) -> None:
         if world_size < 1:
@@ -129,7 +128,6 @@ class CommBackend(abc.ABC):
         #: Live global rank ids, ascending (shrinks through :meth:`remove_rank`).
         self.ranks: List[int] = list(range(world_size))
         self.cost_model = cost_model
-        self.algorithm = algorithm
         self.fault_plan = fault_plan
         self.stats = CommStats()
 
@@ -165,7 +163,7 @@ class CommBackend(abc.ABC):
             out = transport()
             stats = self.stats
             if kind == "allreduce":
-                modeled = self._allreduce_modeled(nbytes)
+                modeled = self.cost_model.allreduce_time(nbytes, self.world_size)
                 stats.num_allreduce_calls += 1
                 stats.bytes_reduced += nbytes
             elif kind == "broadcast":
@@ -189,8 +187,8 @@ class CommBackend(abc.ABC):
     ) -> List[np.ndarray]:
         """All-reduce one buffer per live rank; returns the reduced copies.
 
-        Charges the cost model for a single collective over the buffer's
-        byte size, using the configured algorithm's α–β form.
+        Charges the cost model for a single ring all-reduce over the
+        buffer's byte size.
         """
         if len(buffers) != self.world_size:
             raise ValueError(
@@ -200,7 +198,6 @@ class CommBackend(abc.ABC):
             "allreduce",
             lambda: self._run_allreduce(buffers, average),
             nbytes=buffers[0].nbytes,
-            algorithm=self.algorithm,
         )
 
     def broadcast(self, buffer: np.ndarray) -> List[np.ndarray]:
@@ -262,10 +259,6 @@ class CommBackend(abc.ABC):
         event's survivor list.  Nothing to do for in-process ranks."""
         return ""
 
-    def _allreduce_modeled(self, nbytes: int) -> float:
-        """α–β time of one all-reduce under :attr:`algorithm` (ring here)."""
-        return self.cost_model.allreduce_time(nbytes, self.world_size)
-
     def collect_worker_telemetry(self, timeout: float = 5.0) -> int:
         """Merge per-rank worker spans/metrics into the driver's trace;
         returns the ranks that answered (none: ranks run in this process)."""
@@ -287,7 +280,6 @@ def create_communicator(
     world_size: int,
     *,
     cost_model: CommCostModel = NVLINK_A100,
-    algorithm: str = "ring",
     fault_plan=None,
     **proc_options,
 ) -> CommBackend:
@@ -305,9 +297,9 @@ def create_communicator(
     if backend == "sim":
         from .comm import SimCommunicator
 
-        return SimCommunicator(world_size, cost_model, algorithm, fault_plan)
+        return SimCommunicator(world_size, cost_model, fault_plan=fault_plan)
     from .proc_backend import ProcCommunicator
 
     return ProcCommunicator(
-        world_size, cost_model, algorithm, fault_plan, **proc_options
+        world_size, cost_model, fault_plan=fault_plan, **proc_options
     )

@@ -12,7 +12,7 @@ strategies are provided:
   all-reduce per step (Section III-D).
 
 The ranks' replicas live in one process (their steps run on the trainer's
-lanes, one thread each), so wall-clock here measures algorithmic work;
+lanes, one thread each), so wall-clock here measures compute only;
 communication *time* comes from the α–β cost model accumulated in the
 communicator's stats.  Gradient math is bit-comparable to true DDP:
 the property tests check that P-rank training equals single-rank training

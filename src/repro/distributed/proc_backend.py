@@ -377,10 +377,9 @@ class ProcCommunicator(CommBackend):
     ----------
     world_size:
         Number of worker processes (one per rank).
-    cost_model, algorithm:
+    cost_model:
         The α–β model is still charged per collective (``modeled_s``) so
-        measured wall-clock can be validated against it; only the
-        ``"ring"`` algorithm is implemented by the workers.
+        measured wall-clock can be validated against it.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan`.  ``comm_faults`` raise
         exactly as on the simulator; ``process_faults`` are *executed*
@@ -404,7 +403,6 @@ class ProcCommunicator(CommBackend):
         self,
         world_size: int,
         cost_model: CommCostModel = NVLINK_A100,
-        algorithm: str = "ring",
         fault_plan=None,
         collective_timeout: float = 30.0,
         heartbeat_interval: float = 0.05,
@@ -412,14 +410,9 @@ class ProcCommunicator(CommBackend):
         start_method: Optional[str] = None,
         startup_timeout: float = 30.0,
     ) -> None:
-        if algorithm != "ring":
-            raise ValueError(
-                "the proc backend implements the ring algorithm only "
-                f"(got {algorithm!r}); use the sim backend for others"
-            )
         if collective_timeout <= 0 or heartbeat_deadline <= 0:
             raise ValueError("timeouts must be positive")
-        super().__init__(world_size, cost_model, algorithm, fault_plan)
+        super().__init__(world_size, cost_model, fault_plan)
         self.collective_timeout = collective_timeout
         self.heartbeat_deadline = heartbeat_deadline
         self._seq = 0  # collective id (response matching)

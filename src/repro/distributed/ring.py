@@ -1,10 +1,10 @@
 """The ring all-reduce: one schedule, executed by every backend.
 
-A faithful implementation of the NCCL-style ring algorithm: each rank's
+A faithful implementation of NCCL's ring all-reduce: each rank's
 buffer is split into ``P`` chunks; ``P-1`` reduce-scatter steps circulate
 and accumulate chunks around the ring, then ``P-1`` all-gather steps
 circulate the finished chunks.  Every step is performed explicitly so the
-algorithm — and its step/byte counts, which feed the α–β cost model — is
+schedule — and its step/byte counts, which feed the α–β cost model — is
 the real one, not a shortcut ``np.sum``.
 
 The schedule is data: :func:`ring_schedule` lists, for one ring position,
@@ -127,7 +127,7 @@ def ring_allreduce(
     average: bool = False,
     stats: RingAllReduceStats | None = None,
 ) -> List[np.ndarray]:
-    """All-reduce ``buffers`` (one per rank) with the ring algorithm.
+    """All-reduce ``buffers`` (one per rank) around the ring.
 
     Parameters
     ----------

@@ -8,10 +8,11 @@ Exa.TrkX pipeline *skips* them.  This module computes that footprint
 analytically so the full-graph trainer can make the same skip decision,
 and so the `abl-skip` bench can sweep device capacities.
 
-The terms price the *unfused* tape (an ``m × 6f`` message input per
-layer; the fused path builds neither it nor the residuals ``[Yˡ Y⁰]``
-and ``[Xˡ X⁰]``).  They stay: they decide the full-graph skip and the
-rescue.
+The terms price the unfused tape (an ``m × 6f`` message input per
+layer), which only the tests' reference block builds
+(``tests/models/test_fused_ignn.py``); the product's fused block builds
+neither it nor the residuals ``[Yˡ Y⁰]`` and ``[Xˡ X⁰]``.  They stay:
+they decide the full-graph skip and the rescue.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ Faithful to Algorithm 1:
   (``X⁰ ← φ(X)``, ``Y⁰ ← φ(Y)``);
 * every layer concatenates the current state with the layer-0 encoding
   (the residual concatenation ``X' ← [Xˡ X⁰]``, ``Y' ← [Yˡ Y⁰]``; the
-  fused path hands the message op the pair ``(Yˡ, Y⁰)`` instead of
-  building the ``(m, 2h)`` copy);
+  block hands its graph ops the pairs ``(Xˡ, X⁰)`` and ``(Yˡ, Y⁰)``
+  instead of building the ``(n, 2h)`` / ``(m, 2h)`` copies);
 * the message step is ``Yˡ⁺¹ ← φ([Y'  X'[A.rows]  X'[A.cols]])``;
 * aggregation is two segment sums, over sources and destinations
   (``M_src ← REDUCTION(Y, A.rows, +)``, ``M_dst ← REDUCTION(Y, A.cols, +)``);
@@ -57,10 +57,6 @@ class IGNNConfig:
     mlp_layers: int = 2
     layer_norm: bool = True
     seed: int = 0
-    #: Route the message path through the fused gather/scatter kernels
-    #: (same math, tolerance-level float differences from the unfused
-    #: reference; set False to fall back to gather → concat → matmul).
-    fused: bool = True
 
     def __post_init__(self) -> None:
         if self.node_features < 1 or self.edge_features < 1:
@@ -87,7 +83,6 @@ class _IGNNLayer(Module):
 
     def __init__(self, config: IGNNConfig, rng) -> None:
         super().__init__()
-        self.fused = config.fused
         # Inputs: Y' (2h = Yˡ ++ Y⁰) ++ X'[rows] (2h) ++ X'[cols] (2h)
         self.edge_mlp = _mlp(config, 6 * config.hidden, rng)
         # Inputs: M_src (h) ++ M_dst (h) ++ X' (2h)
@@ -98,53 +93,36 @@ class _IGNNLayer(Module):
     ):
         """``(Xˡ⁺¹, Yˡ⁺¹)`` — or ``Yˡ⁺¹`` alone with ``update=False``, for
         a caller that will not read the vertex states again."""
-        if self.fused:
-            # X' is the pair (Xˡ, X⁰), read in place by MSG and AGG.  Each
-            # half reaches both through one fan-in node, so a block hands
-            # X⁰ one gradient — what a recomputed block hands it.  X⁰'s
-            # node is recorded first so backward runs it second: in block
-            # 0, where Xˡ is X⁰, the Xˡ half is added first, as there.
-            x0_in = ops.fan_in(x0)
-            x_res = (ops.fan_in(x), x0_in)
-            # MSG: the first edge-MLP layer is fused with the endpoint
-            # gathers (matmul-then-gather: n·f·h instead of m·f·h per
-            # endpoint block), then the MLP tail runs as usual.  Y' is the
-            # pair (Yˡ, Y⁰), read in place too.
-            y_next = self.edge_mlp.forward_tail(
-                ops.gather_concat_matmul(
-                    (y, y0), x_res, rows, cols, *self.edge_mlp.first_layer
-                )
+        # X' is the pair (Xˡ, X⁰), read in place by MSG and AGG.  Each
+        # half reaches both through one fan-in node, so a block hands X⁰
+        # one gradient — what a recomputed block hands it.  X⁰'s node is
+        # recorded first so backward runs it second: in block 0, where Xˡ
+        # is X⁰, the Xˡ half is added first, as there.
+        x0_in = ops.fan_in(x0)
+        x_res = (ops.fan_in(x), x0_in)
+        # MSG: the first edge-MLP layer is fused with the endpoint gathers
+        # (matmul-then-gather: n·f·h instead of m·f·h per endpoint block),
+        # then the MLP tail runs as usual.  Y' is the pair (Yˡ, Y⁰), read
+        # in place too.
+        y_next = self.edge_mlp.forward_tail(
+            ops.gather_concat_matmul(
+                (y, y0), x_res, rows, cols, *self.edge_mlp.first_layer
             )
-        else:
-            # Reference (unfused) path: X' ← [Xˡ X⁰], Y' ← [Yˡ Y⁰],
-            # gather → concat → matmul.
-            x_res = ops.concat([x, x0], axis=1)
-            y_res = ops.concat([y, y0], axis=1)
-            msg_in = ops.concat(
-                [y_res, ops.gather_rows(x_res, rows), ops.gather_rows(x_res, cols)],
-                axis=1,
-            )
-            y_next = self.edge_mlp(msg_in)
+        )
         if not update:
             return y_next
         return self.update(x, x_res, y_next, rows, cols), y_next
 
-    def update(self, x: Tensor, x_res: Tensor, y_next: Tensor, rows, cols) -> Tensor:
-        """AGG + vertex update: ``Xˡ⁺¹ ← φ([M_src  M_dst  X'])``."""
-        num_nodes = x.shape[0]
-        if self.fused:
-            # both segment sums and the concat with X' are fused into the
-            # first node-MLP layer
-            weight, bias, norm = self.node_mlp.first_layer
-            return self.node_mlp.forward_tail(
-                ops.scatter_mlp_input(
-                    y_next, rows, cols, x_res, weight, bias, num_nodes, norm
-                )
+    def update(self, x: Tensor, x_res, y_next: Tensor, rows, cols) -> Tensor:
+        """AGG + vertex update: ``Xˡ⁺¹ ← φ([M_src  M_dst  X'])``, with both
+        segment sums and the concat with X' fused into the first node-MLP
+        layer."""
+        weight, bias, norm = self.node_mlp.first_layer
+        return self.node_mlp.forward_tail(
+            ops.scatter_mlp_input(
+                y_next, rows, cols, x_res, weight, bias, x.shape[0], norm
             )
-        # AGG: sum incoming messages over both endpoints
-        m_src = ops.segment_sum(y_next, rows, num_nodes)
-        m_dst = ops.segment_sum(y_next, cols, num_nodes)
-        return self.node_mlp(ops.concat([m_src, m_dst, x_res], axis=1))
+        )
 
 
 class InteractionGNN(EdgeClassifier):

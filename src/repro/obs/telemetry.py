@@ -122,7 +122,7 @@ class RunTelemetry:
         epoch_hist = self.metrics.histogram("train.epoch_seconds")
         for record in result.history.records:
             epoch_hist.observe(record.epoch_seconds)
-        for stage, total in result.timers.totals().items():
+        for stage, total in result.stage_seconds.items():
             self.metrics.gauge(f"train.stage_seconds.{stage}").set(total)
         if result.comm_stats is not None:
             self.record_comm_stats(result.comm_stats)

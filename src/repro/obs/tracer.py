@@ -49,7 +49,7 @@ class Span:
     span_id, parent_id, depth:
         Tree structure; ``parent_id`` is ``None`` for root spans.
     attributes:
-        Arbitrary JSON-serialisable payload (``nbytes``, ``algorithm``,
+        Arbitrary JSON-serialisable payload (``nbytes``, ``world_size``,
         ``modeled_s``, ...).
     """
 

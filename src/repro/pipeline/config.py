@@ -111,11 +111,9 @@ class GNNTrainConfig:
         necessary (``None`` = run the full epoch budget).  Useful for
         smoke runs and for exercising mid-epoch crash/resume.
     fused_kernels:
-        Route the IGNN message path through the fused
-        ``gather_concat_matmul`` / ``scatter_mlp_input`` kernels
-        (default).  ``False`` restores the unfused gather → concat →
-        matmul reference path; results agree to float tolerance (the
-        convergence-parity suite pins this).
+        Retired: the IGNN has one message path, the fused one, and
+        ``False`` raises.  The field stays while callers still pass
+        ``True``.
     precision:
         ``"float32"`` (default, as in the paper's training runs) or
         ``"float64"`` — an end-to-end high-precision reference mode:
@@ -214,12 +212,8 @@ class GNNTrainConfig:
     watchdog_lr_backoff: float = knob(
         0.5, "multiply the learning rate by X on each rollback"
     )
-    # Kernel / precision knobs (see docs/architecture.md, "The fused message path"):
-    fused_kernels: bool = knob(
-        True,
-        "the fused gather/scatter message path (falls back to the unfused "
-        "gather/concat/matmul reference path)",
-    )
+    fused_kernels: bool = True
+    # Precision knob (see docs/architecture.md, "The fused message path"):
     precision: str = knob(
         "float32",
         "training dtype: float32 (paper) or the float64 reference mode",
@@ -261,6 +255,11 @@ class GNNTrainConfig:
                 raise ValueError("checkpoint_every_steps requires checkpoint_path")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if not self.fused_kernels:
+            raise ValueError(
+                "fused_kernels=False is retired: the IGNN runs the fused "
+                "message path only"
+            )
         if self.precision not in PRECISIONS:
             raise ValueError(
                 f"unknown precision {self.precision!r}; choose 'float32' or 'float64'"

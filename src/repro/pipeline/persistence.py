@@ -48,13 +48,19 @@ def _config_to_json(config: PipelineConfig) -> str:
 # Fields of archives written before the module map left; no saved pipeline
 # used them (only a module-map pipeline did, and it could not be saved).
 _RETIRED_FIELDS = ("module_map_phi_sectors", "module_map_z_sectors")
+# A GNN field whose one remaining value is the default: an archive saved
+# with the unfused path holds the same weights under the same keys.
+_RETIRED_GNN_FIELDS = ("fused_kernels",)
 
 
 def _config_from_json(text: str) -> PipelineConfig:
     payload = json.loads(text)
     for name in _RETIRED_FIELDS:
         payload.pop(name, None)
-    gnn = GNNTrainConfig(**payload.pop("gnn"))
+    gnn = payload.pop("gnn")
+    for name in _RETIRED_GNN_FIELDS:
+        gnn.pop(name, None)
+    gnn = GNNTrainConfig(**gnn)
     return PipelineConfig(gnn=gnn, **payload)
 
 
@@ -149,16 +155,14 @@ def load_pipeline(path: str, geometry: DetectorGeometry) -> ExaTrkXPipeline:
         _load_stage_state(fil_net, "filter", archive, path)
         pipeline.filter.net = fil_net
 
-        # the trainer's factory, so fused_kernels / precision survive a reload
+        # the trainer's factory, so the precision survives a reload
         gnn_model = _model_factory(config.gnn, gnn_nf, gnn_ef)()
         _load_stage_state(gnn_model, "gnn", archive, path)
         from ..metrics import TrainingHistory
-        from ..perf import StageTimer
 
         pipeline.gnn.result = GNNTrainResult(
             model=gnn_model,
             history=TrainingHistory(label="loaded"),
-            timers=StageTimer(),
             config=config.gnn,
         )
     return pipeline

@@ -24,8 +24,10 @@ Figure-4 definition), the optimiser (Adam), and the loss
 from __future__ import annotations
 
 import os
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +56,6 @@ from ..metrics import EpochRecord, TrainingHistory, pooled_precision_recall
 from ..models import IGNNConfig, InteractionGNN
 from ..nn import Adam, BCEWithLogitsLoss
 from ..obs import get_metrics, get_telemetry, get_tracer
-from ..perf import StageTimer
 from ..sampling import BulkShadowSampler, SampledBatch, Sampler, ShadowSampler
 from .checkpoint import TrainerState, load_with_fallback, save_trainer_checkpoint
 from .config import GNNTrainConfig
@@ -68,7 +69,9 @@ class GNNTrainResult:
 
     model: InteractionGNN
     history: TrainingHistory
-    timers: StageTimer
+    #: wall seconds per phase (``epoch`` / ``sampling`` / ``training``),
+    #: a final partial epoch included (``history`` records whole ones)
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
     comm_stats: Optional[CommStats] = None
     skipped_graphs: int = 0
     trained_steps: int = 0
@@ -285,7 +288,6 @@ def _model_factory(
         num_layers=config.num_layers,
         mlp_layers=config.mlp_layers,
         seed=config.seed,
-        fused=config.fused_kernels,
     )
     dtype = np.dtype(config.precision)  # float64 = reference mode; float32 is a no-op cast
     return lambda: InteractionGNN(ignn_config).astype(dtype)
@@ -529,7 +531,19 @@ def _train(
     ]
     try:
         tracer = get_tracer()
-        timers = StageTimer()
+        stage_seconds = dict.fromkeys(("epoch", "sampling", "training"), 0.0)
+
+        @contextmanager
+        def stage(name: str):
+            """One phase span (Figure 3's split), its time added to
+            ``stage_seconds``."""
+            t0 = time.perf_counter()
+            try:
+                with tracer.span(name, category="stage"):
+                    yield
+            finally:
+                stage_seconds[name] += time.perf_counter() - t0
+
         history = TrainingHistory(label=label)
         rng = np.random.default_rng(config.seed)
         governor = _TrainingGovernor(config, [r.optimizer for r in ranks])
@@ -584,11 +598,9 @@ def _train(
             # the identical plan (plan_epoch is the epoch's only RNG
             # consumer — see repro.data.prefetch).
             epoch_rng_state = rng.bit_generator.state
-            epoch_t0 = timers.total("epoch")
-            sample_t0 = timers.total("sampling")
-            train_t0 = timers.total("training")
+            phase_t0 = dict(stage_seconds)
             comm_t0 = comm.stats.modeled_seconds
-            with timers.scope("epoch"):
+            with stage("epoch"):
                 plan, plan_skipped = plan_epoch(rng)
                 # Each live rank samples & trains its shard of every batch
                 # in a step's group.  The rank steps run on the per-event
@@ -596,7 +608,7 @@ def _train(
                 # wall time at P lanes.  After an elastic rank eviction the
                 # loader re-shards queued steps over the survivors, so no
                 # shard is silently dropped.
-                # With prefetch workers the "sampling" scope measures only
+                # With prefetch workers the "sampling" span measures only
                 # the trainer-thread *stall* — sampler work hidden behind
                 # training compute no longer shows up in epoch time.
                 stepper = loader.iter_epoch(
@@ -606,12 +618,12 @@ def _train(
                 try:
                     while cursor < len(plan):
                         with tracer.span("batch", category="train") as batch_span:
-                            with timers.scope("sampling"):
+                            with stage("sampling"):
                                 step, rank_sampled = next(stepper)
                             batch_span.set(group_size=len(step.batches))
                             # one optimisation step per batch in the group
                             for bi in range(len(step.batches)):
-                                with timers.scope("training"):
+                                with stage("training"):
                                     batches = [rank_sampled[r.grank][bi] for r in ranks]
                                     graphs = [b.graph for b in batches]
                                     parts = [
@@ -677,9 +689,9 @@ def _train(
                     train_loss=float(np.mean(losses)) if losses else float("nan"),
                     val_precision=precision,
                     val_recall=recall,
-                    epoch_seconds=timers.total("epoch") - epoch_t0,
-                    sampling_seconds=timers.total("sampling") - sample_t0,
-                    training_seconds=timers.total("training") - train_t0,
+                    epoch_seconds=stage_seconds["epoch"] - phase_t0["epoch"],
+                    sampling_seconds=stage_seconds["sampling"] - phase_t0["sampling"],
+                    training_seconds=stage_seconds["training"] - phase_t0["training"],
                     comm_modeled_seconds=comm.stats.modeled_seconds - comm_t0,
                 )
             )
@@ -702,7 +714,7 @@ def _train(
         return GNNTrainResult(
             model=lead,
             history=history,
-            timers=timers,
+            stage_seconds=stage_seconds,
             comm_stats=comm.stats,
             skipped_graphs=skipped,
             trained_steps=steps,

@@ -7,6 +7,7 @@ import pytest
 from repro.distributed import (
     COMM_BACKENDS,
     CommBackend,
+    CommCostModel,
     DistributedDataParallel,
     NVLINK_A100,
     ProcCommunicator,
@@ -57,10 +58,12 @@ class TestFactory:
         with pytest.raises(ValueError, match="unknown comm backend"):
             create_communicator("nccl", 2)
 
-    def test_factory_forwards_cost_model_and_algorithm(self):
-        comm = create_communicator("sim", 2, algorithm="tree")
-        assert comm.algorithm == "tree"
-        assert comm.cost_model is NVLINK_A100
+    def test_factory_forwards_cost_model_and_fault_plan(self):
+        model = CommCostModel(alpha=1e-5, beta=1e-9)
+        plan = FaultPlan()
+        comm = create_communicator("sim", 2, cost_model=model, fault_plan=plan)
+        assert comm.cost_model is model and comm.fault_plan is plan
+        assert create_communicator("sim", 2).cost_model is NVLINK_A100
 
     def test_context_manager_closes(self):
         with create_communicator("proc", 2, collective_timeout=10.0) as comm:

@@ -175,10 +175,6 @@ class TestBroadcastAndBarrier:
 
 
 class TestLifecycle:
-    def test_non_ring_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="ring"):
-            ProcCommunicator(2, algorithm="tree")
-
     def test_close_is_idempotent_and_final(self, rng):
         comm = ProcCommunicator(2, collective_timeout=15.0)
         comm.allreduce([rng.standard_normal(4) for _ in range(2)])

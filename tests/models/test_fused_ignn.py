@@ -1,4 +1,5 @@
-"""Fused vs unfused IGNN message path: forward/grad/training parity."""
+"""The fused IGNN block against its unfused spelling, the oracle:
+forward / gradient / training parity and the tape each builds."""
 
 import gc
 import weakref
@@ -15,12 +16,44 @@ from repro.models.interaction_gnn import _IGNNLayer
 from repro.tensor import Tensor, ops
 
 
-def make_pair(fused_cfg=True, **kw):
+class _UnfusedLayer(_IGNNLayer):
+    """Lines 5-10 of Algorithm 1 as written: ``X' ← [Xˡ X⁰]``,
+    ``Y' ← [Yˡ Y⁰]``, gather → concat → matmul for MSG, then two
+    ``segment_sum`` for AGG and a concat for the vertex update."""
+
+    def forward(self, x, y, x0, y0, rows, cols, update=True):
+        x_res = ops.concat([x, x0], axis=1)
+        y_res = ops.concat([y, y0], axis=1)
+        msg_in = ops.concat(
+            [y_res, ops.gather_rows(x_res, rows), ops.gather_rows(x_res, cols)],
+            axis=1,
+        )
+        y_next = self.edge_mlp(msg_in)
+        if not update:
+            return y_next
+        return self.update(x, x_res, y_next, rows, cols), y_next
+
+    def update(self, x, x_res, y_next, rows, cols):
+        num_nodes = x.shape[0]
+        m_src = ops.segment_sum(y_next, rows, num_nodes)
+        m_dst = ops.segment_sum(y_next, cols, num_nodes)
+        return self.node_mlp(ops.concat([m_src, m_dst, x_res], axis=1))
+
+
+def as_oracle(model):
+    """``model`` with every block running the unfused spelling (same
+    parameters, same names)."""
+    for block in model.blocks:
+        block.__class__ = _UnfusedLayer
+    return model
+
+
+def make_pair(**kw):
     base = dict(node_features=6, edge_features=2, hidden=8,
                 num_layers=3, mlp_layers=2, seed=0)
     base.update(kw)
-    fused = InteractionGNN(IGNNConfig(**base, fused=True))
-    plain = InteractionGNN(IGNNConfig(**base, fused=False))
+    fused = InteractionGNN(IGNNConfig(**base))
+    plain = as_oracle(InteractionGNN(IGNNConfig(**base)))
     plain.load_state_dict(fused.state_dict())
     return fused, plain
 
@@ -135,12 +168,14 @@ class TestTapeSize:
     def test_no_edge_residual_copy_on_the_fused_path(self, graph, fused):
         """The fused tape holds no ``(m, 2h)`` and no ``(n, 2h)`` array:
         ``[Yˡ Y⁰]`` and ``[Xˡ X⁰]`` are read in place.  The unfused
-        reference still builds both (the walk finds them)."""
+        oracle builds both (the walk finds them)."""
         hidden = 64
         model = InteractionGNN(IGNNConfig(
             node_features=6, edge_features=2, hidden=hidden, num_layers=8,
-            mlp_layers=2, fused=fused,
+            mlp_layers=2,
         ))
+        if not fused:
+            as_oracle(model)
         logits = model(Tensor(graph.x), Tensor(graph.y), graph.rows, graph.cols)
         loss = BCEWithLogitsLoss()(logits, graph.edge_labels.astype(np.float32))
         shapes = self.reachable_shapes(loss)
@@ -152,7 +187,7 @@ class TestTapeSize:
 class TestFloat64Parity:
     def test_eight_layer_network_fused_vs_unfused(self, graph):
         """The kernel gate: in float64 the fused network is the unfused
-        reference to 1e-11, logits and every parameter gradient."""
+        oracle to 1e-11, logits and every parameter gradient."""
         fused, plain = make_pair(num_layers=8, hidden=16)
         labels = graph.edge_labels.astype(np.float64)
         results = []
@@ -179,7 +214,7 @@ class TestFloat64Parity:
 class TestTrainingParity:
     def test_short_training_converges_together(self, graph):
         """Convergence-parity gate: a handful of fused Adam steps lands
-        within float tolerance of the unfused reference trajectory."""
+        within float tolerance of the unfused oracle's trajectory."""
         fused, plain = make_pair()
         labels = graph.edge_labels.astype(np.float32)
         losses = {}

@@ -246,17 +246,16 @@ class TestTracedTraining:
         assert tracer.count("batch") == bulk_steps
         assert all(b.attributes.get("group_size") for b in tracer.find("batch"))
 
-    def test_trace_totals_match_stagetimer_within_1pct(self, traced_run, tmp_path):
+    def test_trace_totals_match_stage_seconds_within_1pct(self, traced_run, tmp_path):
         """Acceptance: the summarized sampling/training split must agree
-        with the StageTimer totals the training result reports."""
+        with the phase totals the training result reports."""
         telemetry, result = traced_run
         path = str(tmp_path / "t.json")
         telemetry.write_trace(path)
         totals = phase_totals(load_trace(path))
-        timer_totals = result.timers.totals()
         for stage in ("sampling", "training"):
             trace_s = totals[stage]["total_s"]
-            timer_s = timer_totals[stage]
+            timer_s = result.stage_seconds[stage]
             assert trace_s == pytest.approx(timer_s, rel=0.01), stage
 
     def test_training_metrics_recorded(self, traced_run):

@@ -1,140 +1,8 @@
-"""Timers and epoch-breakdown projection."""
-
-import time
+"""Epoch-breakdown projection."""
 
 import pytest
 
-from repro.obs import Tracer
-from repro.perf import EpochBreakdown, StageTimer, Timer, project_epoch_time
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        for _ in range(3):
-            t.start()
-            t.stop()
-        assert t.count == 3
-        assert t.total >= 0.0
-
-    def test_measures_something(self):
-        t = Timer()
-        t.start()
-        time.sleep(0.02)
-        elapsed = t.stop()
-        assert elapsed >= 0.015
-
-    def test_double_start_rejected(self):
-        t = Timer()
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_mean(self):
-        t = Timer()
-        t.total, t.count = 6.0, 3
-        assert t.mean == 2.0
-
-    def test_reset(self):
-        t = Timer()
-        t.start()
-        t.stop()
-        t.reset()
-        assert t.total == 0.0 and t.count == 0
-
-    def test_elapsed_readable_while_running(self):
-        t = Timer()
-        assert t.elapsed() == 0.0
-        t.start()
-        time.sleep(0.01)
-        live = t.elapsed()
-        assert live >= 0.008
-        assert t.total == 0.0  # not yet folded in
-        t.stop()
-        assert t.elapsed() == t.total >= live
-
-    def test_elapsed_includes_prior_intervals(self):
-        t = Timer()
-        t.start()
-        t.stop()
-        prior = t.total
-        t.start()
-        assert t.elapsed() >= prior
-        t.stop()
-
-
-class TestStageTimer:
-    def test_scopes_accumulate_by_name(self):
-        timers = StageTimer()
-        with timers.scope("a"):
-            pass
-        with timers.scope("a"):
-            pass
-        with timers.scope("b"):
-            pass
-        assert timers["a"].count == 2
-        assert timers["b"].count == 1
-
-    def test_totals_dict(self):
-        timers = StageTimer()
-        with timers.scope("x"):
-            pass
-        assert set(timers.totals()) == {"x"}
-
-    def test_scope_releases_on_exception(self):
-        timers = StageTimer()
-        try:
-            with timers.scope("err"):
-                raise ValueError
-        except ValueError:
-            pass
-        # timer stopped: another scope works
-        with timers.scope("err"):
-            pass
-        assert timers["err"].count == 2
-
-    def test_scope_is_reentrant_per_name(self):
-        timers = StageTimer()
-        with timers.scope("epoch"):
-            with timers.scope("epoch"):  # must not raise "already running"
-                time.sleep(0.005)
-        # only the outermost entry counts an interval
-        assert timers["epoch"].count == 1
-        assert timers["epoch"].total >= 0.004
-
-    def test_reentrant_scope_releases_on_inner_exception(self):
-        timers = StageTimer()
-        try:
-            with timers.scope("s"):
-                with timers.scope("s"):
-                    raise ValueError
-        except ValueError:
-            pass
-        with timers.scope("s"):
-            pass
-        assert timers["s"].count == 2
-
-    def test_outermost_scope_emits_one_tracer_span(self):
-        tracer = Tracer()
-        timers = StageTimer(tracer=tracer)
-        with timers.scope("sampling"):
-            with timers.scope("sampling"):
-                pass
-        assert tracer.count("sampling") == 1
-        (span,) = tracer.find("sampling")
-        assert span.category == "stage"
-        # span and timer measure the same start/stop pair
-        assert span.duration_s == pytest.approx(timers.total("sampling"), rel=0.5, abs=1e-3)
-
-    def test_default_tracer_is_noop_without_telemetry(self):
-        timers = StageTimer()
-        with timers.scope("x"):
-            pass
-        assert timers["x"].count == 1  # no tracer installed: timing still works
+from repro.perf import EpochBreakdown, project_epoch_time
 
 
 class TestBreakdown:

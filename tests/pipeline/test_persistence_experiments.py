@@ -69,22 +69,19 @@ class TestPersistence:
         ):
             assert np.array_equal(a.data, b.data), n1
 
-    def test_reference_kernels_and_precision_survive(
+    def test_reference_precision_survives(
         self, fitted, geometry, small_events, tmp_path
     ):
         """The reloaded GNN is built by the trainer's factory, so the
-        unfused / float64 reference modes are not silently dropped."""
+        float64 reference mode is not silently dropped."""
         cfg = dataclasses.replace(
-            fitted.config,
-            gnn=fitted.config.gnn.replace(fused_kernels=False, precision="float64"),
+            fitted.config, gnn=fitted.config.gnn.replace(precision="float64")
         )
         pipe = ExaTrkXPipeline(cfg, geometry)
         pipe.fit(small_events[:4], small_events[4:5])
         path = str(tmp_path / "pipe.npz")
         save_pipeline(pipe, path)
         loaded = load_pipeline(path, geometry)
-        assert pipe.gnn.model.config.fused is False
-        assert loaded.gnn.model.config.fused is False
         for a, b in zip(pipe.gnn.model.parameters(), loaded.gnn.model.parameters()):
             assert a.data.dtype == b.data.dtype == np.float64
             assert np.array_equal(a.data, b.data)
@@ -179,6 +176,25 @@ class TestPersistenceDurability:
         after = loaded.reconstruct(small_events[5])
         assert len(before) == len(after)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_unfused_archive_still_loads(self, fitted, geometry, small_events, tmp_path):
+        """An archive saved with ``fused_kernels: false`` (the retired
+        unfused path) holds the same weights under the same keys: it loads
+        on the fused path and reconstructs the untouched archive's tracks."""
+        path, unfused = str(tmp_path / "pipe.npz"), str(tmp_path / "unfused.npz")
+        save_pipeline(fitted, path)
+        save_pipeline(fitted, unfused)
+        self._edit_config(unfused, lambda c: c["gnn"].update(fused_kernels=False))
+        plain, loaded = load_pipeline(path, geometry), load_pipeline(unfused, geometry)
+        assert loaded.config == plain.config
+        assert loaded.config.gnn.fused_kernels is True
+        want, got = plain.gnn.model.state_dict(), loaded.gnn.model.state_dict()
+        assert want.keys() == got.keys()
+        assert all(np.array_equal(want[k], got[k]) for k in want)
+        for event in small_events[4:]:
+            before, after = plain.reconstruct(event), loaded.reconstruct(event)
+            assert len(before) == len(after)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     @pytest.mark.parametrize("section", ["pipeline", "gnn"])
     def test_unknown_config_field_raises_checkpoint_error(

@@ -89,8 +89,28 @@ class TestRegimes:
     def test_minibatch_records_sampling_time(self, splits):
         train, val = splits
         res = train_gnn(train, val, GNNTrainConfig(mode="shadow", **SMALL))
-        assert res.timers.total("sampling") > 0
-        assert res.timers.total("training") > 0
+        assert res.stage_seconds["sampling"] > 0
+        assert res.stage_seconds["training"] > 0
+
+    def test_stage_seconds_are_the_records_summed(self, splits):
+        """Over whole epochs each phase's total is its records' sum."""
+        train, val = splits
+        res = train_gnn(train, val, GNNTrainConfig(mode="shadow", **SMALL))
+        assert set(res.stage_seconds) == {"epoch", "sampling", "training"}
+        for phase in res.stage_seconds:
+            summed = sum(getattr(r, f"{phase}_seconds") for r in res.history.records)
+            assert res.stage_seconds[phase] == pytest.approx(summed, abs=1e-9), phase
+
+    def test_stage_seconds_count_a_final_partial_epoch(self, splits):
+        """A run stopped mid-epoch records no epoch for its last steps,
+        but their training time is in the totals."""
+        train, val = splits
+        one = train_gnn(train, val, GNNTrainConfig(mode="shadow", **{**SMALL, "epochs": 1}))
+        cfg = GNNTrainConfig(mode="shadow", **SMALL, max_steps=one.trained_steps + 1)
+        res = train_gnn(train, val, cfg)
+        assert len(res.history) == 1 and res.trained_steps == one.trained_steps + 1
+        recorded = sum(r.training_seconds for r in res.history.records)
+        assert res.stage_seconds["training"] > recorded
 
     @pytest.mark.parametrize(
         "mode,extra", [("full", {}), ("shadow", {}), ("bulk", {"bulk_k": 1})]
@@ -106,7 +126,7 @@ class TestRegimes:
     def test_full_mode_records_the_same_phases_as_minibatch(self, splits):
         train, val = splits
         res = train_gnn(train, val, GNNTrainConfig(mode="full", **SMALL))
-        assert res.timers.total("sampling") > 0
+        assert res.stage_seconds["sampling"] > 0
         assert all(r.sampling_seconds > 0 for r in res.history.records)
         assert res.comm_stats.num_allreduce_calls == res.trained_steps
 

@@ -1,10 +1,12 @@
 """``repro train --config``: a flag the user typed always beats the file."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.cli.flags import Recipe, _flag
 
 
 @pytest.fixture
@@ -47,9 +49,26 @@ def test_untouched_flags_keep_recipe_defaults_and_file_sets_unexposed_fields(
 
 
 def test_switches_beat_the_file(train_config):
-    assert train_config({"fused_kernels": True}, "--no-fused-kernels").fused_kernels is False
-    assert train_config({"fused_kernels": False}).fused_kernels is False
     assert train_config({"validate_inputs": False}, "--validate-inputs").validate_inputs is True
+    assert train_config({"watchdog": True}).watchdog is True
+    assert train_config({"watchdog": False}, "--watchdog").watchdog is True
+
+
+def test_a_true_switch_derives_a_no_flag():
+    """A True-valued bool field is switched off by ``--no-<name>``."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Toy:
+        cache: bool = dataclasses.field(default=True, metadata={"help": "memoise"})
+
+    flag = _flag(Recipe(Toy(), ("cache",)), "cache")
+    assert flag.option == "--no-cache" and flag.kwargs["help"] == "turn off: memoise"
+    assert flag.default is False and flag.to_field(True) is False
+
+
+def test_the_unfused_path_is_retired_in_a_config_file(train_config):
+    with pytest.raises(ValueError, match="fused_kernels=False is retired"):
+        train_config({"fused_kernels": False})
 
 
 def test_unknown_keys_exit_with_sorted_names(train_config):

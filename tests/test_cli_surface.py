@@ -103,7 +103,7 @@ def test_flag_and_leaf_counts(snapshot, parser):
     options = [r for flags in surface.values() for r in flags.values() if r["option_strings"]]
     root = [a.option_strings for a in flag_actions(parser) if a.option_strings]
     assert root == [["--version"]]
-    assert len(options) + len(root) == 146  # plus 4 positionals
+    assert len(options) + len(root) == 145  # plus 4 positionals
 
 
 def test_every_config_backed_flag_has_help(parser):

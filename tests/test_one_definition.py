@@ -12,8 +12,13 @@ the inference traversal is one order-preserving map, which ``fit``
 builds and prunes through too, on the process's one thread pool, which
 sampling prefetch shares and serving does not duplicate; one
 function draws a noise hit (simulator and scenario mutators alike); one
-helper pair writes and reads ``prefix/name`` archive entries; and one
+helper pair writes and reads ``prefix/name`` archive entries; one
 helper cuts edges at a score threshold.
+
+Each training layer has one implementation: the all-reduce is the ring
+(no algorithm switch), the IGNN block is the fused one (its unfused
+spelling is the tests' oracle, ``tests/models/test_fused_ignn.py``),
+and the trainer's phase times are its own spans, with no timer registry.
 """
 
 import ast
@@ -71,7 +76,7 @@ def test_proc_backend_holds_no_schedule_of_its_own():
 def test_backends_share_one_staging_and_epilogue():
     assert _count("distributed", "def staged_allreduce(") == {"ring.py": 1}
     assert _count("distributed", "1.0 / p") == {"ring.py": 1}
-    for name in ("comm.py", "proc_backend.py", "algorithms.py"):
+    for name in ("comm.py", "proc_backend.py"):
         assert "astype(np.float64)" not in _read("distributed", name), name
 
 
@@ -160,3 +165,29 @@ def test_one_edge_cut():
     assert _count("pipeline", "edge_mask_subgraph(") == {"filter_stage.py": 1}
     for needle in (">= self.config.filter_threshold", ">= self.config.gnn", ">= min_score"):
         assert _count("pipeline", needle) == {}, needle
+
+
+def test_the_all_reduce_is_the_ring():
+    assert _count("distributed", "algorithm") == {}
+    assert _calls_in("distributed", "comm.py", "SimCommunicator._run_allreduce") == {
+        "ring_allreduce"
+    }
+
+
+def test_the_ignn_block_is_the_fused_one():
+    source = _read("models", "interaction_gnn.py")
+    assert "ops.concat(" not in source and "ops.segment_sum(" not in source
+
+
+def test_phase_times_are_the_trainers_spans():
+    assert _count_tree("StageTimer") == {}
+    # calls whose first argument names a phase: the span each is opened by
+    opened = [
+        node.args[0].value
+        for node in ast.walk(ast.parse(_read("pipeline", "trainers.py")))
+        if isinstance(node, ast.Call)
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value in ("sampling", "training")
+    ]
+    assert sorted(opened) == ["sampling", "training"]
